@@ -16,11 +16,11 @@ Schema (version 1)::
       "host": {"python": "3.11.7", "numpy": "2.4.6",
                "platform": "Linux-...", "cpu_count": 4},
       "benchmarks": {
-        "ensure_samples/dblp1200/unionfind/workers=4": {
+        "ensure_samples/dblp1200/unionfind/workers=1": {
           "seconds": 0.113,          # best observed round
           "items": 512,              # work units per round (worlds here)
           "throughput": 4530.9,      # items / seconds, null if items is
-          "meta": {"backend": "unionfind", "workers": 4, ...}
+          "meta": {"backend": "unionfind", "workers": 1, ...}
         },
         ...
       }

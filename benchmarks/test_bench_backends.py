@@ -2,7 +2,7 @@
 
 Records ``ensure_samples`` cost (mask sampling + labeling) and the raw
 labeling-kernel cost for every registered backend (``scipy``,
-``unionfind``, ``bitparallel``) on two synthetic substrates:
+``unionfind``) on two synthetic substrates:
 
 * ``sparse1500`` — n=1500, avg degree ~4, low-confidence edges
   (probabilities 0.05–0.35, PPI-like): sampled worlds are subcritical,
@@ -18,16 +18,6 @@ single-core CI box the union-find backend measures ~1.5x scipy on the
 sparse substrate and ~1.3x on the denser one for ``ensure_samples``;
 on multi-core hardware its world sub-batches are the natural sharding
 unit for further gains.
-
-The ``bitparallel`` backend labels straight from the store's packed
-uint64 columns (64 worlds per bitwise op, no boolean round-trip); the
-``labeling_kernel_packed`` cells record that zero-unpack path.  On the
-single-core CI box it measures ~94 ms per 512-world chunk vs ~38–44 ms
-for union-find — the ``ceil(log2 n)`` bit-plane sweeps per propagation
-round outweigh the 64-worlds-per-op win here, which is why ``auto``
-never selects it.  The cells are recorded (and gated by
-``compare.py``) so a future kernel or wider-word hardware has an honest
-baseline to beat.
 """
 
 import numpy as np
@@ -37,7 +27,6 @@ from benchmarks.record import record_pytest_benchmark
 from repro.datasets.synthetic import gnm_uncertain
 from repro.sampling import MonteCarloOracle
 from repro.sampling.backends import BACKENDS
-from repro.sampling.store import pack_mask_columns
 from repro.sampling.worlds import sample_edge_masks
 
 R = 512  # worlds per measured ensure_samples call
@@ -94,23 +83,6 @@ def test_labeling_kernel(benchmark, substrate, backend_name):
     )
 
 
-def test_labeling_kernel_packed(benchmark, substrate):
-    """The bitparallel zero-unpack path on store-shaped packed columns."""
-    substrate_name, graph = substrate
-    masks = sample_edge_masks(graph.edge_prob, R, rng=1)
-    packed = pack_mask_columns(masks)
-    backend = BACKENDS["bitparallel"]()
-    labels = benchmark(backend.component_labels_packed, graph, packed, R)
-    assert labels.shape == (R, graph.n_nodes)
-    record_pytest_benchmark(
-        "backends",
-        f"labeling_kernel_packed/{substrate_name}/bitparallel",
-        benchmark,
-        items=R,
-        meta={"backend": "bitparallel", "substrate": substrate_name, "r": R},
-    )
-
-
 def test_backends_bit_identical(substrate):
     """The equivalence the suite pins, re-checked on the bench substrate."""
     _, graph = substrate
@@ -119,7 +91,3 @@ def test_backends_bit_identical(substrate):
     reference = outputs[BACKEND_NAMES[0]]
     for name in BACKEND_NAMES[1:]:
         assert np.array_equal(reference, outputs[name]), name
-    packed_labels = BACKENDS["bitparallel"]().component_labels_packed(
-        graph, pack_mask_columns(masks), 64
-    )
-    assert np.array_equal(reference, packed_labels)

@@ -1,7 +1,7 @@
-"""Throughput of the parallel world-sampling engine and the world store.
+"""Throughput of the world-sampling engine and the world store.
 
-Measures ``ensure_samples`` (mask sampling + labeling, pool startup
-included) for every backend × worker-count × substrate cell, plus the
+Measures ``ensure_samples`` (mask sampling + labeling) for every
+backend × substrate cell, plus the
 warm-vs-cold world-store cells (``world_store/<substrate>/{cold,warm}``:
 a cold run samples into a fresh disk cache, a warm run serves the same
 pool from it), and records each measurement into the durable
@@ -10,17 +10,13 @@ file the CI perf gate diffs against the committed baseline.
 
 Substrates:
 
-* ``dblp1200`` — a dblp-like collaboration graph at tiny scale, the
-  acceptance substrate for the parallel engine;
+* ``dblp1200`` — a dblp-like collaboration graph at tiny scale;
 * ``sparse1500`` — the subcritical synthetic substrate of
   ``test_bench_backends.py``, for continuity with the PR-1 numbers.
 
-The speedup story is hardware-bound: on a single-core box the
-worker-pool cells pay fork/IPC overhead for no gain (the serial
-fallback exists for exactly that reason), while on >= 4 cores the
-4-worker cells approach linear scaling because chunk sampling is
-embarrassingly parallel across 128-world shards.  Whatever the
-hardware says ends up in the artifact — that is the point.
+Sampling is serial, but the ``ensure_samples`` cells keep their
+``/workers=1`` suffix so ``compare.py`` pairs them with the committed
+baseline cells of the same name.
 """
 
 import shutil
@@ -33,10 +29,9 @@ from repro.datasets import dblp_like
 from repro.datasets.synthetic import gnm_uncertain
 from repro.sampling import MonteCarloOracle
 
-R = 512  # worlds per measured ensure_samples call (= 4 default shards)
+R = 512  # worlds per measured ensure_samples call
 
-BACKEND_NAMES = ("scipy", "unionfind", "bitparallel")
-WORKER_COUNTS = (1, 2, 4)
+BACKEND_NAMES = ("scipy", "unionfind")
 
 
 def _substrate(name):
@@ -52,27 +47,24 @@ def substrate(request):
     return request.param, _substrate(request.param)
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
-def test_ensure_samples_throughput(benchmark, substrate, backend_name, workers):
+def test_ensure_samples_throughput(benchmark, substrate, backend_name):
     substrate_name, graph = substrate
 
     def run():
-        with MonteCarloOracle(
-            graph, seed=1, chunk_size=R, backend=backend_name, workers=workers
-        ) as oracle:
-            oracle.ensure_samples(R)
-            return oracle.num_samples
+        oracle = MonteCarloOracle(graph, seed=1, chunk_size=R, backend=backend_name)
+        oracle.ensure_samples(R)
+        return oracle.num_samples
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     record_pytest_benchmark(
         "sampling",
-        f"ensure_samples/{substrate_name}/{backend_name}/workers={workers}",
+        f"ensure_samples/{substrate_name}/{backend_name}/workers=1",
         benchmark,
         items=R,
         meta={
             "backend": backend_name,
-            "workers": workers,
+            "workers": 1,
             "substrate": substrate_name,
             "r": R,
             "nodes": graph.n_nodes,
@@ -143,17 +135,14 @@ def test_world_store_warm_pool_bit_identical(substrate, tmp_path):
         assert np.array_equal(warm.component_labels, cold_labels)
 
 
-def test_parallel_pool_bit_identical_to_serial(substrate):
-    """The fixed-seed equivalence the bench rides on: every measured
-    worker count produces the same pool of worlds, so the throughput
-    cells are comparing identical work."""
-    substrate_name, graph = substrate
+def test_backend_pools_bit_identical(substrate):
+    """The fixed-seed equivalence the throughput cells ride on: every
+    measured backend labels the same pool of worlds, so the cells of
+    one substrate compare identical work."""
+    _, graph = substrate
     pools = []
-    for workers in WORKER_COUNTS:
-        with MonteCarloOracle(
-            graph, seed=1, chunk_size=R, backend="unionfind", workers=workers
-        ) as oracle:
-            oracle.ensure_samples(R)
-            pools.append(oracle.component_labels)
+    for backend_name in BACKEND_NAMES:
+        oracle = MonteCarloOracle(graph, seed=1, chunk_size=R, backend=backend_name)
+        oracle.ensure_samples(R)
+        pools.append(oracle.component_labels)
     assert np.array_equal(pools[0], pools[1])
-    assert np.array_equal(pools[0], pools[2])

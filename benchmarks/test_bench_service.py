@@ -93,7 +93,7 @@ def test_job_cold_then_warm(server):
 
 
 def test_sustained_estimates(server):
-    path = f"/graphs/bench/estimate?u=0&v=1&samples={JOB_PARAMS['samples']}&seed=0"
+    path = f"/v1/graphs/bench/estimate?u=0&v=1&samples={JOB_PARAMS['samples']}&seed=0"
     status, _ = _request_sync(server, "GET", path)  # prime the pool
     assert status == 200
 

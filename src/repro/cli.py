@@ -40,7 +40,6 @@ from repro.exceptions import ReproError
 from repro.graph.io import read_uncertain_graph, write_uncertain_graph
 from repro.sampling.backends import BACKEND_NAMES
 from repro.sampling.oracle import MonteCarloOracle
-from repro.sampling.parallel import validate_workers_spec
 from repro.sampling.sizes import PracticalSchedule
 from repro.sampling.store import WorldStore
 from repro.workloads import (
@@ -109,8 +108,7 @@ def _cmd_estimate(args) -> int:
     v = graph.index_of(args.v) if args.v in graph.node_labels else graph.index_of(_coerce(args.v))
     started = time.perf_counter()
     oracle = MonteCarloOracle(
-        graph, seed=args.seed, backend=args.backend, workers=args.workers,
-        cache_dir=args.world_cache,
+        graph, seed=args.seed, backend=args.backend, cache_dir=args.world_cache,
     )
     oracle.ensure_samples(args.samples)
     estimate = oracle.connection(u, v, depth=args.depth)
@@ -128,18 +126,6 @@ def _coerce(token: str):
         return token
 
 
-def _parse_workers(token: str):
-    """argparse type for ``--workers``: ``auto`` or a positive int."""
-    try:
-        spec = int(token)
-    except ValueError:
-        spec = token
-    try:
-        return validate_workers_spec(spec)
-    except ReproError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
 def _cmd_cluster(args) -> int:
     graph = read_uncertain_graph(args.graph, merge=args.merge)
     schedule = PracticalSchedule(max_samples=args.samples)
@@ -149,22 +135,19 @@ def _cmd_cluster(args) -> int:
         # Built explicitly (instead of inside the algorithm) so the
         # profile table can read its phase timings afterwards.
         oracle = MonteCarloOracle(
-            graph, seed=args.seed, backend=args.backend, workers=args.workers,
-            cache_dir=args.world_cache,
+            graph, seed=args.seed, backend=args.backend, cache_dir=args.world_cache,
         )
     if args.algorithm == "mcp":
         result = mcp_clustering(
             graph, args.k, oracle=oracle, seed=args.seed, depth=args.depth,
-            sample_schedule=schedule, backend=args.backend, workers=args.workers,
-            cache_dir=args.world_cache,
+            sample_schedule=schedule, backend=args.backend, cache_dir=args.world_cache,
         )
         clustering = result.clustering
         print(f"mcp: k={args.k} min-prob~={result.min_prob_estimate:.3f} q={result.q_final:.4f}", file=sys.stderr)
     elif args.algorithm == "acp":
         result = acp_clustering(
             graph, args.k, oracle=oracle, seed=args.seed, depth=args.depth,
-            sample_schedule=schedule, backend=args.backend, workers=args.workers,
-            cache_dir=args.world_cache,
+            sample_schedule=schedule, backend=args.backend, cache_dir=args.world_cache,
         )
         clustering = result.clustering
         print(f"acp: k={args.k} avg-prob~={result.avg_prob_estimate:.3f}", file=sys.stderr)
@@ -198,7 +181,7 @@ def _cmd_kclustering(args) -> int:
     run = kmedian_clustering if args.command == "kmedian" else kcenter_clustering
     result = run(
         graph, args.k, seed=args.seed, samples=args.samples,
-        backend=args.backend, workers=args.workers, cache_dir=args.world_cache,
+        backend=args.backend, cache_dir=args.world_cache,
     )
     aggregate = "mean" if args.command == "kmedian" else "max"
     print(
@@ -219,8 +202,7 @@ def _cmd_centrality(args) -> int:
     graph = read_uncertain_graph(args.graph, merge=args.merge)
     result = expected_centrality(
         graph, measure=args.measure, seed=args.seed, samples=args.samples,
-        tol=args.tol, backend=args.backend, workers=args.workers,
-        cache_dir=args.world_cache,
+        tol=args.tol, backend=args.backend, cache_dir=args.world_cache,
     )
     status = "converged" if result.converged else "budget exhausted"
     print(
@@ -390,7 +372,6 @@ def _cmd_serve(args) -> int:
         cache_bytes=args.cache_bytes,
         job_workers=args.job_threads,
         worker_processes=args.workers,
-        sampling_workers=args.sampling_workers,
         admission=admission,
         shutdown_grace_s=args.grace,
         dataset_scale=args.dataset_scale,
@@ -495,11 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="world-labeling backend (auto picks by graph size)",
     )
     estimate.add_argument(
-        "--workers", type=_parse_workers, default="auto", metavar="N|auto",
-        help="sampling worker processes (auto = min(cpu count, chunk heuristic); "
-        "1 forces the serial path; results are identical either way)",
-    )
-    estimate.add_argument(
         "--world-cache", default=None, metavar="DIR",
         help="persistent world-store directory: sampled pools are reused "
         "across runs with the same (graph, seed, backend, chunk size)",
@@ -521,11 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--backend", choices=BACKEND_NAMES, default="auto",
         help="world-labeling backend for mcp/acp (auto picks by graph size)",
-    )
-    cluster.add_argument(
-        "--workers", type=_parse_workers, default="auto", metavar="N|auto",
-        help="sampling worker processes for mcp/acp (auto = min(cpu count, "
-        "chunk heuristic); 1 forces the serial path)",
     )
     cluster.add_argument(
         "--world-cache", default=None, metavar="DIR",
@@ -560,10 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="world-labeling backend (results are identical across backends)",
         )
         workload.add_argument(
-            "--workers", type=_parse_workers, default="auto", metavar="N|auto",
-            help="sampling worker processes (results are identical either way)",
-        )
-        workload.add_argument(
             "--world-cache", default=None, metavar="DIR",
             help="persistent world-store directory; the pool is shared with "
             "every other workload of the same (graph, seed, backend, chunk size)",
@@ -595,10 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     centrality.add_argument(
         "--backend", choices=BACKEND_NAMES, default="auto",
         help="world-labeling backend (results are identical across backends)",
-    )
-    centrality.add_argument(
-        "--workers", type=_parse_workers, default="auto", metavar="N|auto",
-        help="sampling worker processes (results are identical either way)",
     )
     centrality.add_argument(
         "--world-cache", default=None, metavar="DIR",
@@ -708,11 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-limit", type=float, default=None, metavar="RPS",
         help="per-client token-bucket rate limit in requests/second "
         "(default: unlimited)",
-    )
-    serve.add_argument(
-        "--sampling-workers", type=_parse_workers, default=1, metavar="N|auto",
-        help="sampling worker processes per oracle (results are identical "
-        "under any value)",
     )
     serve.add_argument(
         "--cache-bytes", type=int, default=256 << 20, metavar="BYTES",

@@ -82,7 +82,6 @@ def acp_clustering(
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
     backend="auto",
-    workers=1,
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -91,8 +90,8 @@ def acp_clustering(
     """Cluster an uncertain graph maximizing average connection probability.
 
     Parameters mirror :func:`repro.core.mcp.mcp_clustering` (including
-    the ``backend`` world-labeling selection, the ``workers`` sampling
-    parallelism and the ``store`` / ``cache_dir`` world-store
+    the ``backend`` world-labeling selection and the ``store`` /
+    ``cache_dir`` world-store
     attachment — an MCP run followed by an ACP run with the same
     ``(graph, seed, backend, chunk_size)`` and a shared store reuses
     one sampled pool, the ``cancel_check`` cooperative-cancellation
@@ -115,7 +114,7 @@ def acp_clustering(
         raise ClusteringError(f"mode must be one of {_MODES}, got {mode!r}")
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
-        backend=backend, workers=workers, store=store, cache_dir=cache_dir,
+        backend=backend, store=store, cache_dir=cache_dir,
     )
     n = oracle.n_nodes
     validate_common(k, n, gamma, eps, p_lower, depth)

@@ -22,16 +22,14 @@ def resolve_oracle(
     chunk_size: int,
     max_samples: int,
     backend="auto",
-    workers=1,
     store=None,
     cache_dir=None,
 ):
     """Return the oracle to use: the caller's, or a fresh Monte Carlo one.
 
-    ``backend`` selects the world-labeling backend, ``workers`` the
-    sampling parallelism, and ``store`` / ``cache_dir`` the world-store
-    attachment of a freshly built :class:`MonteCarloOracle` (see
-    :mod:`repro.sampling.backends`, :mod:`repro.sampling.parallel` and
+    ``backend`` selects the world-labeling backend and ``store`` /
+    ``cache_dir`` the world-store attachment of a freshly built
+    :class:`MonteCarloOracle` (see :mod:`repro.sampling.backends` and
     :mod:`repro.sampling.store`); all are ignored when the caller
     supplies an ``oracle``.
 
@@ -57,7 +55,6 @@ def resolve_oracle(
         chunk_size=chunk_size,
         max_samples=max_samples,
         backend=backend,
-        workers=workers,
         store=store,
         cache_dir=cache_dir,
     )

@@ -92,7 +92,6 @@ def mcp_clustering(
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
     backend="auto",
-    workers=1,
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -136,11 +135,6 @@ def mcp_clustering(
         :class:`~repro.sampling.backends.WorldBackend` instance.
         Results are bit-identical across backends for a fixed seed.
         Ignored when ``oracle`` is given.
-    workers:
-        Sampling parallelism of a freshly built oracle: ``1`` (serial),
-        a positive int, or ``"auto"`` (see
-        :mod:`repro.sampling.parallel`).  Results are bit-identical
-        under every worker count.  Ignored when ``oracle`` is given.
     store, cache_dir:
         World-store attachment of a freshly built oracle (see
         :mod:`repro.sampling.store`): a shared
@@ -177,7 +171,7 @@ def mcp_clustering(
     """
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
-        backend=backend, workers=workers, store=store, cache_dir=cache_dir,
+        backend=backend, store=store, cache_dir=cache_dir,
     )
     n = oracle.n_nodes
     validate_common(k, n, gamma, eps, p_lower, depth)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import ExperimentError, OracleError
-from repro.sampling.parallel import validate_workers_spec
+from repro.exceptions import ExperimentError
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,6 @@ class ExperimentScale:
     #: World-labeling backend for every Monte Carlo oracle the harness
     #: builds ("auto" picks by graph size; see repro.sampling.backends).
     oracle_backend: str = "auto"
-    #: Sampling worker processes for every Monte Carlo oracle the
-    #: harness builds: "auto" (min of cpu count and the chunk-size
-    #: heuristic — see repro.sampling.parallel.resolve_workers) or a
-    #: positive int; 1 forces the serial path.  Results are
-    #: bit-identical under every setting.
-    oracle_workers: int | str = "auto"
     #: Optional world-cache directory.  When set, every Monte Carlo
     #: oracle the harness builds attaches a shared disk-backed
     #: :class:`repro.sampling.store.WorldStore`, so repeated runs of
@@ -60,10 +53,6 @@ class ExperimentScale:
             raise ExperimentError(f"ppi_scale must be in (0, 1], got {self.ppi_scale}")
         if self.metric_samples < 10:
             raise ExperimentError("metric_samples must be at least 10")
-        try:
-            validate_workers_spec(self.oracle_workers)
-        except OracleError as error:
-            raise ExperimentError(f"oracle_workers: {error}") from None
 
 
 SCALES: dict[str, ExperimentScale] = {

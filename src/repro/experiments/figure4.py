@@ -66,7 +66,6 @@ def run(
             sample_schedule=schedule,
             chunk_size=128,
             backend=scale.oracle_backend,
-            workers=scale.oracle_workers,
             cache_dir=scale.world_cache,
         )
         table.add_row(

@@ -142,43 +142,28 @@ def run_quality_suite(
         )
         report(f"[{name}] n={graph.n_nodes} m={graph.n_edges}")
 
-        # Worker pools must not leak however the graph's cells fail, so
-        # everything after each oracle's construction runs under its
-        # try/finally — including the other oracle's construction and
-        # warmup, either of which can raise (e.g. OracleError budgets).
         eval_oracle = MonteCarloOracle(
             graph, seed=int(rng.integers(2**31)), chunk_size=64,
-            backend=scale.oracle_backend,
-            workers=scale.oracle_workers,
-            store=store,
+            backend=scale.oracle_backend, store=store,
         )
-        try:
-            eval_oracle.ensure_samples(scale.metric_samples)
+        eval_oracle.ensure_samples(scale.metric_samples)
 
-            # One progressive pool per graph, shared by every mcp and
-            # acp call below (all inflations): the pool only ever grows
-            # to the largest schedule request instead of being
-            # resampled per call.
-            algo_oracle = MonteCarloOracle(
-                graph, seed=int(rng.integers(2**31)), chunk_size=128,
-                backend=scale.oracle_backend,
-                workers=scale.oracle_workers,
-                store=store,
-            )
-            try:
-                inflations = (
-                    scale.mcl_inflations_dblp if name == "dblp"
-                    else scale.mcl_inflations_ppi
-                )
-                schedule = PracticalSchedule(max_samples=scale.max_algo_samples)
-                _run_graph_cells(
-                    result, report, graph, name, inflations, schedule, scale,
-                    eval_oracle, algo_oracle, rng,
-                )
-            finally:
-                algo_oracle.close()
-        finally:
-            eval_oracle.close()
+        # One progressive pool per graph, shared by every mcp and acp
+        # call below (all inflations): the pool only ever grows to the
+        # largest schedule request instead of being resampled per call.
+        algo_oracle = MonteCarloOracle(
+            graph, seed=int(rng.integers(2**31)), chunk_size=128,
+            backend=scale.oracle_backend, store=store,
+        )
+        inflations = (
+            scale.mcl_inflations_dblp if name == "dblp"
+            else scale.mcl_inflations_ppi
+        )
+        schedule = PracticalSchedule(max_samples=scale.max_algo_samples)
+        _run_graph_cells(
+            result, report, graph, name, inflations, schedule, scale,
+            eval_oracle, algo_oracle, rng,
+        )
 
     result.records.sort(key=_record_order)
     return result

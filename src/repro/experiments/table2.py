@@ -63,7 +63,6 @@ def run(scale: str | ExperimentScale = "small", *, seed: int = 0, progress=None)
             oracle = MonteCarloOracle(
                 graph, seed=int(rng.integers(2**31)), chunk_size=64,
                 backend=scale.oracle_backend,
-                workers=scale.oracle_workers,
                 cache_dir=scale.world_cache,
             )
             result = runner(

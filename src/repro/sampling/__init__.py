@@ -8,14 +8,11 @@ from repro.sampling.backends import (
     resolve_backend,
 )
 from repro.sampling.parallel import (
-    DEFAULT_SHARD_WORLDS,
     ParallelSampler,
     edge_seed_sequence,
     ensure_seed_sequence,
-    resolve_workers,
     sample_edge_column,
     sample_mask_rows,
-    shard_plan,
 )
 from repro.sampling.store import (
     WorldStore,
@@ -52,17 +49,14 @@ from repro.sampling.representative import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "DEFAULT_SHARD_WORLDS",
     "DeriveResult",
     "ParallelSampler",
     "derive_pool",
     "diff_edges",
     "edge_seed_sequence",
     "ensure_seed_sequence",
-    "resolve_workers",
     "sample_edge_column",
     "sample_mask_rows",
-    "shard_plan",
     "ScipyWorldBackend",
     "UnionFindWorldBackend",
     "WorldBackend",

@@ -2,7 +2,7 @@
 
 A backend turns a chunk of sampled edge masks into per-world connected
 component labels (see :mod:`repro.sampling.backends.base` for the
-canonical labeling contract).  Three implementations ship:
+canonical labeling contract).  Two implementations ship:
 
 ``"scipy"``
     :class:`ScipyWorldBackend` — one block-diagonal sparse matrix and a
@@ -11,21 +11,11 @@ canonical labeling contract).  Three implementations ship:
     :class:`UnionFindWorldBackend` — whole-chunk vectorized union-find
     with path halving; never builds the ``(r*n, r*n)`` sparse matrix,
     roughly halving the peak per-chunk memory of ``ensure_samples``.
-``"bitparallel"``
-    :class:`BitParallelWorldBackend` — bit-plane min-label propagation
-    directly on the store's packed ``uint64`` mask columns (64 worlds
-    per word, no boolean round-trip); the only backend implementing the
-    packed fast path ``component_labels_packed``.
 
 Selection is by name, by instance (any object satisfying
 :class:`WorldBackend` — custom or instrumented backends plug straight
 in), or ``"auto"``/``None``, which picks by graph size using
-:data:`AUTO_NODE_THRESHOLD`.  ``"auto"`` never picks ``bitparallel``:
-on the committed bench substrates the packed kernel's bit-plane passes
-(``ceil(log2 n)`` per propagation round) measure ~2x the vectorized
-union-find's whole-chunk scatter-min on a single core
-(``benchmarks/test_bench_backends.py`` records the cells), so the
-packed backend stays opt-in until a measured crossover exists.
+:data:`AUTO_NODE_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -37,7 +27,6 @@ from repro.sampling.backends.base import (
     block_edge_endpoints,
     validate_masks,
 )
-from repro.sampling.backends.bitparallel import BitParallelWorldBackend
 from repro.sampling.backends.scipy_backend import ScipyWorldBackend
 from repro.sampling.backends.unionfind import UnionFindWorldBackend
 
@@ -45,7 +34,6 @@ from repro.sampling.backends.unionfind import UnionFindWorldBackend
 BACKENDS = {
     ScipyWorldBackend.name: ScipyWorldBackend,
     UnionFindWorldBackend.name: UnionFindWorldBackend,
-    BitParallelWorldBackend.name: BitParallelWorldBackend,
 }
 
 #: Names accepted wherever a ``backend=`` option is exposed.
@@ -104,7 +92,6 @@ __all__ = [
     "AUTO_NODE_THRESHOLD",
     "BACKENDS",
     "BACKEND_NAMES",
-    "BitParallelWorldBackend",
     "ScipyWorldBackend",
     "UnionFindWorldBackend",
     "WorldBackend",

@@ -18,23 +18,6 @@ this makes every downstream quantity — ``connection_to_all``,
 backends for a fixed seed.  The cross-backend equivalence suite in
 ``tests/test_backends.py`` pins this contract.
 
-Packed fast path (optional)
----------------------------
-Backends *may* implement ``component_labels_packed(graph, packed_cols,
-n_worlds) -> labels``, accepting the store's edge-major bit-packed
-columns (:func:`repro.sampling.store.pack_mask_columns`: shape
-``(m, packed_words(n_worlds))`` ``uint64``, row ``e`` holding edge
-``e``'s presence bitset, little-endian, pad bits zero) *without a
-boolean round-trip*.  The contract: bit-identical to
-``component_labels`` on the unpacked masks.  Callers discover the
-method with ``getattr`` — :class:`repro.sampling.parallel.ParallelSampler`
-routes freshly packed chunks through it, and
-:mod:`repro.sampling.deltas` hands derived blocks straight to it when
-every world needs relabeling.  The bit-parallel backend
-(:mod:`repro.sampling.backends.bitparallel`) is the shipped
-implementation; like ``repair_labels`` it is deliberately not part of
-the runtime protocol.
-
 Incremental relabeling (optional)
 ---------------------------------
 Backends *may* additionally implement ``repair_labels(graph, masks,

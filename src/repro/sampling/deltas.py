@@ -294,19 +294,13 @@ def _relabel_affected(
     backend, graph, packed_cols, rows, affected_worlds, old_labels, flips, flip_matrix
 ):
     """New labels for the affected worlds, via the cheapest sound path."""
+    masks = unpack_mask_columns(packed_cols, rows)[affected_worlds]
     repair = getattr(backend, "repair_labels", None)
     if repair is None or len(flips) > _REPAIR_TOUCHED_LIMIT:
         # Backends without an incremental path — and deltas so wide
         # that the membership tensor would dwarf the relabeling —
         # recompute the affected worlds outright (still only those).
-        packed_labeler = getattr(backend, "component_labels_packed", None)
-        if packed_labeler is not None and len(affected_worlds) == rows:
-            # Every world flipped: hand the derived block to the packed
-            # kernel as-is, no boolean round-trip.
-            return packed_labeler(graph, packed_cols, rows)
-        masks = unpack_mask_columns(packed_cols, rows)[affected_worlds]
         return backend.component_labels(graph, masks)
-    masks = unpack_mask_columns(packed_cols, rows)[affected_worlds]
     endpoints = np.array([[u, v] for u, v, _ in flips])  # (t, 2)
     flipped_here = flip_matrix.T  # (worlds, t)
     target_u = np.where(flipped_here, old_labels[:, endpoints[:, 0]], -1)

@@ -53,8 +53,8 @@ from repro import telemetry
 from repro.exceptions import OracleError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.backends import WorldBackend, resolve_backend
-from repro.sampling.parallel import ParallelSampler, ensure_seed_sequence
-from repro.sampling.store import WorldStore, unpack_mask_columns
+from repro.sampling.parallel import ParallelSampler, ensure_seed_sequence, sample_mask_rows
+from repro.sampling.store import WorldStore, pack_mask_columns, unpack_mask_columns
 from repro.sampling.worlds import (
     block_bfs_distances,
     block_bfs_reached,
@@ -73,9 +73,9 @@ class MonteCarloOracle:
         Seed for world sampling: ``None``, an ``int``, a
         :class:`numpy.random.SeedSequence`, or a generator (one integer
         is drawn from it to derive the root sequence).  World ``i``'s
-        edge mask is a pure function of the seed and ``i`` (sharded
+        edge mask is a pure function of the seed and ``i`` (per-edge
         streams, :mod:`repro.sampling.parallel`), so the pool content
-        is independent of the chunking pattern and the worker count.
+        is independent of the chunking pattern.
     chunk_size:
         Worlds sampled per growth step (amortizes the labelling cost).
     max_samples:
@@ -89,12 +89,6 @@ class MonteCarloOracle:
         masks are sampled independently of the backend, so estimates
         and clusterings are bit-identical across backends for a fixed
         seed.
-    workers:
-        Worker processes for chunk sampling: ``1`` (default, serial),
-        a positive int, or ``"auto"`` (``min(cpu_count, ceil(chunk_size
-        / shard))``).  Results are bit-identical under every worker
-        count; custom backend instances and broken pools fall back to
-        the serial path.
     store:
         Optional :class:`~repro.sampling.store.WorldStore`.  The oracle
         registers its ``(graph, seed, backend, chunk_size)`` pool in
@@ -126,7 +120,6 @@ class MonteCarloOracle:
         chunk_size: int = 512,
         max_samples: int = 1_000_000,
         backend="auto",
-        workers=1,
         store: WorldStore | None = None,
         cache_dir=None,
     ):
@@ -141,9 +134,7 @@ class MonteCarloOracle:
         self._chunk_size = int(chunk_size)
         self._max_samples = int(max_samples)
         self._backend = resolve_backend(backend, graph)
-        self._sampler = ParallelSampler(
-            graph, backend=self._backend, workers=workers, chunk_size=self._chunk_size
-        )
+        self._sampler = ParallelSampler(graph, backend=self._backend)
         if cache_dir is not None:
             store = WorldStore(cache_dir)
         self._store = store
@@ -194,11 +185,6 @@ class MonteCarloOracle:
     @property
     def backend_name(self) -> str:
         return self._backend.name
-
-    @property
-    def workers(self) -> int:
-        """Resolved worker-process count (1 means the serial path)."""
-        return self._sampler.workers
 
     @property
     def store(self) -> WorldStore | None:
@@ -278,9 +264,8 @@ class MonteCarloOracle:
                     self._worlds_cached += labels.shape[0]
                     span.set("source", "store")
                 else:
-                    # The sampler packs the chunk columnar for the store and
-                    # pool either way; packed-capable backends (bitparallel)
-                    # also label straight from the packed words.
+                    # The sampler packs the chunk columnar for the store
+                    # and the pool.
                     packed, labels = self._sampler.sample_chunk_packed(
                         self._seed_seq, start, count
                     )
@@ -318,15 +303,11 @@ class MonteCarloOracle:
         finally:
             self._store_read_s += time.perf_counter() - started
 
-    def close(self) -> None:
-        """Release the sampler's worker pool (serial path: no-op)."""
-        self._sampler.close()
-
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        self.close()
+        pass  # the oracle holds no external resources
 
     @property
     def component_labels(self) -> np.ndarray:
@@ -346,9 +327,10 @@ class MonteCarloOracle:
 
         A chunk served from the store loads its packed columns here on
         first touch.  Should the stored pool have been cleared in the
-        meantime, the chunk is resampled instead — masks are pure
+        meantime, the chunk's masks are redrawn instead — masks are pure
         functions of ``(seed, start, count)``, so the result is
-        bit-identical either way.
+        bit-identical either way.  Only the masks are drawn: the chunk's
+        labels are already held, so nothing is relabeled.
         """
         packed = self._packed_chunks[index]
         rows = self._label_chunks[index].shape[0]
@@ -357,9 +339,11 @@ class MonteCarloOracle:
             try:
                 packed, _labels = self._store.read(self._pool_digest, start, start + rows)
             except (OSError, ValueError, OracleError):
-                packed, _labels = self._sampler.sample_chunk_packed(
-                    self._seed_seq, start, rows
-                )
+                graph = self._graph
+                packed = pack_mask_columns(sample_mask_rows(
+                    graph.edge_src, graph.edge_dst, graph.edge_prob,
+                    self._seed_seq, start, rows,
+                ))
             self._packed_chunks[index] = packed
         return unpack_mask_columns(packed, rows)
 
@@ -533,5 +517,5 @@ class MonteCarloOracle:
         return (
             f"MonteCarloOracle(n_nodes={self._graph.n_nodes}, "
             f"num_samples={self._n_samples}, max_samples={self._max_samples}, "
-            f"backend={self._backend.name!r}, workers={self.workers})"
+            f"backend={self._backend.name!r})"
         )

@@ -1,12 +1,12 @@
-"""Parallel world-sampling engine with per-edge random streams.
+"""World-sampling engine with per-edge random streams.
 
 The Monte Carlo pipelines spend nearly all their time drawing and
-labeling possible worlds (paper Section 4), and a chunk of ``r`` worlds
-is embarrassingly parallel: every world is an independent function of
-the edge probabilities and its own random stream.  This module supplies
-the execution layer that exploits that structure without giving up
-reproducibility — and, since the delta-aware refactor, without giving
-up *incremental resampling* either.
+labeling possible worlds (paper Section 4).  This module supplies the
+one path from a graph to labeled worlds: draw a chunk's edge masks
+from per-edge streams (:func:`sample_mask_rows`), label them with the
+oracle's backend in one ``component_labels`` call, and pack the masks
+for the store (:func:`~repro.sampling.store.pack_mask_columns`).  It
+keeps reproducibility and *incremental resampling* at once.
 
 Per-edge random streams
 -----------------------
@@ -21,65 +21,43 @@ with a single O(1) ``BitGenerator.advance`` jump.  Consequences:
 
 * mask bit ``(i, e)`` depends only on the root seed, the edge's
   endpoints and ``i`` — never on the chunking pattern of
-  ``ensure_samples`` calls, never on the worker count, never on the
-  edge's *column position*, and never on any other edge;
-* the serial path (``workers=1``) and the process-pool path compute
-  **bit-identical** pools for a fixed seed (pinned by
-  ``tests/test_parallel.py``);
+  ``ensure_samples`` calls, never on the edge's *column position*, and
+  never on any other edge (pinned by ``tests/test_parallel.py``);
 * mutating one edge's probability (or adding/removing an edge) changes
   only that edge's column: :mod:`repro.sampling.deltas` regenerates the
   touched columns from the same streams and gets bits identical to
   cold-sampling the mutated graph — the determinism contract behind
   delta-aware world invalidation (pinned by ``tests/test_deltas.py``).
 
-Execution
----------
-:class:`ParallelSampler` partitions each requested chunk into
-fixed-size shard tasks (:data:`DEFAULT_SHARD_WORLDS` consecutive
-worlds, purely a dispatch granularity) and either runs them inline
-(serial path) or fans them out over a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Workers are recreated
-per graph: the pool's initializer receives the (pickled) graph and
-backend name once, so per-task payloads are a few integers.  Both paths
-memoize the per-edge stream states, so the SeedSequence hashing cost is
-paid once per edge, not once per chunk.  When the pool cannot start or
-dies mid-flight (sandboxes, missing semaphores, OOM-killed children),
-the sampler falls back to the serial path and stays there —
-parallelism is a throughput optimization, never a correctness
-dependency.
+:class:`ParallelSampler` memoizes the per-edge stream states, so the
+SeedSequence hashing cost is paid once per edge, not once per chunk.
 """
 
 from __future__ import annotations
 
-import os
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from repro import telemetry
-from repro.exceptions import OracleError
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import BACKENDS, WorldBackend, resolve_backend
+from repro.sampling.backends import WorldBackend, resolve_backend
 from repro.sampling.store import pack_mask_columns
 from repro.utils.rng import ensure_seed_sequence
 
 _SAMPLER_CHUNKS = telemetry.get_registry().counter(
     "repro_sampler_chunks_total",
-    "World chunks produced, by backend and execution path "
-    "(serial, pool, packed).",
-    ("backend", "path"),
+    "World chunks produced, by backend.",
+    ("backend",),
 )
 _SAMPLER_WORLDS = telemetry.get_registry().counter(
     "repro_sampler_worlds_total",
-    "Worlds drawn and labeled, by backend and execution path.",
-    ("backend", "path"),
+    "Worlds drawn and labeled, by backend.",
+    ("backend",),
 )
 _SAMPLER_SAMPLE_SECONDS = telemetry.get_registry().counter(
     "repro_sampler_sample_seconds_total",
-    "Wall seconds drawing edge masks, by backend (the process-pool "
-    "path fuses drawing and labeling; its whole wall is counted here).",
+    "Wall seconds drawing edge masks, by backend.",
     ("backend",),
 )
 _SAMPLER_LABEL_SECONDS = telemetry.get_registry().counter(
@@ -89,37 +67,23 @@ _SAMPLER_LABEL_SECONDS = telemetry.get_registry().counter(
 )
 _SAMPLER_CHUNK_SECONDS = telemetry.get_registry().histogram(
     "repro_sampler_chunk_seconds",
-    "Per-chunk wall time (sample + label), by backend and path.",
-    ("backend", "path"),
+    "Per-chunk wall time (sample + label), by backend.",
+    ("backend",),
 )
 
 __all__ = [
-    "DEFAULT_SHARD_WORLDS",
     "EDGE_STREAM_TAG",
     "ParallelSampler",
-    "WORKERS_AUTO",
     "edge_seed_sequence",
     "edge_stream_state",
     "ensure_seed_sequence",
-    "resolve_workers",
     "sample_edge_column",
     "sample_mask_rows",
-    "shard_plan",
-    "validate_workers_spec",
 ]
-
-#: Worlds per shard: the unit of parallel dispatch.  128 worlds
-#: amortize process round-trips while keeping a 512-world default chunk
-#: divisible into 4 parallel tasks.  (Purely an execution knob — the
-#: per-edge streams make pool content independent of it.)
-DEFAULT_SHARD_WORLDS = 128
 
 #: Spawn-key tag separating per-edge mask streams from any other
 #: SeedSequence children a caller might derive from the same root.
 EDGE_STREAM_TAG = 0x65646765  # ascii "edge", fits a uint32 spawn-key word
-
-#: Values accepted wherever a ``workers=`` option is exposed.
-WORKERS_AUTO = "auto"
 
 
 def edge_seed_sequence(root: np.random.SeedSequence, u: int, v: int) -> np.random.SeedSequence:
@@ -237,135 +201,8 @@ def sample_mask_rows(
     return masks
 
 
-def shard_plan(
-    start: int, count: int, shard_worlds: int = DEFAULT_SHARD_WORLDS
-) -> list[tuple[int, int, int]]:
-    """Split pool worlds ``[start, start + count)`` into shard tasks.
-
-    Returns ``(shard, offset, rows)`` triples aligned to the absolute
-    shard grid, in pool order.  Shards are the unit of parallel
-    dispatch; the per-edge streams make the output independent of them.
-
-    Examples
-    --------
-    >>> shard_plan(0, 70, 32)
-    [(0, 0, 32), (1, 0, 32), (2, 0, 6)]
-    >>> shard_plan(70, 60, 32)
-    [(2, 6, 26), (3, 0, 32), (4, 0, 2)]
-    """
-    if start < 0 or count < 0:
-        raise ValueError(f"start and count must be non-negative, got {start}, {count}")
-    if shard_worlds <= 0:
-        raise ValueError(f"shard_worlds must be positive, got {shard_worlds}")
-    tasks = []
-    position = start
-    end = start + count
-    while position < end:
-        shard, offset = divmod(position, shard_worlds)
-        rows = min(shard_worlds - offset, end - position)
-        tasks.append((shard, offset, rows))
-        position += rows
-    return tasks
-
-
-def validate_workers_spec(spec):
-    """Check a ``workers=`` spec without resolving it.
-
-    The single source of truth for what every layer (oracle, MCP/ACP
-    drivers, :class:`~repro.experiments.config.ExperimentScale`, CLI)
-    accepts: ``"auto"``/``None`` or a positive int.  Returns the spec
-    (``None`` normalized to ``"auto"``); raises :class:`OracleError`
-    otherwise.
-
-    Examples
-    --------
-    >>> validate_workers_spec(None)
-    'auto'
-    >>> validate_workers_spec(3)
-    3
-    """
-    if spec is None or spec == WORKERS_AUTO:
-        return WORKERS_AUTO
-    if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
-        if spec < 1:
-            raise OracleError(f"workers must be >= 1 or 'auto', got {spec}")
-        return int(spec)
-    raise OracleError(f"workers must be a positive int or 'auto', got {spec!r}")
-
-
-def resolve_workers(
-    spec,
-    *,
-    chunk_size: int,
-    shard_worlds: int = DEFAULT_SHARD_WORLDS,
-    cpu_count: int | None = None,
-) -> int:
-    """Resolve a ``workers=`` spec into a concrete worker count.
-
-    ``"auto"``/``None`` means ``min(cpu_count, ceil(chunk_size /
-    shard_worlds))`` — no more workers than the chunk has shard tasks
-    to hand out, and never more than the machine has cores.  Integers
-    must be positive and are returned as-is.
-
-    Examples
-    --------
-    >>> resolve_workers("auto", chunk_size=512, shard_worlds=128, cpu_count=16)
-    4
-    >>> resolve_workers("auto", chunk_size=64, shard_worlds=128, cpu_count=16)
-    1
-    >>> resolve_workers(3, chunk_size=512)
-    3
-    """
-    spec = validate_workers_spec(spec)
-    if spec == WORKERS_AUTO:
-        cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-        tasks = max(1, -(-int(chunk_size) // int(shard_worlds)))
-        return max(1, min(cores, tasks))
-    return spec
-
-
-# ----------------------------------------------------------------------
-# Worker-process side.  State is installed once per pool (the graph and
-# backend travel through the initializer, not with every task); the
-# per-edge stream states are memoized per worker process and reset when
-# a task arrives under a different root seed.
-# ----------------------------------------------------------------------
-
-_worker_graph: UncertainGraph | None = None
-_worker_backend: WorldBackend | None = None
-_worker_states: dict | None = None
-_worker_states_root: tuple | None = None
-
-
-def _init_worker(graph: UncertainGraph, backend_name: str) -> None:
-    global _worker_graph, _worker_backend, _worker_states, _worker_states_root
-    _worker_graph = graph
-    _worker_backend = BACKENDS[backend_name]()
-    _worker_states = {}
-    _worker_states_root = None
-
-
-def _run_shard_task(args):
-    global _worker_states, _worker_states_root
-    root, start, rows = args
-    root_key = (root.entropy, tuple(root.spawn_key))
-    if root_key != _worker_states_root:
-        _worker_states = {}
-        _worker_states_root = root_key
-    masks = sample_mask_rows(
-        _worker_graph.edge_src,
-        _worker_graph.edge_dst,
-        _worker_graph.edge_prob,
-        root,
-        start,
-        rows,
-        state_cache=_worker_states,
-    )
-    return masks, _worker_backend.component_labels(_worker_graph, masks)
-
-
 class ParallelSampler:
-    """Draws and labels chunks of worlds, serially or across processes.
+    """Draws and labels chunks of worlds.
 
     Parameters
     ----------
@@ -373,47 +210,20 @@ class ParallelSampler:
         The uncertain graph being sampled.
     backend:
         World-labeling backend spec (see
-        :func:`repro.sampling.backends.resolve_backend`).  Only the
-        named built-in backends are dispatched to worker processes;
-        custom backend *instances* always run on the serial path so
-        their (possibly stateful) behavior stays observable.
-    workers:
-        ``"auto"``, ``None`` or a positive int — resolved once via
-        :func:`resolve_workers` against ``chunk_size``.
-    chunk_size:
-        The owning oracle's chunk size; only used by the ``"auto"``
-        worker heuristic.
-    shard_worlds:
-        Dispatch granularity; the default is almost always right.
+        :func:`repro.sampling.backends.resolve_backend`).
 
     Examples
     --------
     >>> g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
-    >>> sampler = ParallelSampler(g, workers=1)
+    >>> sampler = ParallelSampler(g)
     >>> masks, labels = sampler.sample_chunk(np.random.SeedSequence(3), 0, 10)
     >>> masks.shape, labels.shape
     ((10, 2), (10, 3))
     """
 
-    def __init__(
-        self,
-        graph: UncertainGraph,
-        *,
-        backend="auto",
-        workers=1,
-        chunk_size: int = 512,
-        shard_worlds: int = DEFAULT_SHARD_WORLDS,
-    ):
-        if shard_worlds <= 0:
-            raise ValueError(f"shard_worlds must be positive, got {shard_worlds}")
+    def __init__(self, graph: UncertainGraph, *, backend="auto"):
         self._graph = graph
         self._backend = resolve_backend(backend, graph)
-        self._shard_worlds = int(shard_worlds)
-        self._workers = resolve_workers(
-            workers, chunk_size=chunk_size, shard_worlds=shard_worlds
-        )
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_broken = False
         self._edge_states: dict = {}
         self._edge_states_root: tuple | None = None
         #: Cumulative phase wall time of this sampler instance, the
@@ -423,70 +233,9 @@ class ParallelSampler:
         self.label_seconds = 0.0
         self.chunks_produced = 0
 
-    def _record_chunk(self, path: str, worlds: int,
-                      sample_s: float, label_s: float) -> None:
-        backend = self._backend.name
-        self.sample_seconds += sample_s
-        self.label_seconds += label_s
-        self.chunks_produced += 1
-        _SAMPLER_CHUNKS.labels(backend=backend, path=path).inc()
-        _SAMPLER_WORLDS.labels(backend=backend, path=path).inc(worlds)
-        _SAMPLER_SAMPLE_SECONDS.labels(backend=backend).inc(sample_s)
-        _SAMPLER_LABEL_SECONDS.labels(backend=backend).inc(label_s)
-        _SAMPLER_CHUNK_SECONDS.labels(backend=backend, path=path).observe(
-            sample_s + label_s)
-
     @property
     def backend(self) -> WorldBackend:
         return self._backend
-
-    @property
-    def workers(self) -> int:
-        """The resolved worker count (1 means the serial path)."""
-        return self._workers
-
-    @property
-    def shard_worlds(self) -> int:
-        return self._shard_worlds
-
-    def _parallelizable(self) -> bool:
-        return (
-            self._workers > 1
-            and not self._pool_broken
-            and self._backend.name in BACKENDS
-            and type(self._backend) is BACKENDS[self._backend.name]
-        )
-
-    def _ensure_pool(self) -> ProcessPoolExecutor | None:
-        if self._pool is not None:
-            return self._pool
-        try:
-            import multiprocessing
-
-            context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                # fork shares the graph pages copy-on-write and skips
-                # re-importing the package in every worker.
-                context = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(self._graph, self._backend.name),
-            )
-        except Exception as error:  # pragma: no cover - environment-specific
-            self._mark_broken(error)
-        return self._pool
-
-    def _mark_broken(self, error: Exception) -> None:
-        self._pool_broken = True
-        self.close()
-        warnings.warn(
-            f"process pool unavailable ({type(error).__name__}: {error}); "
-            "falling back to serial sampling",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
     def sample_chunk(
         self, root: np.random.SeedSequence, start: int, count: int
@@ -495,84 +244,9 @@ class ParallelSampler:
 
         Returns ``(masks, labels)`` of shapes ``(count, m)`` and
         ``(count, n)``.  The result is a pure function of
-        ``(graph, backend, root, start, count)`` — identical under any
-        worker count or chunking pattern.
+        ``(graph, root, start, count)`` — identical under any backend
+        or chunking pattern.
         """
-        tasks = shard_plan(start, count, self._shard_worlds)
-        # Dispatch only when there are at least two full shards of work;
-        # below that, pool startup and pickling dominate and the serial
-        # path is faster (small runs stay serial under "auto").
-        if count >= 2 * self._shard_worlds and self._parallelizable():
-            pool = self._ensure_pool()
-            if pool is not None:
-                started = time.perf_counter()
-                try:
-                    parts = list(
-                        pool.map(
-                            _run_shard_task,
-                            [
-                                (root, shard * self._shard_worlds + offset, rows)
-                                for shard, offset, rows in tasks
-                            ],
-                        )
-                    )
-                    masks = np.concatenate([part[0] for part in parts], axis=0)
-                    labels = np.concatenate([part[1] for part in parts], axis=0)
-                    # Workers fuse drawing and labeling, so the split is
-                    # unobservable here; the whole wall counts as sampling.
-                    self._record_chunk("pool", count,
-                                       time.perf_counter() - started, 0.0)
-                    return masks, labels
-                except Exception as error:
-                    self._mark_broken(error)
-        return self._sample_serial(root, start, count)
-
-    def sample_chunk_packed(
-        self, root: np.random.SeedSequence, start: int, count: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Packed columns and labels of pool worlds ``[start, start + count)``.
-
-        Returns ``(packed_cols, labels)`` where ``packed_cols`` is the
-        store's edge-major ``(m, packed_words(count))`` ``uint64`` form
-        (:func:`repro.sampling.store.pack_mask_columns`).  When the
-        backend implements the packed fast path
-        (``component_labels_packed``, see
-        :mod:`repro.sampling.backends.base`) the chunk is packed once
-        and labeled straight from the words — no boolean round-trip
-        between packing and labeling; otherwise this is
-        :meth:`sample_chunk` plus a pack.  Bit-identical either way.
-        """
-        packed_labeler = getattr(self._backend, "component_labels_packed", None)
-        if packed_labeler is None or (
-            count >= 2 * self._shard_worlds and self._parallelizable()
-        ):
-            masks, labels = self.sample_chunk(root, start, count)
-            return pack_mask_columns(masks), labels
-        root_key = (root.entropy, tuple(root.spawn_key))
-        if root_key != self._edge_states_root:
-            self._edge_states = {}
-            self._edge_states_root = root_key
-        started = time.perf_counter()
-        masks = sample_mask_rows(
-            self._graph.edge_src,
-            self._graph.edge_dst,
-            self._graph.edge_prob,
-            root,
-            start,
-            count,
-            state_cache=self._edge_states,
-        )
-        packed = pack_mask_columns(masks)
-        sampled_at = time.perf_counter()
-        # One packed labeling call per chunk (mirrors the serial boolean
-        # path), so instrumented packed backends observe the same
-        # progressive-sampling growth steps.
-        labels = packed_labeler(self._graph, packed, count)
-        self._record_chunk("packed", count, sampled_at - started,
-                           time.perf_counter() - sampled_at)
-        return packed, labels
-
-    def _sample_serial(self, root, start, count) -> tuple[np.ndarray, np.ndarray]:
         root_key = (root.entropy, tuple(root.spawn_key))
         if root_key != self._edge_states_root:
             self._edge_states = {}
@@ -591,30 +265,30 @@ class ParallelSampler:
         # One labeling call per chunk, so instrumented backends observe
         # exactly the progressive-sampling growth steps.
         labels = self._backend.component_labels(self._graph, masks)
-        self._record_chunk("serial", count, sampled_at - started,
-                           time.perf_counter() - sampled_at)
+        sample_s = sampled_at - started
+        label_s = time.perf_counter() - sampled_at
+        self.sample_seconds += sample_s
+        self.label_seconds += label_s
+        self.chunks_produced += 1
+        backend = self._backend.name
+        _SAMPLER_CHUNKS.labels(backend=backend).inc()
+        _SAMPLER_WORLDS.labels(backend=backend).inc(count)
+        _SAMPLER_SAMPLE_SECONDS.labels(backend=backend).inc(sample_s)
+        _SAMPLER_LABEL_SECONDS.labels(backend=backend).inc(label_s)
+        _SAMPLER_CHUNK_SECONDS.labels(backend=backend).observe(sample_s + label_s)
         return masks, labels
 
-    def close(self) -> None:
-        """Shut down the worker pool (no-op on the serial path)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+    def sample_chunk_packed(
+        self, root: np.random.SeedSequence, start: int, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Packed columns and labels of pool worlds ``[start, start + count)``.
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown timing
-        try:
-            self.close()
-        except Exception:
-            pass
+        :meth:`sample_chunk` plus one pack: ``packed_cols`` is the
+        store's edge-major ``(m, packed_words(count))`` ``uint64`` form
+        (:func:`repro.sampling.store.pack_mask_columns`).
+        """
+        masks, labels = self.sample_chunk(root, start, count)
+        return pack_mask_columns(masks), labels
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelSampler(backend={self._backend.name!r}, "
-            f"workers={self._workers}, shard_worlds={self._shard_worlds})"
-        )
+        return f"ParallelSampler(backend={self._backend.name!r})"

@@ -42,10 +42,7 @@ _MAX_TRACKED_CLIENTS = 1024
 
 #: Paths exempt from rate limiting (probes and scrapes must always
 #: answer — a monitoring pull must not consume a client's tokens).
-EXEMPT_PATHS = frozenset({
-    "/healthz", "/v1/healthz", "/version", "/v1/version",
-    "/metrics", "/v1/metrics",
-})
+EXEMPT_PATHS = frozenset({"/v1/healthz", "/v1/version", "/v1/metrics"})
 
 _REJECTIONS = telemetry.get_registry().counter(
     "repro_admission_rejections_total",

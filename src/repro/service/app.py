@@ -1,10 +1,9 @@
 """The async clustering service: registry, endpoints, jobs, cache.
 
 :class:`ClusterService` wires the whole pipeline behind a versioned
-HTTP/JSON API (served by :mod:`repro.service.http`).  Canonical routes
-live under ``/v1``; the un-prefixed legacy spellings keep working but
-answer with a ``Deprecation: true`` header (see ``docs/API.md`` for
-the full surface, including status codes and the SSE event schema):
+HTTP/JSON API (served by :mod:`repro.service.http`).  Every route
+lives under ``/v1`` (see ``docs/API.md`` for the full surface,
+including status codes and the SSE event schema):
 
 ====== ================================= ======================================
 method endpoint                          purpose
@@ -366,10 +365,6 @@ class ClusterService:
         ``>= 1`` spawns that many worker processes
         (:class:`~repro.service.workers.ProcessJobQueue`) and
         dispatches jobs to them.
-    sampling_workers:
-        ``workers=`` passed to each oracle (results are bit-identical
-        under any value, so it is a deployment knob, not a request
-        parameter).
     admission:
         The :class:`~repro.service.admission.AdmissionControl` policy;
         default enables queue-depth and per-client job bounds but no
@@ -395,7 +390,6 @@ class ClusterService:
         cache_bytes: int = 256 << 20,
         job_workers: int = 2,
         worker_processes: int = 0,
-        sampling_workers=1,
         admission: AdmissionControl | None = None,
         shutdown_grace_s: float = 5.0,
         datasets=DATASET_NAMES,
@@ -415,13 +409,11 @@ class ClusterService:
                 workers=self.worker_processes,
                 world_cache=world_cache,
                 cache_bytes=cache_bytes,
-                sampling_workers=sampling_workers,
                 trace_log=None if trace_log is None else str(trace_log),
             )
         else:
             self.jobs = JobQueue(self._run_job, workers=job_workers)
         self.admission = admission if admission is not None else AdmissionControl()
-        self._sampling_workers = sampling_workers
         self._grace_s = float(shutdown_grace_s)
         self._draining = False
         self._drain_task = None
@@ -455,7 +447,7 @@ class ClusterService:
     # ------------------------------------------------------------------
 
     def _build_router(self) -> Router:
-        router = Router(canonical_prefix="/v1")
+        router = Router()
         router.add("GET", "/v1/healthz", self._handle_health)
         router.add("GET", "/v1/version", self._handle_version)
         router.add("GET", "/v1/graphs", self._handle_graphs_list)
@@ -485,12 +477,10 @@ class ClusterService:
         calls; everything that would *create* work is rejected 503.
         """
         if self._draining:
-            path = request.path
-            unversioned = path[3:] if path.startswith("/v1/") else path
             allowed = (
                 request.method == "GET"
-                or unversioned == "/shutdown"
-                or (request.method == "DELETE" and unversioned.startswith("/jobs/"))
+                or request.path == "/v1/shutdown"
+                or (request.method == "DELETE" and request.path.startswith("/v1/jobs/"))
             )
             if not allowed:
                 raise ServiceError(
@@ -745,8 +735,7 @@ class ClusterService:
         v = self._node_index(graph, v_label)
         with self.cache.lease(
             graph, seed=seed, backend=backend,
-            max_samples=MAX_REQUEST_SAMPLES, workers=self._sampling_workers,
-            ancestors=ancestors,
+            max_samples=MAX_REQUEST_SAMPLES, ancestors=ancestors,
         ) as oracle:
             oracle.ensure_samples(samples)
             estimate = oracle.connection(u, v, depth=depth)
@@ -881,7 +870,6 @@ class ClusterService:
 
         return execute_clustering(
             job.id, params, graph, ancestors, self.cache,
-            sampling_workers=self._sampling_workers,
             cancel_check=cancel_check, progress=progress,
         )
 

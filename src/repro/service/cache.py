@@ -155,15 +155,14 @@ class OracleCache:
 
     @contextmanager
     def lease(self, graph, *, seed, chunk_size: int = 512,
-              max_samples: int = 1_000_000, backend="auto", workers=1,
-              ancestors=()):
+              max_samples: int = 1_000_000, backend="auto", ancestors=()):
         """Yield a store-attached oracle, pinning its pool for the lease.
 
         The oracle is built fresh (oracles are single-threaded; the
-        shared state is the store) and closed on exit.  While the lease
-        is open the pool cannot be evicted; on release the pool is
-        marked most-recently-used, the lease's cache statistics are
-        folded into the cache totals, and the byte budget is enforced.
+        shared state is the store).  While the lease is open the pool
+        cannot be evicted; on release the pool is marked
+        most-recently-used, the lease's cache statistics are folded into
+        the cache totals, and the byte budget is enforced.
 
         ``ancestors`` (nearest first) are earlier revisions of
         ``graph``; when the graph's own pool is empty but an ancestor's
@@ -191,7 +190,7 @@ class OracleCache:
                 )
             oracle = MonteCarloOracle(
                 graph, seed=seed_seq, chunk_size=chunk_size, max_samples=max_samples,
-                backend=resolved_backend, workers=workers, store=self._store,
+                backend=resolved_backend, store=self._store,
             )
             yield oracle
         finally:
@@ -199,8 +198,6 @@ class OracleCache:
                 oracle.cache_stats if oracle is not None
                 else {"worlds_cached": 0, "worlds_sampled": 0}
             )
-            if oracle is not None:
-                oracle.close()
             with self._lock:
                 self._pinned[digest] -= 1
                 if self._pinned[digest] <= 0:

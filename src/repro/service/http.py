@@ -9,10 +9,7 @@ module implements just enough of HTTP/1.1 on top of
 * keep-alive connections (closed on request, protocol error, or
   HTTP/1.0);
 * a :class:`Router` mapping ``METHOD /path/{param}`` templates to
-  async handlers, with a *canonical prefix* (``/v1``) and a
-  deprecation shim: legacy un-prefixed paths keep working but every
-  response to one carries a ``Deprecation: true`` header plus a
-  ``Link: </v1/...>; rel="successor-version"`` pointer;
+  async handlers;
 * a uniform response envelope — every response carries an
   ``X-Request-Id`` header (generated per request and logged via the
   ``repro.service`` logger) and every error body has exactly one
@@ -136,9 +133,7 @@ class Request:
     ``{name}``) and is filled in by the router, not the parser.
     ``client`` is the peer address (the admission-control key when no
     ``X-Client-Id`` header overrides it), ``request_id`` the generated
-    per-request id echoed in the ``X-Request-Id`` response header, and
-    ``deprecated`` whether the request arrived on a legacy
-    (un-versioned) path alias.
+    per-request id echoed in the ``X-Request-Id`` response header.
     """
 
     method: str
@@ -149,7 +144,6 @@ class Request:
     params: dict[str, str] = field(default_factory=dict)
     client: str = ""
     request_id: str = ""
-    deprecated: bool = False
     #: Canonical route template matched by the router (e.g.
     #: ``/v1/jobs/{id}``) — the low-cardinality metrics label; empty
     #: until resolved, and for 404/405 requests.
@@ -260,31 +254,23 @@ Handler = Callable[[Request], Awaitable[object]]
 class Router:
     """Match ``(method, path)`` pairs against ``/path/{param}`` templates.
 
-    With a ``canonical_prefix`` (the service passes ``"/v1"``), routes
-    are registered under their canonical (prefixed) paths and a legacy
-    alias shim keeps the un-prefixed spellings working: a request for
-    ``/graphs/x`` resolves to the ``/v1/graphs/x`` handler with
-    ``request.deprecated`` set, which the server surfaces as a
-    ``Deprecation: true`` response header.
-
     Examples
     --------
     >>> import asyncio
-    >>> router = Router(canonical_prefix="/v1")
+    >>> router = Router()
     >>> async def show(request):
     ...     return 200, {"graph": request.params["name"]}
     >>> router.add("GET", "/v1/graphs/{name}", show)
-    >>> request = Request("GET", "/graphs/toy", {}, {}, b"")
+    >>> request = Request("GET", "/v1/graphs/toy", {}, {}, b"")
     >>> handler = router.resolve(request)
-    >>> request.deprecated, request.params
-    (True, {'name': 'toy'})
+    >>> request.route, request.params
+    ('/v1/graphs/{name}', {'name': 'toy'})
     >>> asyncio.run(handler(request))
     (200, {'graph': 'toy'})
     """
 
-    def __init__(self, *, canonical_prefix: str | None = None):
+    def __init__(self):
         self._routes: list[tuple[str, re.Pattern, str, Handler]] = []
-        self._prefix = canonical_prefix
 
     def add(self, method: str, template: str, handler: Handler) -> None:
         """Register ``handler`` for ``method`` requests matching ``template``.
@@ -295,42 +281,23 @@ class Router:
         pattern = _PARAM_RE.sub(r"(?P<\1>[^/]+)", re.escape(template).replace(r"\{", "{").replace(r"\}", "}"))
         self._routes.append((method.upper(), re.compile(f"^{pattern}$"), template, handler))
 
-    def _match(self, method: str, path: str):
-        """``(handler, params, template, path_known)`` for an exact path match."""
-        path_known = False
-        for route_method, pattern, template, handler in self._routes:
-            match = pattern.match(path)
-            if match is None:
-                continue
-            path_known = True
-            if route_method == method:
-                return handler, match.groupdict(), template, True
-        return None, None, "", path_known
-
     def resolve(self, request: Request) -> Handler:
         """Return the handler for ``request``, filling ``request.params``.
 
-        Raises a 404 :class:`ServiceError` for an unknown path and a 405
-        for a known path requested with the wrong method.  Legacy
-        (un-prefixed) aliases of canonical routes resolve with
-        ``request.deprecated`` set (and ``request.route`` naming the
-        canonical template, so metrics aggregate both spellings).
+        Sets ``request.route`` to the matched template.  Raises a 404
+        :class:`ServiceError` for an unknown path and a 405 for a known
+        path requested with the wrong method.
         """
-        handler, params, template, path_known = self._match(request.method, request.path)
-        if handler is None and self._prefix and not request.path.startswith(self._prefix + "/"):
-            aliased, alias_params, alias_template, alias_known = self._match(
-                request.method, self._prefix + request.path
-            )
-            if aliased is not None:
-                request.deprecated = True
-                request.params = alias_params
-                request.route = alias_template
-                return aliased
-            path_known = path_known or alias_known
-        if handler is not None:
-            request.params = params
-            request.route = template
-            return handler
+        path_known = False
+        for method, pattern, template, handler in self._routes:
+            match = pattern.match(request.path)
+            if match is None:
+                continue
+            path_known = True
+            if method == request.method:
+                request.params = match.groupdict()
+                request.route = template
+                return handler
         if path_known:
             raise ServiceError(f"method {request.method} not allowed for {request.path}", status=405)
         raise ServiceError(f"no such endpoint: {request.path}", status=404)
@@ -513,13 +480,8 @@ class HttpServer:
             self._server = None
 
     def _response_headers(self, request: Request, extra: dict[str, str]) -> dict[str, str]:
-        """Envelope headers of every response: request id + deprecation."""
-        headers = {"X-Request-Id": request.request_id}
-        if request.deprecated:
-            headers["Deprecation"] = "true"
-            headers["Link"] = f'</v1{request.path}>; rel="successor-version"'
-        headers.update(extra)
-        return headers
+        """Envelope headers of every response: the request id."""
+        return {"X-Request-Id": request.request_id, **extra}
 
     async def _handle_connection(self, reader, writer) -> None:
         task = asyncio.current_task()

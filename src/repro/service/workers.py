@@ -114,7 +114,7 @@ def _phase_breakdown(total_s: float, phases: dict | None, stats: dict | None) ->
 
 
 def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
-                       sampling_workers=1, cancel_check=None, progress=None) -> dict:
+                       cancel_check=None, progress=None) -> dict:
     """Run one normalized clustering job and return its result payload.
 
     The single runner behind both execution models: the in-process
@@ -134,8 +134,6 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
         pool derivation).
     cache:
         The executing side's :class:`~repro.service.cache.OracleCache`.
-    sampling_workers:
-        Sampling parallelism passed to the leased oracle.
     cancel_check, progress:
         Threaded through to the algorithm driver (mcp/acp, the
         k-median/k-center/centrality workloads); ``progress`` receives
@@ -151,7 +149,6 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
                                      graph=params["graph"]):
         payload.update(_execute_algorithm(
             job_id, algorithm, params, graph, ancestors, cache,
-            sampling_workers=sampling_workers,
             cancel_check=cancel_check, progress=progress,
         ))
         phases = payload.pop("_phases", None)
@@ -165,8 +162,7 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
 
 
 def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
-                       ancestors, cache, *, sampling_workers, cancel_check,
-                       progress) -> dict:
+                       ancestors, cache, *, cancel_check, progress) -> dict:
     """The per-algorithm body of :func:`execute_clustering`.
 
     Returns the algorithm's payload fields plus the private
@@ -183,7 +179,6 @@ def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
             chunk_size=params["chunk_size"],
             max_samples=MAX_REQUEST_SAMPLES,
             backend=params["backend"],
-            workers=sampling_workers,
             ancestors=ancestors,
         ) as oracle:
             run = mcp_clustering if algorithm == "mcp" else acp_clustering
@@ -224,7 +219,6 @@ def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
             chunk_size=params["chunk_size"],
             max_samples=MAX_REQUEST_SAMPLES,
             backend=params["backend"],
-            workers=sampling_workers,
             ancestors=ancestors,
         ) as oracle:
             run = kmedian_clustering if algorithm == "kmedian" else kcenter_clustering
@@ -257,7 +251,6 @@ def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
             chunk_size=params["chunk_size"],
             max_samples=MAX_REQUEST_SAMPLES,
             backend=params["backend"],
-            workers=sampling_workers,
             ancestors=ancestors,
         ) as oracle:
             result = expected_centrality(
@@ -307,7 +300,6 @@ class WorkerConfig:
 
     world_cache: str | None
     cache_bytes: int
-    sampling_workers: object
     spool_dir: str
     #: Span log shared by the whole fleet (append-only JSON lines);
     #: ``None`` leaves tracing disabled in the worker.
@@ -387,7 +379,6 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
             with telemetry.get_tracer().trace(trace_id or job_id):
                 result = execute_clustering(
                     job_id, params, graph, ancestors, cache,
-                    sampling_workers=config.sampling_workers,
                     cancel_check=cancel_check, progress=progress,
                 )
         except JobCancelledError as error:
@@ -426,8 +417,6 @@ class ProcessJobQueue:
         affinity ledger, never shared across workers).
     cache_bytes:
         Per-worker oracle-cache budget.
-    sampling_workers:
-        Sampling parallelism inside each worker's oracles.
     retain:
         Terminal jobs kept for result retrieval (as in
         :class:`~repro.service.jobs.JobQueue`).
@@ -437,8 +426,8 @@ class ProcessJobQueue:
     """
 
     def __init__(self, *, workers: int = 2, world_cache=None,
-                 cache_bytes: int = 256 << 20, sampling_workers=1,
-                 retain: int = 256, trace_log: str | None = None):
+                 cache_bytes: int = 256 << 20, retain: int = 256,
+                 trace_log: str | None = None):
         import multiprocessing as mp
 
         if workers <= 0:
@@ -461,7 +450,6 @@ class ProcessJobQueue:
         config = WorkerConfig(
             world_cache=None if world_cache is None else str(world_cache),
             cache_bytes=int(cache_bytes),
-            sampling_workers=sampling_workers,
             spool_dir=self._spool_dir,
             trace_log=None if trace_log is None else str(trace_log),
         )

@@ -42,7 +42,7 @@ def ensure_seed_sequence(seed=None) -> np.random.SeedSequence:
     :class:`numpy.random.Generator` — one 63-bit integer is drawn from
     the generator and used as entropy, so the derivation is
     deterministic given the generator's state.  This is the root of the
-    sharded per-world streams of :mod:`repro.sampling.parallel`.
+    per-edge mask streams of :mod:`repro.sampling.parallel`.
 
     Examples
     --------

@@ -98,7 +98,6 @@ def expected_centrality(
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
     backend="auto",
-    workers=1,
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -128,7 +127,7 @@ def expected_centrality(
         (:func:`repro.core.schedule.resolve_guess_schedule`); each
         threshold ``q`` is mapped to a pool size by
         :class:`~repro.sampling.sizes.PracticalSchedule`.
-    backend, workers, store, cache_dir:
+    backend, store, cache_dir:
         Monte Carlo oracle configuration as in
         :func:`repro.core.mcp.mcp_clustering`; ignored when ``oracle``
         is given.
@@ -157,7 +156,7 @@ def expected_centrality(
         raise ClusteringError(f"tol must be a positive number, got {tol!r}")
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
-        backend=backend, workers=workers, store=store, cache_dir=cache_dir,
+        backend=backend, store=store, cache_dir=cache_dir,
     )
     target = oracle.graph
 

@@ -22,7 +22,7 @@ which is what makes the classic greedy algorithms meaningful here:
 Both are thin consumers of the shared world pool: the expected-distance
 matrix is computed from the same packed masks MCP/ACP sample, so a warm
 pool means **zero** resampling, and the estimate is a pure function of
-the seed — bit-identical across backends, stores, and worker counts.
+the seed — bit-identical across backends and stores.
 Ties break toward the lowest node index everywhere, so the clustering
 itself is deterministic too.
 
@@ -87,13 +87,13 @@ class KClusteringResult:
 
 
 def _prepare(graph, oracle, k, samples, *, seed, chunk_size, max_samples,
-             backend, workers, store, cache_dir):
+             backend, store, cache_dir):
     """Resolve the oracle, validate, and compute the expected-distance matrix."""
     from repro.core.mcp import _is_exact
 
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
-        backend=backend, workers=workers, store=store, cache_dir=cache_dir,
+        backend=backend, store=store, cache_dir=cache_dir,
     )
     n = oracle.n_nodes
     if not 1 <= k < n:
@@ -147,7 +147,6 @@ def kmedian_clustering(
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
     backend="auto",
-    workers=1,
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -157,9 +156,9 @@ def kmedian_clustering(
 
     Parameters mirror :func:`repro.core.mcp.mcp_clustering` where they
     overlap: ``oracle=`` substitutes a pre-built (possibly exact)
-    oracle; ``backend=`` / ``workers=`` / ``store=`` / ``cache_dir=``
-    configure a freshly built Monte Carlo oracle; ``cancel_check`` runs
-    before every greedy round (raise from it to abort cooperatively);
+    oracle; ``backend=`` / ``store=`` / ``cache_dir=`` configure a
+    freshly built Monte Carlo oracle; ``cancel_check`` runs before
+    every greedy round (raise from it to abort cooperatively);
     ``progress`` receives one JSON-safe dict per round.
 
     ``samples`` is the pool size the expected distances are estimated
@@ -176,7 +175,7 @@ def kmedian_clustering(
     """
     _, matrix, samples_used = _prepare(
         graph, oracle, k, samples, seed=seed, chunk_size=chunk_size,
-        max_samples=max_samples, backend=backend, workers=workers,
+        max_samples=max_samples, backend=backend,
         store=store, cache_dir=cache_dir,
     )
     if max_iters < 0:
@@ -242,7 +241,6 @@ def kcenter_clustering(
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
     backend="auto",
-    workers=1,
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -275,7 +273,7 @@ def kcenter_clustering(
     """
     _, matrix, samples_used = _prepare(
         graph, oracle, k, samples, seed=seed, chunk_size=chunk_size,
-        max_samples=max_samples, backend=backend, workers=workers,
+        max_samples=max_samples, backend=backend,
         store=store, cache_dir=cache_dir,
     )
     n = matrix.shape[0]

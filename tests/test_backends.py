@@ -22,7 +22,6 @@ from repro.sampling.backends import (
     AUTO_NODE_THRESHOLD,
     BACKEND_NAMES,
     BACKENDS,
-    BitParallelWorldBackend,
     ScipyWorldBackend,
     UnionFindWorldBackend,
     WorldBackend,
@@ -32,7 +31,7 @@ from repro.sampling.store import pack_mask_columns, unpack_mask_columns
 from repro.sampling.worlds import block_bfs_reached, sample_edge_masks, world_block_csr, world_component_labels
 from tests.conftest import random_graph
 
-ALL_BACKENDS = [ScipyWorldBackend(), UnionFindWorldBackend(), BitParallelWorldBackend()]
+ALL_BACKENDS = [ScipyWorldBackend(), UnionFindWorldBackend()]
 
 
 def assert_canonical(graph, masks, labels):
@@ -86,9 +85,7 @@ class TestLabelEquivalence:
         masks = sample_edge_masks(graph.edge_prob, r, rng=rng)
         scipy_labels = ScipyWorldBackend().component_labels(graph, masks)
         uf_labels = UnionFindWorldBackend().component_labels(graph, masks)
-        bp_labels = BitParallelWorldBackend().component_labels(graph, masks)
         assert np.array_equal(scipy_labels, uf_labels)
-        assert np.array_equal(scipy_labels, bp_labels)
         assert_canonical(graph, masks, uf_labels)
 
     def test_sub_batching_is_invisible(self):
@@ -102,7 +99,7 @@ class TestLabelEquivalence:
     def test_world_component_labels_accepts_backend_spec(self, two_triangles):
         masks = sample_edge_masks(two_triangles.edge_prob, 11, rng=8)
         default = world_component_labels(two_triangles, masks)
-        for spec in ("auto", "scipy", "unionfind", "bitparallel", UnionFindWorldBackend()):
+        for spec in ("auto", "scipy", "unionfind", UnionFindWorldBackend()):
             assert np.array_equal(world_component_labels(two_triangles, masks, spec), default)
 
 
@@ -182,39 +179,32 @@ class TestOracleEquivalence:
 
     def oracles(self, graph, samples=256):
         pair = []
-        for name in ("scipy", "unionfind", "bitparallel"):
+        for name in ("scipy", "unionfind"):
             oracle = MonteCarloOracle(graph, seed=99, chunk_size=64, backend=name)
             oracle.ensure_samples(samples)
             pair.append(oracle)
         return pair
 
     def test_component_labels_identical(self, bigger_graph):
-        a, b, c = self.oracles(bigger_graph)
+        a, b = self.oracles(bigger_graph)
         assert np.array_equal(a.component_labels, b.component_labels)
-        assert np.array_equal(a.component_labels, c.component_labels)
 
     def test_connection_to_all_identical(self, bigger_graph):
-        a, b, c = self.oracles(bigger_graph)
+        a, b = self.oracles(bigger_graph)
         for node in (0, 17, 79):
             assert np.array_equal(a.connection_to_all(node), b.connection_to_all(node))
-            assert np.array_equal(a.connection_to_all(node), c.connection_to_all(node))
 
     def test_depth_queries_identical(self, bigger_graph):
-        a, b, c = self.oracles(bigger_graph)
+        a, b = self.oracles(bigger_graph)
         assert np.array_equal(
             a.connection_to_all(3, depth=2), b.connection_to_all(3, depth=2)
         )
-        assert np.array_equal(
-            a.connection_to_all(3, depth=2), c.connection_to_all(3, depth=2)
-        )
 
     def test_pairwise_matrix_identical(self, bigger_graph):
-        a, b, c = self.oracles(bigger_graph)
+        a, b = self.oracles(bigger_graph)
         assert np.array_equal(a.pairwise_matrix(), b.pairwise_matrix())
-        assert np.array_equal(a.pairwise_matrix(), c.pairwise_matrix())
         subset = np.arange(0, 80, 7)
         assert np.array_equal(a.pairwise_matrix(subset), b.pairwise_matrix(subset))
-        assert np.array_equal(a.pairwise_matrix(subset), c.pairwise_matrix(subset))
 
 
 class TestClusteringEquivalence:
@@ -223,12 +213,9 @@ class TestClusteringEquivalence:
     def test_mcp_identical(self, bigger_graph):
         results = [
             mcp_clustering(bigger_graph, 6, seed=4, chunk_size=64, backend=name)
-            for name in ("scipy", "unionfind", "bitparallel")
+            for name in ("scipy", "unionfind")
         ]
-        first, second = results[0], results[1]
-        third = results[2]
-        assert np.array_equal(first.clustering.assignment, third.clustering.assignment)
-        assert first.q_final == third.q_final
+        first, second = results
         assert np.array_equal(first.clustering.assignment, second.clustering.assignment)
         assert np.array_equal(first.clustering.centers, second.clustering.centers)
         assert first.q_final == second.q_final
@@ -238,12 +225,9 @@ class TestClusteringEquivalence:
     def test_acp_identical(self, bigger_graph):
         results = [
             acp_clustering(bigger_graph, 6, seed=4, chunk_size=64, backend=name)
-            for name in ("scipy", "unionfind", "bitparallel")
+            for name in ("scipy", "unionfind")
         ]
-        first, second = results[0], results[1]
-        third = results[2]
-        assert np.array_equal(first.clustering.assignment, third.clustering.assignment)
-        assert first.phi_best == third.phi_best
+        first, second = results
         assert np.array_equal(first.clustering.assignment, second.clustering.assignment)
         assert first.phi_best == second.phi_best
         assert first.avg_prob_estimate == second.avg_prob_estimate
@@ -251,14 +235,13 @@ class TestClusteringEquivalence:
 
 class TestResolution:
     def test_names(self):
-        assert BACKEND_NAMES == ("auto", "bitparallel", "scipy", "unionfind")
+        assert BACKEND_NAMES == ("auto", "scipy", "unionfind")
         for name, factory in BACKENDS.items():
             assert factory().name == name
 
     def test_resolve_by_name(self):
         assert resolve_backend("scipy").name == "scipy"
         assert resolve_backend("unionfind").name == "unionfind"
-        assert resolve_backend("bitparallel").name == "bitparallel"
 
     def test_resolve_instance_passthrough(self):
         backend = UnionFindWorldBackend(world_batch=7)
@@ -278,11 +261,6 @@ class TestResolution:
         assert resolve_backend(None, small).name == "scipy"
         n = AUTO_NODE_THRESHOLD
         big = UncertainGraph(n, [0], [1], [0.5])
-        # bitparallel is registered but never auto-picked: the packed
-        # kernel measures ~2x the union-find chunk scatter-min on the
-        # committed substrates (see benchmarks/test_bench_backends.py),
-        # so auto stays with the measured winner until a crossover
-        # exists.
         assert resolve_backend("auto", big).name == "unionfind"
 
     def test_auto_without_graph_defaults_to_scipy(self):
@@ -305,49 +283,98 @@ class TestResolution:
 
 
 class TestPackedKernel:
-    """The bit-parallel backend's packed fast path and its edge cases.
+    """Labels computed from the store's packed ``uint64`` columns.
 
-    Pins ARCHITECTURE.md invariant 6: labels computed straight from the
-    packed ``uint64`` columns are bit-identical to the boolean path —
-    and therefore to every other backend.
+    Unpacking a packed chunk and labeling it gives the labels of the
+    boolean chunk it was packed from, whatever the world count and
+    wherever a store read starts within a word.
     """
 
-    BACKEND = BitParallelWorldBackend()
-
-    def both_paths(self, graph, masks):
-        packed = pack_mask_columns(masks)
-        from_packed = self.BACKEND.component_labels_packed(
-            graph, packed, masks.shape[0]
-        )
-        from_bool = self.BACKEND.component_labels(graph, masks)
+    @staticmethod
+    def from_packed(graph, masks):
+        """Label ``masks`` via its packed columns under every backend;
+        assert they agree with the boolean path and return the labels."""
+        r = masks.shape[0]
+        unpacked = unpack_mask_columns(pack_mask_columns(masks), r)
         reference = ScipyWorldBackend().component_labels(graph, masks)
-        assert np.array_equal(from_packed, from_bool)
-        assert np.array_equal(from_packed, reference)
-        return from_packed
+        for backend in ALL_BACKENDS:
+            assert np.array_equal(backend.component_labels(graph, unpacked), reference)
+        return reference
 
     @pytest.mark.parametrize("r", [1, 63, 64, 65, 130])
     def test_r_not_multiple_of_64(self, two_triangles, r):
         masks = sample_edge_masks(two_triangles.edge_prob, r, rng=r)
-        self.both_paths(two_triangles, masks)
+        unpacked = unpack_mask_columns(pack_mask_columns(masks), r)
+        for backend in ALL_BACKENDS:
+            assert np.array_equal(
+                backend.component_labels(two_triangles, unpacked),
+                backend.component_labels(two_triangles, masks),
+            )
 
     def test_single_world_chunk(self, path4):
         masks = sample_edge_masks(path4.edge_prob, 1, rng=5)
-        labels = self.both_paths(path4, masks)
+        labels = self.from_packed(path4, masks)
         assert labels.shape == (1, 4)
 
     def test_zero_edge_graph(self):
         graph = UncertainGraph(5, [], [], [])
         masks = np.zeros((70, 0), dtype=bool)
-        labels = self.both_paths(graph, masks)
+        labels = self.from_packed(graph, masks)
         assert np.array_equal(labels, np.tile(np.arange(5, dtype=np.int32), (70, 1)))
 
     def test_isolated_nodes_keep_identity_labels(self):
         # Nodes 3 and 4 have no incident edges in any world.
         graph = UncertainGraph(6, [0, 1], [1, 5], [0.7, 0.7])
         masks = sample_edge_masks(graph.edge_prob, 100, rng=2)
-        labels = self.both_paths(graph, masks)
+        labels = self.from_packed(graph, masks)
         assert (labels[:, 3] == 3).all()
         assert (labels[:, 4] == 4).all()
+
+    def test_zero_worlds(self, two_triangles):
+        masks = unpack_mask_columns(np.zeros((7, 0), dtype=np.uint64), 0)
+        assert masks.shape == (0, 7)
+        for backend in ALL_BACKENDS:
+            labels = backend.component_labels(two_triangles, masks)
+            assert labels.shape == (0, 6)
+            assert labels.dtype == np.int32
+
+    def test_caller_pad_garbage_is_harmless(self, two_triangles):
+        """Stray pad bits (worlds >= r in the last word) are dropped
+        by unpacking, so they never reach a labeling backend."""
+        masks = sample_edge_masks(two_triangles.edge_prob, 70, rng=4)
+        packed = pack_mask_columns(masks)
+        dirty = packed.copy()
+        dirty[:, -1] |= np.uint64(0xFFFF) << np.uint64(48)  # worlds 112..127
+        assert np.array_equal(unpack_mask_columns(dirty, 70), masks)
+        for backend in ALL_BACKENDS:
+            assert np.array_equal(
+                backend.component_labels(two_triangles, unpack_mask_columns(dirty, 70)),
+                backend.component_labels(two_triangles, masks),
+            )
+
+    def test_bad_packed_shape_rejected(self):
+        with pytest.raises(ValueError, match="words"):
+            unpack_mask_columns(np.zeros((7, 1), dtype=np.uint64), 65)
+        with pytest.raises(ValueError, match="words"):
+            unpack_mask_columns(np.zeros((3, 3), dtype=np.uint64), 65)
+        with pytest.raises(ValueError, match="2-D"):
+            unpack_mask_columns(np.zeros(7, dtype=np.uint64), 65)
+
+    def test_negative_world_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            unpack_mask_columns(np.zeros((7, 0), dtype=np.uint64), -1)
+
+    def test_repair_labels_matches_full_relabel(self):
+        rng = np.random.default_rng(12)
+        graph = random_graph(30, 0.15, rng)
+        masks = unpack_mask_columns(
+            pack_mask_columns(sample_edge_masks(graph.edge_prob, 40, rng=rng)), 40
+        )
+        full = ScipyWorldBackend().component_labels(graph, masks)
+        affected = np.ones((40, 30), dtype=bool)  # everything affected
+        old = np.tile(np.arange(30, dtype=np.int32), (40, 1))
+        for backend in ALL_BACKENDS:
+            assert np.array_equal(backend.repair_labels(graph, masks, old, affected), full)
 
     def test_misaligned_store_read_repacks(self, two_triangles, tmp_path):
         """Packed columns from a word-misaligned store read still label
@@ -357,74 +384,50 @@ class TestPackedKernel:
 
         store = WorldStore(tmp_path)
         with MonteCarloOracle(
-            two_triangles, seed=9, chunk_size=200, backend="bitparallel", store=store
+            two_triangles, seed=9, chunk_size=200, backend="unionfind", store=store
         ) as oracle:
             oracle.ensure_samples(200)
             pool_labels = oracle.component_labels
             digest = oracle.pool_digest
         start, stop = 37, 150  # crosses word boundaries on both ends
         packed, stored_labels = store.read(digest, start, stop)
-        relabeled = self.BACKEND.component_labels_packed(
-            two_triangles, packed, stop - start
+        relabeled = UnionFindWorldBackend().component_labels(
+            two_triangles, unpack_mask_columns(packed, stop - start)
         )
         assert np.array_equal(relabeled, stored_labels)
         assert np.array_equal(relabeled, pool_labels[start:stop])
 
-    def test_caller_pad_garbage_is_harmless(self, two_triangles):
-        """Stray pad bits (worlds >= r in the last word) cost work but
-        never correctness: they are dropped by the output slicing."""
-        masks = sample_edge_masks(two_triangles.edge_prob, 70, rng=4)
-        packed = pack_mask_columns(masks)
-        dirty = packed.copy()
-        dirty[:, -1] |= np.uint64(0xFFFF) << np.uint64(48)  # worlds 112..127
-        clean = self.BACKEND.component_labels_packed(two_triangles, packed, 70)
-        smudged = self.BACKEND.component_labels_packed(two_triangles, dirty, 70)
-        assert np.array_equal(clean, smudged)
+    @pytest.mark.parametrize(
+        "start,stop", [(0, 1), (0, 64), (1, 65), (63, 129), (64, 128), (127, 200)]
+    )
+    def test_store_read_window_relabels(self, two_triangles, tmp_path, start, stop):
+        """Every store read window, aligned or not, unpacks to masks
+        that relabel to the stored labels under every backend."""
+        from repro.sampling.store import WorldStore
 
-    def test_bad_packed_shape_rejected(self, two_triangles):
-        with pytest.raises(ValueError, match="packed columns"):
-            self.BACKEND.component_labels_packed(
-                two_triangles, np.zeros((7, 1), dtype=np.uint64), 65
-            )
-        with pytest.raises(ValueError, match="packed columns"):
-            self.BACKEND.component_labels_packed(
-                two_triangles, np.zeros((3, 2), dtype=np.uint64), 65
-            )
-
-    def test_negative_world_count_rejected(self, two_triangles):
-        with pytest.raises(ValueError, match="non-negative"):
-            self.BACKEND.component_labels_packed(
-                two_triangles, np.zeros((7, 0), dtype=np.uint64), -1
-            )
-
-    def test_zero_worlds(self, two_triangles):
-        labels = self.BACKEND.component_labels_packed(
-            two_triangles, np.zeros((7, 0), dtype=np.uint64), 0
-        )
-        assert labels.shape == (0, 6)
-        assert labels.dtype == np.int32
-
-    def test_repair_labels_matches_full_relabel(self, two_triangles):
-        rng = np.random.default_rng(12)
-        graph = random_graph(30, 0.15, rng)
-        masks = sample_edge_masks(graph.edge_prob, 40, rng=rng)
-        full = self.BACKEND.component_labels(graph, masks)
-        affected = np.ones((40, 30), dtype=bool)  # everything affected
-        old = np.tile(np.arange(30, dtype=np.int32), (40, 1))
-        repaired = self.BACKEND.repair_labels(graph, masks, old, affected)
-        assert np.array_equal(repaired, full)
+        store = WorldStore(tmp_path)
+        with MonteCarloOracle(
+            two_triangles, seed=3, chunk_size=64, backend="scipy", store=store
+        ) as oracle:
+            oracle.ensure_samples(200)
+            pool_labels = oracle.component_labels
+            digest = oracle.pool_digest
+        packed, stored_labels = store.read(digest, start, stop)
+        masks = unpack_mask_columns(packed, stop - start)
+        assert np.array_equal(stored_labels, pool_labels[start:stop])
+        for backend in ALL_BACKENDS:
+            assert np.array_equal(backend.component_labels(two_triangles, masks), stored_labels)
 
     def test_sampler_routes_packed_chunks(self, two_triangles):
-        """ParallelSampler.sample_chunk_packed labels via the packed
-        kernel and returns columns identical to packing the boolean
-        chunk — the ensure_samples integration the oracle rides on."""
+        """ParallelSampler.sample_chunk_packed is sample_chunk plus one
+        pack — the ensure_samples integration the oracle rides on."""
         from repro.sampling.parallel import ParallelSampler
 
         root = np.random.SeedSequence(21)
-        packed_sampler = ParallelSampler(two_triangles, backend="bitparallel")
-        packed, labels = packed_sampler.sample_chunk_packed(root, 0, 70)
-        bool_sampler = ParallelSampler(two_triangles, backend="scipy")
-        masks, reference = bool_sampler.sample_chunk(root, 0, 70)
+        packed, labels = ParallelSampler(
+            two_triangles, backend="unionfind").sample_chunk_packed(root, 0, 70)
+        masks, reference = ParallelSampler(
+            two_triangles, backend="scipy").sample_chunk(root, 0, 70)
         assert np.array_equal(packed, pack_mask_columns(masks))
         assert np.array_equal(labels, reference)
         assert np.array_equal(unpack_mask_columns(packed, 70), masks)

@@ -90,28 +90,6 @@ class TestCluster:
         with pytest.raises(SystemExit):
             main(["cluster", graph_file, "--backend", "duckdb"])
 
-    def test_workers_flag_is_output_invariant(self, graph_file, capsys):
-        outputs = []
-        for workers in ("1", "2", "auto"):
-            assert main(
-                ["cluster", graph_file, "--k", "2", "--samples", "200",
-                 "--workers", workers]
-            ) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_invalid_workers_rejected(self, graph_file):
-        for bad in ("0", "-3", "many"):
-            with pytest.raises(SystemExit):
-                main(["cluster", graph_file, "--workers", bad])
-
-    def test_estimate_workers_flag(self, graph_file, capsys):
-        assert main(
-            ["estimate", graph_file, "0", "1", "--samples", "500",
-             "--workers", "2"]
-        ) == 0
-        assert "Pr(0 ~ 1)" in capsys.readouterr().out
-
     def test_estimate_backend_flag(self, graph_file, capsys):
         assert main(
             ["estimate", graph_file, "0", "1", "--samples", "500",
@@ -220,6 +198,34 @@ class TestMeta:
             main([])
 
 
+class TestWorkloadCommands:
+    """The k-clustering and centrality subcommands end to end."""
+
+    ARGS = {
+        "kmedian": ["--k", "2", "--samples", "200"],
+        "kcenter": ["--k", "2", "--samples", "200"],
+        "centrality": ["--measure", "harmonic", "--samples", "200"],
+        "cluster": ["--k", "2", "--samples", "200"],
+        "estimate": ["0", "1", "--samples", "200"],
+    }
+
+    @pytest.mark.parametrize("command", ["kmedian", "kcenter", "centrality"])
+    def test_fixed_seed_output_is_reproducible(self, graph_file, capsys, command):
+        outputs = []
+        for _ in range(2):
+            argv = [command, graph_file, *self.ARGS[command], "--seed", "3"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_workers_flag_rejected(self, graph_file, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, graph_file, *self.ARGS[command], "--workers", "1"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 class TestServeParser:
     """`serve` / `bench-serve` argument plumbing (the server itself is
     exercised end-to-end in tests/test_service.py)."""
@@ -240,12 +246,19 @@ class TestServeParser:
         args = build_parser().parse_args(
             ["serve", "--port", "9000", "--workers", "4",
              "--world-cache", "/tmp/wc", "--graph", "g.uel:toy",
-             "--sampling-workers", "auto", "--cache-bytes", "1024"]
+             "--cache-bytes", "1024"]
         )
         assert args.port == 9000
         assert args.workers == 4
         assert args.graph == ["g.uel:toy"]
         assert args.cache_bytes == 1024
+
+    def test_serve_sampling_workers_rejected(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--sampling-workers", "2"])
+        assert "--sampling-workers" in capsys.readouterr().err
 
     def test_serve_missing_graph_file_reports_error(self, capsys):
         assert main(["serve", "--graph", "/nonexistent.uel"]) == 2
@@ -305,7 +318,7 @@ class TestMutate:
         cache = tmp_path / "wc"
         assert main([
             "estimate", graph_file, "0", "1", "--samples", "300",
-            "--world-cache", str(cache), "--workers", "1",
+            "--world-cache", str(cache),
         ]) == 0
         out = tmp_path / "mutated.uel"
         assert main([

@@ -26,7 +26,6 @@ from repro.exceptions import GraphValidationError
 from repro.graph.delta import EdgeOp, GraphDelta
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.backends import (
-    BitParallelWorldBackend,
     ScipyWorldBackend,
     UnionFindWorldBackend,
 )
@@ -42,7 +41,7 @@ from repro.service.cache import OracleCache
 from repro.utils.rng import ensure_seed_sequence
 from tests.conftest import random_graph
 
-BACKENDS = ("scipy", "unionfind", "bitparallel")
+BACKENDS = ("scipy", "unionfind")
 
 
 @pytest.fixture
@@ -203,12 +202,8 @@ class TestDiffEdges:
 
 
 class TestRepairLabels:
-    @pytest.mark.parametrize(
-        "incremental", [UnionFindWorldBackend, BitParallelWorldBackend],
-        ids=lambda b: b.name,
-    )
     @pytest.mark.parametrize("trial", range(5))
-    def test_repair_matches_full_relabel(self, trial, incremental):
+    def test_repair_matches_full_relabel(self, trial):
         rng = np.random.default_rng(100 + trial)
         graph = random_graph(40, 0.12, rng, prob_low=0.2, prob_high=0.9)
         root = ensure_seed_sequence(trial)
@@ -216,7 +211,7 @@ class TestRepairLabels:
             graph.edge_src, graph.edge_dst, graph.edge_prob, root, 0, 48
         )
         scipy_backend = ScipyWorldBackend()
-        uf = incremental()
+        uf = UnionFindWorldBackend()
         old_labels = scipy_backend.component_labels(graph, old_masks)
         # Flip a handful of random edge instances to simulate a delta.
         new_masks = old_masks.copy()

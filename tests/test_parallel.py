@@ -1,39 +1,43 @@
-"""Equivalence suite for the parallel world-sampling engine.
+"""Determinism suite for the world-sampling engine.
 
-Mirrors ``tests/test_backends.py``: where that suite pins that the
-labeling *backend* never changes results, this one pins that the
-*execution layer* never does — for a fixed seed, the pool of worlds
-(and everything downstream: estimates, depth queries, MCP/ACP
-clusterings) is bit-identical whether chunks are sampled serially,
-across 4 worker processes, or in any chunking pattern.
+Where ``tests/test_backends.py`` pins that the labeling *backend* never
+changes results, this one pins the per-edge random streams the sampler
+draws from: for a fixed seed, the pool of worlds is a pure function of
+the seed and the world index — independent of edge order and of the
+chunking pattern that grew the pool.
 """
 
-import warnings
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.acp import acp_clustering
+from repro.core.common import resolve_oracle
 from repro.core.mcp import mcp_clustering
 from repro.exceptions import OracleError
+from repro.experiments.config import ExperimentScale
 from repro.sampling import MonteCarloOracle
 from repro.sampling.backends import ScipyWorldBackend
 from repro.sampling.parallel import (
-    DEFAULT_SHARD_WORLDS,
     EDGE_STREAM_TAG,
     ParallelSampler,
     edge_seed_sequence,
     edge_stream_state,
     ensure_seed_sequence,
-    resolve_workers,
     sample_edge_column,
     sample_mask_rows,
-    shard_plan,
-    validate_workers_spec,
 )
+from repro.sampling.store import pack_mask_columns, packed_words, unpack_mask_columns
+from repro.service.app import ClusterService
+from repro.service.cache import OracleCache
+from repro.service.workers import ProcessJobQueue, execute_clustering
+from repro.workloads.centrality import expected_centrality
+from repro.workloads.kclustering import kcenter_clustering, kmedian_clustering
 from tests.conftest import random_graph
 
-WORKER_COUNTS = (1, 4)
 BACKEND_NAMES = ("scipy", "unionfind")
 
 
@@ -43,10 +47,8 @@ def tiny_substrate():
     return random_graph(80, 0.06, np.random.default_rng(11), prob_low=0.2, prob_high=0.95)
 
 
-def pooled_oracle(graph, *, workers, backend="scipy", chunk_size=512, seed=99, samples=512):
-    oracle = MonteCarloOracle(
-        graph, seed=seed, chunk_size=chunk_size, backend=backend, workers=workers
-    )
+def grown_oracle(graph, *, chunk_size, backend="scipy", seed=99, samples=512):
+    oracle = MonteCarloOracle(graph, seed=seed, chunk_size=chunk_size, backend=backend)
     oracle.ensure_samples(samples)
     return oracle
 
@@ -142,93 +144,12 @@ class TestEdgeStreams:
             ensure_seed_sequence("seed")
 
 
-class TestShardPlan:
-    def test_aligned(self):
-        assert shard_plan(0, 256, 128) == [(0, 0, 128), (1, 0, 128)]
-
-    def test_straddles_boundaries(self):
-        assert shard_plan(70, 60, 32) == [(2, 6, 26), (3, 0, 32), (4, 0, 2)]
-
-    def test_empty(self):
-        assert shard_plan(10, 0, 32) == []
-
-    def test_rows_cover_exactly(self):
-        tasks = shard_plan(123, 777, 64)
-        assert sum(rows for _, _, rows in tasks) == 777
-        with pytest.raises(ValueError):
-            shard_plan(-1, 5, 32)
-        with pytest.raises(ValueError):
-            shard_plan(0, 5, 0)
-
-
-class TestResolveWorkers:
-    def test_auto_is_min_of_cores_and_tasks(self):
-        assert resolve_workers("auto", chunk_size=512, shard_worlds=128, cpu_count=16) == 4
-        assert resolve_workers("auto", chunk_size=512, shard_worlds=128, cpu_count=2) == 2
-        assert resolve_workers(None, chunk_size=100, shard_worlds=128, cpu_count=8) == 1
-
-    def test_explicit_int(self):
-        assert resolve_workers(3, chunk_size=64) == 3
-
-    def test_rejects_bad_specs(self):
-        with pytest.raises(OracleError, match="workers"):
-            resolve_workers(0, chunk_size=64)
-        with pytest.raises(OracleError, match="workers"):
-            resolve_workers(-2, chunk_size=64)
-        with pytest.raises(OracleError, match="workers"):
-            resolve_workers(2.5, chunk_size=64)
-        with pytest.raises(OracleError, match="workers"):
-            resolve_workers(True, chunk_size=64)
-
-    def test_validate_is_the_shared_source_of_truth(self):
-        assert validate_workers_spec(None) == "auto"
-        assert validate_workers_spec("auto") == "auto"
-        assert validate_workers_spec(np.int64(2)) == 2
-        for bad in (0, -1, "four", 1.5, False):
-            with pytest.raises(OracleError, match="workers"):
-                validate_workers_spec(bad)
-
-
-class TestWorkerCountEquivalence:
-    """workers=1 vs workers=4: bit-identical pools under both backends."""
-
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_labels_identical(self, tiny_substrate, backend):
-        serial = pooled_oracle(tiny_substrate, workers=1, backend=backend)
-        parallel = pooled_oracle(tiny_substrate, workers=4, backend=backend)
-        assert serial.workers == 1 and parallel.workers == 4
-        assert np.array_equal(serial.component_labels, parallel.component_labels)
-        parallel.close()
-
-    def test_labels_identical_across_backends_and_workers(self, tiny_substrate):
-        """The full 2x2 grid collapses to one pool for a fixed seed."""
-        pools = [
-            pooled_oracle(tiny_substrate, workers=w, backend=b, samples=256)
-            for w in WORKER_COUNTS
-            for b in BACKEND_NAMES
-        ]
-        reference = pools[0].component_labels
-        for oracle in pools[1:]:
-            assert np.array_equal(oracle.component_labels, reference)
-            oracle.close()
-
-    def test_estimates_identical(self, tiny_substrate):
-        serial = pooled_oracle(tiny_substrate, workers=1)
-        parallel = pooled_oracle(tiny_substrate, workers=4)
-        for node in (0, 17, 79):
-            assert np.array_equal(
-                serial.connection_to_all(node), parallel.connection_to_all(node)
-            )
-        assert np.array_equal(
-            serial.connection_to_all(3, depth=2), parallel.connection_to_all(3, depth=2)
-        )
-        assert np.array_equal(serial.pairwise_matrix(), parallel.pairwise_matrix())
-        parallel.close()
-
+class TestChunkingInvariance:
     def test_chunking_pattern_is_invisible(self, tiny_substrate):
         """Pool content depends only on (seed, r) — not on the chunk
         boundaries of the ensure_samples calls that grew it."""
-        direct = pooled_oracle(tiny_substrate, workers=1, samples=300)
+        direct = MonteCarloOracle(tiny_substrate, seed=99, chunk_size=512, backend="scipy")
+        direct.ensure_samples(300)
         stepped = MonteCarloOracle(tiny_substrate, seed=99, chunk_size=512, backend="scipy")
         for r in (1, 70, 130, 300):
             stepped.ensure_samples(r)
@@ -239,19 +160,48 @@ class TestWorkerCountEquivalence:
         assert np.array_equal(direct.component_labels, stepped.component_labels)
         assert np.array_equal(direct.component_labels, small_chunks.component_labels)
 
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_labels_identical_across_chunk_sizes(self, tiny_substrate, backend):
+        one_chunk = grown_oracle(tiny_substrate, chunk_size=512, backend=backend)
+        many_chunks = grown_oracle(tiny_substrate, chunk_size=48, backend=backend)
+        assert np.array_equal(one_chunk.component_labels, many_chunks.component_labels)
+
+    def test_labels_identical_across_backends_and_chunk_sizes(self, tiny_substrate):
+        """The full 2x2 grid collapses to one pool for a fixed seed."""
+        pools = [
+            grown_oracle(tiny_substrate, chunk_size=c, backend=b, samples=256)
+            for c in (512, 64)
+            for b in BACKEND_NAMES
+        ]
+        reference = pools[0].component_labels
+        for oracle in pools[1:]:
+            assert np.array_equal(oracle.component_labels, reference)
+
+    def test_estimates_identical_across_chunk_sizes(self, tiny_substrate):
+        one_chunk = grown_oracle(tiny_substrate, chunk_size=512)
+        many_chunks = grown_oracle(tiny_substrate, chunk_size=100)
+        for node in (0, 17, 79):
+            assert np.array_equal(
+                one_chunk.connection_to_all(node), many_chunks.connection_to_all(node)
+            )
+        assert np.array_equal(
+            one_chunk.connection_to_all(3, depth=2),
+            many_chunks.connection_to_all(3, depth=2),
+        )
+        assert np.array_equal(one_chunk.pairwise_matrix(), many_chunks.pairwise_matrix())
+
 
 class TestClusteringEquivalence:
-    """MCP/ACP return identical clusterings under every worker count."""
+    """MCP/ACP return identical clusterings under every chunk size."""
+
+    CHUNK_SIZES = (512, 64)
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_mcp_identical(self, tiny_substrate, backend):
-        results = [
-            mcp_clustering(
-                tiny_substrate, 6, seed=4, chunk_size=512, backend=backend, workers=w
-            )
-            for w in WORKER_COUNTS
+        first, second = [
+            mcp_clustering(tiny_substrate, 6, seed=4, chunk_size=c, backend=backend)
+            for c in self.CHUNK_SIZES
         ]
-        first, second = results
         assert np.array_equal(first.clustering.assignment, second.clustering.assignment)
         assert np.array_equal(first.clustering.centers, second.clustering.centers)
         assert first.q_final == second.q_final
@@ -260,16 +210,137 @@ class TestClusteringEquivalence:
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_acp_identical(self, tiny_substrate, backend):
-        results = [
-            acp_clustering(
-                tiny_substrate, 6, seed=4, chunk_size=512, backend=backend, workers=w
-            )
-            for w in WORKER_COUNTS
+        first, second = [
+            acp_clustering(tiny_substrate, 6, seed=4, chunk_size=c, backend=backend)
+            for c in self.CHUNK_SIZES
         ]
-        first, second = results
         assert np.array_equal(first.clustering.assignment, second.clustering.assignment)
         assert first.phi_best == second.phi_best
         assert first.avg_prob_estimate == second.avg_prob_estimate
+
+
+class TestSampleChunk:
+    """``sample_chunk_packed`` is ``sample_chunk`` plus one pack."""
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_packed_is_boolean_plus_one_pack(self, tiny_substrate, backend, count):
+        root = np.random.SeedSequence(8)
+        masks, labels = ParallelSampler(tiny_substrate, backend=backend).sample_chunk(
+            root, 5, count
+        )
+        packed, packed_labels = ParallelSampler(
+            tiny_substrate, backend=backend
+        ).sample_chunk_packed(root, 5, count)
+        assert masks.shape == (count, tiny_substrate.n_edges)
+        assert labels.shape == (count, tiny_substrate.n_nodes)
+        assert packed.shape == (tiny_substrate.n_edges, packed_words(count))
+        assert np.array_equal(packed, pack_mask_columns(masks))
+        assert np.array_equal(unpack_mask_columns(packed, count), masks)
+        assert np.array_equal(packed_labels, labels)
+
+    def test_negative_range_rejected(self, tiny_substrate):
+        sampler = ParallelSampler(tiny_substrate, backend="scipy")
+        with pytest.raises(ValueError, match="non-negative"):
+            sampler.sample_chunk(np.random.SeedSequence(1), -1, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            sampler.sample_chunk(np.random.SeedSequence(1), 0, -4)
+
+    def test_phase_counters_accumulate(self, tiny_substrate):
+        sampler = ParallelSampler(tiny_substrate, backend="unionfind")
+        for start in (0, 64, 128):
+            sampler.sample_chunk(np.random.SeedSequence(2), start, 64)
+        assert sampler.chunks_produced == 3
+        assert sampler.sample_seconds > 0.0
+        assert sampler.label_seconds > 0.0
+
+    def test_custom_backend_labels_once_per_chunk(self, tiny_substrate):
+        """An instrumented backend instance sees exactly one labeling
+        call per chunk, with the chunk's full world count."""
+        spy = CountingBackend()
+        oracle = MonteCarloOracle(tiny_substrate, seed=0, chunk_size=512, backend=spy)
+        oracle.ensure_samples(512)
+        assert spy.calls == [512]
+
+    def test_reprs_name_only_the_backend(self, tiny_substrate):
+        sampler = ParallelSampler(tiny_substrate, backend="unionfind")
+        assert repr(sampler) == "ParallelSampler(backend='unionfind')"
+        with MonteCarloOracle(tiny_substrate, seed=0, backend="scipy") as oracle:
+            oracle.ensure_samples(10)
+            assert "backend='scipy'" in repr(oracle)
+            assert "workers" not in repr(oracle)
+        # Leaving the block releases nothing: the oracle stays usable.
+        oracle.ensure_samples(20)
+        assert oracle.num_samples == 20
+
+
+class TestSamplerTelemetry:
+    """The sampler series carry one label, ``backend``."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["repro_sampler_chunks_total", "repro_sampler_worlds_total",
+         "repro_sampler_chunk_seconds"],
+    )
+    def test_series_labelled_by_backend_only(self, tiny_substrate, name):
+        ParallelSampler(tiny_substrate, backend="scipy").sample_chunk(
+            np.random.SeedSequence(0), 0, 3
+        )
+        text = telemetry.get_registry().render()
+        lines = [line for line in text.splitlines() if line.startswith(name)]
+        assert lines
+        for line in lines:
+            labels = line[line.index("{") + 1:line.index("}")]
+            names = {pair.split("=")[0] for pair in labels.split(",")} - {"le"}
+            assert names == {"backend"}
+
+    def test_worlds_counter_counts_each_chunk_once(self, tiny_substrate):
+        registry = telemetry.get_registry()
+        labels = {"backend": "unionfind"}
+        sampler = ParallelSampler(tiny_substrate, backend="unionfind")
+        worlds = registry.value("repro_sampler_worlds_total", labels)
+        chunks = registry.value("repro_sampler_chunks_total", labels)
+        sampler.sample_chunk_packed(np.random.SeedSequence(0), 0, 70)
+        sampler.sample_chunk(np.random.SeedSequence(0), 70, 30)
+        assert registry.value("repro_sampler_worlds_total", labels) == worlds + 100
+        assert registry.value("repro_sampler_chunks_total", labels) == chunks + 2
+
+
+class TestRemovedOptions:
+    """Sampling has one serial path, so no API takes a worker count."""
+
+    @pytest.mark.parametrize(
+        "target,option",
+        [
+            (MonteCarloOracle, "workers"),
+            (ParallelSampler, "workers"),
+            (ParallelSampler, "chunk_size"),
+            (ParallelSampler, "shard_worlds"),
+            (resolve_oracle, "workers"),
+            (mcp_clustering, "workers"),
+            (acp_clustering, "workers"),
+            (kmedian_clustering, "workers"),
+            (kcenter_clustering, "workers"),
+            (expected_centrality, "workers"),
+            (OracleCache.lease, "workers"),
+            (execute_clustering, "workers"),
+            (ProcessJobQueue, "sampling_workers"),
+            (ClusterService, "sampling_workers"),
+        ],
+        ids=lambda value: getattr(value, "__qualname__", value),
+    )
+    def test_option_is_gone(self, target, option):
+        parameters = inspect.signature(target).parameters
+        assert option not in parameters
+        # No catch-all either, so passing the option fails loudly.
+        assert all(p.kind is not p.VAR_KEYWORD for p in parameters.values())
+
+    def test_experiment_scale_has_no_worker_count(self):
+        assert "oracle_workers" not in {f.name for f in dataclasses.fields(ExperimentScale)}
+
+    def test_oracle_rejects_workers_keyword(self, tiny_substrate):
+        with pytest.raises(TypeError, match="workers"):
+            MonteCarloOracle(tiny_substrate, seed=0, workers=2)
 
 
 class CountingBackend:
@@ -284,77 +355,6 @@ class CountingBackend:
     def component_labels(self, graph, masks):
         self.calls.append(masks.shape[0])
         return self._inner.component_labels(graph, masks)
-
-
-class TestSerialFallback:
-    def test_custom_backend_instances_stay_serial(self, tiny_substrate):
-        """Stateful/instrumented backends must remain observable, so a
-        parallel-capable oracle routes them down the serial path."""
-        spy = CountingBackend()
-        oracle = MonteCarloOracle(
-            tiny_substrate, seed=0, chunk_size=512, backend=spy, workers=4
-        )
-        oracle.ensure_samples(512)
-        # One in-process labeling call per chunk proves no dispatch.
-        assert spy.calls == [512]
-        assert oracle.workers == 4
-
-    def test_broken_pool_falls_back_and_warns(self, tiny_substrate, monkeypatch):
-        import repro.sampling.parallel as parallel_module
-
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no process spawning here")
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", ExplodingPool)
-        oracle = MonteCarloOracle(
-            tiny_substrate, seed=99, chunk_size=512, backend="scipy", workers=4
-        )
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            oracle.ensure_samples(512)
-        reference = pooled_oracle(tiny_substrate, workers=1)
-        assert np.array_equal(oracle.component_labels, reference.component_labels)
-        # The fallback is sticky: later growth stays serial, silently.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            oracle.ensure_samples(600)
-
-    def test_small_chunks_never_dispatch(self, tiny_substrate, monkeypatch):
-        """Chunks under two full shards of work run inline — pool
-        startup would dominate (and "auto" small runs stay serial)."""
-        import repro.sampling.parallel as parallel_module
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("pool must not be created for small chunks")
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", forbidden)
-        below_threshold = 2 * DEFAULT_SHARD_WORLDS - 1
-        oracle = MonteCarloOracle(tiny_substrate, seed=1, chunk_size=512, workers=4)
-        oracle.ensure_samples(below_threshold)
-        assert oracle.num_samples == below_threshold
-
-
-class TestSamplerLifecycle:
-    def test_context_manager_closes_pool(self, tiny_substrate):
-        with ParallelSampler(tiny_substrate, backend="scipy", workers=4) as sampler:
-            masks, labels = sampler.sample_chunk(np.random.SeedSequence(5), 0, 300)
-            assert masks.shape[0] == labels.shape[0] == 300
-            assert sampler._pool is not None
-        assert sampler._pool is None
-
-    def test_oracle_close_is_idempotent(self, tiny_substrate):
-        oracle = pooled_oracle(tiny_substrate, workers=4, samples=256)
-        oracle.close()
-        oracle.close()
-        # The pool restarts transparently if sampling continues.
-        oracle.ensure_samples(512)
-        assert oracle.num_samples == 512
-        oracle.close()
-
-    def test_repr_mentions_workers(self, tiny_substrate):
-        oracle = MonteCarloOracle(tiny_substrate, seed=0, workers=2)
-        assert "workers=2" in repr(oracle)
-        assert "workers=2" in repr(ParallelSampler(tiny_substrate, workers=2))
 
 
 class TestMaxSamplesGuard:

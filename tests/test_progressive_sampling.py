@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.mcp import mcp_clustering
 from repro.sampling import MonteCarloOracle
-from repro.sampling.backends import BitParallelWorldBackend, ScipyWorldBackend
+from repro.sampling.backends import ScipyWorldBackend, UnionFindWorldBackend
 
 
 class CountingBackend:
@@ -19,8 +19,8 @@ class CountingBackend:
 
     name = "counting"
 
-    def __init__(self):
-        self._inner = ScipyWorldBackend()
+    def __init__(self, inner=None):
+        self._inner = inner if inner is not None else ScipyWorldBackend()
         self.calls: list[int] = []
 
     @property
@@ -32,25 +32,11 @@ class CountingBackend:
         return self._inner.component_labels(graph, masks)
 
 
-class CountingPackedBackend(CountingBackend):
-    """Spy over the packed fast path: the sampler must route every
-    growth chunk through ``component_labels_packed`` (one call per
-    chunk, same sizes as the boolean path) when the backend offers it."""
-
-    name = "counting-packed"
-
-    def __init__(self):
-        super().__init__()
-        self._inner = BitParallelWorldBackend()
-
-    def component_labels_packed(self, graph, packed_cols, n_worlds):
-        self.calls.append(n_worlds)
-        return self._inner.component_labels_packed(graph, packed_cols, n_worlds)
-
-
-@pytest.fixture(params=[CountingBackend, CountingPackedBackend])
+@pytest.fixture(
+    params=[ScipyWorldBackend, UnionFindWorldBackend], ids=lambda b: b().name
+)
 def spy(request):
-    return request.param()
+    return CountingBackend(request.param())
 
 
 class TestEnsureSamplesNeverRelabels:

@@ -47,19 +47,24 @@ def _toy_graph() -> UncertainGraph:
 
 
 class Client:
-    """Tiny synchronous JSON client over one keep-alive connection."""
+    """Tiny synchronous JSON client over one keep-alive connection.
+
+    Paths are given without the API version: every request goes to
+    ``prefix + path`` (``/v1`` unless the call overrides it).
+    """
 
     def __init__(self, port: int):
         self.conn = http.client.HTTPConnection("127.0.0.1", port, timeout=TIMEOUT)
         self.last_headers: dict[str, str] = {}
 
-    def request(self, method, path, body=None, content_type="application/json"):
+    def request(self, method, path, body=None, content_type="application/json",
+                *, prefix="/v1"):
         headers = {}
         if body is not None:
             if isinstance(body, (dict, list)):
                 body = json.dumps(body)
             headers["Content-Type"] = content_type
-        self.conn.request(method, path, body=body, headers=headers)
+        self.conn.request(method, prefix + path, body=body, headers=headers)
         response = self.conn.getresponse()
         raw = response.read()
         self.last_headers = {k.lower(): v for k, v in response.getheaders()}
@@ -67,7 +72,7 @@ class Client:
 
     def request_text(self, method, path):
         """Like :meth:`request` but returns the body as text (no JSON)."""
-        self.conn.request(method, path)
+        self.conn.request(method, "/v1" + path)
         response = self.conn.getresponse()
         raw = response.read()
         self.last_headers = {k.lower(): v for k, v in response.getheaders()}
@@ -982,7 +987,7 @@ class TestLoadgenFailureBodies:
             # Bad samples parameter -> 400 with a JSON error body.
             await _estimate_worker(
                 "127.0.0.1", server.port,
-                "/graphs/toy/estimate?u=0&v=1&samples=0",
+                "/v1/graphs/toy/estimate?u=0&v=1&samples=0",
                 time.monotonic() + 5, latencies, failures,
             )
             await client.close()
@@ -1018,30 +1023,54 @@ def _read_sse(port: int, job_id: str, timeout: float = TIMEOUT):
     return head.decode(), events
 
 
+@pytest.fixture(scope="class")
+def legacy_client():
+    svc = ClusterService(datasets=(), job_workers=1)
+    svc.graphs.register_graph("toy", _toy_graph(), source="test")
+    with BackgroundServer(svc) as running:
+        c = Client(running.port)
+        yield c
+        c.close()
+
+
 class TestV1ApiSurface:
-    """Satellite pins: /v1 prefix, deprecation shim, request ids, envelope."""
+    """Satellite pins: /v1 prefix, request ids, envelope."""
 
-    def test_v1_and_legacy_alias_both_serve(self, client):
-        status, v1 = client.request("GET", "/v1/healthz")
-        assert status == 200 and v1["status"] == "ok"
+    def test_unversioned_path_is_404_envelope(self, client):
+        status, payload = client.request("GET", "/healthz", prefix="")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+        assert payload["error"]["request_id"] == client.last_headers["x-request-id"]
         assert "deprecation" not in client.last_headers
 
-        status, legacy = client.request("GET", "/healthz")
-        assert status == 200 and legacy["status"] == "ok"
-        assert client.last_headers["deprecation"] == "true"
-        assert client.last_headers["link"] == '</v1/healthz>; rel="successor-version"'
-
-    def test_legacy_alias_covers_parameterized_routes(self, client):
-        status, _ = client.request("GET", "/graphs/toy")
-        assert status == 200
-        assert client.last_headers["link"] == '</v1/graphs/toy>; rel="successor-version"'
-        status, _ = client.request("GET", "/v1/graphs/toy")
-        assert status == 200
-        assert "deprecation" not in client.last_headers
+    @pytest.mark.parametrize(
+        "method,path",
+        [
+            ("GET", "/healthz"),
+            ("GET", "/version"),
+            ("GET", "/graphs"),
+            ("GET", "/graphs/toy"),
+            ("GET", "/graphs/toy/estimate?u=0&v=1"),
+            ("GET", "/jobs"),
+            ("POST", "/jobs"),
+            ("GET", "/cache"),
+            ("GET", "/metrics"),
+        ],
+    )
+    def test_former_alias_is_404(self, legacy_client, method, path):
+        """Each route answers only under ``/v1``; the old un-prefixed
+        alias is an ordinary unknown path."""
+        status, payload = legacy_client.request(method, path, prefix="")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+        assert "deprecation" not in legacy_client.last_headers
+        assert "link" not in legacy_client.last_headers
+        # The same path under /v1 serves (every one of them has a GET).
+        assert legacy_client.request_text("GET", path)[0] == 200
 
     def test_every_response_carries_unique_request_id(self, client):
         seen = set()
-        for path in ("/v1/healthz", "/v1/nope", "/healthz"):
+        for path in ("/healthz", "/nope", "/graphs"):
             client.request("GET", path)
             request_id = client.last_headers.get("x-request-id")
             assert request_id
@@ -1049,7 +1078,7 @@ class TestV1ApiSurface:
         assert len(seen) == 3
 
     def test_error_envelope_shape_and_request_id_echo(self, client):
-        status, payload = client.request("GET", "/v1/graphs/missing")
+        status, payload = client.request("GET", "/graphs/missing")
         assert status == 404
         error = payload["error"]
         assert error["code"] == "not_found"
@@ -1057,12 +1086,12 @@ class TestV1ApiSurface:
         assert error["request_id"] == client.last_headers["x-request-id"]
 
     def test_405_envelope_code(self, client):
-        status, payload = client.request("DELETE", "/v1/healthz")
+        status, payload = client.request("DELETE", "/healthz")
         assert status == 405
         assert payload["error"]["code"] == "method_not_allowed"
 
     def test_400_envelope_code(self, client):
-        status, payload = client.request("POST", "/v1/jobs", body="{broken")
+        status, payload = client.request("POST", "/jobs", body="{broken")
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
 
@@ -1073,7 +1102,7 @@ class TestJobEventStream:
     PARAMS = {"graph": "toy", "algorithm": "mcp", "k": 2, "samples": 300, "seed": 5}
 
     def test_sse_replays_lifecycle_to_terminal(self, client, server):
-        status, submitted = client.request("POST", "/v1/jobs", self.PARAMS)
+        status, submitted = client.request("POST", "/jobs", self.PARAMS)
         assert status == 202
         client.wait_job(submitted["job"])
 
@@ -1092,7 +1121,7 @@ class TestJobEventStream:
         assert len(stream_ids) == 1 and stream_ids.pop()
 
     def test_sse_progress_records_carry_guess_data(self, client, server):
-        status, submitted = client.request("POST", "/v1/jobs", self.PARAMS)
+        status, submitted = client.request("POST", "/jobs", self.PARAMS)
         assert status == 202
         client.wait_job(submitted["job"])
         _, events = _read_sse(server.port, submitted["job"])
@@ -1102,7 +1131,7 @@ class TestJobEventStream:
             assert {"q", "samples", "covered"} <= set(record["data"])
 
     def test_sse_unknown_job_404_envelope(self, client):
-        status, payload = client.request("GET", "/v1/jobs/job-999999/events")
+        status, payload = client.request("GET", "/jobs/job-999999/events")
         assert status == 404
         assert payload["error"]["code"] == "not_found"
 
@@ -1114,34 +1143,34 @@ class TestJobListPagination:
         ids = []
         for seed in range(4):
             _, submitted = client.request(
-                "POST", "/v1/jobs",
+                "POST", "/jobs",
                 {"graph": "toy", "algorithm": "gmm", "k": 2, "seed": seed},
             )
             ids.append(submitted["job"])
         for job_id in ids:
             client.wait_job(job_id)
 
-        status, page1 = client.request("GET", "/v1/jobs?state=done&limit=2")
+        status, page1 = client.request("GET", "/jobs?state=done&limit=2")
         assert status == 200
         assert [job["status"] for job in page1["jobs"]] == ["done", "done"]
         assert page1["next_cursor"] == page1["jobs"][-1]["id"]
 
         status, page2 = client.request(
-            "GET", f"/v1/jobs?state=done&limit=2&cursor={page1['next_cursor']}"
+            "GET", f"/jobs?state=done&limit=2&cursor={page1['next_cursor']}"
         )
         assert status == 200
         assert page2["next_cursor"] is None
         walked = [job["id"] for job in page1["jobs"] + page2["jobs"]]
         assert walked == sorted(set(ids))  # every job exactly once, in order
 
-        status, none_queued = client.request("GET", "/v1/jobs?state=queued")
+        status, none_queued = client.request("GET", "/jobs?state=queued")
         assert status == 200 and none_queued["jobs"] == []
 
     def test_bad_query_params_400(self, client):
-        assert client.request("GET", "/v1/jobs?state=bogus")[0] == 400
-        assert client.request("GET", "/v1/jobs?limit=0")[0] == 400
-        assert client.request("GET", "/v1/jobs?limit=goose")[0] == 400
-        assert client.request("GET", "/v1/jobs?cursor=nope")[0] == 400
+        assert client.request("GET", "/jobs?state=bogus")[0] == 400
+        assert client.request("GET", "/jobs?limit=0")[0] == 400
+        assert client.request("GET", "/jobs?limit=goose")[0] == 400
+        assert client.request("GET", "/jobs?cursor=nope")[0] == 400
 
     def test_paginate_cursor_resumes_after_pruned_id(self):
         jobs = [Job(id=f"job-{i:06d}", key=str(i), params={}) for i in (1, 2, 4, 5)]
@@ -1242,7 +1271,7 @@ class TestAdmissionOverHttp:
             accepted_params = None
             for seed in range(6):
                 params = {"graph": "toy", "algorithm": "gmm", "k": 2, "seed": seed}
-                status, payload = client.request("POST", "/v1/jobs", params)
+                status, payload = client.request("POST", "/jobs", params)
                 statuses.append(status)
                 if status == 202 and accepted_params is None:
                     accepted_params = params
@@ -1254,7 +1283,7 @@ class TestAdmissionOverHttp:
             assert rejected is not None, statuses
             # Coalesced resubmission of an in-flight job is never
             # rejected — it adds no load.
-            status, payload = client.request("POST", "/v1/jobs", accepted_params)
+            status, payload = client.request("POST", "/jobs", accepted_params)
             assert status == 202 and payload["coalesced"] is True
         finally:
             gate.set()
@@ -1272,12 +1301,12 @@ class TestAdmissionOverHttp:
         server = BackgroundServer(svc).start()
         client = Client(server.port)
         try:
-            statuses = [client.request("GET", "/v1/graphs")[0] for _ in range(4)]
+            statuses = [client.request("GET", "/graphs")[0] for _ in range(4)]
             assert statuses[:2] == [200, 200]
             assert 429 in statuses[2:]
             assert int(client.last_headers.get("retry-after", "1")) >= 1
             # Probes stay exempt even with the bucket drained.
-            assert client.request("GET", "/v1/healthz")[0] == 200
+            assert client.request("GET", "/healthz")[0] == 200
         finally:
             client.close()
             server.stop()
@@ -1299,16 +1328,16 @@ class TestDrainShutdown:
         client = Client(server.port)
         try:
             _, submitted = client.request(
-                "POST", "/v1/jobs", {"graph": "toy", "algorithm": "gmm", "k": 2}
+                "POST", "/jobs", {"graph": "toy", "algorithm": "gmm", "k": 2}
             )
-            status, payload = client.request("POST", "/v1/shutdown", {"grace_s": 30.0})
+            status, payload = client.request("POST", "/shutdown", {"grace_s": 30.0})
             assert status == 202
             assert payload["status"] == "draining"
             assert payload["active_jobs"] >= 1
 
             # Mid-drain: work-creating requests answer 503 + Retry-After.
             status, payload = client.request(
-                "POST", "/v1/jobs",
+                "POST", "/jobs",
                 {"graph": "toy", "algorithm": "gmm", "k": 2, "seed": 9},
             )
             assert status == 503
@@ -1316,10 +1345,10 @@ class TestDrainShutdown:
             assert client.last_headers["retry-after"]
 
             # Reads, cancels, and repeat shutdowns stay available.
-            assert client.request("GET", f"/v1/jobs/{submitted['job']}")[0] == 200
-            status, health = client.request("GET", "/v1/healthz")
+            assert client.request("GET", f"/jobs/{submitted['job']}")[0] == 200
+            status, health = client.request("GET", "/healthz")
             assert status == 200 and health["status"] == "draining"
-            assert client.request("POST", "/v1/shutdown")[0] == 202
+            assert client.request("POST", "/shutdown")[0] == 202
 
             gate.set()
             assert client.wait_job(submitted["job"])["status"] == "done"
@@ -1348,8 +1377,8 @@ class TestDrainShutdown:
         server = BackgroundServer(svc).start()
         client = Client(server.port)
         try:
-            client.request("POST", "/v1/jobs", {"graph": "toy", "algorithm": "gmm", "k": 2})
-            status, _ = client.request("POST", "/v1/shutdown", {"grace_s": 0.05})
+            client.request("POST", "/jobs", {"graph": "toy", "algorithm": "gmm", "k": 2})
+            status, _ = client.request("POST", "/shutdown", {"grace_s": 0.05})
             assert status == 202
             deadline = time.monotonic() + TIMEOUT
             while time.monotonic() < deadline and not svc.shutdown_event.is_set():
@@ -1361,9 +1390,9 @@ class TestDrainShutdown:
             server.stop()
 
     def test_shutdown_rejects_bad_grace(self, client):
-        status, payload = client.request("POST", "/v1/shutdown", {"grace_s": "soon"})
+        status, payload = client.request("POST", "/shutdown", {"grace_s": "soon"})
         assert status == 400
-        status, payload = client.request("POST", "/v1/shutdown", {"grace_s": -1})
+        status, payload = client.request("POST", "/shutdown", {"grace_s": -1})
         assert status == 400
 
 
@@ -1453,19 +1482,19 @@ class TestProcessWorkers:
                 # k=1 forces the threshold search deep, so the job grinds
                 # through many guesses — plenty of cancel_check windows.
                 _, heavy = client.request(
-                    "POST", "/v1/jobs",
+                    "POST", "/jobs",
                     {"graph": "toy", "algorithm": "mcp", "k": 1,
                      "samples": 1_000_000, "seed": 71},
                 )
                 _, probe = client.request(
-                    "POST", "/v1/jobs",
+                    "POST", "/jobs",
                     {"graph": "toy", "algorithm": "gmm", "k": 2, "seed": 72},
                 )
-                assert client.request("DELETE", f"/v1/jobs/{probe['job']}")[0] == 202
-                assert client.request("DELETE", f"/v1/jobs/{heavy['job']}")[0] == 202
+                assert client.request("DELETE", f"/jobs/{probe['job']}")[0] == 202
+                assert client.request("DELETE", f"/jobs/{heavy['job']}")[0] == 202
                 assert client.wait_job(probe["job"])["status"] == "cancelled"
                 assert client.wait_job(heavy["job"])["status"] == "cancelled"
-                status, payload = client.request("GET", f"/v1/jobs/{heavy['job']}/result")
+                status, payload = client.request("GET", f"/jobs/{heavy['job']}/result")
                 assert status == 409
             finally:
                 client.close()
@@ -1491,7 +1520,7 @@ class TestTelemetryEndpoints:
         client.run_job(
             {"graph": "toy", "algorithm": "mcp", "k": 2, "samples": 300, "seed": 5}
         )
-        status, text = client.request_text("GET", "/v1/metrics")
+        status, text = client.request_text("GET", "/metrics")
         assert status == 200
         assert client.last_headers["content-type"] == (
             "text/plain; version=0.0.4; charset=utf-8"
@@ -1512,12 +1541,12 @@ class TestTelemetryEndpoints:
         from repro.telemetry import parse_prometheus_text
 
         status, _ = client.request(
-            "GET", "/v1/graphs/toy/estimate?u=0&v=1&samples=100&seed=1"
+            "GET", "/graphs/toy/estimate?u=0&v=1&samples=100&seed=1"
         )
         assert status == 200
-        status, stats = client.request("GET", "/v1/cache")
+        status, stats = client.request("GET", "/cache")
         assert status == 200
-        _, text = client.request_text("GET", "/v1/metrics")
+        _, text = client.request_text("GET", "/metrics")
         series = parse_prometheus_text(text)
         for key in ("leases", "warm_leases", "evictions", "worlds_cached",
                     "worlds_sampled", "pools_derived", "worlds_derived"):
@@ -1529,7 +1558,7 @@ class TestTelemetryEndpoints:
     def test_job_status_and_sse_carry_timings(self, client, server):
         params = {"graph": "toy", "algorithm": "mcp", "k": 2,
                   "samples": 300, "seed": 6}
-        status, payload = client.request("POST", "/v1/jobs", params)
+        status, payload = client.request("POST", "/jobs", params)
         assert status == 202
         described = client.wait_job(payload["job"])
         timings = described["timings"]
@@ -1564,7 +1593,7 @@ class TestTelemetryEndpoints:
         with BackgroundServer(svc) as server:
             client = Client(server.port)
             try:
-                _, before_text = client.request_text("GET", "/v1/metrics")
+                _, before_text = client.request_text("GET", "/metrics")
                 before = parse_prometheus_text(before_text)
 
                 def series(table, key):
@@ -1574,8 +1603,8 @@ class TestTelemetryEndpoints:
                             "samples": 2000, "seed": 21}
                 params_b = {"graph": "toy", "algorithm": "mcp", "k": 3,
                             "samples": 2000, "seed": 22}
-                _, a = client.request("POST", "/v1/jobs", params_a)
-                _, b = client.request("POST", "/v1/jobs", params_b)
+                _, a = client.request("POST", "/jobs", params_a)
+                _, b = client.request("POST", "/jobs", params_b)
                 done_a = client.wait_job(a["job"])
                 done_b = client.wait_job(b["job"])
                 assert done_a["status"] == "done" and done_b["status"] == "done"
@@ -1588,7 +1617,7 @@ class TestTelemetryEndpoints:
                 }
                 assert used == {0, 1}, f"jobs did not spread: {used}"
 
-                _, after_text = client.request_text("GET", "/v1/metrics")
+                _, after_text = client.request_text("GET", "/metrics")
                 after = parse_prometheus_text(after_text)
 
                 done_key = 'repro_jobs_completed_total{algorithm="mcp",status="done"}'

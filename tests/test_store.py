@@ -19,6 +19,7 @@ import pytest
 
 from repro.exceptions import WorldStoreError
 from repro.graph.uncertain_graph import UncertainGraph
+from repro.sampling.backends import ScipyWorldBackend
 from repro.sampling.oracle import MonteCarloOracle
 from repro.sampling.parallel import ParallelSampler
 from repro.sampling.store import (
@@ -40,6 +41,19 @@ def graph():
         u, v = rng.choice(60, size=2, replace=False)
         edges.append((int(u), int(v), float(rng.uniform(0.05, 0.95))))
     return UncertainGraph.from_edges(edges, nodes=range(60), merge="first")
+
+
+class CountingBackend:
+    """WorldBackend spy: counts ``component_labels`` calls."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = 0
+
+    def component_labels(self, graph, masks):
+        self.calls += 1
+        return ScipyWorldBackend().component_labels(graph, masks)
 
 
 class SamplerSpy:
@@ -527,12 +541,46 @@ class TestLazyMaskLoading:
 
     def test_depth_query_after_pool_clear_resamples(self, graph):
         """A cleared pool between the warm load and the first depth query
-        costs a deterministic resample, never a crash."""
+        costs a deterministic redraw of the masks, never a crash — and
+        never a relabel: the oracle already holds the chunk's labels."""
         store = WorldStore()
-        with MonteCarloOracle(graph, seed=23, chunk_size=64, store=store) as cold:
+        with MonteCarloOracle(
+            graph, seed=23, chunk_size=64, store=store, backend=CountingBackend()
+        ) as cold:
             cold.ensure_samples(128)
             cold_depth = cold.connection_to_all(3, depth=2)
-        with MonteCarloOracle(graph, seed=23, chunk_size=64, store=store) as warm:
+        backend = CountingBackend()
+        with MonteCarloOracle(
+            graph, seed=23, chunk_size=64, store=store, backend=backend
+        ) as warm:
             warm.ensure_samples(128)
             store.clear()  # pool evicted before any mask was touched
             assert np.array_equal(warm.connection_to_all(3, depth=2), cold_depth)
+            assert backend.calls == 0
+            assert warm.cache_stats == {"worlds_cached": 128, "worlds_sampled": 0}
+
+    @pytest.mark.parametrize("backend", ["scipy", "unionfind"])
+    def test_pool_clear_redraw_books_no_sampled_worlds(self, graph, backend):
+        """The redraw after a cleared pool is not sampling: the sampler
+        counters stay put, in step with ``cache_stats``."""
+        from repro import telemetry
+
+        registry = telemetry.get_registry()
+        labels = {"backend": backend}
+        store = WorldStore()
+        with MonteCarloOracle(
+            graph, seed=29, chunk_size=64, store=store, backend=backend
+        ) as cold:
+            cold.ensure_samples(128)
+            cold_depth = cold.connection_to_all(5, depth=3)
+        with MonteCarloOracle(
+            graph, seed=29, chunk_size=64, store=store, backend=backend
+        ) as warm:
+            warm.ensure_samples(128)
+            store.clear()
+            worlds = registry.value("repro_sampler_worlds_total", labels)
+            chunks = registry.value("repro_sampler_chunks_total", labels)
+            assert np.array_equal(warm.connection_to_all(5, depth=3), cold_depth)
+            assert registry.value("repro_sampler_worlds_total", labels) == worlds
+            assert registry.value("repro_sampler_chunks_total", labels) == chunks
+            assert warm.cache_stats["worlds_sampled"] == 0

@@ -9,8 +9,8 @@ Pins the three contracts ISSUE.md cares about:
   half-width bounds the allowed error (at 4 sigma), so the tolerance
   tightens automatically as budgets grow.
 * **Determinism** — every workload is a pure function of the seed:
-  bit-identical across scipy/unionfind/bitparallel backends,
-  memory/disk stores, and 1/2 sampling workers.
+  bit-identical across scipy/unionfind backends and none/memory/disk
+  stores.
 * **Pool sharing** — a pool warmed by *any* consumer (MCP or another
   workload) serves every workload with **zero** new ``sample_chunk``
   calls; the sampler spy pins it.
@@ -275,19 +275,17 @@ def _store_for(kind, tmp_path):
 
 
 CONFIGS = [
-    ("scipy", "none", 1),
-    ("unionfind", "none", 1),
-    ("bitparallel", "none", 1),
-    ("scipy", "memory", 1),
-    ("scipy", "disk", 1),
-    ("bitparallel", "disk", 1),
-    ("scipy", "none", 2),
-    ("bitparallel", "memory", 2),
+    ("scipy", "none"),
+    ("unionfind", "none"),
+    ("scipy", "memory"),
+    ("scipy", "disk"),
+    ("unionfind", "memory"),
+    ("unionfind", "disk"),
 ]
 
 
 class TestCrossConfigEquivalence:
-    """Every (backend, store, workers) combination is bit-identical."""
+    """Every (backend, store) combination is bit-identical."""
 
     SAMPLES = 300
 
@@ -296,10 +294,10 @@ class TestCrossConfigEquivalence:
         rng = np.random.default_rng(SEEDS[0] + 100)
         return random_graph(12, 0.3, rng, prob_low=0.2, prob_high=0.95)
 
-    def run_all(self, graph, *, backend, store, workers, seed):
+    def run_all(self, graph, *, backend, store, seed):
         kwargs = dict(
             seed=seed, samples=self.SAMPLES, chunk_size=64,
-            backend=backend, workers=workers, store=store,
+            backend=backend, store=store,
         )
         km = kmedian_clustering(graph, 3, **kwargs)
         kc = kcenter_clustering(graph, 3, **kwargs)
@@ -307,18 +305,16 @@ class TestCrossConfigEquivalence:
         return km, kc, ce
 
     @pytest.mark.parametrize(
-        "backend,store_kind,workers", CONFIGS,
-        ids=["-".join(map(str, c)) for c in CONFIGS],
+        "backend,store_kind", CONFIGS, ids=["-".join(c) for c in CONFIGS],
     )
-    def test_bit_identical_to_reference(self, graph, backend, store_kind, workers,
-                                        tmp_path):
+    def test_bit_identical_to_reference(self, graph, backend, store_kind, tmp_path):
         seed = SEEDS[0]
         ref_km, ref_kc, ref_ce = self.run_all(
-            graph, backend="scipy", store=None, workers=1, seed=seed
+            graph, backend="scipy", store=None, seed=seed
         )
         store = _store_for(store_kind, tmp_path)
         km, kc, ce = self.run_all(
-            graph, backend=backend, store=store, workers=workers, seed=seed
+            graph, backend=backend, store=store, seed=seed
         )
         for got, ref in ((km, ref_km), (kc, ref_kc)):
             assert np.array_equal(got.clustering.centers, ref.clustering.centers)
