@@ -12,10 +12,18 @@ test:
 doctest:
 	$(PYTHON) -m pytest --doctest-modules src/repro -q
 
+# Mirrors CI's bench job: the same five bench files, then the same four
+# compare gates against the committed baselines.
+BENCH_GATES := sampling deltas service workloads
+
 bench:
-	$(PYTHON) -m pytest -q benchmarks/test_bench_backends.py benchmarks/test_bench_sampling.py
-	$(PYTHON) benchmarks/compare.py benchmarks/baselines/BENCH_sampling.json \
-	    benchmarks/out/BENCH_sampling.json --fail-over 2.0
+	$(PYTHON) -m pytest -q benchmarks/test_bench_backends.py benchmarks/test_bench_sampling.py \
+	    benchmarks/test_bench_service.py benchmarks/test_bench_deltas.py \
+	    benchmarks/test_bench_workloads.py
+	@set -e; for suite in $(BENCH_GATES); do \
+	    $(PYTHON) benchmarks/compare.py benchmarks/baselines/BENCH_$$suite.json \
+	        benchmarks/out/BENCH_$$suite.json --fail-over 2.0; \
+	done
 
 bench-service:
 	$(PYTHON) -m pytest -q benchmarks/test_bench_service.py

@@ -1,15 +1,18 @@
 """Micro-benchmarks of the possible-world substrate.
 
-These justify the block-diagonal design decisions documented in
-DESIGN.md: bulk component labelling, frontier-driven bulk BFS, and the
-sparse-product pairwise matrix.
+These justify the design decisions documented in
+docs/ARCHITECTURE.md: bulk component labelling, the packed multi-source
+BFS against its block-CSR reference, and the sparse-product pairwise
+matrix.
 """
 
 import numpy as np
 
 from repro.graph.components import UnionFind, connected_component_labels
+from repro.sampling.store import pack_mask_columns
 from repro.sampling.worlds import (
     block_bfs_reached,
+    packed_bfs_counts,
     sample_edge_masks,
     world_block_csr,
     world_component_labels,
@@ -48,6 +51,12 @@ def test_block_bfs_depth4(benchmark, gavin_tiny):
     masks = sample_edge_masks(gavin_tiny.edge_prob, R, np.random.default_rng(2))
     block = world_block_csr(gavin_tiny, masks)
     benchmark(block_bfs_reached, block, gavin_tiny.n_nodes, R, 0, 4)
+
+
+def test_packed_bfs_depth4(benchmark, gavin_tiny):
+    """The same query as ``test_block_bfs_depth4`` on the packed columns."""
+    masks = sample_edge_masks(gavin_tiny.edge_prob, R, np.random.default_rng(2))
+    benchmark(packed_bfs_counts, gavin_tiny, pack_mask_columns(masks), R, [0], 4)
 
 
 def test_connection_row_query(benchmark, gavin_oracle):

@@ -15,8 +15,8 @@ Cells (per substrate):
 * ``kcenter/<substrate>/warm`` — farthest-point traversal over the
   warm pool;
 * ``centrality/<substrate>/{degree,harmonic}`` — expected centrality
-  over the warm pool (degree is a sparse matmul; harmonic walks one
-  block BFS per source);
+  over the warm pool (degree is a sparse matmul; harmonic runs the
+  packed multi-source BFS);
 * ``centrality/tiny60/betweenness`` — per-world Brandes is the one
   pure-Python kernel, so it gets its own small substrate.
 

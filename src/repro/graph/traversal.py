@@ -2,8 +2,8 @@
 
 The BFS here operates on a single deterministic graph (one possible
 world, or the skeleton).  Bulk BFS across *many* sampled worlds at once
-lives in ``repro.sampling`` where the block-diagonal representation is
-available.
+lives in :mod:`repro.sampling.worlds`, which walks the packed mask
+columns 64 worlds per word.
 """
 
 from __future__ import annotations

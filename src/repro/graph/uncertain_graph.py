@@ -312,6 +312,31 @@ class UncertainGraph:
         except KeyError:
             raise KeyError(f"unknown node label {label!r}") from None
 
+    def node_indices(self, nodes=None) -> np.ndarray:
+        """Dense node indices as a 1-D ``intp`` array, range-checked.
+
+        ``None`` means every node.  Any index outside ``[0, n)`` raises
+        :class:`IndexError`; negative indices are rejected, never
+        wrapped.  The oracles validate every query through this.
+
+        Examples
+        --------
+        >>> g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
+        >>> g.node_indices([2, 0]).tolist()
+        [2, 0]
+        >>> g.node_indices([-1])
+        Traceback (most recent call last):
+        ...
+        IndexError: node index -1 out of range [0, 3)
+        """
+        if nodes is None:
+            return np.arange(self._n, dtype=np.intp)
+        indices = np.asarray(nodes, dtype=np.intp).reshape(-1)
+        bad = indices[(indices < 0) | (indices >= self._n)]
+        if len(bad):
+            raise IndexError(f"node index {int(bad[0])} out of range [0, {self._n})")
+        return indices
+
     def label_of(self, index: int):
         """Map a dense index back to its label."""
         if not 0 <= index < self._n:

@@ -27,6 +27,8 @@ from repro.sampling.deltas import DeriveResult, derive_pool, diff_edges
 from repro.sampling.worlds import (
     block_bfs_distances,
     block_bfs_reached,
+    packed_bfs_counts,
+    packed_bfs_distances,
     sample_edge_masks,
     world_component_labels,
     world_block_csr,
@@ -73,6 +75,8 @@ __all__ = [
     "most_probable_world",
     "block_bfs_distances",
     "block_bfs_reached",
+    "packed_bfs_counts",
+    "packed_bfs_distances",
     "sample_edge_masks",
     "world_component_labels",
     "world_block_csr",

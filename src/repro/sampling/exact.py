@@ -115,19 +115,20 @@ class ExactOracle:
 
     def connection(self, u: int, v: int, depth: int | None = None) -> float:
         """Exact (d-)connection probability between ``u`` and ``v``."""
+        u, v = self._graph.node_indices([u, v])
         return float(self._matrix(depth)[u, v])
 
     def connection_to_all(self, node: int, depth: int | None = None) -> np.ndarray:
         """Exact (d-)connection probabilities from ``node`` to every node."""
+        (node,) = self._graph.node_indices([node])
         return self._matrix(depth)[node].copy()
 
     def pairwise_matrix(self, nodes=None, depth: int | None = None) -> np.ndarray:
         """Exact pairwise (d-)connection matrix over ``nodes``."""
-        matrix = self._matrix(depth)
         if nodes is None:
-            return matrix.copy()
-        nodes = np.asarray(nodes, dtype=np.intp)
-        return matrix[np.ix_(nodes, nodes)]
+            return self._matrix(depth).copy()
+        nodes = self._graph.node_indices(nodes)
+        return self._matrix(depth)[np.ix_(nodes, nodes)]
 
     def expected_distances(self, sources=None) -> np.ndarray:
         """Exact expected hop distances, disconnection counting ``n_nodes``.
@@ -138,6 +139,7 @@ class ExactOracle:
         the workload drivers in :mod:`repro.workloads` run against this
         oracle unchanged and become exact.
         """
+        rows = self._graph.node_indices(sources)
         if self._distances is None:
             graph = self._graph
             n = graph.n_nodes
@@ -152,10 +154,7 @@ class ExactOracle:
                     dist[dist < 0] = float(n)
                     matrix[source] += world_prob * dist
             self._distances = matrix
-        if sources is None:
-            return self._distances.copy()
-        sources = np.asarray(sources, dtype=np.intp)
-        return self._distances[sources].copy()
+        return self._distances[rows]
 
     def __repr__(self) -> str:
         return f"ExactOracle(n_nodes={self._graph.n_nodes}, n_edges={self._graph.n_edges})"

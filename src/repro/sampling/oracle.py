@@ -12,9 +12,9 @@ Storage is chunked.  Each chunk keeps
 * the component labels of its worlds — an ``(c, n)`` int32 matrix — for
   unbounded connection queries,
 * the edge masks, bit-packed into edge-major ``uint64`` columns (1/8 of
-  the boolean bytes; see :mod:`repro.sampling.store`) and unpacked on
-  demand, and
-* (lazily) the block-diagonal CSR adjacency for depth-limited queries.
+  the boolean bytes; see :mod:`repro.sampling.store`), which the
+  hop-distance kernels walk directly and :meth:`chunk_masks` unpacks
+  on demand.
 
 With ``store=`` / ``cache_dir=``, chunks are additionally served from a
 content-addressed :class:`~repro.sampling.store.WorldStore` before any
@@ -27,10 +27,12 @@ Queries are answered against the whole pool:
 
 ``connection_to_all(u)``
     one vectorized equality pass per chunk, ``O(r * n)``;
-``connection_to_all(u, depth=d)``
-    ``d`` sparse mat-vecs per chunk (BFS in all worlds at once);
+``connection_to_all(u, depth=d)``, ``expected_distances(sources)``
+    the packed multi-source BFS of :mod:`repro.sampling.worlds` per
+    chunk, 64 worlds per word operation;
 ``pairwise_matrix(nodes)``
-    one sparse product per pool, used by the theoretical ACP variant
+    one sparse product per pool (or, with ``depth``, one batched packed
+    BFS from every node), used by the theoretical ACP variant
     (``alpha = n``) and by the AVPR quality metrics.
 
 Thread-safety: an oracle instance is single-threaded (its pool lists
@@ -55,11 +57,7 @@ from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.backends import WorldBackend, resolve_backend
 from repro.sampling.parallel import ParallelSampler, ensure_seed_sequence, sample_mask_rows
 from repro.sampling.store import WorldStore, pack_mask_columns, unpack_mask_columns
-from repro.sampling.worlds import (
-    block_bfs_distances,
-    block_bfs_reached,
-    world_block_csr,
-)
+from repro.sampling.worlds import packed_bfs_counts
 
 
 class MonteCarloOracle:
@@ -150,11 +148,11 @@ class MonteCarloOracle:
         self._packed_chunks: list[np.ndarray | None] = []
         self._chunk_starts: list[int] = []
         self._label_chunks: list[np.ndarray] = []
-        self._csr_chunks: list[sp.csr_matrix | None] = []
         self._n_samples = 0
         self._worlds_cached = 0
         self._worlds_sampled = 0
         self._store_read_s = 0.0
+        self._distance_s = 0.0
 
     # ------------------------------------------------------------------
     # Pool management
@@ -209,15 +207,19 @@ class MonteCarloOracle:
         """Cumulative wall seconds per sampling phase, so far.
 
         ``sample_s`` is mask drawing, ``label_s`` component labeling
-        (both from the attached :class:`ParallelSampler`), and
+        (both from the attached :class:`ParallelSampler`),
         ``store_read_s`` the time spent serving worlds from the store
-        instead of sampling.  The service's per-job ``timings``
+        instead of sampling (labels up front, packed masks on a
+        chunk's first depth or distance query), and ``distance_s`` the
+        packed BFS kernel behind :meth:`expected_distances` and the
+        depth-limited queries.  The service's per-job ``timings``
         breakdown is the delta of this dict across one job.
         """
         return {
             "sample_s": self._sampler.sample_seconds,
             "label_s": self._sampler.label_seconds,
             "store_read_s": self._store_read_s,
+            "distance_s": self._distance_s,
             "chunks": self._sampler.chunks_produced,
         }
 
@@ -276,7 +278,6 @@ class MonteCarloOracle:
             self._packed_chunks.append(packed)
             self._chunk_starts.append(start)
             self._label_chunks.append(labels)
-            self._csr_chunks.append(None)
             self._n_samples += labels.shape[0]
 
     def _load_cached_labels(self, start: int, want: int):
@@ -322,37 +323,54 @@ class MonteCarloOracle:
             return np.empty((0, self._graph.n_nodes), dtype=np.int32)
         return np.concatenate(self._label_chunks, axis=0)
 
-    def _masks_chunk(self, index: int) -> np.ndarray:
-        """Boolean edge masks of chunk ``index``, unpacked on demand.
+    def _packed_chunk(self, index: int) -> np.ndarray:
+        """Packed ``(m, words)`` mask columns of chunk ``index``.
 
         A chunk served from the store loads its packed columns here on
-        first touch.  Should the stored pool have been cleared in the
-        meantime, the chunk's masks are redrawn instead — masks are pure
-        functions of ``(seed, start, count)``, so the result is
-        bit-identical either way.  Only the masks are drawn: the chunk's
-        labels are already held, so nothing is relabeled.
+        first touch (timed as ``store_read_s``).  Should the stored pool
+        have been cleared in the meantime, the chunk's masks are redrawn
+        instead — masks are pure functions of ``(seed, start, count)``,
+        so the result is bit-identical either way.  Only the masks are
+        drawn: the chunk's labels are already held, so nothing is
+        relabeled.
         """
         packed = self._packed_chunks[index]
-        rows = self._label_chunks[index].shape[0]
         if packed is None:
             start = self._chunk_starts[index]
+            stop = start + self.chunk_worlds(index)
+            started = time.perf_counter()
             try:
-                packed, _labels = self._store.read(self._pool_digest, start, start + rows)
+                packed, _labels = self._store.read(self._pool_digest, start, stop)
             except (OSError, ValueError, OracleError):
+                packed = None
+            self._store_read_s += time.perf_counter() - started
+            if packed is None:
                 graph = self._graph
                 packed = pack_mask_columns(sample_mask_rows(
                     graph.edge_src, graph.edge_dst, graph.edge_prob,
-                    self._seed_seq, start, rows,
+                    self._seed_seq, start, stop - start,
                 ))
             self._packed_chunks[index] = packed
-        return unpack_mask_columns(packed, rows)
+        return packed
 
-    def _csr_chunk(self, index: int) -> sp.csr_matrix:
-        block = self._csr_chunks[index]
-        if block is None:
-            block = world_block_csr(self._graph, self._masks_chunk(index))
-            self._csr_chunks[index] = block
-        return block
+    def _chunk_bfs_counts(self, sources: np.ndarray, depth: int | None):
+        """Yield :func:`packed_bfs_counts` ``(reached, hops)`` per chunk,
+        timing the kernel as ``distance_s``."""
+        for index in range(self.n_chunks):
+            packed = self._packed_chunk(index)
+            started = time.perf_counter()
+            counts = packed_bfs_counts(
+                self._graph, packed, self.chunk_worlds(index), sources, depth
+            )
+            self._distance_s += time.perf_counter() - started
+            yield counts
+
+    def _reach_counts(self, sources: np.ndarray, depth: int) -> np.ndarray:
+        """Worlds of the pool where each node is within ``depth`` hops of
+        each source, shape ``(s, n)``."""
+        if depth < 0:
+            raise ValueError(f"depth must be non-negative, got {depth}")
+        return sum(reached for reached, _ in self._chunk_bfs_counts(sources, depth))
 
     def _require_samples(self) -> None:
         if self._n_samples == 0:
@@ -383,11 +401,7 @@ class MonteCarloOracle:
         Store-served chunks materialize their packed columns from the
         store on first touch (a read, not a resample).
         """
-        return self._masks_chunk(index)
-
-    def chunk_csr(self, index: int) -> sp.csr_matrix:
-        """Block-diagonal CSR adjacency of chunk ``index`` (cached)."""
-        return self._csr_chunk(index)
+        return unpack_mask_columns(self._packed_chunk(index), self.chunk_worlds(index))
 
     # ------------------------------------------------------------------
     # Queries
@@ -401,25 +415,19 @@ class MonteCarloOracle:
         Entry ``node`` is exactly 1.
         """
         self._require_samples()
-        n = self._graph.n_nodes
-        if not 0 <= node < n:
-            raise IndexError(f"node {node} out of range [0, {n})")
-        counts = np.zeros(n, dtype=np.int64)
+        sources = self._graph.node_indices([node])
         if depth is None:
+            counts = np.zeros(self._graph.n_nodes, dtype=np.int64)
             for labels in self._label_chunks:
-                counts += (labels == labels[:, node:node + 1]).sum(axis=0)
+                counts += (labels == labels[:, sources]).sum(axis=0)
         else:
-            if depth < 0:
-                raise ValueError(f"depth must be non-negative, got {depth}")
-            for index, labels in enumerate(self._label_chunks):
-                block = self._csr_chunk(index)
-                reached = block_bfs_reached(block, n, labels.shape[0], node, depth)
-                counts += reached.sum(axis=0)
+            counts = self._reach_counts(sources, depth)[0]
         return counts / self._n_samples
 
     def connection(self, u: int, v: int, depth: int | None = None) -> float:
         """Estimated (d-)connection probability between ``u`` and ``v``."""
         self._require_samples()
+        u, v = (int(node) for node in self._graph.node_indices([u, v]))
         if u == v:
             return 1.0
         if depth is None:
@@ -435,23 +443,16 @@ class MonteCarloOracle:
         Returns a dense symmetric ``(s, s)`` matrix with unit diagonal.
         For the unbounded case this runs one sparse indicator product
         over the pool (cost ~ sum of squared component sizes), not
-        ``s^2`` individual queries.
+        ``s^2`` individual queries; with ``depth`` it is one batched
+        packed BFS from all of ``nodes`` per chunk.
         """
         self._require_samples()
-        n = self._graph.n_nodes
-        if nodes is None:
-            nodes = np.arange(n, dtype=np.intp)
-        else:
-            nodes = np.asarray(nodes, dtype=np.intp)
-            if len(nodes) and (nodes.min() < 0 or nodes.max() >= n):
-                raise IndexError("pairwise_matrix nodes out of range")
+        nodes = self._graph.node_indices(nodes)
         s = len(nodes)
         if s == 0:
             return np.zeros((0, 0))
         if depth is not None:
-            matrix = np.empty((s, s), dtype=np.float64)
-            for row_pos, u in enumerate(nodes):
-                matrix[row_pos] = self.connection_to_all(int(u), depth=depth)[nodes]
+            matrix = self._reach_counts(nodes, depth)[:, nodes] / self._n_samples
             matrix = 0.5 * (matrix + matrix.T)  # symmetrize Monte Carlo noise
             np.fill_diagonal(matrix, 1.0)
             return matrix
@@ -482,8 +483,11 @@ class MonteCarloOracle:
         (:mod:`repro.workloads.exact`), making the estimate directly
         checkable against ground truth.
 
-        Cost: one block-diagonal BFS per (chunk, source) — all worlds
-        of a chunk are walked simultaneously.
+        Cost: one packed multi-source BFS per chunk
+        (:func:`~repro.sampling.worlds.packed_bfs_counts`), which walks
+        the chunk's mask columns 64 worlds per word and a bounded batch
+        of sources at a time.  Per-pair hop sums are exact integers, so
+        the result does not depend on chunking or batching.
 
         Examples
         --------
@@ -495,23 +499,15 @@ class MonteCarloOracle:
         [0.0, 1.0, 2.0]
         """
         self._require_samples()
+        sources = self._graph.node_indices(sources)
         n = self._graph.n_nodes
-        if sources is None:
-            sources = np.arange(n, dtype=np.intp)
-        else:
-            sources = np.asarray(sources, dtype=np.intp)
-            if len(sources) and (sources.min() < 0 or sources.max() >= n):
-                raise IndexError("expected_distances sources out of range")
-        sums = np.zeros((len(sources), n), dtype=np.float64)
-        for index in range(self.n_chunks):
-            rows = self.chunk_worlds(index)
-            block = self._csr_chunk(index)
-            for pos, source in enumerate(sources):
-                dist = block_bfs_distances(block, n, rows, int(source))
-                dist = dist.astype(np.float64)
-                dist[dist < 0] = float(n)
-                sums[pos] += dist.sum(axis=0)
-        return sums / self._n_samples
+        # Exact integer hop sums, with n for every unreached (world, pair).
+        totals = np.full((len(sources), n), n * self._n_samples, dtype=np.int64)
+        for reached, hops in self._chunk_bfs_counts(sources, None):
+            reached *= n
+            totals -= reached
+            totals += hops
+        return totals / self._n_samples
 
     def __repr__(self) -> str:
         return (

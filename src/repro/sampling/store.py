@@ -14,9 +14,11 @@ Bit packing, edge-major
     That is still the 8x memory cut over numpy's byte-per-bool layout,
     but now one edge's bits are one contiguous row: a graph delta that
     touches ``t`` edges rewrites ``t`` rows and leaves the other
-    ``m - t`` untouched (:mod:`repro.sampling.deltas`).  Masks are
-    unpacked on demand, only where a consumer genuinely needs booleans
-    (e.g. building the block-diagonal CSR for depth-limited queries).
+    ``m - t`` untouched (:mod:`repro.sampling.deltas`), and the packed
+    BFS of :mod:`repro.sampling.worlds` walks the rows directly, 64
+    worlds per word.  Masks are unpacked on demand, only where a
+    consumer genuinely needs booleans (e.g. the per-world centrality
+    kernels).
     Padding is per edge per *block* (≤ 7 bytes each), so pools grown in
     many small progressive steps carry more padding than pools written
     in whole chunks — a deliberate trade for append-only blocks.

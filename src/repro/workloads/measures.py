@@ -18,8 +18,10 @@ Measures
     Harmonic closeness ``(1/(n-1)) * sum_u 1/d(v, u)`` with
     ``1/inf = 0`` for unreachable pairs — the standard centrality that
     stays well defined on the disconnected worlds uncertain graphs
-    routinely produce.  One block-diagonal BFS per source walks all
-    worlds of the batch at once.
+    routinely produce.  The packed multi-source BFS
+    (:func:`~repro.sampling.worlds.packed_bfs_distances`) walks the
+    batch's mask columns, 64 worlds per word, a batch of sources at a
+    time.
 ``betweenness``
     Brandes shortest-path betweenness (unordered pairs, endpoints
     excluded).  Computed per world in ``O(n * m)`` each — exact and
@@ -36,7 +38,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.worlds import block_bfs_distances, world_block_csr
+from repro.sampling.store import pack_mask_columns
+from repro.sampling.worlds import packed_bfs_distances
 
 #: Valid ``measure=`` names, in the order the CLI/API document them.
 MEASURE_NAMES = ("degree", "harmonic", "betweenness")
@@ -96,12 +99,14 @@ def world_harmonic(graph: UncertainGraph, masks) -> np.ndarray:
     values = np.zeros((r, n), dtype=np.float64)
     if n <= 1 or r == 0:
         return values
-    block = world_block_csr(graph, masks)
-    for source in range(n):
-        dist = block_bfs_distances(block, n, r, source).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            inverse = np.where(dist > 0, 1.0 / dist, 0.0)
-        values[:, source] = inverse.sum(axis=1)
+    # 1/d per hop count d; the last entry serves unreached (-1) pairs.
+    inverse = np.zeros(n + 1, dtype=np.float64)
+    inverse[1:n] = 1.0 / np.arange(1, n, dtype=np.float64)
+    batches = packed_bfs_distances(graph, pack_mask_columns(masks), r, np.arange(n))
+    for lo, hi, dist in batches:
+        # Each source's (r, n) block is C-contiguous and summed along its
+        # rows, so the float summation order matches a per-source BFS.
+        values[:, lo:hi] = inverse[dist].sum(axis=2).T
     values /= n - 1
     return values
 

@@ -43,6 +43,18 @@ class TestEstimate:
         value = float(out.split("~=")[1].split()[0])
         assert value == 0.0  # not adjacent
 
+    def test_profile_attributes_the_distance_kernel(self, graph_file, capsys):
+        assert main(
+            ["estimate", graph_file, "0", "3", "--samples", "300", "--depth", "2",
+             "--profile"]
+        ) == 0
+        rows = dict(
+            line.rsplit(None, 1) for line in capsys.readouterr().err.splitlines()
+            if line.split()[0] in ("sample", "label", "store", "distance", "cluster", "total")
+        )
+        assert set(rows) == {"sample", "label", "store read", "distance", "cluster", "total"}
+        assert float(rows["distance"]) > 0.0
+
 
 class TestCluster:
     @pytest.mark.parametrize("algorithm", ["mcp", "acp", "gmm"])

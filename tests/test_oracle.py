@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import MonteCarloOracle, OracleError, UncertainGraph
-from repro.sampling import ExactOracle
+from repro.sampling import ExactOracle, WorldStore
+from repro.sampling.worlds import block_bfs_distances, block_bfs_reached, world_block_csr
+from repro.workloads.measures import world_harmonic
 from tests.conftest import random_graph
 
 
@@ -179,3 +181,131 @@ class TestStatisticalQuality:
         assert np.allclose(
             oracle.pairwise_matrix(), exact.pairwise_matrix(), atol=0.05
         )
+
+
+class TestNodeValidation:
+    """Both oracles reject out-of-range node indices; none wrap."""
+
+    @pytest.fixture(params=["monte_carlo", "exact"])
+    def oracle(self, request):
+        graph = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 1.0)])
+        if request.param == "exact":
+            return ExactOracle(graph)
+        oracle = MonteCarloOracle(graph, seed=1)
+        oracle.ensure_samples(64)
+        return oracle
+
+    @pytest.mark.parametrize("depth", [None, 2])
+    @pytest.mark.parametrize("u, v", [(-1, 2), (-1, 0), (0, 3), (7, 7), (-1, -1), (3, 0)])
+    def test_connection(self, oracle, u, v, depth):
+        with pytest.raises(IndexError):
+            oracle.connection(u, v, depth=depth)
+
+    @pytest.mark.parametrize("depth", [None, 2])
+    @pytest.mark.parametrize("node", [-1, 3, 99])
+    def test_connection_to_all(self, oracle, node, depth):
+        with pytest.raises(IndexError):
+            oracle.connection_to_all(node, depth=depth)
+
+    @pytest.mark.parametrize("depth", [None, 2])
+    def test_pairwise_matrix(self, oracle, depth):
+        for nodes in ([0, -1], [3], [2, 0, 5]):
+            with pytest.raises(IndexError):
+                oracle.pairwise_matrix(nodes, depth=depth)
+
+    def test_expected_distances(self, oracle):
+        for sources in ([-1], [0, 3]):
+            with pytest.raises(IndexError):
+                oracle.expected_distances(sources)
+
+    def test_valid_indices_still_answer(self, oracle):
+        assert oracle.connection(2, 2) == 1.0
+        assert oracle.connection(1, 2) == 1.0
+        assert oracle.pairwise_matrix([2, 0]).shape == (2, 2)
+
+
+def _csr_distance_reference(oracle, sources, depth=None):
+    """Per-source, per-world block-CSR BFS over every chunk of the pool:
+    the computation the packed kernel replaced, kept as the reference."""
+    n = oracle.n_nodes
+    dist_sums = np.zeros((len(sources), n))
+    reach = np.zeros((len(sources), n), dtype=np.int64)
+    for index in range(oracle.n_chunks):
+        masks = oracle.chunk_masks(index)
+        rows = masks.shape[0]
+        block = world_block_csr(oracle.graph, masks)
+        for pos, source in enumerate(sources):
+            dist = block_bfs_distances(block, n, rows, int(source)).astype(np.float64)
+            dist[dist < 0] = float(n)
+            dist_sums[pos] += dist.sum(axis=0)
+            if depth is not None:
+                reach[pos] += block_bfs_reached(block, n, rows, int(source), depth).sum(axis=0)
+    return dist_sums / oracle.num_samples, reach / oracle.num_samples
+
+
+def _csr_harmonic(graph, masks):
+    """``world_harmonic`` as one block-CSR BFS per source."""
+    r, n = masks.shape[0], graph.n_nodes
+    values = np.zeros((r, n))
+    block = world_block_csr(graph, masks)
+    for source in range(n):
+        dist = block_bfs_distances(block, n, r, source).astype(np.float64)
+        with np.errstate(divide="ignore"):
+            values[:, source] = np.where(dist > 0, 1.0 / dist, 0.0).sum(axis=1)
+    return values / (n - 1)
+
+
+class TestPackedDistanceQueries:
+    """Invariant 6 at oracle level: every distance query equals the
+    block-CSR computation bit for bit, for any chunking and whether the
+    pool was sampled or served from the store."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_graph(16, 0.18, np.random.default_rng(8), prob_low=0.2, prob_high=0.9)
+
+    @pytest.mark.parametrize("chunk_size", [64, 512])
+    @pytest.mark.parametrize("served", [False, True])
+    def test_matches_block_csr(self, graph, chunk_size, served, tmp_path):
+        store = WorldStore(tmp_path)
+        if served:
+            MonteCarloOracle(graph, seed=4, chunk_size=chunk_size, store=store).ensure_samples(700)
+        oracle = MonteCarloOracle(graph, seed=4, chunk_size=chunk_size, store=store)
+        oracle.ensure_samples(700)
+        assert oracle.cache_stats["worlds_cached"] == (700 if served else 0)
+        n = graph.n_nodes
+        sources = np.array([5, 0, 5, n - 1])
+        for depth in (0, 1, 2, 4):
+            expected_dist, reach = _csr_distance_reference(oracle, sources, depth)
+            assert np.array_equal(oracle.expected_distances(sources), expected_dist)
+            for pos, source in enumerate(sources):
+                row = oracle.connection_to_all(int(source), depth=depth)
+                assert np.array_equal(row, reach[pos])
+                assert oracle.connection(int(source), 3, depth=depth) == (
+                    1.0 if source == 3 else reach[pos][3])
+        nodes = np.array([3, 1, 7, 3, 12])
+        for depth in (1, 3):
+            rows = np.stack([
+                _csr_distance_reference(oracle, [u], depth)[1][0][nodes] for u in nodes
+            ])
+            expected = 0.5 * (rows + rows.T)
+            np.fill_diagonal(expected, 1.0)
+            assert np.array_equal(oracle.pairwise_matrix(nodes, depth=depth), expected)
+        all_dist, _ = _csr_distance_reference(oracle, np.arange(n))
+        assert np.array_equal(oracle.expected_distances(), all_dist)
+        for index in range(oracle.n_chunks):
+            masks = oracle.chunk_masks(index)
+            assert np.array_equal(world_harmonic(graph, masks), _csr_harmonic(graph, masks))
+
+    def test_distance_kernel_is_timed(self, graph, tmp_path):
+        store = WorldStore(tmp_path)
+        MonteCarloOracle(graph, seed=4, store=store).ensure_samples(128)
+        oracle = MonteCarloOracle(graph, seed=4, store=store)
+        oracle.ensure_samples(128)
+        before = oracle.phase_timings
+        assert before["distance_s"] == 0.0
+        oracle.expected_distances()
+        after = oracle.phase_timings
+        assert after["distance_s"] > 0.0
+        # The chunk's first-touch mask read is a store read, not distance time.
+        assert after["store_read_s"] > before["store_read_s"]

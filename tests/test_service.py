@@ -1511,7 +1511,7 @@ class TestTelemetryEndpoints:
 
     TIMINGS_KEYS = {
         "total_ms", "sample_ms", "label_ms", "store_read_ms",
-        "cluster_ms", "worlds_sampled", "worlds_reused",
+        "distance_ms", "cluster_ms", "worlds_sampled", "worlds_reused",
     }
 
     def test_metrics_endpoint_serves_prometheus_text(self, client):
@@ -1573,6 +1573,18 @@ class TestTelemetryEndpoints:
         terminal = events[-1]
         assert terminal["event"] == "done"
         assert terminal["data"]["timings"] == timings
+
+    def test_distance_jobs_attribute_the_packed_bfs(self, client):
+        params = {"graph": "toy", "algorithm": "kmedian", "k": 2,
+                  "samples": 128, "seed": 6}
+        status, payload = client.request("POST", "/jobs", params)
+        assert status == 202
+        timings = client.wait_job(payload["job"])["timings"]
+        assert set(timings) == self.TIMINGS_KEYS
+        assert timings["distance_ms"] > 0
+        phases = sum(timings[key] for key in (
+            "sample_ms", "label_ms", "store_read_ms", "distance_ms", "cluster_ms"))
+        assert phases == pytest.approx(timings["total_ms"], abs=0.01)
 
     def test_fleet_metrics_aggregate_across_two_process_workers(self, tmp_path):
         """Acceptance pin: ``--workers 2`` metrics reflect the whole fleet.

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import UncertainGraph
 from repro.graph.components import connected_component_labels
+from repro.sampling.store import WORD_BITS, pack_mask_columns
 from repro.sampling.worlds import (
+    block_bfs_distances,
     block_bfs_reached,
+    packed_bfs_counts,
+    packed_bfs_distances,
     sample_edge_masks,
     world_block_csr,
     world_component_labels,
@@ -126,3 +131,83 @@ class TestBlockBFS:
         block = world_block_csr(path4, np.ones((1, 3), dtype=bool))
         with pytest.raises(ValueError):
             block_bfs_reached(block, 4, 1, 0, -1)
+
+
+def _packed_distances(graph, cols, r, sources, depth):
+    batches = list(packed_bfs_distances(graph, cols, r, sources, depth))
+    if not batches:
+        return np.zeros((0, r, graph.n_nodes), dtype=np.int32)
+    assert [lo for lo, _, _ in batches] == [0] + [hi for _, hi, _ in batches[:-1]]
+    return np.concatenate([dist for _, _, dist in batches])
+
+
+def _with_garbage_pad(cols, r):
+    """Set every pad bit of the last word: the kernel must never read them."""
+    cols = cols.copy()
+    if r % WORD_BITS and cols.size:
+        cols[:, -1] |= ~np.uint64((1 << (r % WORD_BITS)) - 1)
+    return cols
+
+
+class TestPackedBfs:
+    """Invariant 6: the packed BFS equals the block-CSR BFS bit for bit."""
+
+    GRAPHS = {
+        "random": lambda: random_graph(14, 0.2, np.random.default_rng(4)),
+        "isolated": lambda: UncertainGraph.from_edges(
+            [(1, 2, 0.6), (2, 3, 0.7), (5, 6, 0.5)], nodes=range(8)
+        ),
+        "no_edges": lambda: UncertainGraph(4, [], [], []),
+        "one_node": lambda: UncertainGraph(1, [], [], []),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("r", [1, 63, 64, 65, 130])
+    def test_matches_block_bfs(self, name, r):
+        graph = self.GRAPHS[name]()
+        n = graph.n_nodes
+        masks = sample_edge_masks(graph.edge_prob, r, rng=r)
+        cols = _with_garbage_pad(pack_mask_columns(masks), r)
+        block = world_block_csr(graph, masks)
+        source_lists = ([], list(range(n)), [n - 1, 0, n - 1, n // 2])
+        for sources in source_lists:
+            for depth in (0, 1, 2, 3, None):
+                expected = np.zeros((len(sources), r, n), dtype=np.int32)
+                for j, source in enumerate(sources):
+                    expected[j] = block_bfs_distances(block, n, r, source, depth)
+                    if depth is not None:
+                        reached = block_bfs_reached(block, n, r, source, depth)
+                        assert np.array_equal(reached, expected[j] >= 0)
+                dist = _packed_distances(graph, cols, r, sources, depth)
+                assert dist.dtype == np.int32 and dist.flags.c_contiguous
+                assert np.array_equal(dist, expected), (sources, depth)
+                reached, hops = packed_bfs_counts(graph, cols, r, sources, depth)
+                assert np.array_equal(reached, (expected >= 0).sum(axis=1))
+                assert np.array_equal(hops, np.maximum(expected, 0).sum(axis=1))
+
+    def test_many_sources_span_batches(self):
+        # Enough worlds and sources that the kernel splits the sources
+        # into several batches; the result must not depend on that.
+        graph = random_graph(40, 0.15, np.random.default_rng(2))
+        r = 700
+        masks = sample_edge_masks(graph.edge_prob, r, rng=5)
+        cols = pack_mask_columns(masks)
+        sources = np.arange(graph.n_nodes)
+        batches = list(packed_bfs_distances(graph, cols, r, sources))
+        assert len(batches) > 1
+        block = world_block_csr(graph, masks)
+        for lo, hi, dist in batches:
+            for j, source in enumerate(sources[lo:hi]):
+                expected = block_bfs_distances(block, graph.n_nodes, r, int(source))
+                assert np.array_equal(dist[j], expected)
+
+    def test_rejects_bad_input(self, path4):
+        cols = pack_mask_columns(np.ones((3, 3), dtype=bool))
+        with pytest.raises(ValueError, match="max_depth"):
+            packed_bfs_counts(path4, cols, 3, [0], -1)
+        with pytest.raises(ValueError, match="packed columns"):
+            packed_bfs_counts(path4, cols, 65, [0])
+        with pytest.raises(IndexError):
+            packed_bfs_counts(path4, cols, 3, [4])
+        with pytest.raises(IndexError):
+            next(packed_bfs_distances(path4, cols, 3, [-1]))
