@@ -20,7 +20,7 @@ Schema (version 1)::
           "seconds": 0.113,          # best observed round
           "items": 512,              # work units per round (worlds here)
           "throughput": 4530.9,      # items / seconds, null if items is
-          "meta": {"backend": "unionfind", "workers": 1, ...}
+          "meta": {"workers": 1, "substrate": "dblp1200", ...}
         },
         ...
       }
@@ -104,7 +104,7 @@ def record_benchmark(
         Work units per round (worlds, edges, ...); enables the derived
         ``throughput`` field.
     meta:
-        Free-form labels (backend, workers, substrate, r, ...).
+        Free-form labels (workers, substrate, r, ...).
 
     Returns the path written.
     """

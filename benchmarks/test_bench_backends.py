@@ -1,8 +1,9 @@
-"""Throughput of the world-labeling backends.
+"""Throughput of the world labeler.
 
 Records ``ensure_samples`` cost (mask sampling + labeling) and the raw
-labeling-kernel cost for every registered backend (``scipy``,
-``unionfind``) on two synthetic substrates:
+labeling-kernel cost of every labeler in
+:data:`repro.sampling.backends.BACKENDS` (one: ``unionfind``) on two
+synthetic substrates:
 
 * ``sparse1500`` — n=1500, avg degree ~4, low-confidence edges
   (probabilities 0.05–0.35, PPI-like): sampled worlds are subcritical,
@@ -10,14 +11,11 @@ labeling-kernel cost for every registered backend (``scipy``,
 * ``denser1000`` — n=1000, avg degree ~4, mixed probabilities
   (0.1–0.9): supercritical worlds with a giant component.
 
-Beyond raw speed, the union-find backend never materializes the
-``(r*n, r*n)`` block-diagonal COO/CSR matrices, so its peak per-chunk
-memory is roughly half of the scipy backend's (int32 endpoint arrays
-plus one flat parent vector versus the sparse-matrix build).  On the
-single-core CI box the union-find backend measures ~1.5x scipy on the
-sparse substrate and ~1.3x on the denser one for ``ensure_samples``;
-on multi-core hardware its world sub-batches are the natural sharding
-unit for further gains.
+The union-find labeler never materializes an ``(r*n, r*n)``
+block-diagonal sparse matrix: its per-chunk state is int32 endpoint
+arrays plus one flat parent vector.  The cells keep their
+``<kind>/<substrate>/unionfind`` names so ``compare.py`` pairs them
+with earlier artifacts.
 """
 
 import numpy as np
@@ -28,6 +26,7 @@ from repro.datasets.synthetic import gnm_uncertain
 from repro.sampling import MonteCarloOracle
 from repro.sampling.backends import BACKENDS
 from repro.sampling.worlds import sample_edge_masks
+from tests.scipy_reference import scipy_component_labels
 
 R = 512  # worlds per measured ensure_samples call
 
@@ -52,7 +51,7 @@ def test_ensure_samples_throughput(benchmark, substrate, backend_name):
     substrate_name, graph = substrate
 
     def run():
-        oracle = MonteCarloOracle(graph, seed=1, chunk_size=R, backend=backend_name)
+        oracle = MonteCarloOracle(graph, seed=1, chunk_size=R)
         oracle.ensure_samples(R)
         return oracle
 
@@ -83,11 +82,10 @@ def test_labeling_kernel(benchmark, substrate, backend_name):
     )
 
 
-def test_backends_bit_identical(substrate):
+def test_labels_match_reference(substrate):
     """The equivalence the suite pins, re-checked on the bench substrate."""
     _, graph = substrate
     masks = sample_edge_masks(graph.edge_prob, 64, rng=3)
-    outputs = {name: BACKENDS[name]().component_labels(graph, masks) for name in BACKEND_NAMES}
-    reference = outputs[BACKEND_NAMES[0]]
-    for name in BACKEND_NAMES[1:]:
-        assert np.array_equal(reference, outputs[name]), name
+    reference = scipy_component_labels(graph, masks)
+    for name in BACKEND_NAMES:
+        assert np.array_equal(BACKENDS[name]().component_labels(graph, masks), reference), name

@@ -35,7 +35,6 @@ R = 512          # pool size under measurement
 K = 4            # clusters
 SEED = 1
 CHUNK = 512
-BACKEND = "unionfind"
 
 #: The in-test regression floor.  The *acceptance* criterion (warm >=
 #: 5x cold) is documented by the committed ``baselines/BENCH_deltas.json``
@@ -65,14 +64,14 @@ def substrate(request):
 
 def _cluster(graph, store):
     result = mcp_clustering(
-        graph, K, seed=SEED, chunk_size=CHUNK, backend=BACKEND,
+        graph, K, seed=SEED, chunk_size=CHUNK,
         sample_schedule=PracticalSchedule(max_samples=R), store=store,
     )
     return result.clustering.assignment
 
 
 def _meta(name, graph):
-    return {"substrate": name, "r": R, "k": K, "backend": BACKEND,
+    return {"substrate": name, "r": R, "k": K,
             "nodes": graph.n_nodes, "edges": graph.n_edges}
 
 
@@ -106,7 +105,7 @@ def test_warm_after_mutation_vs_cold(benchmark_records, substrate):
     # --- derive + warm: parent pool in store, lease derives -----------
     parent_store = WorldStore()
     with MonteCarloOracle(
-        graph, seed=SEED, chunk_size=CHUNK, backend=BACKEND, store=parent_store
+        graph, seed=SEED, chunk_size=CHUNK, store=parent_store
     ) as oracle:
         oracle.ensure_samples(R)
 
@@ -116,12 +115,10 @@ def test_warm_after_mutation_vs_cold(benchmark_records, substrate):
         # scratch store seeded with the parent pool each round.
         scratch = WorldStore()
         packed, labels = parent_store.read(
-            parent_store.register(graph, SEED, BACKEND, CHUNK), 0, R
+            parent_store.register(graph, SEED), 0, R
         )
-        scratch.append(scratch.register(graph, SEED, BACKEND, CHUNK), 0, packed, labels)
-        result = derive_pool(
-            scratch, graph, mutated, seed=SEED, backend=BACKEND, chunk_size=CHUNK
-        )
+        scratch.append(scratch.register(graph, SEED), 0, packed, labels)
+        result = derive_pool(scratch, graph, mutated, seed=SEED)
         assert result is not None and result.complete
         return scratch
 
@@ -134,7 +131,7 @@ def test_warm_after_mutation_vs_cold(benchmark_records, substrate):
     def warm_end_to_end():
         scratch = derive_run()
         result = mcp_clustering(
-            mutated, K, seed=SEED, chunk_size=CHUNK, backend=BACKEND,
+            mutated, K, seed=SEED, chunk_size=CHUNK,
             sample_schedule=PracticalSchedule(max_samples=R), store=scratch,
         )
         warm_assignments.append(result.clustering.assignment)
@@ -180,20 +177,20 @@ def test_derivation_chain_matches_cold_pool(substrate):
     name, graph, mutated = substrate
     store = WorldStore()
     with MonteCarloOracle(
-        graph, seed=SEED, chunk_size=CHUNK, backend=BACKEND, store=store
+        graph, seed=SEED, chunk_size=CHUNK, store=store
     ) as oracle:
         oracle.ensure_samples(R)
-    result = derive_pool(store, graph, mutated, seed=SEED, backend=BACKEND, chunk_size=CHUNK)
+    result = derive_pool(store, graph, mutated, seed=SEED)
     assert result is not None and result.complete and result.worlds_derived == R
     assert result.columns_resampled == 1
     with MonteCarloOracle(
-        mutated, seed=SEED, chunk_size=CHUNK, backend=BACKEND, store=store
+        mutated, seed=SEED, chunk_size=CHUNK, store=store
     ) as warm:
         warm.ensure_samples(R)
         assert warm.cache_stats["worlds_sampled"] == 0
         warm_labels = warm.component_labels
     with MonteCarloOracle(
-        mutated, seed=SEED, chunk_size=CHUNK, backend=BACKEND
+        mutated, seed=SEED, chunk_size=CHUNK
     ) as cold:
         cold.ensure_samples(R)
         assert np.array_equal(warm_labels, cold.component_labels)

@@ -1,7 +1,7 @@
 """Throughput of the world-sampling engine and the world store.
 
-Measures ``ensure_samples`` (mask sampling + labeling) for every
-backend × substrate cell, plus the
+Measures ``ensure_samples`` (mask sampling + labeling) per substrate,
+plus the
 warm-vs-cold world-store cells (``world_store/<substrate>/{cold,warm}``:
 a cold run samples into a fresh disk cache, a warm run serves the same
 pool from it), and records each measurement into the durable
@@ -14,9 +14,9 @@ Substrates:
 * ``sparse1500`` — the subcritical synthetic substrate of
   ``test_bench_backends.py``, for continuity with the PR-1 numbers.
 
-Sampling is serial, but the ``ensure_samples`` cells keep their
-``/workers=1`` suffix so ``compare.py`` pairs them with the committed
-baseline cells of the same name.
+Sampling is serial and there is one labeler, but the ``ensure_samples``
+cells keep their ``/unionfind/workers=1`` suffix so ``compare.py``
+pairs them with the committed baseline cells of the same name.
 """
 
 import shutil
@@ -30,8 +30,6 @@ from repro.datasets.synthetic import gnm_uncertain
 from repro.sampling import MonteCarloOracle
 
 R = 512  # worlds per measured ensure_samples call
-
-BACKEND_NAMES = ("scipy", "unionfind")
 
 
 def _substrate(name):
@@ -47,23 +45,21 @@ def substrate(request):
     return request.param, _substrate(request.param)
 
 
-@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
-def test_ensure_samples_throughput(benchmark, substrate, backend_name):
+def test_ensure_samples_throughput(benchmark, substrate):
     substrate_name, graph = substrate
 
     def run():
-        oracle = MonteCarloOracle(graph, seed=1, chunk_size=R, backend=backend_name)
+        oracle = MonteCarloOracle(graph, seed=1, chunk_size=R)
         oracle.ensure_samples(R)
         return oracle.num_samples
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     record_pytest_benchmark(
         "sampling",
-        f"ensure_samples/{substrate_name}/{backend_name}/workers=1",
+        f"ensure_samples/{substrate_name}/unionfind/workers=1",
         benchmark,
         items=R,
         meta={
-            "backend": backend_name,
             "workers": 1,
             "substrate": substrate_name,
             "r": R,
@@ -89,7 +85,7 @@ def test_world_store_warm_vs_cold(benchmark, substrate, phase, tmp_path_factory)
 
     def run():
         with MonteCarloOracle(
-            graph, seed=1, chunk_size=R, backend="unionfind", cache_dir=cache
+            graph, seed=1, chunk_size=R, cache_dir=cache
         ) as oracle:
             oracle.ensure_samples(R)
             return oracle.cache_stats
@@ -111,7 +107,6 @@ def test_world_store_warm_vs_cold(benchmark, substrate, phase, tmp_path_factory)
         meta={
             "phase": phase,
             "substrate": substrate_name,
-            "backend": "unionfind",
             "r": R,
             "nodes": graph.n_nodes,
             "edges": graph.n_edges,
@@ -122,27 +117,11 @@ def test_world_store_warm_vs_cold(benchmark, substrate, phase, tmp_path_factory)
 def test_world_store_warm_pool_bit_identical(substrate, tmp_path):
     """The equivalence the warm cells ride on: cached == freshly drawn."""
     substrate_name, graph = substrate
-    with MonteCarloOracle(
-        graph, seed=1, chunk_size=R, backend="unionfind", cache_dir=tmp_path
-    ) as cold:
+    with MonteCarloOracle(graph, seed=1, chunk_size=R, cache_dir=tmp_path) as cold:
         cold.ensure_samples(R)
         cold_labels = cold.component_labels
-    with MonteCarloOracle(
-        graph, seed=1, chunk_size=R, backend="unionfind", cache_dir=tmp_path
-    ) as warm:
+    with MonteCarloOracle(graph, seed=1, chunk_size=R, cache_dir=tmp_path) as warm:
         warm.ensure_samples(R)
         assert warm.cache_stats["worlds_sampled"] == 0
         assert np.array_equal(warm.component_labels, cold_labels)
 
-
-def test_backend_pools_bit_identical(substrate):
-    """The fixed-seed equivalence the throughput cells ride on: every
-    measured backend labels the same pool of worlds, so the cells of
-    one substrate compare identical work."""
-    _, graph = substrate
-    pools = []
-    for backend_name in BACKEND_NAMES:
-        oracle = MonteCarloOracle(graph, seed=1, chunk_size=R, backend=backend_name)
-        oracle.ensure_samples(R)
-        pools.append(oracle.component_labels)
-    assert np.array_equal(pools[0], pools[1])

@@ -43,7 +43,6 @@ R = 256          # pool size under measurement
 K = 4            # clusters
 SEED = 3
 CHUNK = 128
-BACKEND = "unionfind"
 TINY_R = 128     # betweenness budget on its dedicated substrate
 
 
@@ -67,7 +66,7 @@ def _best_of(callable_, rounds=3):
 
 
 def _meta(name, graph, **extra):
-    return {"substrate": name, "r": R, "backend": BACKEND,
+    return {"substrate": name, "r": R,
             "nodes": graph.n_nodes, "edges": graph.n_edges, **extra}
 
 
@@ -80,7 +79,7 @@ def test_kclustering_cold_vs_warm(substrate):
     """Cold (sample + solve) and warm (solve only) k-median, plus warm
     k-center, all bit-identical across the store boundary."""
     name, graph = substrate
-    kwargs = dict(seed=SEED, samples=R, chunk_size=CHUNK, backend=BACKEND)
+    kwargs = dict(seed=SEED, samples=R, chunk_size=CHUNK)
 
     cold_results = []
 
@@ -128,7 +127,7 @@ def test_kclustering_cold_vs_warm(substrate):
 def test_centrality_throughput(substrate, measure):
     name, graph = substrate
     store = WorldStore()
-    kwargs = dict(seed=SEED, samples=R, chunk_size=CHUNK, backend=BACKEND,
+    kwargs = dict(seed=SEED, samples=R, chunk_size=CHUNK,
                   store=store, tol=1e-12)
     expected_centrality(graph, measure=measure, **kwargs)  # warm the pool
 
@@ -150,7 +149,7 @@ def test_betweenness_on_tiny_substrate():
     dedicated 60-node substrate so the cell stays in seconds."""
     graph = _substrate("tiny60")
     store = WorldStore()
-    kwargs = dict(seed=SEED, samples=TINY_R, chunk_size=CHUNK, backend=BACKEND,
+    kwargs = dict(seed=SEED, samples=TINY_R, chunk_size=CHUNK,
                   store=store, tol=1e-12)
     expected_centrality(graph, measure="betweenness", **kwargs)
 
@@ -164,7 +163,7 @@ def test_betweenness_on_tiny_substrate():
     record_benchmark(
         "workloads", "centrality/tiny60/betweenness", seconds=seconds,
         items=TINY_R,
-        meta={"substrate": "tiny60", "r": TINY_R, "backend": BACKEND,
+        meta={"substrate": "tiny60", "r": TINY_R,
               "nodes": graph.n_nodes, "edges": graph.n_edges,
               "measure": "betweenness"},
     )

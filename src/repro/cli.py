@@ -38,7 +38,6 @@ from repro.core.mcp import mcp_clustering
 from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.exceptions import ReproError
 from repro.graph.io import read_uncertain_graph, write_uncertain_graph
-from repro.sampling.backends import BACKEND_NAMES
 from repro.sampling.oracle import MonteCarloOracle
 from repro.sampling.sizes import PracticalSchedule
 from repro.sampling.store import WorldStore
@@ -107,9 +106,7 @@ def _cmd_estimate(args) -> int:
     u = graph.index_of(args.u) if args.u in graph.node_labels else graph.index_of(_coerce(args.u))
     v = graph.index_of(args.v) if args.v in graph.node_labels else graph.index_of(_coerce(args.v))
     started = time.perf_counter()
-    oracle = MonteCarloOracle(
-        graph, seed=args.seed, backend=args.backend, cache_dir=args.world_cache,
-    )
+    oracle = MonteCarloOracle(graph, seed=args.seed, cache_dir=args.world_cache)
     oracle.ensure_samples(args.samples)
     estimate = oracle.connection(u, v, depth=args.depth)
     suffix = f" (paths <= {args.depth})" if args.depth else ""
@@ -134,20 +131,18 @@ def _cmd_cluster(args) -> int:
     if args.algorithm in ("mcp", "acp") and args.profile:
         # Built explicitly (instead of inside the algorithm) so the
         # profile table can read its phase timings afterwards.
-        oracle = MonteCarloOracle(
-            graph, seed=args.seed, backend=args.backend, cache_dir=args.world_cache,
-        )
+        oracle = MonteCarloOracle(graph, seed=args.seed, cache_dir=args.world_cache)
     if args.algorithm == "mcp":
         result = mcp_clustering(
             graph, args.k, oracle=oracle, seed=args.seed, depth=args.depth,
-            sample_schedule=schedule, backend=args.backend, cache_dir=args.world_cache,
+            sample_schedule=schedule, cache_dir=args.world_cache,
         )
         clustering = result.clustering
         print(f"mcp: k={args.k} min-prob~={result.min_prob_estimate:.3f} q={result.q_final:.4f}", file=sys.stderr)
     elif args.algorithm == "acp":
         result = acp_clustering(
             graph, args.k, oracle=oracle, seed=args.seed, depth=args.depth,
-            sample_schedule=schedule, backend=args.backend, cache_dir=args.world_cache,
+            sample_schedule=schedule, cache_dir=args.world_cache,
         )
         clustering = result.clustering
         print(f"acp: k={args.k} avg-prob~={result.avg_prob_estimate:.3f}", file=sys.stderr)
@@ -180,8 +175,7 @@ def _cmd_kclustering(args) -> int:
     graph = read_uncertain_graph(args.graph, merge=args.merge)
     run = kmedian_clustering if args.command == "kmedian" else kcenter_clustering
     result = run(
-        graph, args.k, seed=args.seed, samples=args.samples,
-        backend=args.backend, cache_dir=args.world_cache,
+        graph, args.k, seed=args.seed, samples=args.samples, cache_dir=args.world_cache
     )
     aggregate = "mean" if args.command == "kmedian" else "max"
     print(
@@ -202,7 +196,7 @@ def _cmd_centrality(args) -> int:
     graph = read_uncertain_graph(args.graph, merge=args.merge)
     result = expected_centrality(
         graph, measure=args.measure, seed=args.seed, samples=args.samples,
-        tol=args.tol, backend=args.backend, cache_dir=args.world_cache,
+        tol=args.tol, cache_dir=args.world_cache,
     )
     status = "converged" if result.converged else "budget exhausted"
     print(
@@ -241,14 +235,13 @@ def _cmd_cache_info(args) -> int:
     if not pools:
         print(f"{args.dir}: no cached pools")
         return 0
-    print("digest        worlds   nodes   edges  backend     chunk  masks      labels")
+    print("digest        worlds   nodes   edges  masks      labels")
     total_masks = total_labels = 0
     for pool in pools:
         total_masks += pool.mask_bytes
         total_labels += pool.label_bytes
         print(
-            f"{pool.digest[:12]}  {pool.n_worlds:>6}  {pool.n_nodes:>6}  "
-            f"{pool.n_edges:>6}  {pool.backend:<10}  {pool.chunk_size:>5}  "
+            f"{pool.digest[:12]}  {pool.n_worlds:>6}  {pool.n_nodes:>6}  {pool.n_edges:>6}  "
             f"{_format_bytes(pool.mask_bytes):<9}  {_format_bytes(pool.label_bytes)}"
         )
     print(
@@ -316,15 +309,11 @@ def _cmd_mutate(args) -> int:
         # will parse, not to the in-memory float values.
         reread = read_uncertain_graph(output, merge=args.merge)
         store = WorldStore(args.world_cache)
-        result = derive_pool(
-            store, graph, reread,
-            seed=args.seed, backend=args.backend, chunk_size=args.chunk_size,
-        )
+        result = derive_pool(store, graph, reread, seed=args.seed)
         if result is None or result.worlds_derived == 0:
             print(
                 f"world cache {args.world_cache}: no parent pool for "
-                f"(seed={args.seed}, backend={args.backend}, chunk={args.chunk_size}) "
-                "- the next run samples cold",
+                f"seed={args.seed} - the next run samples cold",
                 file=sys.stderr,
             )
         else:
@@ -472,13 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--seed", type=int, default=0)
     estimate.add_argument("--merge", default="error")
     estimate.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="auto",
-        help="world-labeling backend (auto picks by graph size)",
-    )
-    estimate.add_argument(
         "--world-cache", default=None, metavar="DIR",
         help="persistent world-store directory: sampled pools are reused "
-        "across runs with the same (graph, seed, backend, chunk size)",
+        "across runs with the same (graph, seed)",
     )
     estimate.add_argument(
         "--profile", action="store_true",
@@ -495,13 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--inflation", type=float, default=2.0, help="mcl granularity")
     cluster.add_argument("--samples", type=int, default=1000, help="Monte Carlo budget")
     cluster.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="auto",
-        help="world-labeling backend for mcp/acp (auto picks by graph size)",
-    )
-    cluster.add_argument(
         "--world-cache", default=None, metavar="DIR",
         help="persistent world-store directory for mcp/acp: sampled pools are "
-        "reused across runs with the same (graph, seed, backend, chunk size)",
+        "reused across runs with the same (graph, seed)",
     )
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--merge", default="error")
@@ -527,13 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         workload.add_argument("--seed", type=int, default=0)
         workload.add_argument(
-            "--backend", choices=BACKEND_NAMES, default="auto",
-            help="world-labeling backend (results are identical across backends)",
-        )
-        workload.add_argument(
             "--world-cache", default=None, metavar="DIR",
             help="persistent world-store directory; the pool is shared with "
-            "every other workload of the same (graph, seed, backend, chunk size)",
+            "every other workload of the same (graph, seed)",
         )
         workload.add_argument("--merge", default="error", help="duplicate-edge policy")
         workload.add_argument(
@@ -560,13 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     centrality.add_argument("--seed", type=int, default=0)
     centrality.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="auto",
-        help="world-labeling backend (results are identical across backends)",
-    )
-    centrality.add_argument(
         "--world-cache", default=None, metavar="DIR",
         help="persistent world-store directory; the pool is shared with "
-        "every other workload of the same (graph, seed, backend, chunk size)",
+        "every other workload of the same (graph, seed)",
     )
     centrality.add_argument("--merge", default="error", help="duplicate-edge policy")
     centrality.add_argument(
@@ -600,18 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
     mutate.add_argument(
         "--world-cache", default=None, metavar="DIR",
         help="derive the mutated graph's cached world pool from the input "
-        "graph's instead of leaving the next run cold; --seed/--backend/"
-        "--chunk-size must match the run that filled the cache",
+        "graph's instead of leaving the next run cold; --seed must match "
+        "the run that filled the cache",
     )
     mutate.add_argument("--seed", type=int, default=0)
-    mutate.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="auto",
-        help="world-labeling backend of the cached pool",
-    )
-    mutate.add_argument(
-        "--chunk-size", type=int, default=512,
-        help="oracle chunk size of the cached pool",
-    )
     mutate.set_defaults(func=_cmd_mutate)
 
     generate = sub.add_parser("generate", help="generate a synthetic dataset")

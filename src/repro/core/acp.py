@@ -81,7 +81,6 @@ def acp_clustering(
     sample_schedule=None,
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
-    backend="auto",
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -90,11 +89,9 @@ def acp_clustering(
     """Cluster an uncertain graph maximizing average connection probability.
 
     Parameters mirror :func:`repro.core.mcp.mcp_clustering` (including
-    the ``backend`` world-labeling selection and the ``store`` /
-    ``cache_dir`` world-store
-    attachment — an MCP run followed by an ACP run with the same
-    ``(graph, seed, backend, chunk_size)`` and a shared store reuses
-    one sampled pool, the ``cancel_check`` cooperative-cancellation
+    the ``store`` / ``cache_dir`` world-store attachment — an MCP run
+    followed by an ACP run with the same ``(graph, seed)`` and a shared
+    store reuses one sampled pool, the ``cancel_check`` cooperative-cancellation
     hook called before every threshold guess, and the ``progress``
     callback invoked after every guess with the JSON-safe dict
     ``{"q", "samples", "covered", "covers_all"}``); see the module
@@ -114,7 +111,7 @@ def acp_clustering(
         raise ClusteringError(f"mode must be one of {_MODES}, got {mode!r}")
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
-        backend=backend, store=store, cache_dir=cache_dir,
+        store=store, cache_dir=cache_dir,
     )
     n = oracle.n_nodes
     validate_common(k, n, gamma, eps, p_lower, depth)

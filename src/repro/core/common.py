@@ -21,16 +21,14 @@ def resolve_oracle(
     seed,
     chunk_size: int,
     max_samples: int,
-    backend="auto",
     store=None,
     cache_dir=None,
 ):
     """Return the oracle to use: the caller's, or a fresh Monte Carlo one.
 
-    ``backend`` selects the world-labeling backend and ``store`` /
-    ``cache_dir`` the world-store attachment of a freshly built
-    :class:`MonteCarloOracle` (see :mod:`repro.sampling.backends` and
-    :mod:`repro.sampling.store`); all are ignored when the caller
+    ``store`` / ``cache_dir`` select the world-store attachment of a
+    freshly built :class:`MonteCarloOracle` (see
+    :mod:`repro.sampling.store`); both are ignored when the caller
     supplies an ``oracle``.
 
     Examples
@@ -54,7 +52,6 @@ def resolve_oracle(
         seed=seed,
         chunk_size=chunk_size,
         max_samples=max_samples,
-        backend=backend,
         store=store,
         cache_dir=cache_dir,
     )

@@ -91,7 +91,6 @@ def mcp_clustering(
     q_bar: float | None = None,
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
-    backend="auto",
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -129,20 +128,14 @@ def mcp_clustering(
     alpha, q_bar:
         ``min-partial`` design parameters (defaults match Algorithm 2:
         ``alpha=1``, ``q_bar=q``).
-    backend:
-        World-labeling backend for a freshly built Monte Carlo oracle:
-        ``"auto"``, ``"scipy"``, ``"unionfind"`` or a
-        :class:`~repro.sampling.backends.WorldBackend` instance.
-        Results are bit-identical across backends for a fixed seed.
-        Ignored when ``oracle`` is given.
     store, cache_dir:
         World-store attachment of a freshly built oracle (see
         :mod:`repro.sampling.store`): a shared
         :class:`~repro.sampling.store.WorldStore` instance, or a cache
         directory that persists the sampled pool across process runs.
-        Two calls with the same ``(graph, seed, backend, chunk_size)``
-        share one pool instead of resampling.  Ignored when ``oracle``
-        is given.
+        Two calls with the same ``(graph, seed)`` share one pool
+        instead of resampling, whatever their ``chunk_size``.  Ignored
+        when ``oracle`` is given.
     cancel_check:
         Optional zero-argument callable invoked before every threshold
         guess (binary-search probes included).  Raise from it — e.g.
@@ -171,7 +164,7 @@ def mcp_clustering(
     """
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
-        backend=backend, store=store, cache_dir=cache_dir,
+        store=store, cache_dir=cache_dir,
     )
     n = oracle.n_nodes
     validate_common(k, n, gamma, eps, p_lower, depth)

@@ -37,13 +37,10 @@ class ExperimentScale:
     table2_depths: tuple[int, ...]
     table2_samples: int
     figure4_k_fractions: tuple[float, ...]
-    #: World-labeling backend for every Monte Carlo oracle the harness
-    #: builds ("auto" picks by graph size; see repro.sampling.backends).
-    oracle_backend: str = "auto"
     #: Optional world-cache directory.  When set, every Monte Carlo
     #: oracle the harness builds attaches a shared disk-backed
     #: :class:`repro.sampling.store.WorldStore`, so repeated runs of
-    #: the same exhibit (same graphs, seeds, backends) reuse their
+    #: the same exhibit (same graphs and seeds) reuse their
     #: sampled pools instead of redrawing them.  ``None`` (default)
     #: disables caching.
     world_cache: str | None = None

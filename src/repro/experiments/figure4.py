@@ -65,7 +65,6 @@ def run(
             seed=int(rng.integers(2**31)),
             sample_schedule=schedule,
             chunk_size=128,
-            backend=scale.oracle_backend,
             cache_dir=scale.world_cache,
         )
         table.add_row(

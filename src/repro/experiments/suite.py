@@ -144,7 +144,7 @@ def run_quality_suite(
 
         eval_oracle = MonteCarloOracle(
             graph, seed=int(rng.integers(2**31)), chunk_size=64,
-            backend=scale.oracle_backend, store=store,
+            store=store,
         )
         eval_oracle.ensure_samples(scale.metric_samples)
 
@@ -153,7 +153,7 @@ def run_quality_suite(
         # largest schedule request instead of being resampled per call.
         algo_oracle = MonteCarloOracle(
             graph, seed=int(rng.integers(2**31)), chunk_size=128,
-            backend=scale.oracle_backend, store=store,
+            store=store,
         )
         inflations = (
             scale.mcl_inflations_dblp if name == "dblp"

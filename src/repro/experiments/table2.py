@@ -62,7 +62,6 @@ def run(scale: str | ExperimentScale = "small", *, seed: int = 0, progress=None)
             # runs independent, as in the paper's repeated experiments.
             oracle = MonteCarloOracle(
                 graph, seed=int(rng.integers(2**31)), chunk_size=64,
-                backend=scale.oracle_backend,
                 cache_dir=scale.world_cache,
             )
             result = runner(

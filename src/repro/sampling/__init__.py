@@ -1,12 +1,6 @@
 """Possible-world sampling and connection-probability oracles."""
 
-from repro.sampling.backends import (
-    BACKEND_NAMES,
-    ScipyWorldBackend,
-    UnionFindWorldBackend,
-    WorldBackend,
-    resolve_backend,
-)
+from repro.sampling.backends import UnionFindWorldBackend
 from repro.sampling.parallel import (
     ParallelSampler,
     edge_seed_sequence,
@@ -50,7 +44,6 @@ from repro.sampling.representative import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
     "DeriveResult",
     "ParallelSampler",
     "derive_pool",
@@ -59,9 +52,7 @@ __all__ = [
     "ensure_seed_sequence",
     "sample_edge_column",
     "sample_mask_rows",
-    "ScipyWorldBackend",
     "UnionFindWorldBackend",
-    "WorldBackend",
     "WorldStore",
     "pack_mask_columns",
     "pack_masks",
@@ -69,7 +60,6 @@ __all__ = [
     "pool_fingerprint",
     "unpack_mask_columns",
     "unpack_masks",
-    "resolve_backend",
     "average_degree_representative",
     "degree_discrepancy",
     "most_probable_world",

@@ -1,14 +1,46 @@
-"""Vectorized union-find labeling backend.
+"""Vectorized union-find world labeling.
 
-Labels all ``r`` worlds of a mask chunk **without ever materializing
-the** ``(r*n, r*n)`` **block-diagonal sparse matrix** the scipy backend
-builds.  The state is a single flat parent array over the ``r * n``
-block vertices; hooking and compression are whole-array numpy
-operations, so the per-edge constant is a handful of vectorized passes
-instead of a sparse-matrix construction plus a C graph traversal.
+Labels all ``r`` worlds of a sampled mask chunk — an ``(r, m)``
+boolean edge-mask matrix — **without ever materializing an**
+``(r*n, r*n)`` **block-diagonal sparse matrix**.  The state is a single
+flat parent array over the ``r * n`` block vertices; hooking and
+compression are whole-array numpy operations, so the per-edge constant
+is a handful of vectorized passes.  This is the hot path of
+:class:`repro.sampling.oracle.MonteCarloOracle`: every progressive
+sampling step funnels its freshly drawn masks through exactly one
+:meth:`UnionFindWorldBackend.component_labels` call.
 
-The algorithm is the scatter-min variant of parallel union-find used by
-GPU connected-components kernels (hook to the smaller label, then path
+Canonical labeling contract
+---------------------------
+``component_labels(graph, masks)`` returns an ``(r, n)`` int32 array
+with ``labels[i, v]`` the **smallest node index in the connected
+component of** ``v`` **in world** ``i``.  The labels are a pure function
+of ``(graph, masks)`` and the masks are sampled once by the oracle (the
+labeler never consumes RNG state), so every downstream quantity —
+``connection_to_all``, ``pairwise_matrix``, MCP/ACP clusterings — is a
+pure function of the seed.  ``tests/test_backends.py`` pins the labels
+against an independent block-diagonal ``scipy`` reference.
+
+Incremental relabeling
+----------------------
+``repair_labels(graph, masks, old_labels, affected)`` is the
+delta-derivation fast path (:mod:`repro.sampling.deltas`).  ``masks``
+are the post-delta edge masks of the worlds needing repair,
+``old_labels`` their pre-delta canonical labels, and ``affected`` an
+``(r, n)`` boolean matrix marking every node whose pre-delta component
+contains an endpoint of a flipped edge.  The contract: the result is
+**bit-identical** to ``component_labels(graph, masks)`` — incrementality
+is an optimization, never a different answer.  The caller guarantees
+that no post-delta present edge joins an affected node to an unaffected
+one (flipped edges' endpoints are affected by construction, and
+unflipped present edges connect nodes of one pre-delta component, which
+is affected either wholly or not at all) — which is what makes
+component-local repair sound.
+
+The algorithm
+-------------
+The scatter-min variant of parallel union-find used by GPU
+connected-components kernels (hook to the smaller label, then path
 halving), adapted to numpy:
 
 1. **First hook.**  ``parent`` starts as the identity and edges are
@@ -21,8 +53,7 @@ halving), adapted to numpy:
    inside the true component, so the iteration converges to one root
    per component — necessarily the component's smallest block index.
 3. **Compress.**  Path-halve to idempotence and subtract the block
-   offsets, yielding the canonical min-node-index labels shared by all
-   backends (see :mod:`repro.sampling.backends.base`).
+   offsets, yielding the canonical min-node-index labels.
 
 Worlds are processed in sub-batches (default ≤ 64) so the parent array
 stays cache-resident; per-world independence makes the split invisible
@@ -34,7 +65,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends.base import validate_masks
 
 # Worlds per internal labeling batch.  Small batches keep the flat
 # parent array (and the per-batch edge arrays) inside the CPU cache;
@@ -44,6 +74,16 @@ _DEFAULT_WORLD_BATCH = 64
 # The flat block domain is indexed with int32; one batch must satisfy
 # batch * n_nodes < 2**31.
 _INT32_LIMIT = 2**31 - 1
+
+
+def validate_masks(graph: UncertainGraph, masks: np.ndarray) -> np.ndarray:
+    """Coerce ``masks`` to a boolean ``(r, m)`` matrix for ``graph``."""
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 2 or masks.shape[1] != graph.n_edges:
+        raise ValueError(
+            f"masks must have shape (r, {graph.n_edges}), got {masks.shape}"
+        )
+    return masks
 
 
 class UnionFindWorldBackend:
@@ -106,13 +146,12 @@ class UnionFindWorldBackend:
         union-find (unaffected nodes come out of it as singletons and
         are immediately overwritten by their old labels).
 
-        Soundness rests on the caller's guarantee (see
-        :meth:`WorldBackend.repair_labels <repro.sampling.backends.base.WorldBackend.repair_labels>`)
-        that no present post-delta edge crosses the affected/unaffected
-        boundary — so testing one endpoint per edge suffices, and the
-        restricted components equal the full relabeling's components.
-        Pinned bit-identical against the scipy full relabel by
-        ``tests/test_deltas.py``.
+        Soundness rests on the caller's guarantee (see the module's
+        incremental relabeling contract) that no present post-delta edge
+        crosses the affected/unaffected boundary — so testing one
+        endpoint per edge suffices, and the restricted components equal
+        the full relabeling's components.  Pinned bit-identical against
+        the scipy full-relabel reference by ``tests/test_deltas.py``.
         """
         masks = validate_masks(graph, masks)
         r, n = masks.shape[0], graph.n_nodes

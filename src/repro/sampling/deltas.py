@@ -14,9 +14,9 @@ column differed.  Delta derivation turns that cliff into an increment:
 2.  Component labels only change in worlds where a touched edge's
     *presence* actually flipped; within such a world, only the
     components containing the flipped edge's endpoints are affected.
-    The labeling backends expose an incremental
-    ``repair_labels`` path (union-find over the affected components
-    only; scipy recomputes fully and is the cross-check).
+    The labeler's incremental ``repair_labels`` path runs union-find
+    over the affected components only (pinned against a full scipy
+    relabel in the tests).
 3.  A mutated graph fingerprints identically to cold-building its
     final edge set (mutations keep canonical edge order), so the
     derived pool registers under the digest the cold path would use:
@@ -25,8 +25,8 @@ column differed.  Delta derivation turns that cliff into an increment:
 
 The determinism pin (``tests/test_deltas.py``): for any mutation
 sequence, labels obtained by delta replay are **bit-identical** to
-cold-sampling the final graph at the same ``(seed, backend,
-chunk_size)``, across both backends.
+cold-sampling the final graph at the same seed, whatever chunk size
+either side was drawn in.
 
 Derivation is best-effort, exactly like the store itself: any failure
 (parent pool evicted mid-read, disk corruption, races) degrades to
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.exceptions import WorldStoreError
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import resolve_backend
+from repro.sampling.backends import UnionFindWorldBackend
 from repro.sampling.parallel import edge_stream_state, sample_edge_column
 from repro.sampling.store import (
     WorldStore,
@@ -58,6 +58,10 @@ __all__ = ["DeriveResult", "EdgeDiff", "derive_pool", "diff_edges"]
 #: than relabeling the affected worlds outright, so derivation switches
 #: to the full relabel of exactly those worlds.
 _REPAIR_TOUCHED_LIMIT = 64
+
+#: Worlds :func:`derive_pool` reads, derives and appends per block.  It
+#: bounds the working set; the derived worlds do not depend on it.
+DERIVE_BLOCK_WORLDS = 512
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,6 @@ def derive_pool(
     child_graph: UncertainGraph,
     *,
     seed,
-    backend="auto",
-    chunk_size: int = 512,
 ) -> DeriveResult | None:
     """Derive the child graph's world pool from the parent's.
 
@@ -172,7 +174,8 @@ def derive_pool(
     per-edge streams cold sampling would use, repairs the labels of
     exactly the worlds where a presence bit flipped, and appends the
     result under the child's own fingerprint.  The derived pool is
-    bit-identical to cold-sampling the child graph.
+    bit-identical to cold-sampling the child graph.  Worlds are derived
+    (and appended) :data:`DERIVE_BLOCK_WORLDS` at a time.
 
     Returns ``None`` when there is nothing to work from (no parent
     pool, identical fingerprints, store errors before the first
@@ -199,12 +202,10 @@ def derive_pool(
     0
     """
     seed_seq = ensure_seed_sequence(seed)
-    resolved = resolve_backend(backend, child_graph)
+    labeler = UnionFindWorldBackend()
     try:
-        parent_digest = store.register(
-            parent_graph, seed_seq, resolved.name, chunk_size
-        )
-        child_digest = store.register(child_graph, seed_seq, resolved.name, chunk_size)
+        parent_digest = store.register(parent_graph, seed_seq)
+        child_digest = store.register(child_graph, seed_seq)
         if parent_digest == child_digest:
             return None  # nothing changed; the "parent" pool already serves
         available = store.count(parent_digest)
@@ -232,8 +233,9 @@ def derive_pool(
     }
     m_child = child_graph.n_edges
     derived = repaired = resampled = 0
-    for start in range(have, available, chunk_size):
-        stop = min(start + chunk_size, available)
+    block = DERIVE_BLOCK_WORLDS
+    for start in range(have, available, block):
+        stop = min(start + block, available)
         rows = stop - start
         try:
             packed_parent, labels_parent = store.read(parent_digest, start, stop)
@@ -276,7 +278,7 @@ def derive_pool(
             if len(affected_worlds):
                 old = np.ascontiguousarray(labels_parent[affected_worlds])
                 labels_child[affected_worlds] = _relabel_affected(
-                    resolved, child_graph, packed_child, rows, affected_worlds,
+                    labeler, child_graph, packed_child, rows, affected_worlds,
                     old, flips, flip_matrix[:, affected_worlds],
                 )
                 repaired += len(affected_worlds)
@@ -291,20 +293,19 @@ def derive_pool(
 
 
 def _relabel_affected(
-    backend, graph, packed_cols, rows, affected_worlds, old_labels, flips, flip_matrix
+    labeler, graph, packed_cols, rows, affected_worlds, old_labels, flips, flip_matrix
 ):
     """New labels for the affected worlds, via the cheapest sound path."""
     masks = unpack_mask_columns(packed_cols, rows)[affected_worlds]
-    repair = getattr(backend, "repair_labels", None)
-    if repair is None or len(flips) > _REPAIR_TOUCHED_LIMIT:
-        # Backends without an incremental path — and deltas so wide
-        # that the membership tensor would dwarf the relabeling —
-        # recompute the affected worlds outright (still only those).
-        return backend.component_labels(graph, masks)
+    if len(flips) > _REPAIR_TOUCHED_LIMIT:
+        # Deltas so wide that the membership tensor would dwarf the
+        # relabeling recompute the affected worlds outright (still only
+        # those).
+        return labeler.component_labels(graph, masks)
     endpoints = np.array([[u, v] for u, v, _ in flips])  # (t, 2)
     flipped_here = flip_matrix.T  # (worlds, t)
     target_u = np.where(flipped_here, old_labels[:, endpoints[:, 0]], -1)
     target_v = np.where(flipped_here, old_labels[:, endpoints[:, 1]], -1)
     targets = np.concatenate([target_u, target_v], axis=1)  # (worlds, 2t)
     affected = (old_labels[:, :, None] == targets[:, None, :]).any(axis=2)
-    return repair(graph, masks, old_labels, affected)
+    return labeler.repair_labels(graph, masks, old_labels, affected)

@@ -1,6 +1,6 @@
 """Monte Carlo connection-probability oracle with progressive sampling.
 
-:class:`MonteCarloOracle` is the sampling backend behind every clustering
+:class:`MonteCarloOracle` is the sampling engine behind every clustering
 algorithm in ``repro.core``.  It maintains a pool of sampled possible
 worlds that *grows monotonically* ("progressive sampling", Section 4 of
 the paper): when a guessing schedule lowers the probability threshold
@@ -18,9 +18,9 @@ Storage is chunked.  Each chunk keeps
 
 With ``store=`` / ``cache_dir=``, chunks are additionally served from a
 content-addressed :class:`~repro.sampling.store.WorldStore` before any
-sampling happens: a pool drawn once for ``(graph, seed, backend,
-chunk_size)`` is reused across oracles — and, with a cache directory,
-across process runs — bit-identically, because world ``i`` is a pure
+sampling happens: a pool drawn once for ``(graph, seed)`` is reused
+across oracles — and, with a cache directory, across process runs —
+bit-identically, at any chunk size, because world ``i`` is a pure
 function of ``(seed, i)``.
 
 Queries are answered against the whole pool:
@@ -54,7 +54,6 @@ import scipy.sparse as sp
 from repro import telemetry
 from repro.exceptions import OracleError
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import WorldBackend, resolve_backend
 from repro.sampling.parallel import ParallelSampler, ensure_seed_sequence, sample_mask_rows
 from repro.sampling.store import WorldStore, pack_mask_columns, unpack_mask_columns
 from repro.sampling.worlds import packed_bfs_counts
@@ -76,21 +75,15 @@ class MonteCarloOracle:
         is independent of the chunking pattern.
     chunk_size:
         Worlds sampled per growth step (amortizes the labelling cost).
+        A batching choice only: it never changes the worlds, so pools
+        are shared across chunk sizes.
     max_samples:
         Hard budget; :meth:`ensure_samples` raises :class:`OracleError`
         beyond it *before* drawing anything.  Guards against schedules
         running away on graphs whose optimum is genuinely tiny.
-    backend:
-        World-labeling backend: ``"auto"`` (default; picks by graph
-        size), ``"scipy"``, ``"unionfind"``, or a
-        :class:`~repro.sampling.backends.WorldBackend` instance.  The
-        masks are sampled independently of the backend, so estimates
-        and clusterings are bit-identical across backends for a fixed
-        seed.
     store:
         Optional :class:`~repro.sampling.store.WorldStore`.  The oracle
-        registers its ``(graph, seed, backend, chunk_size)`` pool in
-        the store, serves :meth:`ensure_samples` from already-stored
+        registers its ``(graph, seed)`` pool in the store, serves :meth:`ensure_samples` from already-stored
         worlds before drawing anything, and appends freshly drawn
         chunks back.  Cached and fresh worlds are bit-identical, so a
         warm oracle resumes progressive sampling mid-schedule.
@@ -106,8 +99,6 @@ class MonteCarloOracle:
     >>> oracle.ensure_samples(2000)
     >>> abs(oracle.connection(0, 1) - 0.5) < 0.05
     True
-    >>> MonteCarloOracle(g, seed=7, backend="unionfind").backend_name
-    'unionfind'
     """
 
     def __init__(
@@ -117,7 +108,6 @@ class MonteCarloOracle:
         seed=None,
         chunk_size: int = 512,
         max_samples: int = 1_000_000,
-        backend="auto",
         store: WorldStore | None = None,
         cache_dir=None,
     ):
@@ -131,15 +121,12 @@ class MonteCarloOracle:
         self._seed_seq = ensure_seed_sequence(seed)
         self._chunk_size = int(chunk_size)
         self._max_samples = int(max_samples)
-        self._backend = resolve_backend(backend, graph)
-        self._sampler = ParallelSampler(graph, backend=self._backend)
+        self._sampler = ParallelSampler(graph)
         if cache_dir is not None:
             store = WorldStore(cache_dir)
         self._store = store
         self._pool_digest = (
-            store.register(graph, self._seed_seq, self._backend.name, self._chunk_size)
-            if store is not None
-            else None
+            store.register(graph, self._seed_seq) if store is not None else None
         )
         #: Columnar packed-mask blocks; ``None`` marks a chunk served
         #: from the store whose masks have not been needed yet (labels
@@ -174,15 +161,6 @@ class MonteCarloOracle:
     @property
     def max_samples(self) -> int:
         return self._max_samples
-
-    @property
-    def backend(self) -> WorldBackend:
-        """The world-labeling backend in use."""
-        return self._backend
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
 
     @property
     def store(self) -> WorldStore | None:
@@ -284,7 +262,7 @@ class MonteCarloOracle:
         """Labels of up to ``want`` stored worlds from ``start`` (miss: ``None``).
 
         Only the labels are read here; the packed mask columns stay in
-        the store and are materialized by :meth:`_masks_chunk` if a
+        the store and are materialized by :meth:`_packed_chunk` if a
         depth-limited query ever needs them.  A pool cleared or
         truncated by another process between the count and the read is
         treated as a miss (we fall back to sampling), never as an
@@ -314,9 +292,9 @@ class MonteCarloOracle:
     def component_labels(self) -> np.ndarray:
         """Component labels of every sampled world, shape ``(r, n)``.
 
-        Labels follow the canonical backend contract — entry ``(i, v)``
-        is the smallest node index in ``v``'s component of world ``i``
-        — so they are identical across backends.  Used by the AVPR
+        Labels are canonical — entry ``(i, v)`` is the smallest node
+        index in ``v``'s component of world ``i`` (see
+        :mod:`repro.sampling.backends.unionfind`).  Used by the AVPR
         metrics, which count same-component pairs per world.
         """
         if not self._label_chunks:
@@ -512,6 +490,5 @@ class MonteCarloOracle:
     def __repr__(self) -> str:
         return (
             f"MonteCarloOracle(n_nodes={self._graph.n_nodes}, "
-            f"num_samples={self._n_samples}, max_samples={self._max_samples}, "
-            f"backend={self._backend.name!r})"
+            f"num_samples={self._n_samples}, max_samples={self._max_samples})"
         )

@@ -3,8 +3,9 @@
 The Monte Carlo pipelines spend nearly all their time drawing and
 labeling possible worlds (paper Section 4).  This module supplies the
 one path from a graph to labeled worlds: draw a chunk's edge masks
-from per-edge streams (:func:`sample_mask_rows`), label them with the
-oracle's backend in one ``component_labels`` call, and pack the masks
+from per-edge streams (:func:`sample_mask_rows`), label them with one
+:class:`~repro.sampling.backends.UnionFindWorldBackend`
+``component_labels`` call, and pack the masks
 for the store (:func:`~repro.sampling.store.pack_mask_columns`).  It
 keeps reproducibility and *incremental resampling* at once.
 
@@ -41,34 +42,24 @@ import numpy as np
 
 from repro import telemetry
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import WorldBackend, resolve_backend
+from repro.sampling.backends import UnionFindWorldBackend
 from repro.sampling.store import pack_mask_columns
 from repro.utils.rng import ensure_seed_sequence
 
 _SAMPLER_CHUNKS = telemetry.get_registry().counter(
-    "repro_sampler_chunks_total",
-    "World chunks produced, by backend.",
-    ("backend",),
+    "repro_sampler_chunks_total", "World chunks produced."
 )
 _SAMPLER_WORLDS = telemetry.get_registry().counter(
-    "repro_sampler_worlds_total",
-    "Worlds drawn and labeled, by backend.",
-    ("backend",),
+    "repro_sampler_worlds_total", "Worlds drawn and labeled."
 )
 _SAMPLER_SAMPLE_SECONDS = telemetry.get_registry().counter(
-    "repro_sampler_sample_seconds_total",
-    "Wall seconds drawing edge masks, by backend.",
-    ("backend",),
+    "repro_sampler_sample_seconds_total", "Wall seconds drawing edge masks."
 )
 _SAMPLER_LABEL_SECONDS = telemetry.get_registry().counter(
-    "repro_sampler_label_seconds_total",
-    "Wall seconds labeling components, by backend.",
-    ("backend",),
+    "repro_sampler_label_seconds_total", "Wall seconds labeling components."
 )
 _SAMPLER_CHUNK_SECONDS = telemetry.get_registry().histogram(
-    "repro_sampler_chunk_seconds",
-    "Per-chunk wall time (sample + label), by backend.",
-    ("backend",),
+    "repro_sampler_chunk_seconds", "Per-chunk wall time (sample + label)."
 )
 
 __all__ = [
@@ -208,9 +199,6 @@ class ParallelSampler:
     ----------
     graph:
         The uncertain graph being sampled.
-    backend:
-        World-labeling backend spec (see
-        :func:`repro.sampling.backends.resolve_backend`).
 
     Examples
     --------
@@ -221,9 +209,9 @@ class ParallelSampler:
     ((10, 2), (10, 3))
     """
 
-    def __init__(self, graph: UncertainGraph, *, backend="auto"):
+    def __init__(self, graph: UncertainGraph):
         self._graph = graph
-        self._backend = resolve_backend(backend, graph)
+        self._labeler = UnionFindWorldBackend()
         self._edge_states: dict = {}
         self._edge_states_root: tuple | None = None
         #: Cumulative phase wall time of this sampler instance, the
@@ -233,10 +221,6 @@ class ParallelSampler:
         self.label_seconds = 0.0
         self.chunks_produced = 0
 
-    @property
-    def backend(self) -> WorldBackend:
-        return self._backend
-
     def sample_chunk(
         self, root: np.random.SeedSequence, start: int, count: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +228,8 @@ class ParallelSampler:
 
         Returns ``(masks, labels)`` of shapes ``(count, m)`` and
         ``(count, n)``.  The result is a pure function of
-        ``(graph, root, start, count)`` — identical under any backend
-        or chunking pattern.
+        ``(graph, root, start, count)`` — identical under any chunking
+        pattern.
         """
         root_key = (root.entropy, tuple(root.spawn_key))
         if root_key != self._edge_states_root:
@@ -262,20 +246,20 @@ class ParallelSampler:
             state_cache=self._edge_states,
         )
         sampled_at = time.perf_counter()
-        # One labeling call per chunk, so instrumented backends observe
-        # exactly the progressive-sampling growth steps.
-        labels = self._backend.component_labels(self._graph, masks)
+        # One labeling call per chunk (through the instance, so an
+        # instrumented labeler class observes exactly the
+        # progressive-sampling growth steps).
+        labels = self._labeler.component_labels(self._graph, masks)
         sample_s = sampled_at - started
         label_s = time.perf_counter() - sampled_at
         self.sample_seconds += sample_s
         self.label_seconds += label_s
         self.chunks_produced += 1
-        backend = self._backend.name
-        _SAMPLER_CHUNKS.labels(backend=backend).inc()
-        _SAMPLER_WORLDS.labels(backend=backend).inc(count)
-        _SAMPLER_SAMPLE_SECONDS.labels(backend=backend).inc(sample_s)
-        _SAMPLER_LABEL_SECONDS.labels(backend=backend).inc(label_s)
-        _SAMPLER_CHUNK_SECONDS.labels(backend=backend).observe(sample_s + label_s)
+        _SAMPLER_CHUNKS.inc()
+        _SAMPLER_WORLDS.inc(count)
+        _SAMPLER_SAMPLE_SECONDS.inc(sample_s)
+        _SAMPLER_LABEL_SECONDS.inc(label_s)
+        _SAMPLER_CHUNK_SECONDS.observe(sample_s + label_s)
         return masks, labels
 
     def sample_chunk_packed(
@@ -291,4 +275,4 @@ class ParallelSampler:
         return pack_mask_columns(masks), labels
 
     def __repr__(self) -> str:
-        return f"ParallelSampler(backend={self._backend.name!r})"
+        return f"ParallelSampler(n_nodes={self._graph.n_nodes}, n_edges={self._graph.n_edges})"

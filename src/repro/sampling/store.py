@@ -2,10 +2,10 @@
 
 Monte Carlo world sampling dominates the running time of both MCP and
 ACP (paper Section 4), yet the sampled pool is a pure function of
-``(graph, seed, backend)``: mask bit ``(i, e)`` depends only on the
-root seed, edge ``e``'s endpoints and ``i`` (per-edge streams,
+``(graph, seed)``: mask bit ``(i, e)`` depends only on the root seed,
+edge ``e``'s endpoints and ``i`` (per-edge streams,
 :mod:`repro.sampling.parallel`), and the canonical labels depend only
-on the masks.  This module exploits that purity three ways:
+on the masks — not on the chunk size the worlds were drawn in.  This module exploits that purity three ways:
 
 Bit packing, edge-major
     A block of ``(r, m)`` boolean edge masks is stored *columnar*: an
@@ -24,9 +24,9 @@ Bit packing, edge-major
     in whole chunks — a deliberate trade for append-only blocks.
 
 Content addressing
-    Pools are keyed by a SHA-256 digest of the graph's edge endpoints
-    and probabilities, the root seed, the backend name, and the chunk
-    size (:func:`pool_fingerprint`).  Any change to any input yields a
+    Pools are keyed by a SHA-256 digest of the store format version,
+    the graph's edge endpoints and probabilities, and the root seed
+    (:func:`pool_fingerprint`).  Any change to any input yields a
     different digest, so a cache can never serve stale worlds — the
     *invalidation contract*, pinned by ``tests/test_store.py`` and
     documented in ``docs/ARCHITECTURE.md``.
@@ -125,10 +125,12 @@ __all__ = [
 #: Bits per packed word; masks are stored as ``uint64`` bitsets.
 WORD_BITS = 64
 
-#: On-disk format version; bumped on any layout change so old cache
-#: directories are treated as misses rather than misread.  Version 2 is
-#: the edge-major columnar layout (v1 row-major pools are discarded).
-FORMAT_VERSION = 2
+#: On-disk format version; bumped on any layout or keying change so old
+#: cache directories are treated as misses rather than misread.  Version
+#: 2 introduced the edge-major columnar layout; version 3 keys pools on
+#: ``(graph, seed)`` alone (v2 keys also hashed a labeler name and a
+#: chunk size).
+FORMAT_VERSION = 3
 
 _META_NAME = "meta.json"
 _MASKS_NAME = "masks.u64"
@@ -276,17 +278,17 @@ def unpack_mask_columns(packed_cols: np.ndarray, n_worlds: int) -> np.ndarray:
     return np.ascontiguousarray(_unpack_bits(packed_cols, n_worlds).T)
 
 
-def pool_fingerprint(graph: UncertainGraph, seed, backend_name: str, chunk_size: int) -> str:
+def pool_fingerprint(graph: UncertainGraph, seed) -> str:
     """Content digest addressing one pool of sampled worlds.
 
     The SHA-256 digest covers everything the pool content depends on:
-    the graph's node count, edge endpoints and probabilities, the root
-    seed (entropy + spawn key of the resolved
-    :class:`numpy.random.SeedSequence`), the world-labeling backend
-    name, and the oracle chunk size.  Mutating *any* of these yields a
-    different digest, so a cached pool can never be served for changed
-    inputs.  (Chunk size does not actually change the sampled worlds —
-    including it is deliberate conservatism, not a correctness need.)
+    the store format version, the graph's node count, edge endpoints
+    and probabilities, and the root seed (entropy + spawn key of the
+    resolved :class:`numpy.random.SeedSequence`).  Mutating *any* of
+    these yields a different digest, so a cached pool can never be
+    served for changed inputs.  The chunk size an oracle samples in is
+    not part of the key: it never changes the worlds, so oracles of any
+    chunk size share one pool.
 
     Because :meth:`UncertainGraph.mutate` stores edges in the canonical
     sorted order ``from_edges`` produces, a mutated graph fingerprints
@@ -297,10 +299,10 @@ def pool_fingerprint(graph: UncertainGraph, seed, backend_name: str, chunk_size:
     Examples
     --------
     >>> g = UncertainGraph.from_edges([(0, 1, 0.5)])
-    >>> a = pool_fingerprint(g, 7, "unionfind", 512)
-    >>> a == pool_fingerprint(g, 7, "unionfind", 512)
+    >>> a = pool_fingerprint(g, 7)
+    >>> a == pool_fingerprint(g, 7)
     True
-    >>> a == pool_fingerprint(g, 8, "unionfind", 512)
+    >>> a == pool_fingerprint(g, 8)
     False
     """
     seed_seq = ensure_seed_sequence(seed)
@@ -312,8 +314,6 @@ def pool_fingerprint(graph: UncertainGraph, seed, backend_name: str, chunk_size:
     digest.update(np.ascontiguousarray(graph.edge_prob, dtype=np.float64).tobytes())
     digest.update(str(seed_seq.entropy).encode())
     digest.update(repr(tuple(int(k) for k in seed_seq.spawn_key)).encode())
-    digest.update(str(backend_name).encode())
-    digest.update(str(int(chunk_size)).encode())
     return digest.hexdigest()
 
 
@@ -329,8 +329,6 @@ class PoolInfo:
     mask_bytes: int
     label_bytes: int
     persistent: bool
-    backend: str = "?"
-    chunk_size: int = 0
 
 
 def _mask_block_bytes(n_edges: int, block_counts) -> int:
@@ -611,9 +609,7 @@ class WorldStore:
     # Pool registry
     # ------------------------------------------------------------------
 
-    def register(
-        self, graph: UncertainGraph, seed, backend_name: str, chunk_size: int
-    ) -> str:
+    def register(self, graph: UncertainGraph, seed) -> str:
         """Resolve (and, on disk, validate) the pool for these inputs.
 
         Returns the pool digest used by :meth:`count` / :meth:`read` /
@@ -621,7 +617,7 @@ class WorldStore:
         missing, truncated, or inconsistent is discarded and treated as
         empty — corruption can cost re-sampling, never wrong worlds.
         """
-        digest = pool_fingerprint(graph, seed, backend_name, chunk_size)
+        digest = pool_fingerprint(graph, seed)
         meta = {
             "format": FORMAT_VERSION,
             "digest": digest,
@@ -629,8 +625,6 @@ class WorldStore:
             "block_counts": [],
             "n_nodes": int(graph.n_nodes),
             "n_edges": int(graph.n_edges),
-            "backend": str(backend_name),
-            "chunk_size": int(chunk_size),
         }
         with self._lock:
             pool = self._pools.get(digest)
@@ -883,8 +877,6 @@ class WorldStore:
                     mask_bytes=mask_bytes,
                     label_bytes=label_bytes,
                     persistent=isinstance(pool, _DiskPool),
-                    backend=str(pool.meta.get("backend", "?")),
-                    chunk_size=int(pool.meta.get("chunk_size", 0)),
                 )
             )
         return rows

@@ -11,11 +11,9 @@ three ways:
 * a single **block-diagonal** sparse adjacency matrix with ``r * n``
   vertices, world ``i`` occupying the vertex range ``[i*n, (i+1)*n)``.
 
-Component labeling is pluggable (:mod:`repro.sampling.backends`): the
-``scipy`` backend labels every world with one C-level
-``connected_components`` call over the block-diagonal matrix, while the
-``unionfind`` backend runs a vectorized union-find that never builds
-the matrix.
+Component labeling (:func:`world_component_labels`) runs the
+vectorized union-find of :mod:`repro.sampling.backends.unionfind` over
+the edge masks; it never builds the block-diagonal matrix.
 
 Every hop-distance query (expected distances, depth-limited
 connection, harmonic centrality) runs the packed multi-source BFS of
@@ -34,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import resolve_backend
-from repro.sampling.backends.base import block_edge_endpoints
+from repro.sampling.backends import UnionFindWorldBackend
+from repro.sampling.backends.unionfind import validate_masks
 from repro.sampling.store import WORD_BITS, packed_words
 from repro.utils.rng import ensure_rng
 
@@ -56,21 +54,15 @@ def sample_edge_masks(edge_prob: np.ndarray, r: int, rng=None) -> np.ndarray:
     return rng.random((r, len(edge_prob))) < edge_prob
 
 
-def world_component_labels(
-    graph: UncertainGraph, masks: np.ndarray, backend=None
-) -> np.ndarray:
+def world_component_labels(graph: UncertainGraph, masks: np.ndarray) -> np.ndarray:
     """Component labels for each sampled world.
 
-    Returns an ``(r, n)`` int32 array in the canonical form shared by
-    all labeling backends: ``labels[i, v]`` is the smallest node index
-    in ``v``'s component of world ``i`` (so labels are directly
-    comparable across backends, not just within a row).
-
-    ``backend`` accepts anything :func:`repro.sampling.backends.resolve_backend`
-    does: ``None``/``"auto"``, ``"scipy"``, ``"unionfind"``, or a
-    :class:`~repro.sampling.backends.WorldBackend` instance.
+    Returns an ``(r, n)`` int32 array in canonical form:
+    ``labels[i, v]`` is the smallest node index in ``v``'s component of
+    world ``i`` (so labels are directly comparable across worlds, not
+    just within a row).
     """
-    return resolve_backend(backend, graph).component_labels(graph, masks)
+    return UnionFindWorldBackend().component_labels(graph, masks)
 
 
 def world_block_csr(graph: UncertainGraph, masks: np.ndarray) -> sp.csr_matrix:
@@ -79,8 +71,13 @@ def world_block_csr(graph: UncertainGraph, masks: np.ndarray) -> sp.csr_matrix:
     Shape ``(r*n, r*n)``; world ``i`` occupies rows/cols
     ``[i*n, (i+1)*n)``.  Data entries are 1 (int8).
     """
-    bsrc, bdst, r = block_edge_endpoints(graph, masks)
-    total = r * graph.n_nodes
+    masks = validate_masks(graph, masks)
+    r, n = masks.shape[0], graph.n_nodes
+    world_idx, edge_idx = np.nonzero(masks)
+    offset = world_idx.astype(np.int64) * n
+    bsrc = graph.edge_src[edge_idx].astype(np.int64) + offset
+    bdst = graph.edge_dst[edge_idx].astype(np.int64) + offset
+    total = r * n
     data = np.ones(2 * len(bsrc), dtype=np.int8)
     matrix = sp.coo_matrix(
         (data, (np.concatenate([bsrc, bdst]), np.concatenate([bdst, bsrc]))),

@@ -63,7 +63,6 @@ from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.exceptions import GraphValidationError, JobCancelledError, ReproError, ServiceError
 from repro.graph.io import parse_uncertain_graph_text, probability_error
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import BACKEND_NAMES
 from repro.sampling.store import WorldStore
 from repro.service.admission import AdmissionControl
 from repro.service.cache import OracleCache
@@ -80,6 +79,10 @@ from repro.service.workers import MAX_REQUEST_SAMPLES, ProcessJobQueue, execute_
 from repro.workloads.measures import MEASURE_NAMES
 
 _JOB_ALGORITHMS = ("mcp", "acp", "mcl", "gmm", "kmedian", "kcenter", "centrality")
+
+#: Query keys ``GET /v1/graphs/{name}/estimate`` accepts; any other key
+#: is a 400, as unknown job fields are.
+_ESTIMATE_QUERY_KEYS = frozenset({"u", "v", "samples", "seed", "depth"})
 
 #: Ancestor revisions the registry keeps per graph for pool derivation.
 #: Nearest first; the oracle cache derives from the first one whose
@@ -288,7 +291,7 @@ def normalize_job_params(body: dict) -> dict:
     if not isinstance(body, dict):
         raise ServiceError("job body must be a JSON object")
     known = {"graph", "algorithm", "k", "seed", "depth", "samples",
-             "backend", "chunk_size", "inflation", "measure", "tol"}
+             "chunk_size", "inflation", "measure", "tol"}
     unknown = set(body) - known
     if unknown:
         raise ServiceError(f"unknown job fields: {sorted(unknown)}")
@@ -338,10 +341,6 @@ def normalize_job_params(body: dict) -> dict:
     params["samples"] = _positive_int(
         body.get("samples", 1000), "samples", minimum=50, maximum=MAX_REQUEST_SAMPLES
     )
-    backend = body.get("backend", "auto")
-    if backend not in BACKEND_NAMES:
-        raise ServiceError(f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
-    params["backend"] = backend
     params["chunk_size"] = _positive_int(body.get("chunk_size", 512), "chunk_size")
     return params
 
@@ -709,6 +708,9 @@ class ClusterService:
     async def _handle_estimate(self, request: Request):
         name = request.params["name"]
         query = request.query
+        unknown = set(query) - _ESTIMATE_QUERY_KEYS
+        if unknown:
+            raise ServiceError(f"unknown estimate query parameters: {sorted(unknown)}")
         if "u" not in query or "v" not in query:
             raise ServiceError("estimate needs 'u' and 'v' query parameters")
         samples = _positive_int(
@@ -717,25 +719,21 @@ class ClusterService:
         seed = _positive_int(query.get("seed", 0), "seed", minimum=0)
         depth = query.get("depth")
         depth = None if depth is None else _positive_int(depth, "depth")
-        backend = query.get("backend", "auto")
-        if backend not in BACKEND_NAMES:
-            raise ServiceError(f"backend must be one of {BACKEND_NAMES}, got {backend!r}")
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None,
             functools.partial(
                 self._estimate_sync, name, query["u"], query["v"],
-                samples=samples, seed=seed, depth=depth, backend=backend,
+                samples=samples, seed=seed, depth=depth,
             ),
         )
 
-    def _estimate_sync(self, name, u_label, v_label, *, samples, seed, depth, backend):
+    def _estimate_sync(self, name, u_label, v_label, *, samples, seed, depth):
         graph, _revision, ancestors = self.graphs.resolve_with_ancestors(name)
         u = self._node_index(graph, u_label)
         v = self._node_index(graph, v_label)
         with self.cache.lease(
-            graph, seed=seed, backend=backend,
-            max_samples=MAX_REQUEST_SAMPLES, ancestors=ancestors,
+            graph, seed=seed, max_samples=MAX_REQUEST_SAMPLES, ancestors=ancestors
         ) as oracle:
             oracle.ensure_samples(samples)
             estimate = oracle.connection(u, v, depth=depth)

@@ -4,8 +4,8 @@ The service's hot path.  Every clustering job and reliability estimate
 builds a short-lived :class:`~repro.sampling.oracle.MonteCarloOracle`
 attached to one shared :class:`~repro.sampling.store.WorldStore`, so
 the expensive part — the sampled world pool — is drawn once per
-``pool_fingerprint(graph, seed, backend, chunk_size)`` and reused by
-every later request with the same key, bit-identically (worlds are pure
+``pool_fingerprint(graph, seed)`` and reused by every later request
+with the same key at any chunk size, bit-identically (worlds are pure
 functions of ``(seed, i)``).  A warm repeated request therefore
 performs **zero** new world sampling and returns labels identical to
 the equivalent direct library call, which is pinned by
@@ -39,7 +39,6 @@ from contextlib import contextmanager
 
 from repro import telemetry
 from repro.exceptions import WorldStoreError
-from repro.sampling.backends import resolve_backend
 from repro.sampling.deltas import derive_pool
 from repro.sampling.oracle import MonteCarloOracle
 from repro.sampling.store import WorldStore, pool_fingerprint
@@ -155,7 +154,7 @@ class OracleCache:
 
     @contextmanager
     def lease(self, graph, *, seed, chunk_size: int = 512,
-              max_samples: int = 1_000_000, backend="auto", ancestors=()):
+              max_samples: int = 1_000_000, ancestors=()):
         """Yield a store-attached oracle, pinning its pool for the lease.
 
         The oracle is built fresh (oracles are single-threaded; the
@@ -178,19 +177,16 @@ class OracleCache:
         lease's registration re-creates the pool and simply re-samples.
         """
         seed_seq = ensure_seed_sequence(seed)
-        resolved_backend = resolve_backend(backend, graph)
-        digest = pool_fingerprint(graph, seed_seq, resolved_backend.name, chunk_size)
+        digest = pool_fingerprint(graph, seed_seq)
         oracle = None
         with self._lock:
             self._pinned[digest] += 1
         try:
             if ancestors:
-                self._derive_from_ancestors(
-                    graph, ancestors, seed_seq, resolved_backend, chunk_size, digest
-                )
+                self._derive_from_ancestors(graph, ancestors, seed_seq, digest)
             oracle = MonteCarloOracle(
                 graph, seed=seed_seq, chunk_size=chunk_size, max_samples=max_samples,
-                backend=resolved_backend, store=self._store,
+                store=self._store,
             )
             yield oracle
         finally:
@@ -224,9 +220,7 @@ class OracleCache:
             if stats["worlds_sampled"] > 0 or first_touch:
                 self._enforce_budget()
 
-    def _derive_from_ancestors(
-        self, graph, ancestors, seed_seq, backend, chunk_size, digest
-    ) -> None:
+    def _derive_from_ancestors(self, graph, ancestors, seed_seq, digest) -> None:
         """Try to derive ``graph``'s pool from the nearest warm ancestor.
 
         Best-effort by construction: every store interaction is allowed
@@ -238,25 +232,20 @@ class OracleCache:
         eviction-interplay pins.
         """
         try:
-            if self._store.count(
-                self._store.register(graph, seed_seq, backend.name, chunk_size)
-            ) > 0:
+            if self._store.count(self._store.register(graph, seed_seq)) > 0:
                 return  # already warm — nothing to derive
         except (WorldStoreError, OSError, ValueError):
             return
         for parent in ancestors:
             if parent.n_nodes != graph.n_nodes:
                 continue  # lineage crossed an upload; not derivable
-            parent_digest = pool_fingerprint(parent, seed_seq, backend.name, chunk_size)
+            parent_digest = pool_fingerprint(parent, seed_seq)
             if parent_digest == digest:
                 continue
             with self._lock:
                 self._pinned[parent_digest] += 1
             try:
-                result = derive_pool(
-                    self._store, parent, graph,
-                    seed=seed_seq, backend=backend, chunk_size=chunk_size,
-                )
+                result = derive_pool(self._store, parent, graph, seed=seed_seq)
             except (WorldStoreError, OSError, ValueError):
                 result = None
             finally:

@@ -16,7 +16,7 @@ Routing (the cross-process coalescing ledger)
     Identical in-flight submissions are already coalesced by the
     front door (one :class:`Job` per canonical key).  On top of that,
     the pool keeps an LRU *affinity ledger* mapping a job's world-pool
-    identity ``(graph, revision, seed, backend, chunk_size)`` to the
+    identity ``(graph, revision, seed)`` to the
     worker that last served it, so repeat jobs land on the worker whose
     in-memory cache is already warm — zero sampling, bit-identical
     labels — instead of warming N caches.
@@ -185,7 +185,6 @@ def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
             seed=params["seed"],
             chunk_size=params["chunk_size"],
             max_samples=MAX_REQUEST_SAMPLES,
-            backend=params["backend"],
             ancestors=ancestors,
         ) as oracle:
             run = mcp_clustering if algorithm == "mcp" else acp_clustering
@@ -225,7 +224,6 @@ def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
             seed=params["seed"],
             chunk_size=params["chunk_size"],
             max_samples=MAX_REQUEST_SAMPLES,
-            backend=params["backend"],
             ancestors=ancestors,
         ) as oracle:
             run = kmedian_clustering if algorithm == "kmedian" else kcenter_clustering
@@ -257,7 +255,6 @@ def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
             seed=params["seed"],
             chunk_size=params["chunk_size"],
             max_samples=MAX_REQUEST_SAMPLES,
-            backend=params["backend"],
             ancestors=ancestors,
         ) as oracle:
             result = expected_centrality(
@@ -322,12 +319,7 @@ def pool_affinity_key(params: dict, key_suffix: str) -> str:
     affinity.  mcl/gmm jobs sample no worlds; their key still routes
     repeats of the same graph together, which is harmless.
     """
-    identity = {
-        "graph": params.get("graph"),
-        "seed": params.get("seed"),
-        "backend": params.get("backend"),
-        "chunk_size": params.get("chunk_size"),
-    }
+    identity = {"graph": params.get("graph"), "seed": params.get("seed")}
     return canonical_key(identity) + f"#{key_suffix}"
 
 

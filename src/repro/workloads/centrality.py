@@ -97,7 +97,6 @@ def expected_centrality(
     guess_schedule="doubling",
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
-    backend="auto",
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -127,7 +126,7 @@ def expected_centrality(
         (:func:`repro.core.schedule.resolve_guess_schedule`); each
         threshold ``q`` is mapped to a pool size by
         :class:`~repro.sampling.sizes.PracticalSchedule`.
-    backend, store, cache_dir:
+    store, cache_dir:
         Monte Carlo oracle configuration as in
         :func:`repro.core.mcp.mcp_clustering`; ignored when ``oracle``
         is given.
@@ -156,7 +155,7 @@ def expected_centrality(
         raise ClusteringError(f"tol must be a positive number, got {tol!r}")
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
-        backend=backend, store=store, cache_dir=cache_dir,
+        store=store, cache_dir=cache_dir,
     )
     target = oracle.graph
 

@@ -22,7 +22,7 @@ which is what makes the classic greedy algorithms meaningful here:
 Both are thin consumers of the shared world pool: the expected-distance
 matrix is computed from the same packed masks MCP/ACP sample, so a warm
 pool means **zero** resampling, and the estimate is a pure function of
-the seed — bit-identical across backends and stores.
+the seed — bit-identical with or without a store.
 Ties break toward the lowest node index everywhere, so the clustering
 itself is deterministic too.
 
@@ -87,13 +87,13 @@ class KClusteringResult:
 
 
 def _prepare(graph, oracle, k, samples, *, seed, chunk_size, max_samples,
-             backend, store, cache_dir):
+             store, cache_dir):
     """Resolve the oracle, validate, and compute the expected-distance matrix."""
     from repro.core.mcp import _is_exact
 
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
-        backend=backend, store=store, cache_dir=cache_dir,
+        store=store, cache_dir=cache_dir,
     )
     n = oracle.n_nodes
     if not 1 <= k < n:
@@ -146,7 +146,6 @@ def kmedian_clustering(
     max_iters: int = 20,
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
-    backend="auto",
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -156,7 +155,7 @@ def kmedian_clustering(
 
     Parameters mirror :func:`repro.core.mcp.mcp_clustering` where they
     overlap: ``oracle=`` substitutes a pre-built (possibly exact)
-    oracle; ``backend=`` / ``store=`` / ``cache_dir=`` configure a
+    oracle; ``store=`` / ``cache_dir=`` configure a
     freshly built Monte Carlo oracle; ``cancel_check`` runs before
     every greedy round (raise from it to abort cooperatively);
     ``progress`` receives one JSON-safe dict per round.
@@ -175,8 +174,7 @@ def kmedian_clustering(
     """
     _, matrix, samples_used = _prepare(
         graph, oracle, k, samples, seed=seed, chunk_size=chunk_size,
-        max_samples=max_samples, backend=backend,
-        store=store, cache_dir=cache_dir,
+        max_samples=max_samples, store=store, cache_dir=cache_dir,
     )
     if max_iters < 0:
         raise ClusteringError(f"max_iters must be non-negative, got {max_iters}")
@@ -240,7 +238,6 @@ def kcenter_clustering(
     samples: int = 1000,
     chunk_size: int = 512,
     max_samples: int = 1_000_000,
-    backend="auto",
     store=None,
     cache_dir=None,
     cancel_check=None,
@@ -273,8 +270,7 @@ def kcenter_clustering(
     """
     _, matrix, samples_used = _prepare(
         graph, oracle, k, samples, seed=seed, chunk_size=chunk_size,
-        max_samples=max_samples, backend=backend,
-        store=store, cache_dir=cache_dir,
+        max_samples=max_samples, store=store, cache_dir=cache_dir,
     )
     n = matrix.shape[0]
     history: list[RoundRecord] = []

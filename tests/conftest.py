@@ -9,6 +9,7 @@ import pytest
 
 from repro import UncertainGraph
 from repro.sampling import ExactOracle
+from repro.sampling.backends import UnionFindWorldBackend
 
 #: Base offset for seed-parametrized tests.  The seed-sweep CI workflow
 #: runs the whole tier-1 suite at REPRO_TEST_SEED=0/1/2 so that
@@ -67,3 +68,18 @@ def random_graph(
         for c in chosen
     ]
     return UncertainGraph.from_edges(edges, nodes=range(n))
+
+
+@pytest.fixture
+def labeling_calls(monkeypatch) -> list[int]:
+    """World counts of every ``UnionFindWorldBackend.component_labels``
+    call made while the test runs (the seam the labeler is reached by)."""
+    calls: list[int] = []
+    original = UnionFindWorldBackend.component_labels
+
+    def spy(self, graph, masks):
+        calls.append(int(np.shape(masks)[0]))
+        return original(self, graph, masks)
+
+    monkeypatch.setattr(UnionFindWorldBackend, "component_labels", spy)
+    return calls

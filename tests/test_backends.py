@@ -1,10 +1,11 @@
-"""Cross-backend equivalence suite for the world-labeling backends.
+"""Equivalence suite for the world labeler.
 
 Pins the canonical labeling contract of
-:mod:`repro.sampling.backends.base`: for any ``(graph, masks)`` input,
-every backend returns the *same* ``(r, n)`` int32 array, so all
-downstream estimates and clusterings are bit-identical across backends
-for a fixed seed.
+:mod:`repro.sampling.backends.unionfind`: for any ``(graph, masks)``
+input, the union-find labeler returns the *same* ``(r, n)`` int32 array
+as the independent block-diagonal scipy reference
+(:mod:`tests.scipy_reference`), so all downstream estimates and
+clusterings are pure functions of the seed.
 """
 
 import numpy as np
@@ -14,24 +15,18 @@ from hypothesis import strategies as st
 
 from repro.core.acp import acp_clustering
 from repro.core.mcp import mcp_clustering
-from repro.exceptions import OracleError
 from repro.graph.components import connected_component_labels
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling import MonteCarloOracle
-from repro.sampling.backends import (
-    AUTO_NODE_THRESHOLD,
-    BACKEND_NAMES,
-    BACKENDS,
-    ScipyWorldBackend,
-    UnionFindWorldBackend,
-    WorldBackend,
-    resolve_backend,
-)
+from repro.sampling import MonteCarloOracle, WorldStore
+from repro.sampling.backends import BACKENDS, UnionFindWorldBackend
 from repro.sampling.store import pack_mask_columns, unpack_mask_columns
 from repro.sampling.worlds import block_bfs_reached, sample_edge_masks, world_block_csr, world_component_labels
 from tests.conftest import random_graph
+from tests.scipy_reference import ScipyReferenceLabeler, scipy_component_labels
 
-ALL_BACKENDS = [ScipyWorldBackend(), UnionFindWorldBackend()]
+#: The labeler and its reference: edge cases run through both, so the
+#: reference the other suites compare against is itself pinned.
+ALL_LABELERS = [ScipyReferenceLabeler(), UnionFindWorldBackend()]
 
 
 def assert_canonical(graph, masks, labels):
@@ -53,7 +48,8 @@ def assert_canonical(graph, masks, labels):
 
 
 class TestLabelEquivalence:
-    """Both backends agree bit-for-bit and match per-world ground truth."""
+    """Union-find and the scipy reference agree bit-for-bit and match
+    per-world ground truth."""
 
     GRID = [
         (n, density, prob_low, prob_high)
@@ -67,7 +63,7 @@ class TestLabelEquivalence:
         rng = np.random.default_rng(n * 1000 + int(density * 100))
         graph = random_graph(n, density, rng, prob_low=prob_low, prob_high=prob_high)
         masks = sample_edge_masks(graph.edge_prob, 23, rng=rng)
-        results = [backend.component_labels(graph, masks) for backend in ALL_BACKENDS]
+        results = [labeler.component_labels(graph, masks) for labeler in ALL_LABELERS]
         for other in results[1:]:
             assert np.array_equal(results[0], other)
         assert_canonical(graph, masks, results[0])
@@ -83,7 +79,7 @@ class TestLabelEquivalence:
         rng = np.random.default_rng(seed)
         graph = random_graph(max(n, 2), density, rng)
         masks = sample_edge_masks(graph.edge_prob, r, rng=rng)
-        scipy_labels = ScipyWorldBackend().component_labels(graph, masks)
+        scipy_labels = scipy_component_labels(graph, masks)
         uf_labels = UnionFindWorldBackend().component_labels(graph, masks)
         assert np.array_equal(scipy_labels, uf_labels)
         assert_canonical(graph, masks, uf_labels)
@@ -96,41 +92,41 @@ class TestLabelEquivalence:
         tiny = UnionFindWorldBackend(world_batch=3).component_labels(graph, masks)
         assert np.array_equal(whole, tiny)
 
-    def test_world_component_labels_accepts_backend_spec(self, two_triangles):
+    def test_world_component_labels_is_the_labeler(self, two_triangles):
         masks = sample_edge_masks(two_triangles.edge_prob, 11, rng=8)
-        default = world_component_labels(two_triangles, masks)
-        for spec in ("auto", "scipy", "unionfind", UnionFindWorldBackend()):
-            assert np.array_equal(world_component_labels(two_triangles, masks, spec), default)
+        labels = world_component_labels(two_triangles, masks)
+        assert np.array_equal(labels, UnionFindWorldBackend().component_labels(two_triangles, masks))
+        assert np.array_equal(labels, scipy_component_labels(two_triangles, masks))
 
 
 class TestEdgeCases:
     """Regression tests for the sampling kernels on degenerate inputs."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
-    def test_empty_graph(self, backend):
+    @pytest.mark.parametrize("labeler", ALL_LABELERS, ids=lambda b: b.name)
+    def test_empty_graph(self, labeler):
         graph = UncertainGraph(0, [], [], [])
-        labels = backend.component_labels(graph, np.zeros((4, 0), dtype=bool))
+        labels = labeler.component_labels(graph, np.zeros((4, 0), dtype=bool))
         assert labels.shape == (4, 0)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
-    def test_single_node(self, backend):
+    @pytest.mark.parametrize("labeler", ALL_LABELERS, ids=lambda b: b.name)
+    def test_single_node(self, labeler):
         graph = UncertainGraph(1, [], [], [])
-        labels = backend.component_labels(graph, np.zeros((3, 0), dtype=bool))
+        labels = labeler.component_labels(graph, np.zeros((3, 0), dtype=bool))
         assert labels.shape == (3, 1)
         assert (labels == 0).all()
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
-    def test_edgeless_worlds(self, backend, two_triangles):
+    @pytest.mark.parametrize("labeler", ALL_LABELERS, ids=lambda b: b.name)
+    def test_edgeless_worlds(self, labeler, two_triangles):
         """The zero-probability limit: no edge survives in any world."""
         masks = np.zeros((5, two_triangles.n_edges), dtype=bool)
-        labels = backend.component_labels(two_triangles, masks)
+        labels = labeler.component_labels(two_triangles, masks)
         assert np.array_equal(labels, np.tile(np.arange(6, dtype=np.int32), (5, 1)))
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
-    def test_certain_worlds(self, backend, two_triangles):
+    @pytest.mark.parametrize("labeler", ALL_LABELERS, ids=lambda b: b.name)
+    def test_certain_worlds(self, labeler, two_triangles):
         """Probability-1 edges: every world is the full skeleton."""
         masks = np.ones((4, two_triangles.n_edges), dtype=bool)
-        labels = backend.component_labels(two_triangles, masks)
+        labels = labeler.component_labels(two_triangles, masks)
         assert (labels == 0).all()  # the skeleton is connected
 
     def test_zero_probability_edges_never_sampled(self):
@@ -138,18 +134,18 @@ class TestEdgeCases:
         assert not masks[:, 0].any()
         assert masks[:, 1].all()
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
-    def test_r_zero_chunk(self, backend, two_triangles):
-        labels = backend.component_labels(
+    @pytest.mark.parametrize("labeler", ALL_LABELERS, ids=lambda b: b.name)
+    def test_r_zero_chunk(self, labeler, two_triangles):
+        labels = labeler.component_labels(
             two_triangles, np.zeros((0, two_triangles.n_edges), dtype=bool)
         )
         assert labels.shape == (0, 6)
         assert labels.dtype == np.int32
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.name)
-    def test_bad_mask_shape_rejected(self, backend, two_triangles):
+    @pytest.mark.parametrize("labeler", ALL_LABELERS, ids=lambda b: b.name)
+    def test_bad_mask_shape_rejected(self, labeler, two_triangles):
         with pytest.raises(ValueError):
-            backend.component_labels(two_triangles, np.zeros((2, 3), dtype=bool))
+            labeler.component_labels(two_triangles, np.zeros((2, 3), dtype=bool))
 
     def test_depth_zero_bfs_reaches_only_source(self, path4):
         masks = np.ones((3, 3), dtype=bool)
@@ -160,7 +156,7 @@ class TestEdgeCases:
         assert np.array_equal(reached, expected)
 
     def test_pairwise_matrix_empty_subset(self, two_triangles):
-        oracle = MonteCarloOracle(two_triangles, seed=0, backend="unionfind")
+        oracle = MonteCarloOracle(two_triangles, seed=0)
         oracle.ensure_samples(32)
         assert oracle.pairwise_matrix(nodes=[]).shape == (0, 0)
 
@@ -174,112 +170,87 @@ def bigger_graph():
     return random_graph(80, 0.06, np.random.default_rng(11), prob_low=0.2, prob_high=0.95)
 
 
-class TestOracleEquivalence:
-    """Same seed + different backend => bit-identical oracle answers."""
+class TestOracleAgainstReference:
+    """The oracle's pool labels are the reference labels of its masks,
+    so every query answered from labels is the reference answer."""
 
-    def oracles(self, graph, samples=256):
-        pair = []
-        for name in ("scipy", "unionfind"):
-            oracle = MonteCarloOracle(graph, seed=99, chunk_size=64, backend=name)
-            oracle.ensure_samples(samples)
-            pair.append(oracle)
-        return pair
+    @pytest.fixture
+    def oracle(self, bigger_graph):
+        oracle = MonteCarloOracle(bigger_graph, seed=99, chunk_size=64)
+        oracle.ensure_samples(256)
+        return oracle
 
-    def test_component_labels_identical(self, bigger_graph):
-        a, b = self.oracles(bigger_graph)
-        assert np.array_equal(a.component_labels, b.component_labels)
+    @staticmethod
+    def reference_labels(oracle):
+        return np.concatenate([
+            scipy_component_labels(oracle.graph, oracle.chunk_masks(index))
+            for index in range(oracle.n_chunks)
+        ])
 
-    def test_connection_to_all_identical(self, bigger_graph):
-        a, b = self.oracles(bigger_graph)
+    def test_component_labels_match_reference(self, oracle):
+        assert np.array_equal(oracle.component_labels, self.reference_labels(oracle))
+
+    def test_connection_to_all_matches_reference(self, oracle):
+        labels = self.reference_labels(oracle)
         for node in (0, 17, 79):
-            assert np.array_equal(a.connection_to_all(node), b.connection_to_all(node))
+            expected = (labels == labels[:, [node]]).mean(axis=0)
+            assert np.array_equal(oracle.connection_to_all(node), expected)
 
-    def test_depth_queries_identical(self, bigger_graph):
-        a, b = self.oracles(bigger_graph)
-        assert np.array_equal(
-            a.connection_to_all(3, depth=2), b.connection_to_all(3, depth=2)
-        )
-
-    def test_pairwise_matrix_identical(self, bigger_graph):
-        a, b = self.oracles(bigger_graph)
-        assert np.array_equal(a.pairwise_matrix(), b.pairwise_matrix())
+    def test_pairwise_matrix_matches_reference(self, oracle):
+        labels = self.reference_labels(oracle)
         subset = np.arange(0, 80, 7)
-        assert np.array_equal(a.pairwise_matrix(subset), b.pairwise_matrix(subset))
+        expected = (labels[:, subset, None] == labels[:, None, subset]).mean(axis=0)
+        assert np.array_equal(oracle.pairwise_matrix(subset), expected)
 
 
-class TestClusteringEquivalence:
-    """MCP/ACP return identical clusterings under either backend."""
+class TestClusteringAcrossChunkSizes:
+    """MCP/ACP served from a pool warmed at another chunk size return
+    exactly the cold-sampled clustering."""
+
+    @staticmethod
+    def warm_store(graph):
+        store = WorldStore()
+        with MonteCarloOracle(graph, seed=4, chunk_size=512, store=store) as oracle:
+            oracle.ensure_samples(2000)
+        return store
 
     def test_mcp_identical(self, bigger_graph):
-        results = [
-            mcp_clustering(bigger_graph, 6, seed=4, chunk_size=64, backend=name)
-            for name in ("scipy", "unionfind")
-        ]
-        first, second = results
-        assert np.array_equal(first.clustering.assignment, second.clustering.assignment)
-        assert np.array_equal(first.clustering.centers, second.clustering.centers)
-        assert first.q_final == second.q_final
-        assert first.min_prob_estimate == second.min_prob_estimate
-        assert [g.q for g in first.history] == [g.q for g in second.history]
+        cold = mcp_clustering(bigger_graph, 6, seed=4, chunk_size=64)
+        warm = mcp_clustering(
+            bigger_graph, 6, seed=4, chunk_size=64, store=self.warm_store(bigger_graph)
+        )
+        assert np.array_equal(cold.clustering.assignment, warm.clustering.assignment)
+        assert np.array_equal(cold.clustering.centers, warm.clustering.centers)
+        assert cold.q_final == warm.q_final
+        assert cold.min_prob_estimate == warm.min_prob_estimate
+        assert [g.q for g in cold.history] == [g.q for g in warm.history]
 
     def test_acp_identical(self, bigger_graph):
-        results = [
-            acp_clustering(bigger_graph, 6, seed=4, chunk_size=64, backend=name)
-            for name in ("scipy", "unionfind")
-        ]
-        first, second = results
-        assert np.array_equal(first.clustering.assignment, second.clustering.assignment)
-        assert first.phi_best == second.phi_best
-        assert first.avg_prob_estimate == second.avg_prob_estimate
-
-
-class TestResolution:
-    def test_names(self):
-        assert BACKEND_NAMES == ("auto", "scipy", "unionfind")
-        for name, factory in BACKENDS.items():
-            assert factory().name == name
-
-    def test_resolve_by_name(self):
-        assert resolve_backend("scipy").name == "scipy"
-        assert resolve_backend("unionfind").name == "unionfind"
-
-    def test_resolve_instance_passthrough(self):
-        backend = UnionFindWorldBackend(world_batch=7)
-        assert resolve_backend(backend) is backend
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(OracleError, match="unknown world backend"):
-            resolve_backend("duckdb")
-
-    def test_non_backend_rejected(self):
-        with pytest.raises(OracleError, match="WorldBackend"):
-            resolve_backend(42)
-
-    def test_auto_selects_by_graph_size(self):
-        small = UncertainGraph.from_edges([(0, 1, 0.5)])
-        assert resolve_backend("auto", small).name == "scipy"
-        assert resolve_backend(None, small).name == "scipy"
-        n = AUTO_NODE_THRESHOLD
-        big = UncertainGraph(n, [0], [1], [0.5])
-        assert resolve_backend("auto", big).name == "unionfind"
-
-    def test_auto_without_graph_defaults_to_scipy(self):
-        assert resolve_backend("auto").name == "scipy"
-
-    def test_custom_backend_satisfies_protocol(self):
-        class Custom:
-            name = "custom"
-
-            def component_labels(self, graph, masks):
-                return ScipyWorldBackend().component_labels(graph, masks)
-
-        assert isinstance(Custom(), WorldBackend)
-        oracle = MonteCarloOracle(
-            UncertainGraph.from_edges([(0, 1, 0.5)]), seed=0, backend=Custom()
+        cold = acp_clustering(bigger_graph, 6, seed=4, chunk_size=64)
+        warm = acp_clustering(
+            bigger_graph, 6, seed=4, chunk_size=64, store=self.warm_store(bigger_graph)
         )
-        assert oracle.backend_name == "custom"
-        oracle.ensure_samples(10)
-        assert oracle.component_labels.shape == (10, 2)
+        assert np.array_equal(cold.clustering.assignment, warm.clustering.assignment)
+        assert cold.phi_best == warm.phi_best
+        assert cold.avg_prob_estimate == warm.avg_prob_estimate
+
+
+class TestOneLabeler:
+    def test_table_has_one_entry(self):
+        assert BACKENDS == {"unionfind": UnionFindWorldBackend}
+        assert UnionFindWorldBackend().name == "unionfind"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ScipyWorldBackend", "WorldBackend", "resolve_backend", "BACKEND_NAMES",
+         "AUTO_NODE_THRESHOLD"],
+    )
+    def test_selection_api_is_gone(self, name):
+        import repro.sampling
+        import repro.sampling.backends
+
+        assert not hasattr(repro.sampling.backends, name)
+        assert not hasattr(repro.sampling, name)
 
 
 class TestPackedKernel:
@@ -292,23 +263,23 @@ class TestPackedKernel:
 
     @staticmethod
     def from_packed(graph, masks):
-        """Label ``masks`` via its packed columns under every backend;
+        """Label ``masks`` via its packed columns with both labelers;
         assert they agree with the boolean path and return the labels."""
         r = masks.shape[0]
         unpacked = unpack_mask_columns(pack_mask_columns(masks), r)
-        reference = ScipyWorldBackend().component_labels(graph, masks)
-        for backend in ALL_BACKENDS:
-            assert np.array_equal(backend.component_labels(graph, unpacked), reference)
+        reference = scipy_component_labels(graph, masks)
+        for labeler in ALL_LABELERS:
+            assert np.array_equal(labeler.component_labels(graph, unpacked), reference)
         return reference
 
     @pytest.mark.parametrize("r", [1, 63, 64, 65, 130])
     def test_r_not_multiple_of_64(self, two_triangles, r):
         masks = sample_edge_masks(two_triangles.edge_prob, r, rng=r)
         unpacked = unpack_mask_columns(pack_mask_columns(masks), r)
-        for backend in ALL_BACKENDS:
+        for labeler in ALL_LABELERS:
             assert np.array_equal(
-                backend.component_labels(two_triangles, unpacked),
-                backend.component_labels(two_triangles, masks),
+                labeler.component_labels(two_triangles, unpacked),
+                labeler.component_labels(two_triangles, masks),
             )
 
     def test_single_world_chunk(self, path4):
@@ -333,23 +304,23 @@ class TestPackedKernel:
     def test_zero_worlds(self, two_triangles):
         masks = unpack_mask_columns(np.zeros((7, 0), dtype=np.uint64), 0)
         assert masks.shape == (0, 7)
-        for backend in ALL_BACKENDS:
-            labels = backend.component_labels(two_triangles, masks)
+        for labeler in ALL_LABELERS:
+            labels = labeler.component_labels(two_triangles, masks)
             assert labels.shape == (0, 6)
             assert labels.dtype == np.int32
 
     def test_caller_pad_garbage_is_harmless(self, two_triangles):
         """Stray pad bits (worlds >= r in the last word) are dropped
-        by unpacking, so they never reach a labeling backend."""
+        by unpacking, so they never reach the labeler."""
         masks = sample_edge_masks(two_triangles.edge_prob, 70, rng=4)
         packed = pack_mask_columns(masks)
         dirty = packed.copy()
         dirty[:, -1] |= np.uint64(0xFFFF) << np.uint64(48)  # worlds 112..127
         assert np.array_equal(unpack_mask_columns(dirty, 70), masks)
-        for backend in ALL_BACKENDS:
+        for labeler in ALL_LABELERS:
             assert np.array_equal(
-                backend.component_labels(two_triangles, unpack_mask_columns(dirty, 70)),
-                backend.component_labels(two_triangles, masks),
+                labeler.component_labels(two_triangles, unpack_mask_columns(dirty, 70)),
+                labeler.component_labels(two_triangles, masks),
             )
 
     def test_bad_packed_shape_rejected(self):
@@ -370,22 +341,18 @@ class TestPackedKernel:
         masks = unpack_mask_columns(
             pack_mask_columns(sample_edge_masks(graph.edge_prob, 40, rng=rng)), 40
         )
-        full = ScipyWorldBackend().component_labels(graph, masks)
+        full = scipy_component_labels(graph, masks)
         affected = np.ones((40, 30), dtype=bool)  # everything affected
         old = np.tile(np.arange(30, dtype=np.int32), (40, 1))
-        for backend in ALL_BACKENDS:
-            assert np.array_equal(backend.repair_labels(graph, masks, old, affected), full)
+        for labeler in ALL_LABELERS:
+            assert np.array_equal(labeler.repair_labels(graph, masks, old, affected), full)
 
     def test_misaligned_store_read_repacks(self, two_triangles, tmp_path):
         """Packed columns from a word-misaligned store read still label
         correctly: the store repacks the slice, so bit 0 of the result
         is world ``start`` and the pad bits are zero."""
-        from repro.sampling.store import WorldStore
-
         store = WorldStore(tmp_path)
-        with MonteCarloOracle(
-            two_triangles, seed=9, chunk_size=200, backend="unionfind", store=store
-        ) as oracle:
+        with MonteCarloOracle(two_triangles, seed=9, chunk_size=200, store=store) as oracle:
             oracle.ensure_samples(200)
             pool_labels = oracle.component_labels
             digest = oracle.pool_digest
@@ -402,21 +369,17 @@ class TestPackedKernel:
     )
     def test_store_read_window_relabels(self, two_triangles, tmp_path, start, stop):
         """Every store read window, aligned or not, unpacks to masks
-        that relabel to the stored labels under every backend."""
-        from repro.sampling.store import WorldStore
-
+        that relabel to the stored labels under both labelers."""
         store = WorldStore(tmp_path)
-        with MonteCarloOracle(
-            two_triangles, seed=3, chunk_size=64, backend="scipy", store=store
-        ) as oracle:
+        with MonteCarloOracle(two_triangles, seed=3, chunk_size=64, store=store) as oracle:
             oracle.ensure_samples(200)
             pool_labels = oracle.component_labels
             digest = oracle.pool_digest
         packed, stored_labels = store.read(digest, start, stop)
         masks = unpack_mask_columns(packed, stop - start)
         assert np.array_equal(stored_labels, pool_labels[start:stop])
-        for backend in ALL_BACKENDS:
-            assert np.array_equal(backend.component_labels(two_triangles, masks), stored_labels)
+        for labeler in ALL_LABELERS:
+            assert np.array_equal(labeler.component_labels(two_triangles, masks), stored_labels)
 
     def test_sampler_routes_packed_chunks(self, two_triangles):
         """ParallelSampler.sample_chunk_packed is sample_chunk plus one
@@ -424,10 +387,9 @@ class TestPackedKernel:
         from repro.sampling.parallel import ParallelSampler
 
         root = np.random.SeedSequence(21)
-        packed, labels = ParallelSampler(
-            two_triangles, backend="unionfind").sample_chunk_packed(root, 0, 70)
-        masks, reference = ParallelSampler(
-            two_triangles, backend="scipy").sample_chunk(root, 0, 70)
+        packed, labels = ParallelSampler(two_triangles).sample_chunk_packed(root, 0, 70)
+        masks, same = ParallelSampler(two_triangles).sample_chunk(root, 0, 70)
         assert np.array_equal(packed, pack_mask_columns(masks))
-        assert np.array_equal(labels, reference)
+        assert np.array_equal(labels, same)
+        assert np.array_equal(labels, scipy_component_labels(two_triangles, masks))
         assert np.array_equal(unpack_mask_columns(packed, 70), masks)

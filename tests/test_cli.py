@@ -88,25 +88,24 @@ class TestCluster:
         out = capsys.readouterr().out
         assert out.startswith("node\tcluster\tcenter")
 
-    def test_backend_flag_is_output_invariant(self, graph_file, capsys):
+    def test_output_is_world_cache_invariant(self, graph_file, tmp_path, capsys):
+        """No cache, cold cache and warm cache print the same clustering."""
         outputs = []
-        for backend in ("scipy", "unionfind"):
-            assert main(
-                ["cluster", graph_file, "--k", "2", "--samples", "200",
-                 "--backend", backend]
-            ) == 0
+        for extra in ([], ["--world-cache", str(tmp_path / "wc")],
+                      ["--world-cache", str(tmp_path / "wc")]):
+            assert main(["cluster", graph_file, "--k", "2", "--samples", "200", *extra]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_unknown_backend_rejected(self, graph_file, capsys):
+    @pytest.mark.parametrize("command", ["cluster", "estimate"])
+    def test_backend_flag_is_gone(self, graph_file, command, capsys):
+        args = [command, graph_file] + (["0", "1"] if command == "estimate" else [])
         with pytest.raises(SystemExit):
-            main(["cluster", graph_file, "--backend", "duckdb"])
+            main([*args, "--backend", "unionfind"])
+        assert "--backend" in capsys.readouterr().err
 
-    def test_estimate_backend_flag(self, graph_file, capsys):
-        assert main(
-            ["estimate", graph_file, "0", "1", "--samples", "500",
-             "--backend", "unionfind"]
-        ) == 0
+    def test_estimate_prints_probability(self, graph_file, capsys):
+        assert main(["estimate", graph_file, "0", "1", "--samples", "500"]) == 0
         assert "Pr(0 ~ 1)" in capsys.readouterr().out
 
     def test_invalid_k_reports_error(self, graph_file, capsys):

@@ -5,10 +5,10 @@ The load-bearing pins of the mutable-graph refactor:
 * **Determinism** (the acceptance criterion): for any mutation
   sequence, labels obtained by delta replay (``derive_pool`` along the
   chain) are bit-identical to cold-sampling the final graph at the same
-  ``(seed, backend, chunk_size)`` — across both backends, aligned and
-  misaligned pool sizes, in memory and on disk.
-* **Repair soundness**: the union-find backend's component-local
-  ``repair_labels`` equals the scipy backend's full relabel (the
+  seed — across derivation block sizes, aligned and misaligned pool
+  sizes, in memory and on disk.
+* **Repair soundness**: the union-find labeler's component-local
+  ``repair_labels`` equals the scipy reference's full relabel (the
   cross-check) bit-for-bit.
 * **Eviction interplay**: deriving a child pool while the parent pool
   is being evicted either completes from the pinned parent or falls
@@ -25,10 +25,8 @@ import pytest
 from repro.exceptions import GraphValidationError
 from repro.graph.delta import EdgeOp, GraphDelta
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import (
-    ScipyWorldBackend,
-    UnionFindWorldBackend,
-)
+from repro.sampling import deltas
+from repro.sampling.backends import UnionFindWorldBackend
 from repro.sampling.deltas import derive_pool, diff_edges
 from repro.sampling.oracle import MonteCarloOracle
 from repro.sampling.parallel import sample_mask_rows
@@ -40,8 +38,13 @@ from repro.sampling.store import (
 from repro.service.cache import OracleCache
 from repro.utils.rng import ensure_seed_sequence
 from tests.conftest import random_graph
+from tests.scipy_reference import ScipyReferenceLabeler, scipy_component_labels
 
-BACKENDS = ("scipy", "unionfind")
+
+@pytest.fixture
+def small_derive_blocks(monkeypatch):
+    """Derive 64 worlds per block, so small pools span several blocks."""
+    monkeypatch.setattr(deltas, "DERIVE_BLOCK_WORLDS", 64)
 
 
 @pytest.fixture
@@ -97,9 +100,7 @@ class TestMutationAPI:
         assert np.array_equal(cold.edge_src, mutated.edge_src)
         assert np.array_equal(cold.edge_dst, mutated.edge_dst)
         assert np.array_equal(cold.edge_prob, mutated.edge_prob)
-        assert pool_fingerprint(cold, 7, "scipy", 512) == pool_fingerprint(
-            mutated, 7, "scipy", 512
-        )
+        assert pool_fingerprint(cold, 7) == pool_fingerprint(mutated, 7)
 
     def test_apply_delta_replays(self, graph):
         rng = np.random.default_rng(0)
@@ -210,9 +211,9 @@ class TestRepairLabels:
         old_masks = sample_mask_rows(
             graph.edge_src, graph.edge_dst, graph.edge_prob, root, 0, 48
         )
-        scipy_backend = ScipyWorldBackend()
+        reference = ScipyReferenceLabeler()
         uf = UnionFindWorldBackend()
-        old_labels = scipy_backend.component_labels(graph, old_masks)
+        old_labels = reference.component_labels(graph, old_masks)
         # Flip a handful of random edge instances to simulate a delta.
         new_masks = old_masks.copy()
         flip_edges = rng.choice(graph.n_edges, size=3, replace=False)
@@ -227,8 +228,8 @@ class TestRepairLabels:
                     old_labels[world, graph.edge_dst[edge]],
                 }
                 affected[world] |= np.isin(old_labels[world], list(targets))
-        expected = scipy_backend.repair_labels(graph, new_masks, old_labels, affected)
-        assert np.array_equal(expected, scipy_backend.component_labels(graph, new_masks))
+        expected = reference.repair_labels(graph, new_masks, old_labels, affected)
+        assert np.array_equal(expected, reference.component_labels(graph, new_masks))
         repaired = uf.repair_labels(graph, new_masks, old_labels, affected)
         assert np.array_equal(repaired, expected)
         assert np.array_equal(repaired, uf.component_labels(graph, new_masks))
@@ -250,52 +251,47 @@ class TestRepairLabels:
 # ----------------------------------------------------------------------
 
 
-def cold_pool(graph, *, seed, backend, chunk_size, samples):
+def cold_pool(graph, *, seed, chunk_size, samples):
     """Reference pool: cold-sample ``graph`` into a fresh store."""
     store = WorldStore()
-    with MonteCarloOracle(
-        graph, seed=seed, chunk_size=chunk_size, backend=backend, store=store
-    ) as oracle:
+    with MonteCarloOracle(graph, seed=seed, chunk_size=chunk_size, store=store) as oracle:
         oracle.ensure_samples(samples)
         return store, oracle.pool_digest, oracle.component_labels
 
 
 class TestDerivePool:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("derive_block", [512, 64])
     @pytest.mark.parametrize("chunk_size", [64, 100])
-    def test_delta_replay_bit_identical_to_cold(self, graph, backend, chunk_size):
+    def test_delta_replay_bit_identical_to_cold(
+        self, graph, derive_block, chunk_size, monkeypatch
+    ):
         """THE acceptance pin: derived chain == cold final, bit for bit."""
+        monkeypatch.setattr(deltas, "DERIVE_BLOCK_WORLDS", derive_block)
         samples = 200  # misaligned with chunk_size=64 and =100 blocks
         store = WorldStore()
-        with MonteCarloOracle(
-            graph, seed=11, chunk_size=chunk_size, backend=backend, store=store
-        ) as oracle:
+        with MonteCarloOracle(graph, seed=11, chunk_size=chunk_size, store=store) as oracle:
             oracle.ensure_samples(samples)
         rng = np.random.default_rng(42)
         current = graph
         for _ in range(4):
             parent = current
             current, _ = random_mutation(current, rng)
-            result = derive_pool(
-                store, parent, current, seed=11, backend=backend, chunk_size=chunk_size
-            )
+            result = derive_pool(store, parent, current, seed=11)
             assert result is not None and result.complete
             assert result.worlds_derived == samples
         ref_store, ref_digest, ref_labels = cold_pool(
-            current, seed=11, backend=backend, chunk_size=chunk_size, samples=samples
+            current, seed=11, chunk_size=chunk_size, samples=samples
         )
-        derived_digest = pool_fingerprint(current, 11, backend, chunk_size)
+        derived_digest = pool_fingerprint(current, 11)
         got_packed, got_labels = store.read(derived_digest, 0, samples)
         ref_packed, _ = ref_store.read(ref_digest, 0, samples)
         assert np.array_equal(got_labels, ref_labels)
-        assert np.array_equal(
-            unpack_mask_columns(got_packed, samples),
-            unpack_mask_columns(ref_packed, samples),
-        )
+        got_masks = unpack_mask_columns(got_packed, samples)
+        assert np.array_equal(got_masks, unpack_mask_columns(ref_packed, samples))
+        # The repaired labels are the scipy reference's full relabel.
+        assert np.array_equal(got_labels, scipy_component_labels(current, got_masks))
         # ... and a warm oracle over the derived pool samples nothing.
-        with MonteCarloOracle(
-            current, seed=11, chunk_size=chunk_size, backend=backend, store=store
-        ) as warm:
+        with MonteCarloOracle(current, seed=11, chunk_size=chunk_size, store=store) as warm:
             warm.ensure_samples(samples)
             assert warm.cache_stats["worlds_sampled"] == 0
 
@@ -305,13 +301,15 @@ class TestDerivePool:
             oracle.ensure_samples(256)
         u, v, p = graph.edge_list()[0]
         mutated, _ = graph.update_edge(u, v, min(1.0, p + 0.05))
-        result = derive_pool(store, graph, mutated, seed=1, chunk_size=512)
+        result = derive_pool(store, graph, mutated, seed=1)
         assert result.complete and result.worlds_derived == 256
         assert result.columns_resampled == 1  # only the touched column
         # A +0.05 probability bump flips ~5% of worlds, never all of them.
         assert 0 < result.worlds_repaired < 256
 
-    def test_columns_resampled_counts_distinct_columns_not_blocks(self, graph):
+    def test_columns_resampled_counts_distinct_columns_not_blocks(
+        self, graph, small_derive_blocks
+    ):
         """``columns_resampled`` must not scale with the block count.
 
         Every derived block resamples the *same* touched columns, so the
@@ -327,7 +325,7 @@ class TestDerivePool:
             if not mutated.has_edge(a, (a + 7) % graph.n_nodes):
                 mutated, _ = mutated.add_edge(a, (a + 7) % graph.n_nodes, 0.3)
                 break
-        result = derive_pool(store, graph, mutated, seed=5, chunk_size=64)
+        result = derive_pool(store, graph, mutated, seed=5)
         assert result.complete and result.worlds_derived == 192
         assert result.columns_resampled == 2  # one update + one add, 3 blocks
 
@@ -350,10 +348,10 @@ class TestDerivePool:
         # Cold-sample the child's first 64 worlds, then derive the rest.
         with MonteCarloOracle(mutated, seed=2, chunk_size=64, store=store) as head:
             head.ensure_samples(64)
-        result = derive_pool(store, graph, mutated, seed=2, chunk_size=64)
+        result = derive_pool(store, graph, mutated, seed=2)
         assert result.complete and result.worlds_derived == 128
         _, ref_labels = cold_pool(
-            mutated, seed=2, backend="auto", chunk_size=64, samples=192
+            mutated, seed=2, chunk_size=64, samples=192
         )[1:]
         _, got_labels = store.read(result.digest, 0, 192)
         assert np.array_equal(got_labels, ref_labels)
@@ -363,23 +361,25 @@ class TestDerivePool:
         with MonteCarloOracle(graph, seed=3, chunk_size=64, cache_dir=cache) as oracle:
             oracle.ensure_samples(100)
         mutated, _ = graph.update_edge(*graph.edge_list()[0][:2], 0.9)
-        result = derive_pool(WorldStore(cache), graph, mutated, seed=3, chunk_size=64)
+        result = derive_pool(WorldStore(cache), graph, mutated, seed=3)
         assert result.complete and result.worlds_derived == 100
         # A fresh process (new store instance) serves the derived pool warm.
         with MonteCarloOracle(mutated, seed=3, chunk_size=64, cache_dir=cache) as warm:
             warm.ensure_samples(100)
             assert warm.cache_stats["worlds_sampled"] == 0
         _, ref_labels = cold_pool(
-            mutated, seed=3, backend="auto", chunk_size=64, samples=100
+            mutated, seed=3, chunk_size=64, samples=100
         )[1:]
         assert np.array_equal(warm.component_labels, ref_labels)
 
-    def test_parent_vanishing_mid_derive_degrades_to_partial(self, graph, monkeypatch):
+    def test_parent_vanishing_mid_derive_degrades_to_partial(
+        self, graph, monkeypatch, small_derive_blocks
+    ):
         store = WorldStore()
         with MonteCarloOracle(graph, seed=4, chunk_size=64, store=store) as oracle:
             oracle.ensure_samples(192)
         mutated, _ = graph.update_edge(*graph.edge_list()[0][:2], 0.6)
-        parent_digest = pool_fingerprint(graph, 4, "scipy", 64)
+        parent_digest = pool_fingerprint(graph, 4)
         original_read = WorldStore.read
         reads = {"count": 0}
 
@@ -391,13 +391,13 @@ class TestDerivePool:
             return original_read(self, digest, start, stop)
 
         monkeypatch.setattr(WorldStore, "read", flaky_read)
-        result = derive_pool(store, graph, mutated, seed=4, chunk_size=64)
+        result = derive_pool(store, graph, mutated, seed=4)
         assert result is not None and not result.complete
         assert result.worlds_derived == 64  # first block landed
         monkeypatch.undo()
         # The partial pool is correct; a warm oracle extends it cold.
         _, ref_labels = cold_pool(
-            mutated, seed=4, backend="auto", chunk_size=64, samples=192
+            mutated, seed=4, chunk_size=64, samples=192
         )[1:]
         with MonteCarloOracle(mutated, seed=4, chunk_size=64, store=store) as resume:
             resume.ensure_samples(192)
@@ -435,7 +435,7 @@ class TestCacheDerivation:
         assert stats["pools_derived"] == 1
         assert stats["worlds_derived"] == 128
         _, ref_labels = cold_pool(
-            mutated, seed=7, backend="auto", chunk_size=512, samples=128
+            mutated, seed=7, chunk_size=512, samples=128
         )[1:]
         with cache.lease(mutated, seed=7) as oracle:
             oracle.ensure_samples(128)
@@ -467,7 +467,7 @@ class TestCacheDerivation:
         cache = OracleCache(max_bytes=64 << 20)
         with cache.lease(graph, seed=8) as oracle:
             oracle.ensure_samples(128)
-        parent_digest = pool_fingerprint(graph, 8, "scipy", 512)
+        parent_digest = pool_fingerprint(graph, 8)
         mutated, _ = graph.update_edge(*graph.edge_list()[0][:2], 0.9)
 
         import repro.service.cache as cache_module
@@ -496,7 +496,7 @@ class TestCacheDerivation:
         cache = OracleCache(max_bytes=64 << 20)
         with cache.lease(graph, seed=9) as oracle:
             oracle.ensure_samples(96)
-        parent_digest = pool_fingerprint(graph, 9, "scipy", 512)
+        parent_digest = pool_fingerprint(graph, 9)
         mutated, _ = graph.update_edge(*graph.edge_list()[0][:2], 0.9)
 
         import repro.service.cache as cache_module
@@ -511,7 +511,7 @@ class TestCacheDerivation:
             oracle.ensure_samples(96)
             assert oracle.cache_stats["worlds_sampled"] == 96  # cold, not crashed
         _, ref_labels = cold_pool(
-            mutated, seed=9, backend="auto", chunk_size=512, samples=96
+            mutated, seed=9, chunk_size=512, samples=96
         )[1:]
         with cache.lease(mutated, seed=9) as oracle:
             oracle.ensure_samples(96)
@@ -522,10 +522,10 @@ class TestCacheDerivation:
         cache = OracleCache(max_bytes=64 << 20)
         with cache.lease(graph, seed=10) as oracle:
             oracle.ensure_samples(128)
-        parent_digest = pool_fingerprint(graph, 10, "scipy", 512)
+        parent_digest = pool_fingerprint(graph, 10)
         mutated, _ = graph.update_edge(*graph.edge_list()[0][:2], 0.9)
         _, ref_labels = cold_pool(
-            mutated, seed=10, backend="auto", chunk_size=512, samples=128
+            mutated, seed=10, chunk_size=512, samples=128
         )[1:]
         errors = []
         stop = threading.Event()

@@ -1,12 +1,13 @@
 """Determinism suite for the world-sampling engine.
 
-Where ``tests/test_backends.py`` pins that the labeling *backend* never
-changes results, this one pins the per-edge random streams the sampler
+Where ``tests/test_backends.py`` pins the labels against an independent
+reference, this one pins the per-edge random streams the sampler
 draws from: for a fixed seed, the pool of worlds is a pure function of
 the seed and the world index — independent of edge order and of the
 chunking pattern that grew the pool.
 """
 
+import argparse
 import dataclasses
 import inspect
 
@@ -14,13 +15,14 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.cli import build_parser
 from repro.core.acp import acp_clustering
 from repro.core.common import resolve_oracle
 from repro.core.mcp import mcp_clustering
-from repro.exceptions import OracleError
+from repro.exceptions import OracleError, ServiceError
 from repro.experiments.config import ExperimentScale
 from repro.sampling import MonteCarloOracle
-from repro.sampling.backends import ScipyWorldBackend
+from repro.sampling.deltas import derive_pool
 from repro.sampling.parallel import (
     EDGE_STREAM_TAG,
     ParallelSampler,
@@ -30,15 +32,21 @@ from repro.sampling.parallel import (
     sample_edge_column,
     sample_mask_rows,
 )
-from repro.sampling.store import pack_mask_columns, packed_words, unpack_mask_columns
-from repro.service.app import ClusterService
+from repro.sampling.store import (
+    PoolInfo,
+    WorldStore,
+    pack_mask_columns,
+    packed_words,
+    pool_fingerprint,
+    unpack_mask_columns,
+)
+from repro.sampling.worlds import world_component_labels
+from repro.service.app import ClusterService, normalize_job_params
 from repro.service.cache import OracleCache
 from repro.service.workers import ProcessJobQueue, execute_clustering
 from repro.workloads.centrality import expected_centrality
 from repro.workloads.kclustering import kcenter_clustering, kmedian_clustering
 from tests.conftest import random_graph
-
-BACKEND_NAMES = ("scipy", "unionfind")
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +55,8 @@ def tiny_substrate():
     return random_graph(80, 0.06, np.random.default_rng(11), prob_low=0.2, prob_high=0.95)
 
 
-def grown_oracle(graph, *, chunk_size, backend="scipy", seed=99, samples=512):
-    oracle = MonteCarloOracle(graph, seed=seed, chunk_size=chunk_size, backend=backend)
+def grown_oracle(graph, *, chunk_size, seed=99, samples=512, store=None):
+    oracle = MonteCarloOracle(graph, seed=seed, chunk_size=chunk_size, store=store)
     oracle.ensure_samples(samples)
     return oracle
 
@@ -148,31 +156,32 @@ class TestChunkingInvariance:
     def test_chunking_pattern_is_invisible(self, tiny_substrate):
         """Pool content depends only on (seed, r) — not on the chunk
         boundaries of the ensure_samples calls that grew it."""
-        direct = MonteCarloOracle(tiny_substrate, seed=99, chunk_size=512, backend="scipy")
+        direct = MonteCarloOracle(tiny_substrate, seed=99, chunk_size=512)
         direct.ensure_samples(300)
-        stepped = MonteCarloOracle(tiny_substrate, seed=99, chunk_size=512, backend="scipy")
+        stepped = MonteCarloOracle(tiny_substrate, seed=99, chunk_size=512)
         for r in (1, 70, 130, 300):
             stepped.ensure_samples(r)
-        small_chunks = MonteCarloOracle(
-            tiny_substrate, seed=99, chunk_size=64, backend="scipy"
-        )
+        small_chunks = MonteCarloOracle(tiny_substrate, seed=99, chunk_size=64)
         small_chunks.ensure_samples(300)
         assert np.array_equal(direct.component_labels, stepped.component_labels)
         assert np.array_equal(direct.component_labels, small_chunks.component_labels)
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_labels_identical_across_chunk_sizes(self, tiny_substrate, backend):
-        one_chunk = grown_oracle(tiny_substrate, chunk_size=512, backend=backend)
-        many_chunks = grown_oracle(tiny_substrate, chunk_size=48, backend=backend)
+    @pytest.mark.parametrize("chunk_size", [48, 100])
+    def test_labels_identical_across_chunk_sizes(self, tiny_substrate, chunk_size):
+        one_chunk = grown_oracle(tiny_substrate, chunk_size=512)
+        many_chunks = grown_oracle(tiny_substrate, chunk_size=chunk_size)
         assert np.array_equal(one_chunk.component_labels, many_chunks.component_labels)
 
-    def test_labels_identical_across_backends_and_chunk_sizes(self, tiny_substrate):
-        """The full 2x2 grid collapses to one pool for a fixed seed."""
+    def test_labels_identical_across_stores_and_chunk_sizes(self, tiny_substrate):
+        """Cold, and warm at another chunk size, collapse to one pool."""
+        store = WorldStore()
         pools = [
-            grown_oracle(tiny_substrate, chunk_size=c, backend=b, samples=256)
+            grown_oracle(tiny_substrate, chunk_size=c, samples=256, store=s)
             for c in (512, 64)
-            for b in BACKEND_NAMES
+            for s in (None, store)
         ]
+        assert pools[1].cache_stats["worlds_sampled"] == 256
+        assert pools[3].cache_stats == {"worlds_cached": 256, "worlds_sampled": 0}
         reference = pools[0].component_labels
         for oracle in pools[1:]:
             assert np.array_equal(oracle.component_labels, reference)
@@ -194,13 +203,11 @@ class TestChunkingInvariance:
 class TestClusteringEquivalence:
     """MCP/ACP return identical clusterings under every chunk size."""
 
-    CHUNK_SIZES = (512, 64)
-
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_mcp_identical(self, tiny_substrate, backend):
+    @pytest.mark.parametrize("chunk_size", [64, 100])
+    def test_mcp_identical(self, tiny_substrate, chunk_size):
         first, second = [
-            mcp_clustering(tiny_substrate, 6, seed=4, chunk_size=c, backend=backend)
-            for c in self.CHUNK_SIZES
+            mcp_clustering(tiny_substrate, 6, seed=4, chunk_size=c)
+            for c in (512, chunk_size)
         ]
         assert np.array_equal(first.clustering.assignment, second.clustering.assignment)
         assert np.array_equal(first.clustering.centers, second.clustering.centers)
@@ -208,11 +215,11 @@ class TestClusteringEquivalence:
         assert first.min_prob_estimate == second.min_prob_estimate
         assert [g.q for g in first.history] == [g.q for g in second.history]
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_acp_identical(self, tiny_substrate, backend):
+    @pytest.mark.parametrize("chunk_size", [64, 100])
+    def test_acp_identical(self, tiny_substrate, chunk_size):
         first, second = [
-            acp_clustering(tiny_substrate, 6, seed=4, chunk_size=c, backend=backend)
-            for c in self.CHUNK_SIZES
+            acp_clustering(tiny_substrate, 6, seed=4, chunk_size=c)
+            for c in (512, chunk_size)
         ]
         assert np.array_equal(first.clustering.assignment, second.clustering.assignment)
         assert first.phi_best == second.phi_best
@@ -223,15 +230,13 @@ class TestSampleChunk:
     """``sample_chunk_packed`` is ``sample_chunk`` plus one pack."""
 
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_packed_is_boolean_plus_one_pack(self, tiny_substrate, backend, count):
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_packed_is_boolean_plus_one_pack(self, tiny_substrate, start, count):
         root = np.random.SeedSequence(8)
-        masks, labels = ParallelSampler(tiny_substrate, backend=backend).sample_chunk(
-            root, 5, count
+        masks, labels = ParallelSampler(tiny_substrate).sample_chunk(root, start, count)
+        packed, packed_labels = ParallelSampler(tiny_substrate).sample_chunk_packed(
+            root, start, count
         )
-        packed, packed_labels = ParallelSampler(
-            tiny_substrate, backend=backend
-        ).sample_chunk_packed(root, 5, count)
         assert masks.shape == (count, tiny_substrate.n_edges)
         assert labels.shape == (count, tiny_substrate.n_nodes)
         assert packed.shape == (tiny_substrate.n_edges, packed_words(count))
@@ -240,34 +245,35 @@ class TestSampleChunk:
         assert np.array_equal(packed_labels, labels)
 
     def test_negative_range_rejected(self, tiny_substrate):
-        sampler = ParallelSampler(tiny_substrate, backend="scipy")
+        sampler = ParallelSampler(tiny_substrate)
         with pytest.raises(ValueError, match="non-negative"):
             sampler.sample_chunk(np.random.SeedSequence(1), -1, 4)
         with pytest.raises(ValueError, match="non-negative"):
             sampler.sample_chunk(np.random.SeedSequence(1), 0, -4)
 
     def test_phase_counters_accumulate(self, tiny_substrate):
-        sampler = ParallelSampler(tiny_substrate, backend="unionfind")
+        sampler = ParallelSampler(tiny_substrate)
         for start in (0, 64, 128):
             sampler.sample_chunk(np.random.SeedSequence(2), start, 64)
         assert sampler.chunks_produced == 3
         assert sampler.sample_seconds > 0.0
         assert sampler.label_seconds > 0.0
 
-    def test_custom_backend_labels_once_per_chunk(self, tiny_substrate):
-        """An instrumented backend instance sees exactly one labeling
-        call per chunk, with the chunk's full world count."""
-        spy = CountingBackend()
-        oracle = MonteCarloOracle(tiny_substrate, seed=0, chunk_size=512, backend=spy)
+    def test_labels_once_per_chunk(self, tiny_substrate, labeling_calls):
+        """The instrumented labeler class sees exactly one labeling call
+        per chunk, with the chunk's full world count."""
+        oracle = MonteCarloOracle(tiny_substrate, seed=0, chunk_size=512)
         oracle.ensure_samples(512)
-        assert spy.calls == [512]
+        assert labeling_calls == [512]
 
-    def test_reprs_name_only_the_backend(self, tiny_substrate):
-        sampler = ParallelSampler(tiny_substrate, backend="unionfind")
-        assert repr(sampler) == "ParallelSampler(backend='unionfind')"
-        with MonteCarloOracle(tiny_substrate, seed=0, backend="scipy") as oracle:
+    def test_reprs_name_no_labeler(self, tiny_substrate):
+        sampler = ParallelSampler(tiny_substrate)
+        assert repr(sampler) == (
+            f"ParallelSampler(n_nodes=80, n_edges={tiny_substrate.n_edges})"
+        )
+        with MonteCarloOracle(tiny_substrate, seed=0) as oracle:
             oracle.ensure_samples(10)
-            assert "backend='scipy'" in repr(oracle)
+            assert "backend" not in repr(oracle)
             assert "workers" not in repr(oracle)
         # Leaving the block releases nothing: the oracle stays usable.
         oracle.ensure_samples(20)
@@ -275,39 +281,40 @@ class TestSampleChunk:
 
 
 class TestSamplerTelemetry:
-    """The sampler series carry one label, ``backend``."""
+    """The sampler series carry no labels (there is one labeler)."""
 
     @pytest.mark.parametrize(
         "name",
         ["repro_sampler_chunks_total", "repro_sampler_worlds_total",
+         "repro_sampler_sample_seconds_total", "repro_sampler_label_seconds_total",
          "repro_sampler_chunk_seconds"],
     )
-    def test_series_labelled_by_backend_only(self, tiny_substrate, name):
-        ParallelSampler(tiny_substrate, backend="scipy").sample_chunk(
-            np.random.SeedSequence(0), 0, 3
-        )
+    def test_series_carry_no_labels(self, tiny_substrate, name):
+        ParallelSampler(tiny_substrate).sample_chunk(np.random.SeedSequence(0), 0, 3)
         text = telemetry.get_registry().render()
         lines = [line for line in text.splitlines() if line.startswith(name)]
         assert lines
         for line in lines:
+            if "{" not in line:
+                continue
             labels = line[line.index("{") + 1:line.index("}")]
             names = {pair.split("=")[0] for pair in labels.split(",")} - {"le"}
-            assert names == {"backend"}
+            assert names == set()
 
     def test_worlds_counter_counts_each_chunk_once(self, tiny_substrate):
         registry = telemetry.get_registry()
-        labels = {"backend": "unionfind"}
-        sampler = ParallelSampler(tiny_substrate, backend="unionfind")
-        worlds = registry.value("repro_sampler_worlds_total", labels)
-        chunks = registry.value("repro_sampler_chunks_total", labels)
+        sampler = ParallelSampler(tiny_substrate)
+        worlds = registry.value("repro_sampler_worlds_total")
+        chunks = registry.value("repro_sampler_chunks_total")
         sampler.sample_chunk_packed(np.random.SeedSequence(0), 0, 70)
         sampler.sample_chunk(np.random.SeedSequence(0), 70, 30)
-        assert registry.value("repro_sampler_worlds_total", labels) == worlds + 100
-        assert registry.value("repro_sampler_chunks_total", labels) == chunks + 2
+        assert registry.value("repro_sampler_worlds_total") == worlds + 100
+        assert registry.value("repro_sampler_chunks_total") == chunks + 2
 
 
 class TestRemovedOptions:
-    """Sampling has one serial path, so no API takes a worker count."""
+    """Sampling has one serial path and one labeler, so no API takes a
+    worker count or a labeling backend, and no pool key a chunk size."""
 
     @pytest.mark.parametrize(
         "target,option",
@@ -326,6 +333,22 @@ class TestRemovedOptions:
             (execute_clustering, "workers"),
             (ProcessJobQueue, "sampling_workers"),
             (ClusterService, "sampling_workers"),
+            (MonteCarloOracle, "backend"),
+            (ParallelSampler, "backend"),
+            (resolve_oracle, "backend"),
+            (mcp_clustering, "backend"),
+            (acp_clustering, "backend"),
+            (kmedian_clustering, "backend"),
+            (kcenter_clustering, "backend"),
+            (expected_centrality, "backend"),
+            (OracleCache.lease, "backend"),
+            (derive_pool, "backend"),
+            (derive_pool, "chunk_size"),
+            (world_component_labels, "backend"),
+            (pool_fingerprint, "backend_name"),
+            (pool_fingerprint, "chunk_size"),
+            (WorldStore.register, "backend_name"),
+            (WorldStore.register, "chunk_size"),
         ],
         ids=lambda value: getattr(value, "__qualname__", value),
     )
@@ -338,39 +361,58 @@ class TestRemovedOptions:
     def test_experiment_scale_has_no_worker_count(self):
         assert "oracle_workers" not in {f.name for f in dataclasses.fields(ExperimentScale)}
 
+    def test_experiment_scale_has_no_backend(self):
+        assert "oracle_backend" not in {f.name for f in dataclasses.fields(ExperimentScale)}
+
+    def test_pool_info_names_no_backend_or_chunk(self):
+        fields = {f.name for f in dataclasses.fields(PoolInfo)}
+        assert not fields & {"backend", "chunk_size"}
+
     def test_oracle_rejects_workers_keyword(self, tiny_substrate):
         with pytest.raises(TypeError, match="workers"):
             MonteCarloOracle(tiny_substrate, seed=0, workers=2)
 
+    def test_oracle_rejects_backend_keyword(self, tiny_substrate):
+        with pytest.raises(TypeError, match="backend"):
+            MonteCarloOracle(tiny_substrate, seed=0, backend="unionfind")
+        oracle = MonteCarloOracle(tiny_substrate, seed=0)
+        assert not hasattr(oracle, "backend")
+        assert not hasattr(oracle, "backend_name")
 
-class CountingBackend:
-    """WorldBackend spy recording per-call world counts (not poolable)."""
+    def test_no_cli_subcommand_takes_backend(self):
+        parser = build_parser()
+        subcommands = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        options = {
+            name: {flag for action in sub._actions for flag in action.option_strings}
+            for name, sub in subcommands.items()
+        }
+        assert {"estimate", "cluster", "kmedian", "kcenter", "centrality", "mutate"} <= set(options)
+        for name, flags in options.items():
+            assert "--backend" not in flags, name
+        assert "--chunk-size" not in options["mutate"]
 
-    name = "counting"
-
-    def __init__(self):
-        self._inner = ScipyWorldBackend()
-        self.calls: list[int] = []
-
-    def component_labels(self, graph, masks):
-        self.calls.append(masks.shape[0])
-        return self._inner.component_labels(graph, masks)
+    @pytest.mark.parametrize("algorithm", ["mcp", "acp", "kmedian", "kcenter", "centrality"])
+    def test_no_job_takes_backend(self, algorithm):
+        with pytest.raises(ServiceError, match="unknown job fields"):
+            normalize_job_params({"graph": "g", "algorithm": algorithm, "backend": "unionfind"})
+        params = normalize_job_params({"graph": "g", "algorithm": algorithm})
+        assert "backend" not in params
 
 
 class TestMaxSamplesGuard:
     """Regression: an over-budget request must fail before any sampling."""
 
-    def test_rejected_request_leaves_pool_untouched(self, two_triangles):
-        spy = CountingBackend()
-        oracle = MonteCarloOracle(
-            two_triangles, seed=0, chunk_size=32, max_samples=100, backend=spy
-        )
+    def test_rejected_request_leaves_pool_untouched(self, two_triangles, labeling_calls):
+        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, max_samples=100)
         oracle.ensure_samples(64)
-        calls_before = list(spy.calls)
+        calls_before = list(labeling_calls)
         with pytest.raises(OracleError, match="max_samples"):
             oracle.ensure_samples(150)
         # No chunk was drawn or labeled for the rejected request.
-        assert spy.calls == calls_before
+        assert labeling_calls == calls_before
         assert oracle.num_samples == 64
         assert oracle.component_labels.shape[0] == 64
 

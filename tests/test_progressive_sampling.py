@@ -2,65 +2,45 @@
 
 The Monte Carlo pool must only ever *grow*, and growth must never
 re-label worlds already in the pool — lowering the threshold ``q``
-reuses all previous work.  A counting spy backend observes exactly what
-the oracle asks the labeling backend to do.
+reuses all previous work.  A spy on the labeler class observes exactly
+what the oracle asks it to label, with and without a (cold) world store
+attached.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.mcp import mcp_clustering
-from repro.sampling import MonteCarloOracle
-from repro.sampling.backends import ScipyWorldBackend, UnionFindWorldBackend
+from repro.sampling import MonteCarloOracle, WorldStore
 
 
-class CountingBackend:
-    """WorldBackend spy: records every labeling call's world count."""
-
-    name = "counting"
-
-    def __init__(self, inner=None):
-        self._inner = inner if inner is not None else ScipyWorldBackend()
-        self.calls: list[int] = []
-
-    @property
-    def worlds_labeled(self) -> int:
-        return sum(self.calls)
-
-    def component_labels(self, graph, masks):
-        self.calls.append(masks.shape[0])
-        return self._inner.component_labels(graph, masks)
-
-
-@pytest.fixture(
-    params=[ScipyWorldBackend, UnionFindWorldBackend], ids=lambda b: b().name
-)
-def spy(request):
-    return CountingBackend(request.param())
+@pytest.fixture(params=["no-store", "cold-store"])
+def store(request):
+    return WorldStore() if request.param == "cold-store" else None
 
 
 class TestEnsureSamplesNeverRelabels:
-    def test_growth_labels_only_the_difference(self, two_triangles, spy):
-        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, backend=spy)
+    def test_growth_labels_only_the_difference(self, two_triangles, store, labeling_calls):
+        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, store=store)
         oracle.ensure_samples(100)
-        assert spy.worlds_labeled == 100
+        assert sum(labeling_calls) == 100
         oracle.ensure_samples(260)
         # Only the 160 new worlds were labeled, in fresh chunks.
-        assert spy.worlds_labeled == 260
+        assert sum(labeling_calls) == 260
         assert oracle.num_samples == 260
 
-    def test_shrinking_request_is_a_no_op(self, two_triangles, spy):
-        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, backend=spy)
+    def test_shrinking_request_is_a_no_op(self, two_triangles, store, labeling_calls):
+        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, store=store)
         oracle.ensure_samples(96)
-        calls_before = list(spy.calls)
+        calls_before = list(labeling_calls)
         oracle.ensure_samples(50)
         oracle.ensure_samples(96)
         oracle.ensure_samples(0)
-        assert spy.calls == calls_before
+        assert labeling_calls == calls_before
         assert oracle.num_samples == 96
 
-    def test_chunks_are_append_only(self, two_triangles, spy):
-        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, backend=spy)
+    def test_chunks_are_append_only(self, two_triangles, store, labeling_calls):
+        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, store=store)
         oracle.ensure_samples(64)
         first_labels = oracle.component_labels
         oracle.ensure_samples(128)
@@ -68,10 +48,10 @@ class TestEnsureSamplesNeverRelabels:
         # The earlier worlds are a byte-identical prefix of the pool.
         assert np.array_equal(grown[: len(first_labels)], first_labels)
 
-    def test_call_sizes_respect_chunking(self, two_triangles, spy):
-        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, backend=spy)
+    def test_call_sizes_respect_chunking(self, two_triangles, store, labeling_calls):
+        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=32, store=store)
         oracle.ensure_samples(70)
-        assert spy.calls == [32, 32, 6]
+        assert labeling_calls == [32, 32, 6]
 
 
 class TestHistorySampleCounts:

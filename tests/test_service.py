@@ -323,6 +323,25 @@ class TestEstimate:
         assert status == 400
         assert "samples" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("query", ["backend=scipy", "backend=unionfind", "chunk_size=64"])
+    def test_unknown_query_parameter_400(self, client, query):
+        """Unknown keys are rejected, as unknown job fields are: a client
+        still sending the removed ``backend`` learns it is gone."""
+        status, payload = client.request(
+            "GET", f"/graphs/toy/estimate?u=0&v=1&samples=100&{query}"
+        )
+        assert status == 400
+        assert payload["error"]["message"] == (
+            f"unknown estimate query parameters: [{query.split('=')[0]!r}]"
+        )
+
+    def test_every_known_query_parameter_accepted(self, client):
+        status, payload = client.request(
+            "GET", "/graphs/toy/estimate?u=0&v=1&samples=100&seed=2&depth=3"
+        )
+        assert status == 200
+        assert (payload["samples"], payload["seed"], payload["depth"]) == (100, 2, 3)
+
 
 class TestJobs:
     PARAMS = {"graph": "toy", "algorithm": "mcp", "k": 2, "samples": 300, "seed": 0}
@@ -477,7 +496,7 @@ class TestJobs:
             _, second = client.request(
                 "POST", "/jobs",
                 {"seed": 55, "k": 2, "samples": 300, "graph": "toy",
-                 "algorithm": "mcp", "backend": "auto"},
+                 "algorithm": "mcp", "chunk_size": 512},
             )
             assert second["job"] == first["job"]
             assert second["coalesced"] is True
@@ -1530,7 +1549,7 @@ class TestTelemetryEndpoints:
         assert series['repro_jobs_submitted_total{algorithm="mcp"}'] >= 1
         assert series['repro_jobs_completed_total{algorithm="mcp",status="done"}'] >= 1
         assert any(key.startswith("repro_http_requests_total{") for key in series)
-        assert any(key.startswith("repro_sampler_worlds_total{") for key in series)
+        assert series["repro_sampler_worlds_total"] > 0
         assert series["repro_store_worlds_appended_total"] > 0
         assert series["repro_cache_leases_total"] >= 1
         assert "repro_admission_tracked_clients" in series
@@ -1640,12 +1659,8 @@ class TestTelemetryEndpoints:
                     for r in (done_a, done_b)
                 )
                 assert sampled > 0  # both cold jobs sampled in the workers
-                worlds_keys = [k for k in after
-                               if k.startswith("repro_sampler_worlds_total{")]
-                fleet_worlds = (
-                    sum(series(after, k) for k in worlds_keys)
-                    - sum(series(before, k) for k in worlds_keys)
-                )
+                worlds_key = "repro_sampler_worlds_total"
+                fleet_worlds = series(after, worlds_key) - series(before, worlds_key)
                 assert fleet_worlds == sampled
 
                 appended_key = "repro_store_worlds_appended_total"

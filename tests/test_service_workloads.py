@@ -129,7 +129,7 @@ class TestWorkloadJobs:
             assert first["coalesced"] is False
             # Explicit defaults must not defeat the canonical key.
             _, second = client.request(
-                "POST", "/jobs", {**params, "backend": "auto"}
+                "POST", "/jobs", {**params, "chunk_size": 512}
             )
             assert second["job"] == first["job"]
             assert second["coalesced"] is True

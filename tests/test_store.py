@@ -3,11 +3,11 @@
 Pins the PR-3 invariants:
 
 * packed masks roundtrip bit-exactly and use ~1/8 of the boolean bytes;
-* a warm run of the same ``(graph, seed, backend, chunk_size)`` pool
+* a warm run of the same ``(graph, seed)`` pool — at any chunk size —
   performs **zero** new mask sampling and returns bit-identical labels
   (the cross-run oracle-reuse acceptance criterion);
-* the cache-invalidation contract: mutating edge probabilities, seed,
-  backend, or chunk size misses the cache;
+* the cache-invalidation contract: mutating edge probabilities or the
+  seed misses the cache, and so does a pool of an older format version;
 * disk pools persist across store instances, resume progressive
   sampling mid-schedule, and treat corruption as a miss.
 """
@@ -19,10 +19,10 @@ import pytest
 
 from repro.exceptions import WorldStoreError
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import ScipyWorldBackend
 from repro.sampling.oracle import MonteCarloOracle
 from repro.sampling.parallel import ParallelSampler
 from repro.sampling.store import (
+    FORMAT_VERSION,
     WorldStore,
     pack_mask_columns,
     pack_masks,
@@ -43,33 +43,20 @@ def graph():
     return UncertainGraph.from_edges(edges, nodes=range(60), merge="first")
 
 
-class CountingBackend:
-    """WorldBackend spy: counts ``component_labels`` calls."""
-
-    name = "counting"
-
-    def __init__(self):
-        self.calls = 0
-
-    def component_labels(self, graph, masks):
-        self.calls += 1
-        return ScipyWorldBackend().component_labels(graph, masks)
-
-
 class SamplerSpy:
-    """Counts ParallelSampler.sample_chunk calls and sampled worlds."""
+    """Counts ParallelSampler calls of ``method`` and the worlds they draw."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, method="sample_chunk"):
         self.calls = 0
         self.worlds = 0
-        original = ParallelSampler.sample_chunk
+        original = getattr(ParallelSampler, method)
 
         def spy(sampler, root, start, count):
             self.calls += 1
             self.worlds += count
             return original(sampler, root, start, count)
 
-        monkeypatch.setattr(ParallelSampler, "sample_chunk", spy)
+        monkeypatch.setattr(ParallelSampler, method, spy)
 
 
 class TestPacking:
@@ -143,40 +130,39 @@ class TestColumnarPacking:
 
 class TestFingerprint:
     def test_deterministic(self, graph):
-        a = pool_fingerprint(graph, 7, "unionfind", 512)
-        b = pool_fingerprint(graph, 7, "unionfind", 512)
+        a = pool_fingerprint(graph, 7)
+        b = pool_fingerprint(graph, 7)
         assert a == b and len(a) == 64
 
     def test_seed_sequence_equivalent_to_int(self, graph):
-        assert pool_fingerprint(graph, 7, "scipy", 64) == pool_fingerprint(
-            graph, np.random.SeedSequence(7), "scipy", 64
+        assert pool_fingerprint(graph, 7) == pool_fingerprint(
+            graph, np.random.SeedSequence(7)
         )
 
     def test_every_input_invalidates(self, graph):
-        base = pool_fingerprint(graph, 7, "unionfind", 512)
-        assert pool_fingerprint(graph, 8, "unionfind", 512) != base
-        assert pool_fingerprint(graph, 7, "scipy", 512) != base
-        assert pool_fingerprint(graph, 7, "unionfind", 256) != base
+        base = pool_fingerprint(graph, 7)
+        assert pool_fingerprint(graph, 8) != base
+        assert pool_fingerprint(graph, np.random.SeedSequence(7, spawn_key=(1,))) != base
 
     def test_probability_mutation_invalidates(self, graph):
-        base = pool_fingerprint(graph, 7, "unionfind", 512)
+        base = pool_fingerprint(graph, 7)
         prob = graph.edge_prob.copy()
         prob[0] = min(1.0, prob[0] + 1e-9)
         mutated = UncertainGraph(
             graph.n_nodes, graph.edge_src, graph.edge_dst, prob, validate=False
         )
-        assert pool_fingerprint(mutated, 7, "unionfind", 512) != base
+        assert pool_fingerprint(mutated, 7) != base
 
     def test_edge_mutation_invalidates(self, graph):
-        base = pool_fingerprint(graph, 7, "unionfind", 512)
+        base = pool_fingerprint(graph, 7)
         sub = graph.subgraph(np.arange(graph.n_nodes - 1))
-        assert pool_fingerprint(sub, 7, "unionfind", 512) != base
+        assert pool_fingerprint(sub, 7) != base
 
 
 class TestWorldStoreUnit:
     def test_register_read_append(self, graph):
         store = WorldStore()
-        digest = store.register(graph, 7, "scipy", 64)
+        digest = store.register(graph, 7)
         assert store.count(digest) == 0
         masks = np.random.default_rng(0).random((10, graph.n_edges)) < 0.5
         labels = np.zeros((10, graph.n_nodes), dtype=np.int32)
@@ -187,7 +173,7 @@ class TestWorldStoreUnit:
 
     def test_overlapping_append_trimmed(self, graph):
         store = WorldStore()
-        digest = store.register(graph, 7, "scipy", 64)
+        digest = store.register(graph, 7)
         masks = np.random.default_rng(0).random((12, graph.n_edges)) < 0.5
         labels = np.arange(12 * graph.n_nodes, dtype=np.int32).reshape(12, -1)
         store.append(digest, 0, pack_mask_columns(masks[:10]), labels[:10])
@@ -200,14 +186,14 @@ class TestWorldStoreUnit:
 
     def test_gap_append_rejected(self, graph):
         store = WorldStore()
-        digest = store.register(graph, 7, "scipy", 64)
+        digest = store.register(graph, 7)
         packed = pack_mask_columns(np.zeros((1, graph.n_edges), dtype=bool))
         with pytest.raises(WorldStoreError):
             store.append(digest, 5, packed, np.zeros((1, graph.n_nodes), dtype=np.int32))
 
     def test_read_out_of_range(self, graph):
         store = WorldStore()
-        digest = store.register(graph, 7, "scipy", 64)
+        digest = store.register(graph, 7)
         with pytest.raises(WorldStoreError):
             store.read(digest, 0, 1)
 
@@ -294,8 +280,6 @@ class TestOracleReuse:
         for variant in (
             dict(graph=mutated, seed=1, chunk_size=64),        # edge prob changed
             dict(graph=graph, seed=2, chunk_size=64),          # seed changed
-            dict(graph=graph, seed=1, chunk_size=32),          # chunk size changed
-            dict(graph=graph, seed=1, chunk_size=64, backend="unionfind"),
         ):
             spy = SamplerSpy(monkeypatch)
             kwargs = dict(variant)
@@ -303,6 +287,23 @@ class TestOracleReuse:
             with MonteCarloOracle(target, store=store, **kwargs) as oracle:
                 oracle.ensure_samples(64)
                 assert spy.worlds == 64, f"variant {variant} should miss the cache"
+
+    def test_pool_warmed_at_one_chunk_size_serves_others(self, graph, monkeypatch):
+        """Pools are keyed on (graph, seed): chunk size only batches."""
+        store = WorldStore()
+        with MonteCarloOracle(graph, seed=1, chunk_size=512, store=store) as cold:
+            cold.ensure_samples(300)
+            cold_labels = cold.component_labels
+            cold_depth = cold.connection_to_all(4, depth=2)
+        spy = SamplerSpy(monkeypatch, "sample_chunk_packed")
+        for chunk_size in (256, 64):
+            with MonteCarloOracle(graph, seed=1, chunk_size=chunk_size, store=store) as warm:
+                warm.ensure_samples(300)
+                assert warm.cache_stats == {"worlds_cached": 300, "worlds_sampled": 0}
+                assert np.array_equal(warm.component_labels, cold_labels)
+                assert np.array_equal(warm.connection_to_all(4, depth=2), cold_depth)
+        assert spy.calls == 0
+        assert [pool.n_worlds for pool in store.info()] == [300]
 
     def test_store_and_cache_dir_mutually_exclusive(self, graph, tmp_path):
         with pytest.raises(ValueError):
@@ -390,6 +391,33 @@ class TestDiskPersistence:
         assert store.clear() == 1  # ... but still removed
         assert not (cache / digest).exists()
 
+    def test_previous_format_pool_is_a_clean_miss(self, graph, tmp_path, monkeypatch):
+        """A pool directory written by format version 2 is never served,
+        not even when it sits under the digest the current key names."""
+        cache = tmp_path / "worlds"
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
+            cold.ensure_samples(64)
+            cold_labels = cold.component_labels
+            digest = cold.pool_digest
+        assert FORMAT_VERSION == 3
+        meta_path = cache / digest / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta.update(format=2, backend="scipy", chunk_size=32)
+        meta_path.write_text(json.dumps(meta))
+        # Poison the data: serving it would show as wrong labels.
+        labels_path = cache / digest / "labels.i32"
+        labels_path.write_bytes(b"\xff" * labels_path.stat().st_size)
+
+        store = WorldStore(cache)
+        assert store.info() == []  # not listed
+        spy = SamplerSpy(monkeypatch)
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, store=store) as redo:
+            redo.ensure_samples(64)
+            assert spy.worlds == 64
+            assert redo.cache_stats == {"worlds_cached": 0, "worlds_sampled": 64}
+            assert np.array_equal(redo.component_labels, cold_labels)
+        assert json.loads(meta_path.read_text())["format"] == FORMAT_VERSION
+
     def test_stale_writer_append_does_not_misalign(self, graph, tmp_path):
         """A writer that registered a cold pool must trim against the
         on-disk count at append time: two processes racing on a cold
@@ -397,7 +425,7 @@ class TestDiskPersistence:
         silently serving wrong worlds to every later reader."""
         cache = tmp_path / "worlds"
         stale = WorldStore(cache)
-        digest = stale.register(graph, 13, "scipy", 64)  # sees count=0
+        digest = stale.register(graph, 13)  # sees count=0
 
         with MonteCarloOracle(graph, seed=13, chunk_size=64, cache_dir=cache) as a:
             a.ensure_samples(64)  # "process A" persists worlds 0..63
@@ -424,7 +452,7 @@ class TestDiskPersistence:
         effort) instead of raising or leaving a gap on disk."""
         cache = tmp_path / "worlds"
         store = WorldStore(cache)
-        digest = store.register(graph, 6, "scipy", 32)
+        digest = store.register(graph, 6)
         packed = pack_mask_columns(np.zeros((32, graph.n_edges), dtype=bool))
         labels = np.zeros((32, graph.n_nodes), dtype=np.int32)
         store.append(digest, 0, packed, labels)
@@ -539,48 +567,41 @@ class TestLazyMaskLoading:
             assert np.array_equal(warm.connection_to_all(0, depth=2), cold_depth)
             assert warm.packed_mask_nbytes > 0
 
-    def test_depth_query_after_pool_clear_resamples(self, graph):
+    def test_depth_query_after_pool_clear_resamples(self, graph, labeling_calls):
         """A cleared pool between the warm load and the first depth query
         costs a deterministic redraw of the masks, never a crash — and
         never a relabel: the oracle already holds the chunk's labels."""
         store = WorldStore()
-        with MonteCarloOracle(
-            graph, seed=23, chunk_size=64, store=store, backend=CountingBackend()
-        ) as cold:
+        with MonteCarloOracle(graph, seed=23, chunk_size=64, store=store) as cold:
             cold.ensure_samples(128)
             cold_depth = cold.connection_to_all(3, depth=2)
-        backend = CountingBackend()
-        with MonteCarloOracle(
-            graph, seed=23, chunk_size=64, store=store, backend=backend
-        ) as warm:
+        labeled_cold = len(labeling_calls)
+        with MonteCarloOracle(graph, seed=23, chunk_size=64, store=store) as warm:
             warm.ensure_samples(128)
             store.clear()  # pool evicted before any mask was touched
             assert np.array_equal(warm.connection_to_all(3, depth=2), cold_depth)
-            assert backend.calls == 0
+            assert len(labeling_calls) == labeled_cold
             assert warm.cache_stats == {"worlds_cached": 128, "worlds_sampled": 0}
 
-    @pytest.mark.parametrize("backend", ["scipy", "unionfind"])
-    def test_pool_clear_redraw_books_no_sampled_worlds(self, graph, backend):
+    @pytest.mark.parametrize("warm_chunk_size", [64, 48])
+    def test_pool_clear_redraw_books_no_sampled_worlds(self, graph, warm_chunk_size):
         """The redraw after a cleared pool is not sampling: the sampler
         counters stay put, in step with ``cache_stats``."""
         from repro import telemetry
 
         registry = telemetry.get_registry()
-        labels = {"backend": backend}
         store = WorldStore()
-        with MonteCarloOracle(
-            graph, seed=29, chunk_size=64, store=store, backend=backend
-        ) as cold:
+        with MonteCarloOracle(graph, seed=29, chunk_size=64, store=store) as cold:
             cold.ensure_samples(128)
             cold_depth = cold.connection_to_all(5, depth=3)
         with MonteCarloOracle(
-            graph, seed=29, chunk_size=64, store=store, backend=backend
+            graph, seed=29, chunk_size=warm_chunk_size, store=store
         ) as warm:
             warm.ensure_samples(128)
             store.clear()
-            worlds = registry.value("repro_sampler_worlds_total", labels)
-            chunks = registry.value("repro_sampler_chunks_total", labels)
+            worlds = registry.value("repro_sampler_worlds_total")
+            chunks = registry.value("repro_sampler_chunks_total")
             assert np.array_equal(warm.connection_to_all(5, depth=3), cold_depth)
-            assert registry.value("repro_sampler_worlds_total", labels) == worlds
-            assert registry.value("repro_sampler_chunks_total", labels) == chunks
+            assert registry.value("repro_sampler_worlds_total") == worlds
+            assert registry.value("repro_sampler_chunks_total") == chunks
             assert warm.cache_stats["worlds_sampled"] == 0

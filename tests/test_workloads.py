@@ -9,8 +9,8 @@ Pins the three contracts ISSUE.md cares about:
   half-width bounds the allowed error (at 4 sigma), so the tolerance
   tightens automatically as budgets grow.
 * **Determinism** — every workload is a pure function of the seed:
-  bit-identical across scipy/unionfind backends and none/memory/disk
-  stores.
+  bit-identical across none/memory/disk stores, cold or warmed at
+  another chunk size.
 * **Pool sharing** — a pool warmed by *any* consumer (MCP or another
   workload) serves every workload with **zero** new ``sample_chunk``
   calls; the sampler spy pins it.
@@ -262,7 +262,7 @@ class TestStatisticalTolerance:
 
 
 # ---------------------------------------------------------------------------
-# Determinism across backends, stores, and worker counts
+# Determinism across stores and the chunk size that warmed them
 # ---------------------------------------------------------------------------
 
 
@@ -274,18 +274,19 @@ def _store_for(kind, tmp_path):
     return WorldStore(tmp_path / "worlds")
 
 
+#: (chunk size the store was warmed at, or None for cold; store kind).
 CONFIGS = [
-    ("scipy", "none"),
-    ("unionfind", "none"),
-    ("scipy", "memory"),
-    ("scipy", "disk"),
-    ("unionfind", "memory"),
-    ("unionfind", "disk"),
+    (None, "none"),
+    (None, "memory"),
+    (None, "disk"),
+    (100, "memory"),
+    (100, "disk"),
+    (512, "disk"),
 ]
 
 
 class TestCrossConfigEquivalence:
-    """Every (backend, store) combination is bit-identical."""
+    """Every (warming, store) combination is bit-identical."""
 
     SAMPLES = 300
 
@@ -294,28 +295,25 @@ class TestCrossConfigEquivalence:
         rng = np.random.default_rng(SEEDS[0] + 100)
         return random_graph(12, 0.3, rng, prob_low=0.2, prob_high=0.95)
 
-    def run_all(self, graph, *, backend, store, seed):
-        kwargs = dict(
-            seed=seed, samples=self.SAMPLES, chunk_size=64,
-            backend=backend, store=store,
-        )
+    def run_all(self, graph, *, store, seed):
+        kwargs = dict(seed=seed, samples=self.SAMPLES, chunk_size=64, store=store)
         km = kmedian_clustering(graph, 3, **kwargs)
         kc = kcenter_clustering(graph, 3, **kwargs)
         ce = expected_centrality(graph, measure="harmonic", tol=1e-9, **kwargs)
         return km, kc, ce
 
     @pytest.mark.parametrize(
-        "backend,store_kind", CONFIGS, ids=["-".join(c) for c in CONFIGS],
+        "warm_chunk,store_kind", CONFIGS,
+        ids=[f"{'cold' if c is None else f'warm{c}'}-{k}" for c, k in CONFIGS],
     )
-    def test_bit_identical_to_reference(self, graph, backend, store_kind, tmp_path):
+    def test_bit_identical_to_reference(self, graph, warm_chunk, store_kind, tmp_path):
         seed = SEEDS[0]
-        ref_km, ref_kc, ref_ce = self.run_all(
-            graph, backend="scipy", store=None, seed=seed
-        )
+        ref_km, ref_kc, ref_ce = self.run_all(graph, store=None, seed=seed)
         store = _store_for(store_kind, tmp_path)
-        km, kc, ce = self.run_all(
-            graph, backend=backend, store=store, seed=seed
-        )
+        if warm_chunk is not None:
+            with MonteCarloOracle(graph, seed=seed, chunk_size=warm_chunk, store=store) as oracle:
+                oracle.ensure_samples(self.SAMPLES)
+        km, kc, ce = self.run_all(graph, store=store, seed=seed)
         for got, ref in ((km, ref_km), (kc, ref_kc)):
             assert np.array_equal(got.clustering.centers, ref.clustering.centers)
             assert np.array_equal(got.clustering.assignment, ref.clustering.assignment)
@@ -358,7 +356,7 @@ class TestSharedPool:
     def test_warm_pool_zero_sample_chunk_calls(self, monkeypatch, tmp_path):
         graph = tiny("triangles")
         store = WorldStore(tmp_path / "worlds")
-        kwargs = dict(seed=SEEDS[0], chunk_size=64, backend="scipy", store=store)
+        kwargs = dict(seed=SEEDS[0], chunk_size=64, store=store)
         # Warm the pool through MCP — a *different* workload family.
         mcp_clustering(graph, 2, **kwargs)
         (pool,) = store.info()
@@ -376,7 +374,7 @@ class TestSharedPool:
     def test_cold_pool_samples_then_stays_warm_in_memory(self, monkeypatch):
         graph = tiny("triangles")
         store = WorldStore()
-        kwargs = dict(seed=SEEDS[0], chunk_size=64, backend="scipy", store=store)
+        kwargs = dict(seed=SEEDS[0], chunk_size=64, store=store)
         calls = self._spy(monkeypatch)
         kmedian_clustering(graph, 2, samples=128, **kwargs)
         assert len(calls) > 0  # cold run must sample
