@@ -3,10 +3,12 @@
 The acceptance numbers of the delta-aware world-invalidation refactor:
 after a single-edge probability update, re-clustering through pool
 derivation (:func:`repro.sampling.deltas.derive_pool` — resample one
-column, repair the flipped worlds, reuse everything else) must beat
-cold-resampling the mutated graph by >= 5x at this tiny scale — the
-committed baseline documents 6.5x/13x; the in-test assert uses the
-noise-tolerant :data:`MIN_WARM_SPEEDUP` floor.
+column, repair the flipped worlds, reuse everything else) had to beat
+cold-resampling the mutated graph by >= 5x at this tiny scale while
+cold sampling built each edge's stream in Python.  With the vectorized
+sampler the committed baseline documents 4.0x (dblp600) and 5.8x
+(sparse800); the in-test assert uses the noise-tolerant
+:data:`MIN_WARM_SPEEDUP` floor.
 
 Cells (per substrate):
 
@@ -36,11 +38,12 @@ K = 4            # clusters
 SEED = 1
 CHUNK = 512
 
-#: The in-test regression floor.  The *acceptance* criterion (warm >=
-#: 5x cold) is documented by the committed ``baselines/BENCH_deltas.json``
-#: (6.5x/13x on the recording box); the live assert uses a lower floor
-#: so CI runner noise (CPU steal, cold caches) cannot flake the build
-#: while a real regression — warm degrading toward cold — still fails.
+#: The in-test regression floor.  The committed
+#: ``baselines/BENCH_deltas.json`` documents the measured ratio (4.0x /
+#: 5.8x on the recording box; the original 5x acceptance held while
+#: sampling was scalar); the live assert uses a lower floor so CI runner
+#: noise (CPU steal, cold caches) cannot flake the build while a real
+#: regression — warm degrading toward cold — still fails.
 MIN_WARM_SPEEDUP = 3.0
 
 

@@ -3,9 +3,7 @@
 from repro.sampling.backends import UnionFindWorldBackend
 from repro.sampling.parallel import (
     ParallelSampler,
-    edge_seed_sequence,
     ensure_seed_sequence,
-    sample_edge_column,
     sample_mask_rows,
 )
 from repro.sampling.store import (
@@ -48,9 +46,7 @@ __all__ = [
     "ParallelSampler",
     "derive_pool",
     "diff_edges",
-    "edge_seed_sequence",
     "ensure_seed_sequence",
-    "sample_edge_column",
     "sample_mask_rows",
     "UnionFindWorldBackend",
     "WorldStore",

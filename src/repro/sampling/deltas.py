@@ -42,8 +42,9 @@ import numpy as np
 from repro.exceptions import WorldStoreError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.backends import UnionFindWorldBackend
-from repro.sampling.parallel import edge_stream_state, sample_edge_column
+from repro.sampling.parallel import sample_mask_rows
 from repro.sampling.store import (
+    WORD_BITS,
     WorldStore,
     pack_mask_columns,
     packed_words,
@@ -150,16 +151,6 @@ class DeriveResult:
     complete: bool
 
 
-def _column_bits(packed_row: np.ndarray, rows: int) -> np.ndarray:
-    """One edge's presence bits over a block's worlds."""
-    return unpack_mask_columns(packed_row[None, :], rows)[:, 0]
-
-
-def _pack_column(bits: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_column_bits` for one edge row."""
-    return pack_mask_columns(bits[:, None])[0]
-
-
 def derive_pool(
     store: WorldStore,
     parent_graph: UncertainGraph,
@@ -224,13 +215,10 @@ def derive_pool(
         child_graph.edge_prob,
     )
     parent_src, parent_dst = parent_graph.edge_src, parent_graph.edge_dst
-    # Memoize the touched edges' stream states across blocks.
-    states = {
-        (int(child_src[c]), int(child_dst[c])): edge_stream_state(
-            seed_seq, int(child_src[c]), int(child_dst[c])
-        )
-        for c in np.concatenate([diff.updated_child, diff.added_child])
-    }
+    # Columns are independent streams, so the updated and added columns
+    # are drawn together, one kernel call per block.
+    touched = np.concatenate([diff.updated_child, diff.added_child])
+    n_updated = len(diff.updated_child)
     m_child = child_graph.n_edges
     derived = repaired = resampled = 0
     block = DERIVE_BLOCK_WORLDS
@@ -243,33 +231,28 @@ def derive_pool(
             return DeriveResult(child_digest, available, derived, repaired, resampled, False)
         packed_child = np.zeros((m_child, packed_words(rows)), dtype=np.uint64)
         packed_child[diff.kept_child] = packed_parent[diff.kept_parent]
-        flips: list[tuple[int, int, np.ndarray]] = []
-        for p_idx, c_idx in zip(diff.updated_parent, diff.updated_child, strict=True):
-            u, v = int(child_src[c_idx]), int(child_dst[c_idx])
-            new_bits = sample_edge_column(
-                seed_seq, u, v, float(child_prob[c_idx]), start, rows,
-                state=states[(u, v)],
-            )
-            packed_child[c_idx] = _pack_column(new_bits)
-            flip = _column_bits(packed_parent[p_idx], rows) != new_bits
-            if flip.any():
-                flips.append((u, v, flip))
-        for c_idx in diff.added_child:
-            u, v = int(child_src[c_idx]), int(child_dst[c_idx])
-            new_bits = sample_edge_column(
-                seed_seq, u, v, float(child_prob[c_idx]), start, rows,
-                state=states[(u, v)],
-            )
-            packed_child[c_idx] = _pack_column(new_bits)
-            if new_bits.any():
-                flips.append((u, v, new_bits))
-        for p_idx in diff.removed_parent:
-            old_bits = _column_bits(packed_parent[p_idx], rows)
-            if old_bits.any():
-                flips.append((int(parent_src[p_idx]), int(parent_dst[p_idx]), old_bits))
+        new_masks = sample_mask_rows(
+            child_src[touched], child_dst[touched], child_prob[touched], seed_seq, start, rows
+        )
+        packed_child[touched] = pack_mask_columns(new_masks)
+        # An updated column flips where its bits changed, an added one
+        # wherever the edge is present.
+        flip_cols = new_masks.copy()
+        flip_cols[:, :n_updated] ^= unpack_mask_columns(packed_parent[diff.updated_parent], rows)
+        flips = [
+            (int(child_src[c_idx]), int(child_dst[c_idx]), flip_cols[:, j])
+            for j, c_idx in enumerate(touched)
+            if flip_cols[:, j].any()
+        ]
+        removed_cols = unpack_mask_columns(packed_parent[diff.removed_parent], rows)
+        flips += [
+            (int(parent_src[p_idx]), int(parent_dst[p_idx]), removed_cols[:, j])
+            for j, p_idx in enumerate(diff.removed_parent)
+            if removed_cols[:, j].any()
+        ]
         # Distinct columns, not a per-block accumulation: each block
         # regenerates the same updated + added columns.
-        resampled = len(diff.updated_child) + len(diff.added_child)
+        resampled = len(touched)
 
         if flips:
             flip_matrix = np.stack([flip for _, _, flip in flips])  # (t, rows)
@@ -278,7 +261,7 @@ def derive_pool(
             if len(affected_worlds):
                 old = np.ascontiguousarray(labels_parent[affected_worlds])
                 labels_child[affected_worlds] = _relabel_affected(
-                    labeler, child_graph, packed_child, rows, affected_worlds,
+                    labeler, child_graph, packed_child, affected_worlds,
                     old, flips, flip_matrix[:, affected_worlds],
                 )
                 repaired += len(affected_worlds)
@@ -292,11 +275,18 @@ def derive_pool(
     return DeriveResult(child_digest, available, derived, repaired, resampled, True)
 
 
+def _world_masks(packed_cols: np.ndarray, worlds: np.ndarray) -> np.ndarray:
+    """Boolean ``(len(worlds), m)`` masks of just ``worlds``, read off the columns."""
+    shifts = (worlds % WORD_BITS).astype(np.uint64)
+    bits = (packed_cols[:, worlds // WORD_BITS] >> shifts) & np.uint64(1)
+    return np.ascontiguousarray(bits.T.astype(bool))
+
+
 def _relabel_affected(
-    labeler, graph, packed_cols, rows, affected_worlds, old_labels, flips, flip_matrix
+    labeler, graph, packed_cols, affected_worlds, old_labels, flips, flip_matrix
 ):
     """New labels for the affected worlds, via the cheapest sound path."""
-    masks = unpack_mask_columns(packed_cols, rows)[affected_worlds]
+    masks = _world_masks(packed_cols, affected_worlds)
     if len(flips) > _REPAIR_TOUCHED_LIMIT:
         # Deltas so wide that the membership tensor would dwarf the
         # relabeling recompute the affected worlds outright (still only

@@ -9,7 +9,9 @@ worlds are reused and only the difference is drawn.
 
 Storage is chunked.  Each chunk keeps
 
-* the component labels of its worlds — an ``(c, n)`` int32 matrix — for
+* the component labels of its worlds — an ``(c, n)`` matrix of node
+  indices, uint16 when the graph has at most 65536 nodes (int32
+  otherwise) so that connection queries compare half the bytes — for
   unbounded connection queries,
 * the edge masks, bit-packed into edge-major ``uint64`` columns (1/8 of
   the boolean bytes; see :mod:`repro.sampling.store`), which the
@@ -135,6 +137,7 @@ class MonteCarloOracle:
         self._packed_chunks: list[np.ndarray | None] = []
         self._chunk_starts: list[int] = []
         self._label_chunks: list[np.ndarray] = []
+        self._label_dtype = np.uint16 if graph.n_nodes <= 1 << 16 else np.int32
         self._n_samples = 0
         self._worlds_cached = 0
         self._worlds_sampled = 0
@@ -255,7 +258,7 @@ class MonteCarloOracle:
                         self._store.append(self._pool_digest, start, packed, labels)
             self._packed_chunks.append(packed)
             self._chunk_starts.append(start)
-            self._label_chunks.append(labels)
+            self._label_chunks.append(labels.astype(self._label_dtype, copy=False))
             self._n_samples += labels.shape[0]
 
     def _load_cached_labels(self, start: int, want: int):
@@ -299,7 +302,7 @@ class MonteCarloOracle:
         """
         if not self._label_chunks:
             return np.empty((0, self._graph.n_nodes), dtype=np.int32)
-        return np.concatenate(self._label_chunks, axis=0)
+        return np.concatenate(self._label_chunks, axis=0).astype(np.int32, copy=False)
 
     def _packed_chunk(self, index: int) -> np.ndarray:
         """Packed ``(m, words)`` mask columns of chunk ``index``.
@@ -397,7 +400,11 @@ class MonteCarloOracle:
         if depth is None:
             counts = np.zeros(self._graph.n_nodes, dtype=np.int64)
             for labels in self._label_chunks:
-                counts += (labels == labels[:, sources]).sum(axis=0)
+                same = (labels == labels[:, sources]).view(np.uint8)
+                # uint8 sums need no per-element cast and cannot overflow
+                # over 255 worlds.
+                for top in range(0, len(same), 255):
+                    counts += np.add.reduce(same[top:top + 255], axis=0, dtype=np.uint8)
         else:
             counts = self._reach_counts(sources, depth)[0]
         return counts / self._n_samples

@@ -61,6 +61,23 @@ class TestPoolManagement:
 
 
 class TestEstimates:
+    @pytest.mark.parametrize("n_nodes,worlds", [(40, 600), ((1 << 16) + 5, 40)])
+    def test_connection_counts_exact_at_every_label_width(self, n_nodes, worlds):
+        """uint16 label storage (up to 65536 nodes, here with sums over
+        more than 255 worlds per chunk) and int32 storage beyond it both
+        count same-component worlds exactly."""
+        rng = np.random.default_rng(3)
+        tails = rng.choice(n_nodes - 1, size=30, replace=False)
+        edges = [(int(t), int(t) + 1, 0.5) for t in tails] + [(0, n_nodes - 1, 0.5)]
+        graph = UncertainGraph.from_edges(edges, nodes=range(n_nodes))
+        oracle = MonteCarloOracle(graph, seed=5, chunk_size=worlds)
+        oracle.ensure_samples(worlds)
+        labels = oracle.component_labels
+        assert labels.dtype == np.int32
+        for node in (0, int(tails[0]), n_nodes - 1):
+            expected = (labels == labels[:, [node]]).sum(axis=0) / worlds
+            assert np.array_equal(oracle.connection_to_all(node), expected)
+
     def test_self_connection_is_one(self, sampled):
         assert sampled.connection(3, 3) == 1.0
         assert sampled.connection_to_all(3)[3] == 1.0

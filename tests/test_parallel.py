@@ -13,6 +13,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cli import build_parser
@@ -26,10 +28,8 @@ from repro.sampling.deltas import derive_pool
 from repro.sampling.parallel import (
     EDGE_STREAM_TAG,
     ParallelSampler,
-    edge_seed_sequence,
-    edge_stream_state,
+    _edge_seed_words,
     ensure_seed_sequence,
-    sample_edge_column,
     sample_mask_rows,
 )
 from repro.sampling.store import (
@@ -46,7 +46,13 @@ from repro.service.cache import OracleCache
 from repro.service.workers import ProcessJobQueue, execute_clustering
 from repro.workloads.centrality import expected_centrality
 from repro.workloads.kclustering import kcenter_clustering, kmedian_clustering
-from tests.conftest import random_graph
+from tests.conftest import random_graph, sweep_seeds
+from tests.stream_reference import (
+    edge_seed_sequence,
+    edge_stream_state,
+    reference_mask_rows,
+    sample_edge_column,
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,35 +67,78 @@ def grown_oracle(graph, *, chunk_size, seed=99, samples=512, store=None):
     return oracle
 
 
+#: Node ids the kernel grid draws endpoints from: 0, beyond 16 bits,
+#: and the largest int32.
+_GRID_NODES = (0, 1, 7, 2**16, 2**16 + 5, 2**31 - 1)
+
+#: Probabilities at the edges of the ``random() < p`` comparison: the
+#: extremes, the smallest double, and one ulp either side of k * 2**-53.
+_GRID_PROBS = [1.0, 0.5, 2.0**-53, 5e-324] + [
+    float(np.nextafter(k * 2.0**-53, toward))
+    for k in (1, 3, 2**52 + 1, 2**53 - 1)
+    for toward in (0.0, 1.0)
+]
+
+
+def _grid_edges():
+    """One edge per grid probability; odd edges have reversed endpoints."""
+    src, dst = [], []
+    for i in range(len(_GRID_PROBS)):
+        u = _GRID_NODES[i % len(_GRID_NODES)]
+        v = _GRID_NODES[(i + 1 + i // len(_GRID_NODES)) % len(_GRID_NODES)]
+        u, v = min(u, v), max(u, v)
+        src.append(v if i % 2 else u)
+        dst.append(u if i % 2 else v)
+    return np.array(src), np.array(dst), np.array(_GRID_PROBS)
+
+
+def _fixed_roots():
+    return {
+        "zero": np.random.SeedSequence(0),
+        "int63": np.random.SeedSequence(2**63 - 1),
+        "int128": np.random.SeedSequence(2**127 + 12345),
+        "list6": np.random.SeedSequence([1, 2**32 + 3, 5, 0, 9, 2**40]),
+        "uint32-array": np.random.SeedSequence(np.array([7, 2**32 - 1, 0], dtype=np.uint32)),
+        "spawn1": np.random.SeedSequence(9, spawn_key=(3,)),
+        "spawn-wide": np.random.SeedSequence(5, spawn_key=(5, 2**40)),
+        "generator": ensure_seed_sequence(np.random.default_rng(4)),
+    }
+
+
+def _sweep_root(seed: int) -> np.random.SeedSequence:
+    """A random root drawn from a sweep seed: wide entropy, a spawn key."""
+    rng = np.random.default_rng(seed)
+    entropy = int.from_bytes(rng.bytes(int(rng.integers(1, 20))), "little")
+    spawn_key = tuple(int(w) for w in rng.integers(0, 2**62, size=int(rng.integers(0, 3))))
+    return np.random.SeedSequence(entropy, spawn_key=spawn_key)
+
+
+_KERNEL_ROOTS = {**_fixed_roots(), **{f"sweep{s}": _sweep_root(s) for s in sweep_seeds()}}
+
+
 class TestEdgeStreams:
     """The per-edge random-stream derivation the whole design rests on."""
 
     def test_split_draw_equals_whole_draw(self):
         """World offsets must continue an edge's stream exactly (pins
-        the one-uniform-per-world advance arithmetic)."""
+        the one-uniform-per-world jump arithmetic)."""
         root = ensure_seed_sequence(42)
-        whole = sample_edge_column(root, 3, 9, 0.5, 0, 50)
-        parts = [
-            sample_edge_column(root, 3, 9, 0.5, 0, 20),
-            sample_edge_column(root, 3, 9, 0.5, 20, 13),
-            sample_edge_column(root, 3, 9, 0.5, 33, 17),
-        ]
+        edge = (np.array([3]), np.array([9]), np.array([0.5]))
+        whole = sample_mask_rows(*edge, root, 0, 50)
+        parts = [sample_mask_rows(*edge, root, a, b) for a, b in [(0, 20), (20, 13), (33, 17)]]
         assert np.array_equal(whole, np.concatenate(parts))
 
     def test_edges_are_independent_streams(self):
         root = ensure_seed_sequence(0)
-        a = sample_edge_column(root, 0, 1, 0.5, 0, 64)
-        b = sample_edge_column(root, 0, 2, 0.5, 0, 64)
-        assert not np.array_equal(a, b)
+        masks = sample_mask_rows(np.array([0, 0]), np.array([1, 2]), np.array([0.5, 0.5]), root, 0, 64)
+        assert not np.array_equal(masks[:, 0], masks[:, 1])
 
     def test_stream_keyed_by_canonical_endpoints(self):
         """(u, v) and (v, u) are the same edge, hence the same stream."""
         root = np.random.SeedSequence(7)
+        masks = sample_mask_rows(np.array([5, 2]), np.array([2, 5]), np.array([0.4, 0.4]), root, 0, 32)
+        assert np.array_equal(masks[:, 0], masks[:, 1])
         assert edge_seed_sequence(root, 5, 2).spawn_key == (EDGE_STREAM_TAG, 2, 5)
-        assert np.array_equal(
-            sample_edge_column(root, 5, 2, 0.4, 0, 32),
-            sample_edge_column(root, 2, 5, 0.4, 0, 32),
-        )
 
     def test_stream_independent_of_column_position(self):
         """Mask bit (i, e) depends on the edge's *endpoints*, not its
@@ -102,16 +151,8 @@ class TestEdgeStreams:
         b = sample_mask_rows(src_b, dst_b, prob[[2, 0, 1]], root, 0, 40)
         assert np.array_equal(a, b[:, [1, 2, 0]])
 
-    def test_cached_state_matches_fresh_derivation(self):
-        root = ensure_seed_sequence(11)
-        state = edge_stream_state(root, 4, 7)
-        assert np.array_equal(
-            sample_edge_column(root, 4, 7, 0.6, 10, 30, state=state),
-            sample_edge_column(root, 4, 7, 0.6, 10, 30),
-        )
-
     def test_mask_rows_match_columns(self):
-        """The row API is the column API evaluated per edge."""
+        """The row kernel is the scalar column reference evaluated per edge."""
         root = ensure_seed_sequence(3)
         src, dst = np.array([0, 0, 2]), np.array([1, 3, 3])
         prob = np.array([0.2, 0.5, 0.9])
@@ -122,24 +163,21 @@ class TestEdgeStreams:
                 sample_edge_column(root, int(src[j]), int(dst[j]), prob[j], 7, 25),
             )
 
-    def test_state_cache_is_filled_and_reused(self):
-        root = ensure_seed_sequence(9)
-        cache: dict = {}
-        first = sample_mask_rows(
-            np.array([0]), np.array([1]), np.array([0.5]), root, 0, 16, state_cache=cache
-        )
-        assert (0, 1) in cache
-        again = sample_mask_rows(
-            np.array([0]), np.array([1]), np.array([0.5]), root, 0, 16, state_cache=cache
-        )
-        assert np.array_equal(first, again)
-
     def test_edgeless_graph(self):
         masks = sample_mask_rows(
             np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
             np.empty(0), ensure_seed_sequence(1), 0, 5,
         )
         assert masks.shape == (5, 0)
+
+    def test_probability_extremes(self):
+        """p <= 0 and NaN never draw an edge; p >= 1 always does."""
+        masks = sample_mask_rows(
+            np.zeros(5, dtype=np.intp), np.arange(1, 6),
+            np.array([0.0, -0.5, np.nan, 1.0, 1.5]), ensure_seed_sequence(2), 3, 100,
+        )
+        assert not masks[:, :3].any()
+        assert masks[:, 3:].all()
 
     def test_seed_sequence_coercions(self):
         assert ensure_seed_sequence(5).entropy == 5
@@ -150,6 +188,158 @@ class TestEdgeStreams:
         assert ensure_seed_sequence(gen_a).entropy == ensure_seed_sequence(gen_b).entropy
         with pytest.raises(TypeError):
             ensure_seed_sequence("seed")
+
+
+class TestStreamReference:
+    """The scalar reference in ``tests/stream_reference.py`` is numpy's
+    own ``SeedSequence`` -> ``PCG64`` -> ``advance`` -> ``random``."""
+
+    def test_cached_state_matches_fresh_derivation(self):
+        root = ensure_seed_sequence(11)
+        state = edge_stream_state(root, 4, 7)
+        assert np.array_equal(
+            sample_edge_column(root, 4, 7, 0.6, 10, 30, state=state),
+            sample_edge_column(root, 4, 7, 0.6, 10, 30),
+        )
+
+    def test_column_is_the_edge_generators_uniforms(self):
+        root = ensure_seed_sequence(12)
+        uniforms = np.random.Generator(np.random.PCG64(edge_seed_sequence(root, 3, 8))).random(40)
+        assert np.array_equal(sample_edge_column(root, 8, 3, 0.35, 0, 40), uniforms < 0.35)
+        assert np.array_equal(sample_edge_column(root, 3, 8, 0.35, 15, 25), uniforms[15:] < 0.35)
+
+
+class TestKernelMatchesNumpy:
+    """The vectorized kernel reproduces numpy's per-edge streams bit for
+    bit: seed words, PCG64 seeding, jumps and the uniform comparison."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_ROOTS))
+    def test_seed_words_match_generate_state(self, name):
+        root = _KERNEL_ROOTS[name]
+        src, dst, _ = _grid_edges()
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        words = _edge_seed_words(root, lo, hi).T
+        expected = np.stack([
+            edge_seed_sequence(root, u, v).generate_state(4, np.uint64)
+            for u, v in zip(src, dst, strict=True)
+        ])
+        assert np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("start", [0, 1, 64, 2**20, 2**40])
+    @pytest.mark.parametrize("name", sorted(_KERNEL_ROOTS))
+    def test_masks_match_reference(self, name, start):
+        root = _KERNEL_ROOTS[name]
+        src, dst, prob = _grid_edges()
+        for rows in (0, 1, 63, 64, 65, 130):
+            masks = sample_mask_rows(src, dst, prob, root, start, rows)
+            assert masks.shape == (rows, len(prob))
+            assert np.array_equal(masks, reference_mask_rows(src, dst, prob, root, start, rows))
+
+    def test_threshold_exact_at_drawn_uniforms(self):
+        """p equal to a world's uniform leaves the edge out; one ulp more keeps it."""
+        root = ensure_seed_sequence(21)
+        uniforms = np.random.Generator(np.random.PCG64(edge_seed_sequence(root, 2, 9))).random(40)
+        for world in (0, 17, 39):
+            u = uniforms[world]
+            for p, present in [(np.nextafter(u, 0.0), False), (u, False), (np.nextafter(u, 1.0), True)]:
+                bit = sample_mask_rows(np.array([9]), np.array([2]), np.array([p]), root, world, 1)
+                assert bool(bit[0, 0]) is present
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130, 700])
+    def test_lanes_match_reference(self, rows):
+        """Few edges over many worlds interleave the worlds over lanes."""
+        root = _KERNEL_ROOTS["spawn-wide"]
+        src, dst, prob = np.array([4]), np.array([2**31 - 1]), np.array([0.3])
+        for start in (0, 5, 2**33 + 1):
+            masks = sample_mask_rows(src, dst, prob, root, start, rows)
+            assert np.array_equal(masks, reference_mask_rows(src, dst, prob, root, start, rows))
+
+    def test_sampler_matches_reference_on_a_graph(self, tiny_substrate):
+        g, root = tiny_substrate, np.random.SeedSequence(2**100 + 7)
+        masks, _ = ParallelSampler(g).sample_chunk(root, 84, 167)
+        expected = reference_mask_rows(g.edge_src, g.edge_dst, g.edge_prob, root, 84, 167)
+        assert np.array_equal(masks, expected)
+
+    @given(
+        entropy=st.one_of(
+            st.integers(0, 2**130),
+            st.lists(st.integers(0, 2**70), min_size=1, max_size=7),
+        ),
+        spawn_key=st.lists(st.integers(0, 2**70), max_size=3),
+        start=st.integers(0, 2**45),
+        rows=st.integers(0, 70),
+        edges=st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**32 - 1),
+                st.floats(0.0, 1.0, allow_subnormal=True),
+            ),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_property_matches_reference(self, entropy, spawn_key, start, rows, edges):
+        root = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key))
+        src = np.array([u for u, _, _ in edges], dtype=np.int64)
+        dst = np.array([v for _, v, _ in edges], dtype=np.int64)
+        prob = np.array([p for _, _, p in edges], dtype=np.float64)
+        masks = sample_mask_rows(src, dst, prob, root, start, rows)
+        assert np.array_equal(masks, reference_mask_rows(src, dst, prob, root, start, rows))
+
+
+class TestKernelInputs:
+    """Bad kernel inputs fail up front instead of drawing wrong masks."""
+
+    def test_unequal_lengths_rejected(self):
+        root = ensure_seed_sequence(1)
+        with pytest.raises(ValueError, match="equal lengths"):
+            sample_mask_rows(np.array([0, 1]), np.array([1]), np.array([0.5, 0.5]), root, 0, 4)
+        with pytest.raises(ValueError, match="equal lengths"):
+            sample_mask_rows(np.array([0, 1]), np.array([1, 2]), np.array([0.5]), root, 0, 4)
+        with pytest.raises(ValueError, match="equal lengths"):
+            sample_mask_rows(np.array([0]), np.array([1, 2]), np.array([0.5, 0.5]), root, 0, 0)
+
+    def test_non_1d_rejected(self):
+        root = ensure_seed_sequence(1)
+        with pytest.raises(ValueError, match="1-D"):
+            sample_mask_rows(np.array([[0, 1]]), np.array([[1, 2]]), np.array([[0.5, 0.5]]),
+                             root, 0, 4)
+        with pytest.raises(ValueError, match="1-D"):
+            sample_mask_rows(np.array([0]), np.array([1]), np.float64(0.5), root, 0, 4)
+
+    @pytest.mark.parametrize("node", [-1, 2**32, 2**40])
+    def test_endpoints_outside_uint32_rejected(self, node):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            sample_mask_rows(np.array([0, node]), np.array([1, 3]), np.array([0.5, 0.5]),
+                             ensure_seed_sequence(1), 0, 4)
+
+    def test_largest_uint32_endpoint_accepted(self):
+        src, dst, prob = np.array([0]), np.array([2**32 - 1]), np.array([0.5])
+        root = ensure_seed_sequence(3)
+        assert np.array_equal(
+            sample_mask_rows(src, dst, prob, root, 2, 9),
+            reference_mask_rows(src, dst, prob, root, 2, 9),
+        )
+
+    @pytest.mark.parametrize("start,rows", [(-1, 4), (0, -4)])
+    def test_negative_window_rejected(self, start, rows):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_mask_rows(np.array([0]), np.array([1]), np.array([0.5]),
+                             ensure_seed_sequence(1), start, rows)
+
+
+class TestArrayEntropyRoots:
+    """Roots whose entropy is an array sample like any other root."""
+
+    def test_equal_array_roots_sample_repeatedly(self, tiny_substrate):
+        sampler = ParallelSampler(tiny_substrate)
+        first, _ = sampler.sample_chunk(np.random.SeedSequence(np.array([1, 2, 3])), 0, 4)
+        again, _ = sampler.sample_chunk(np.random.SeedSequence(np.array([1, 2, 3])), 0, 4)
+        from_list, _ = ParallelSampler(tiny_substrate).sample_chunk(
+            np.random.SeedSequence([1, 2, 3]), 0, 4
+        )
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, from_list)
 
 
 class TestChunkingInvariance:
@@ -323,6 +513,7 @@ class TestRemovedOptions:
             (ParallelSampler, "workers"),
             (ParallelSampler, "chunk_size"),
             (ParallelSampler, "shard_worlds"),
+            (sample_mask_rows, "state_cache"),
             (resolve_oracle, "workers"),
             (mcp_clustering, "workers"),
             (acp_clustering, "workers"),
