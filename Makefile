@@ -12,9 +12,9 @@ test:
 doctest:
 	$(PYTHON) -m pytest --doctest-modules src/repro -q
 
-# Mirrors CI's bench job: the same five bench files, then the same four
+# Mirrors CI's bench job: the same five bench files, then the same five
 # compare gates against the committed baselines.
-BENCH_GATES := sampling deltas service workloads
+BENCH_GATES := sampling backends deltas service workloads
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks/test_bench_backends.py benchmarks/test_bench_sampling.py \

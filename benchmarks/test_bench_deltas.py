@@ -6,9 +6,9 @@ derivation (:func:`repro.sampling.deltas.derive_pool` — resample one
 column, repair the flipped worlds, reuse everything else) had to beat
 cold-resampling the mutated graph by >= 5x at this tiny scale while
 cold sampling built each edge's stream in Python.  With the vectorized
-sampler the committed baseline documents 4.0x (dblp600) and 5.8x
-(sparse800); the in-test assert uses the noise-tolerant
-:data:`MIN_WARM_SPEEDUP` floor.
+sampler and the cache-resident labeler the committed baseline documents
+3.7x (dblp600) and 5.5x (sparse800); the in-test assert uses the
+noise-tolerant :data:`MIN_WARM_SPEEDUP` floor.
 
 Cells (per substrate):
 
@@ -39,8 +39,8 @@ SEED = 1
 CHUNK = 512
 
 #: The in-test regression floor.  The committed
-#: ``baselines/BENCH_deltas.json`` documents the measured ratio (4.0x /
-#: 5.8x on the recording box; the original 5x acceptance held while
+#: ``baselines/BENCH_deltas.json`` documents the measured ratio (3.7x /
+#: 5.5x on the recording box; the original 5x acceptance held while
 #: sampling was scalar); the live assert uses a lower floor so CI runner
 #: noise (CPU steal, cold caches) cannot flake the build while a real
 #: regression — warm degrading toward cold — still fails.
@@ -79,22 +79,21 @@ def _meta(name, graph):
 
 
 def test_warm_after_mutation_vs_cold(benchmark_records, substrate):
-    """Measures all three cells and pins the >= 5x acceptance ratio.
+    """Measures all three cells and pins the warm/cold speedup floor.
 
-    One test measures both phases so the speedup assertion compares
-    numbers from the same process and the same substrate state.
+    One test measures every phase so the speedup assertion compares
+    numbers from the same process and the same substrate state.  The
+    phases alternate round by round (best of 3 each), so a load spike
+    on a shared host lands on both sides instead of on one window.
     """
     name, graph, mutated = substrate
 
     import time
 
-    def best_of(callable_, rounds=3):
-        times = []
-        for _ in range(rounds):
-            begin = time.perf_counter()
-            callable_()
-            times.append(time.perf_counter() - begin)
-        return min(times)
+    def timed(callable_):
+        begin = time.perf_counter()
+        callable_()
+        return time.perf_counter() - begin
 
     # --- cold: cluster the mutated graph from nothing -----------------
     cold_assignments = []
@@ -102,8 +101,6 @@ def test_warm_after_mutation_vs_cold(benchmark_records, substrate):
     def cold_run():
         store = WorldStore()
         cold_assignments.append(_cluster(mutated, store))
-
-    cold_seconds = best_of(cold_run)
 
     # --- derive + warm: parent pool in store, lease derives -----------
     parent_store = WorldStore()
@@ -123,24 +120,38 @@ def test_warm_after_mutation_vs_cold(benchmark_records, substrate):
         scratch.append(scratch.register(graph, SEED), 0, packed, labels)
         result = derive_pool(scratch, graph, mutated, seed=SEED)
         assert result is not None and result.complete
+        assert result.columns_resampled == 1
+        assert result.worlds_derived == R
         return scratch
 
-    derive_seconds = best_of(derive_run)
-
     warm_assignments = []
+    warm_sampled = []
 
     # warm = derivation + warm clustering, measured end to end the way
     # a PATCH-then-cluster request experiences it.
     def warm_end_to_end():
         scratch = derive_run()
+        warm_oracle = MonteCarloOracle(
+            mutated, seed=SEED, chunk_size=CHUNK, store=scratch
+        )
         result = mcp_clustering(
-            mutated, K, seed=SEED, chunk_size=CHUNK,
-            sample_schedule=PracticalSchedule(max_samples=R), store=scratch,
+            mutated, K, seed=SEED, oracle=warm_oracle,
+            sample_schedule=PracticalSchedule(max_samples=R),
         )
         warm_assignments.append(result.clustering.assignment)
+        warm_sampled.append(warm_oracle.cache_stats["worlds_sampled"])
 
-    warm_seconds = best_of(warm_end_to_end)
+    cold_times, derive_times, warm_times = [], [], []
+    for _ in range(3):
+        cold_times.append(timed(cold_run))
+        derive_times.append(timed(derive_run))
+        warm_times.append(timed(warm_end_to_end))
+    cold_seconds = min(cold_times)
+    derive_seconds = min(derive_times)
+    warm_seconds = min(warm_times)
 
+    # Exact counts: the warm side resampled nothing.
+    assert warm_sampled == [0, 0, 0]
     # Determinism: warm and cold clusterings are bit-identical.
     for warm in warm_assignments:
         assert np.array_equal(warm, cold_assignments[0])

@@ -57,7 +57,8 @@ class Clustering:
         k = len(self.centers)
         if k == 0:
             raise ClusteringError("a clustering needs at least one center")
-        if len(np.unique(self.centers)) != k:
+        ordered = np.sort(self.centers)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ClusteringError("cluster centers must be distinct")
         if self.centers.min() < 0 or self.centers.max() >= self.n_nodes:
             raise ClusteringError("center indices out of range")

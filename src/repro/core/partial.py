@@ -171,7 +171,9 @@ def min_partial(
     # Line 10-11: pad with arbitrary non-center nodes if the loop ran out
     # of uncovered nodes before selecting k centers.
     if n_loop_centers < k:
-        non_centers = np.setdiff1d(np.arange(n, dtype=np.intp), np.asarray(centers, dtype=np.intp))
+        is_center = np.zeros(n, dtype=bool)
+        is_center[centers] = True
+        non_centers = np.flatnonzero(~is_center)
         extra = rng.choice(non_centers, size=k - n_loop_centers, replace=False)
         for center in extra:
             centers.append(int(center))

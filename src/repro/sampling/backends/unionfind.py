@@ -55,7 +55,17 @@ halving), adapted to numpy:
 3. **Compress.**  Path-halve to idempotence and subtract the block
    offsets, yielding the canonical min-node-index labels.
 
-Worlds are processed in sub-batches (default ≤ 64) so the parent array
+Edge instances are extracted by flat index: ``np.flatnonzero`` over
+the batch's ``(b, m)`` mask gives positions ``w * m + e``, and one
+``np.take`` from endpoint arrays tiled over the batch (edge ``e`` of
+world ``w`` at position ``w * m + e``, already offset by ``w * n``)
+turns them into block endpoints, with no per-instance world/edge
+decomposition.  The tiled int32 endpoints are built once per
+``component_labels`` call.  Every later gather is a ``take`` into a
+buffer allocated once per batch, so the hook rounds allocate no new
+index arrays.
+
+Worlds are processed in sub-batches (default ≤ 16) so the parent array
 stays cache-resident; per-world independence makes the split invisible
 in the output.
 """
@@ -67,9 +77,16 @@ import numpy as np
 from repro.graph.uncertain_graph import UncertainGraph
 
 # Worlds per internal labeling batch.  Small batches keep the flat
-# parent array (and the per-batch edge arrays) inside the CPU cache;
-# measured sweet spot on benchmarks/test_bench_backends.py substrates.
-_DEFAULT_WORLD_BATCH = 64
+# parent array and the per-batch edge arrays inside the CPU cache.
+# Batch sweep, median ms per chunk at batch 4/8/16/32/64/128 (2-core
+# x86-64 Xeon, 2 MiB L2 per core):
+#   krogan_like(0.4), 251 worlds:  20.2 / 18.1 / 17.8 / 21.0 / 26.4 / 32.3
+#   krogan_like(0.12), 251 worlds: 14.1 / 10.5 /  8.7 /  7.8 /  7.8 /  8.1
+#   sparse1500, 512 worlds:        41.7 / 35.0 / 32.8 / 31.8 / 33.4 / 37.6
+#   dblp_like(600), 512 worlds:    32.2 / 26.9 / 21.9 / 20.3 / 19.8 / 21.1
+# 16 is fastest on the 1024-node graph, where 64 spills the cache;
+# smaller graphs gain at most ~10% from 32-64.
+_DEFAULT_WORLD_BATCH = 16
 
 # The flat block domain is indexed with int32; one batch must satisfy
 # batch * n_nodes < 2**31.
@@ -92,8 +109,9 @@ class UnionFindWorldBackend:
     Parameters
     ----------
     world_batch:
-        Maximum worlds labeled per internal pass (cache-size tuning
-        knob; the output is independent of it).
+        Maximum worlds labeled per internal pass.  A cache-size
+        choice: it bounds the working set of one pass and cannot
+        change the output.
 
     Examples
     --------
@@ -117,16 +135,19 @@ class UnionFindWorldBackend:
         r, n = masks.shape[0], graph.n_nodes
         if r == 0 or n == 0:
             return np.empty((r, n), dtype=np.int32)
-        batch = self._world_batch
+        batch = min(self._world_batch, r)
         if batch * n > _INT32_LIMIT:
-            batch = max(1, _INT32_LIMIT // max(n, 1))
-        if r <= batch:
-            return self._label_batch(graph, masks)
-        chunks = [
-            self._label_batch(graph, masks[start:start + batch])
-            for start in range(0, r, batch)
-        ]
-        return np.concatenate(chunks, axis=0)
+            batch = max(1, _INT32_LIMIT // n)
+        # Block endpoints of one batch, world-major like masks.ravel():
+        # built once per call and shared by every batch.
+        offsets = np.arange(0, batch * n, n, dtype=np.int32)[:, None]
+        tiled_src = (graph.edge_src.astype(np.int32) + offsets).ravel()
+        tiled_dst = (graph.edge_dst.astype(np.int32) + offsets).ravel()
+        labels = np.empty((r, n), dtype=np.int32)
+        for start in range(0, r, batch):
+            stop = start + batch
+            self._label_batch(masks[start:stop], tiled_src, tiled_dst, offsets, labels[start:stop])
+        return labels
 
     def repair_labels(
         self,
@@ -169,34 +190,52 @@ class UnionFindWorldBackend:
         return np.where(affected, fresh, old_labels)
 
     @staticmethod
-    def _label_batch(graph: UncertainGraph, masks: np.ndarray) -> np.ndarray:
-        r, n = masks.shape[0], graph.n_nodes
-        world_idx, edge_idx = np.nonzero(masks)
-        offset = world_idx.astype(np.int32)
-        offset *= np.int32(n)
-        src = graph.edge_src[edge_idx].astype(np.int32)
-        src += offset
-        dst = graph.edge_dst[edge_idx].astype(np.int32)
-        dst += offset
-        parent = np.arange(r * n, dtype=np.int32)
-        if len(src):
+    def _label_batch(
+        masks: np.ndarray,
+        tiled_src: np.ndarray,
+        tiled_dst: np.ndarray,
+        offsets: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        """Write the canonical labels of the ``(b, m)`` batch ``masks`` into ``out``.
+
+        ``tiled_src``/``tiled_dst`` are the block endpoints of at least
+        ``b`` worlds laid out like ``masks.ravel()``, so the flat index
+        of a present edge instance addresses its endpoints directly;
+        ``offsets`` holds each world's first block vertex.
+        Every gather index is a block vertex in ``[0, b * n)`` by
+        construction, so the gathers take ``mode="clip"``, which (unlike
+        the default) writes ``out`` without an intermediate buffer.
+        """
+        b, n = out.shape
+        parent = np.arange(b * n, dtype=np.int32)
+        hopped = np.empty_like(parent)
+        edges = np.flatnonzero(masks)
+        if len(edges):
+            src = tiled_src.take(edges)
+            dst = tiled_dst.take(edges)
             # First hook: parent is the identity and src < dst holds
             # elementwise, so hooking is a bare scatter-min.
             np.minimum.at(parent, dst, src)
-            parent = parent[parent]
+            parent.take(parent, out=hopped, mode="clip")
+            parent, hopped = hopped, parent
+            ps = np.empty_like(src)
+            pd = np.empty_like(dst)
+            high = np.empty_like(src)
             while True:
-                ps = parent[src]
-                pd = parent[dst]
-                if np.array_equal(ps, pd):
+                parent.take(src, out=ps, mode="clip")
+                parent.take(dst, out=pd, mode="clip")
+                if (ps == pd).all():
                     break
-                np.minimum.at(parent, np.maximum(ps, pd), np.minimum(ps, pd))
-                parent = parent[parent]
+                np.maximum(ps, pd, out=high)
+                np.minimum(ps, pd, out=ps)
+                np.minimum.at(parent, high, ps)
+                parent.take(parent, out=hopped, mode="clip")
+                parent, hopped = hopped, parent
         # Compress to idempotence: every vertex points at its root.
         while True:
-            hopped = parent[parent]
-            if np.array_equal(hopped, parent):
+            parent.take(parent, out=hopped, mode="clip")
+            if (hopped == parent).all():
                 break
-            parent = hopped
-        labels = parent.reshape(r, n)
-        labels -= np.arange(0, r * n, n, dtype=np.int32)[:, None]
-        return labels
+            parent, hopped = hopped, parent
+        np.subtract(parent.reshape(b, n), offsets[:b], out=out)

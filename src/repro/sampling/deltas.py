@@ -55,9 +55,9 @@ from repro.utils.rng import ensure_seed_sequence
 __all__ = ["DeriveResult", "EdgeDiff", "derive_pool", "diff_edges"]
 
 #: Above this many touched edges the component-local repair bookkeeping
-#: (an ``(worlds, nodes, 2 * touched)`` membership tensor) costs more
-#: than relabeling the affected worlds outright, so derivation switches
-#: to the full relabel of exactly those worlds.
+#: (``2 * touched`` label compares over every ``(world, node)``) costs
+#: more than relabeling the affected worlds outright, so derivation
+#: switches to the full relabel of exactly those worlds.
 _REPAIR_TOUCHED_LIMIT = 64
 
 #: Worlds :func:`derive_pool` reads, derives and appends per block.  It
@@ -288,7 +288,7 @@ def _relabel_affected(
     """New labels for the affected worlds, via the cheapest sound path."""
     masks = _world_masks(packed_cols, affected_worlds)
     if len(flips) > _REPAIR_TOUCHED_LIMIT:
-        # Deltas so wide that the membership tensor would dwarf the
+        # Deltas so wide that the membership compares would dwarf the
         # relabeling recompute the affected worlds outright (still only
         # those).
         return labeler.component_labels(graph, masks)
@@ -297,5 +297,7 @@ def _relabel_affected(
     target_u = np.where(flipped_here, old_labels[:, endpoints[:, 0]], -1)
     target_v = np.where(flipped_here, old_labels[:, endpoints[:, 1]], -1)
     targets = np.concatenate([target_u, target_v], axis=1)  # (worlds, 2t)
-    affected = (old_labels[:, :, None] == targets[:, None, :]).any(axis=2)
+    affected = np.zeros(old_labels.shape, dtype=bool)
+    for target in targets.T:
+        affected |= old_labels == target[:, None]
     return labeler.repair_labels(graph, masks, old_labels, affected)

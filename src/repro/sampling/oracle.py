@@ -136,6 +136,9 @@ class MonteCarloOracle:
         #: them).  ``_chunk_starts`` remembers where such a chunk lives.
         self._packed_chunks: list[np.ndarray | None] = []
         self._chunk_starts: list[int] = []
+        #: Label blocks covering the pool in world order; queries merge
+        #: them into one (``_pool_labels``), so chunk boundaries are
+        #: kept by ``_chunk_starts`` alone.
         self._label_chunks: list[np.ndarray] = []
         self._label_dtype = np.uint16 if graph.n_nodes <= 1 << 16 else np.int32
         self._n_samples = 0
@@ -302,7 +305,19 @@ class MonteCarloOracle:
         """
         if not self._label_chunks:
             return np.empty((0, self._graph.n_nodes), dtype=np.int32)
-        return np.concatenate(self._label_chunks, axis=0).astype(np.int32, copy=False)
+        return self._pool_labels().astype(np.int32)
+
+    def _pool_labels(self) -> np.ndarray:
+        """Labels of every pooled world as one ``(r, n)`` array.
+
+        Label chunks appended since the last call are merged here, so a
+        query runs a few whole-pool numpy calls rather than a few per
+        chunk, and the merged copy replaces the chunks (no second copy
+        is kept).
+        """
+        if len(self._label_chunks) > 1:
+            self._label_chunks = [np.concatenate(self._label_chunks)]
+        return self._label_chunks[0]
 
     def _packed_chunk(self, index: int) -> np.ndarray:
         """Packed ``(m, words)`` mask columns of chunk ``index``.
@@ -370,11 +385,12 @@ class MonteCarloOracle:
     @property
     def n_chunks(self) -> int:
         """Number of chunks currently in the pool."""
-        return len(self._label_chunks)
+        return len(self._chunk_starts)
 
     def chunk_worlds(self, index: int) -> int:
         """Worlds held by chunk ``index``."""
-        return self._label_chunks[index].shape[0]
+        stops = self._chunk_starts[1:] + [self._n_samples]
+        return stops[index] - self._chunk_starts[index]
 
     def chunk_masks(self, index: int) -> np.ndarray:
         """Boolean ``(worlds, m)`` edge masks of chunk ``index``.
@@ -399,12 +415,12 @@ class MonteCarloOracle:
         sources = self._graph.node_indices([node])
         if depth is None:
             counts = np.zeros(self._graph.n_nodes, dtype=np.int64)
-            for labels in self._label_chunks:
-                same = (labels == labels[:, sources]).view(np.uint8)
-                # uint8 sums need no per-element cast and cannot overflow
-                # over 255 worlds.
-                for top in range(0, len(same), 255):
-                    counts += np.add.reduce(same[top:top + 255], axis=0, dtype=np.uint8)
+            labels = self._pool_labels()
+            same = (labels == labels[:, sources]).view(np.uint8)
+            # uint8 sums need no per-element cast and cannot overflow
+            # over 255 worlds.
+            for top in range(0, len(same), 255):
+                counts += np.add.reduce(same[top:top + 255], axis=0, dtype=np.uint8)
         else:
             counts = self._reach_counts(sources, depth)[0]
         return counts / self._n_samples

@@ -395,6 +395,8 @@ class _MemoryPool:
                 break
         if not label_slices:
             return _empty_labels(self.meta)
+        if len(label_slices) == 1:
+            return label_slices[0]  # a view, like the block-aligned read above
         return np.concatenate(label_slices, axis=0)
 
     def append(self, packed_cols: np.ndarray, labels: np.ndarray) -> None:

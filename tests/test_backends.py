@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.acp import acp_clustering
 from repro.core.mcp import mcp_clustering
+from repro.datasets import krogan_like
 from repro.graph.components import connected_component_labels
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling import MonteCarloOracle, WorldStore
@@ -84,13 +85,46 @@ class TestLabelEquivalence:
         assert np.array_equal(scipy_labels, uf_labels)
         assert_canonical(graph, masks, uf_labels)
 
-    def test_sub_batching_is_invisible(self):
+    @pytest.mark.parametrize("r", [1, 15, 16, 17, 50])
+    @pytest.mark.parametrize("world_batch", [1, 3, 15, 16, 17, 64, 1024])
+    def test_sub_batching_is_invisible(self, world_batch, r):
         rng = np.random.default_rng(5)
         graph = random_graph(40, 0.15, rng)
-        masks = sample_edge_masks(graph.edge_prob, 50, rng=rng)
-        whole = UnionFindWorldBackend(world_batch=1024).component_labels(graph, masks)
-        tiny = UnionFindWorldBackend(world_batch=3).component_labels(graph, masks)
-        assert np.array_equal(whole, tiny)
+        masks = sample_edge_masks(graph.edge_prob, r, rng=rng)
+        labels = UnionFindWorldBackend(world_batch=world_batch).component_labels(graph, masks)
+        assert np.array_equal(labels, scipy_component_labels(graph, masks))
+
+    def test_int32_clamp_splits_batches(self, monkeypatch):
+        """A batch whose block domain would overflow the int32 limit is
+        cut to ``limit // n`` worlds; the split stays invisible."""
+        from repro.sampling.backends import unionfind
+
+        rng = np.random.default_rng(6)
+        graph = random_graph(40, 0.15, rng)
+        masks = sample_edge_masks(graph.edge_prob, 7, rng=rng)
+        monkeypatch.setattr(unionfind, "_INT32_LIMIT", 2 * 40 + 5)
+        backend = UnionFindWorldBackend(world_batch=64)
+        batch_sizes = []
+        label_batch = backend._label_batch
+
+        def spy(batch_masks, *args):
+            batch_sizes.append(batch_masks.shape[0])
+            label_batch(batch_masks, *args)
+
+        monkeypatch.setattr(backend, "_label_batch", spy)
+        labels = backend.component_labels(graph, masks)
+        assert batch_sizes == [2, 2, 2, 1]
+        assert np.array_equal(labels, scipy_component_labels(graph, masks))
+
+    def test_supercritical_chunk(self):
+        """A 251-world chunk of krogan_like(0.4): every world holds a
+        giant component, so the hook loop runs several rounds."""
+        graph = krogan_like(seed=0, scale=0.4).graph
+        masks = sample_edge_masks(graph.edge_prob, 251, rng=41)
+        labels = UnionFindWorldBackend().component_labels(graph, masks)
+        assert np.array_equal(labels, scipy_component_labels(graph, masks))
+        giants = np.array([np.bincount(row).max() for row in labels])
+        assert (giants > graph.n_nodes // 2).all()
 
     def test_world_component_labels_is_the_labeler(self, two_triangles):
         masks = sample_edge_masks(two_triangles.edge_prob, 11, rng=8)

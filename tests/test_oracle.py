@@ -5,7 +5,12 @@ import pytest
 
 from repro import MonteCarloOracle, OracleError, UncertainGraph
 from repro.sampling import ExactOracle, WorldStore
-from repro.sampling.worlds import block_bfs_distances, block_bfs_reached, world_block_csr
+from repro.sampling.worlds import (
+    block_bfs_distances,
+    block_bfs_reached,
+    world_block_csr,
+    world_component_labels,
+)
 from repro.workloads.measures import world_harmonic
 from tests.conftest import random_graph
 
@@ -35,6 +40,22 @@ class TestPoolManagement:
         assert oracle.num_samples == 25
         oracle.ensure_samples(40)
         assert oracle.num_samples == 40
+
+    def test_queries_keep_chunk_boundaries(self, two_triangles):
+        """Queries merge the pool's label chunks into one array; the
+        chunk layout the workload surface iterates is unchanged."""
+        oracle = MonteCarloOracle(two_triangles, seed=0, chunk_size=10)
+        oracle.ensure_samples(25)
+        oracle.connection_to_all(0)
+        oracle.ensure_samples(40)
+        oracle.connection_to_all(0)
+        assert oracle.n_chunks == 5
+        assert [oracle.chunk_worlds(i) for i in range(5)] == [10, 10, 5, 10, 5]
+        masks = np.concatenate([oracle.chunk_masks(i) for i in range(5)])
+        labels = oracle.component_labels
+        assert np.array_equal(labels, world_component_labels(two_triangles, masks))
+        labels[:] = 0  # callers get a copy, never the pool itself
+        assert np.array_equal(oracle.component_labels, world_component_labels(two_triangles, masks))
 
     def test_max_samples_enforced(self, two_triangles):
         oracle = MonteCarloOracle(two_triangles, seed=0, max_samples=100)
