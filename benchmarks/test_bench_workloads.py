@@ -18,7 +18,13 @@ Cells (per substrate):
   over the warm pool (degree is a sparse matmul; harmonic runs the
   packed multi-source BFS);
 * ``centrality/tiny60/betweenness`` — per-world Brandes is the one
-  pure-Python kernel, so it gets its own small substrate.
+  pure-Python kernel, so it gets its own small substrate;
+* ``bfs/dblp300/all_sources`` — the packed multi-source BFS kernel
+  itself (:func:`~repro.sampling.worlds.packed_bfs_counts`, every
+  source, one 256-world block), which every query above but degree
+  and betweenness runs;
+* ``bfs/dblp300/one_source_depth3`` — the kernel's other shape: a
+  batch of single-source depth-3 connection rows on a warm oracle.
 
 Warm and cold runs of the same query must be bit-identical — the bench
 asserts it, so the perf artifact doubles as a determinism regression.
@@ -30,9 +36,12 @@ import numpy as np
 import pytest
 
 from benchmarks.record import record_benchmark
+from repro import MonteCarloOracle
 from repro.datasets import dblp_like
 from repro.datasets.synthetic import gnm_uncertain
 from repro.sampling import WorldStore
+from repro.sampling.store import pack_mask_columns
+from repro.sampling.worlds import packed_bfs_counts, sample_edge_masks
 from repro.workloads import (
     expected_centrality,
     kcenter_clustering,
@@ -44,6 +53,8 @@ K = 4            # clusters
 SEED = 3
 CHUNK = 128
 TINY_R = 128     # betweenness budget on its dedicated substrate
+ROW_CALLS = 200  # depth-3 connection rows per timed round (>= 50 ms)
+KERNEL_ROUNDS = 5  # the kernel cells are short, so a busy host moves them most
 
 
 def _substrate(name):
@@ -167,3 +178,35 @@ def test_betweenness_on_tiny_substrate():
               "nodes": graph.n_nodes, "edges": graph.n_edges,
               "measure": "betweenness"},
     )
+
+
+def test_packed_bfs_kernel():
+    """The packed BFS kernel in its two shapes: all sources at once, and
+    many single-source depth-limited rows."""
+    graph = _substrate("dblp300")
+    n = graph.n_nodes
+    masks = sample_edge_masks(graph.edge_prob, R, rng=SEED)
+    cols = pack_mask_columns(masks)
+    sources = np.arange(n)
+    results = []
+
+    def all_sources():
+        results.append(packed_bfs_counts(graph, cols, R, sources))
+
+    seconds = _best_of(all_sources, rounds=KERNEL_ROUNDS)
+    for reached, hops in results:
+        assert np.array_equal(reached, results[0][0]) and np.array_equal(hops, results[0][1])
+    record_benchmark("workloads", "bfs/dblp300/all_sources", seconds=seconds,
+                     items=n, meta=_meta("dblp300", graph, sources=n))
+
+    oracle = MonteCarloOracle(graph, seed=SEED, chunk_size=CHUNK)
+    oracle.ensure_samples(R)
+    rows = []
+
+    def one_source_rows():
+        rows.append([oracle.connection_to_all(call % n, depth=3) for call in range(ROW_CALLS)])
+
+    seconds = _best_of(one_source_rows, rounds=KERNEL_ROUNDS)
+    assert all(np.array_equal(np.stack(batch), np.stack(rows[0])) for batch in rows)
+    record_benchmark("workloads", "bfs/dblp300/one_source_depth3", seconds=seconds,
+                     items=ROW_CALLS, meta=_meta("dblp300", graph, depth=3))

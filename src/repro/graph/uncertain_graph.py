@@ -105,6 +105,7 @@ class UncertainGraph:
         "_indptr",
         "_adj_nodes",
         "_adj_edges",
+        "_degree_layout",
         "_revision",
     )
 
@@ -136,6 +137,7 @@ class UncertainGraph:
         self._indptr = None
         self._adj_nodes = None
         self._adj_edges = None
+        self._degree_layout = None
         if revision < 0:
             raise GraphValidationError(f"revision must be non-negative, got {revision}")
         self._revision = int(revision)
@@ -370,6 +372,39 @@ class UncertainGraph:
         """CSR adjacency as ``(indptr, neighbor_nodes, neighbor_edge_ids)``."""
         self._ensure_adjacency()
         return self._indptr, self._adj_nodes, self._adj_edges
+
+    @property
+    def degree_layout(self) -> tuple[np.ndarray, ...]:
+        """The arcs relabelled by degree: ``(position, indptr, heads, tails, edges)``.
+
+        Nodes are laid out by descending degree, ties by index: node
+        ``v`` sits at ``position[v]``.  Arc ``a`` runs from position
+        ``tails[a]`` into position ``heads[a]`` along edge ``edges[a]``;
+        arcs are sorted by head, so ``indptr`` delimits each position's
+        incoming arcs as a CSR row, and the arcs of all nodes of one
+        degree ``d`` form one contiguous ``(nodes x d)`` block.  Built
+        once per graph object, like :attr:`adjacency`.
+
+        Examples
+        --------
+        >>> g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
+        >>> [a.tolist() for a in g.degree_layout]
+        [[1, 0, 2], [0, 2, 3, 4], [0, 0, 1, 2], [2, 1, 0, 0], [1, 0, 0, 1]]
+        """
+        if self._degree_layout is None:
+            indptr, adj_nodes, adj_edges = self.adjacency
+            degrees = np.diff(indptr)
+            order = np.argsort(-degrees, kind="stable")
+            position = np.empty(self._n, dtype=np.intp)
+            position[order] = np.arange(self._n)
+            arcs = np.argsort(position[np.repeat(np.arange(self._n), degrees)], kind="stable")
+            layout_indptr = np.zeros(self._n + 1, dtype=np.intp)
+            np.cumsum(degrees[order], out=layout_indptr[1:])
+            heads = np.repeat(np.arange(self._n), degrees[order])
+            self._degree_layout = (
+                position, layout_indptr, heads, position[adj_nodes[arcs]], adj_edges[arcs]
+            )
+        return self._degree_layout
 
     def neighbors(self, node: int) -> np.ndarray:
         """Neighbor indices of ``node`` (order unspecified but stable)."""

@@ -195,8 +195,9 @@ class MonteCarloOracle:
         ``store_read_s`` the time spent serving worlds from the store
         instead of sampling (labels up front, packed masks on a
         chunk's first depth or distance query), and ``distance_s`` the
-        packed BFS kernel behind :meth:`expected_distances` and the
-        depth-limited queries.  The service's per-job ``timings``
+        packed BFS kernel behind :meth:`expected_distances`, the
+        depth-limited queries and :meth:`timed_distance` (harmonic
+        closeness).  The service's per-job ``timings``
         breakdown is the delta of this dict across one job.
         """
         return {
@@ -349,17 +350,26 @@ class MonteCarloOracle:
             self._packed_chunks[index] = packed
         return packed
 
+    def timed_distance(self, kernel, *args):
+        """``kernel(*args)``, its wall time booked as ``distance_s``.
+
+        For packed-BFS kernels run on this oracle's worlds outside its
+        own queries, e.g. harmonic closeness on :meth:`chunk_masks`.
+        """
+        started = time.perf_counter()
+        try:
+            return kernel(*args)
+        finally:
+            self._distance_s += time.perf_counter() - started
+
     def _chunk_bfs_counts(self, sources: np.ndarray, depth: int | None):
         """Yield :func:`packed_bfs_counts` ``(reached, hops)`` per chunk,
         timing the kernel as ``distance_s``."""
         for index in range(self.n_chunks):
             packed = self._packed_chunk(index)
-            started = time.perf_counter()
-            counts = packed_bfs_counts(
-                self._graph, packed, self.chunk_worlds(index), sources, depth
+            yield self.timed_distance(
+                packed_bfs_counts, self._graph, packed, self.chunk_worlds(index), sources, depth
             )
-            self._distance_s += time.perf_counter() - started
-            yield counts
 
     def _reach_counts(self, sources: np.ndarray, depth: int) -> np.ndarray:
         """Worlds of the pool where each node is within ``depth`` hops of

@@ -24,6 +24,27 @@ numpy calls.  The block-CSR BFS (:func:`block_bfs_distances`,
 :func:`block_bfs_reached`) is kept as the reference the packed kernel
 is pinned against, bit for bit.  This substitutes for the OpenMP
 parallel sampler in the authors' C++ implementation.
+
+The packed BFS works in the *position space* of
+:attr:`UncertainGraph.degree_layout` (cached per graph): nodes sorted
+by descending degree, arcs sorted by head, so the arcs into all nodes
+of one degree form one contiguous ``(heads x degree)`` block.  Its
+state is node-major ``(n, sources, words)``.  Each level takes one of
+two steps, chosen from the frontier alone:
+
+* the **compacted step**, when the frontier's arcs are at most half of
+  all arcs: gather the rows of those arcs, AND their presence, and
+  OR-reduce them per head with ``reduceat``;
+* the **dense step**, for broader levels: gather the dense frontier
+  over every arc with one ``take``, AND the presence, and OR-reduce
+  each degree's arc block with one ``bitwise_or.reduce``.  The frontier
+  stays dense across consecutive dense levels, and consumers add the
+  level into their accumulators with contiguous slices.
+
+Per-world distances are decoded from bit-sliced *level codes*
+(``level + 1``, ``0`` for unreached and for the source), in the
+narrowest unsigned dtype that holds them: ``uint8`` below 255 levels.
+Harmonic closeness indexes its ``1/d`` table with them directly.
 """
 
 from __future__ import annotations
@@ -37,11 +58,12 @@ from repro.sampling.backends.unionfind import validate_masks
 from repro.sampling.store import WORD_BITS, packed_words
 from repro.utils.rng import ensure_rng
 
-#: Words one source batch may hold (2 MiB): the kernel's ``(arcs x
-#: sources x words)`` gather, and the unpacked per-world distances
-#: :func:`packed_bfs_distances` yields per block.  Sources are walked
-#: in batches sized to it, which bounds the working set whatever the
-#: source count.
+#: Words (2 MiB) that bound one source batch: its ``((arcs + n) x
+#: sources x words)`` slab covers the dense step's gather and the
+#: per-source presence (the arcs part) plus each ``(n x sources x
+#: words)`` state buffer (the nodes part).  It also sizes the per-world
+#: level codes yielded per block.  Sources are walked in batches sized
+#: to it, which bounds the working set whatever the source count.
 _BATCH_WORDS = 1 << 18
 
 
@@ -172,14 +194,15 @@ def block_bfs_reached(
 def _packed_bfs(graph, packed_cols, r: int, sources, max_depth):
     """Yield ``(lo, hi, levels)`` per batch of ``sources``.
 
-    ``levels`` iterates ``(level, nodes, reached)`` for ``level = 1, 2,
-    ...``: ``reached`` is a ``(len(nodes), hi - lo, words)`` ``uint64``
-    array whose bit ``i`` of word ``w`` at ``[k, j]`` says world
-    ``64*w + i`` first reaches ``nodes[k]`` from ``sources[lo + j]`` at
-    this level (nodes reached in no world are left out).  Level 0 (each
-    source reaches itself in every world) is not yielded.  State is
-    node-major, so the per-arc gather copies contiguous ``(sources x
-    words)`` rows.
+    ``levels`` iterates ``(level, rows, reached)`` for ``level = 1, 2,
+    ...`` in the position space of :attr:`UncertainGraph.degree_layout`:
+    ``reached`` is a ``(k, hi - lo, words)`` ``uint64`` array whose bit
+    ``i`` of word ``w`` at ``[p, j]`` says world ``64*w + i`` first
+    reaches position ``rows[p]`` from ``sources[lo + j]`` at this level.
+    ``rows`` is an index array (positions reached in no world are left
+    out) or ``slice(None)`` (all ``n`` positions) after a dense step.
+    ``reached`` is overwritten by the next level.  Level 0 (each source
+    reaches itself in every world) is not yielded.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
@@ -190,62 +213,108 @@ def _packed_bfs(graph, packed_cols, r: int, sources, max_depth):
             f"packed columns must have shape ({graph.n_edges}, {words}) "
             f"for {r} worlds, got {packed_cols.shape}"
         )
-    # Arcs into each node, one per CSR adjacency entry, sorted by head.
-    indptr, tails, edges = graph.adjacency
-    heads = np.repeat(np.arange(graph.n_nodes), np.diff(indptr))
-    presence = packed_cols[edges]
+    layout = graph.degree_layout
+    position, *_, edges = layout
+    n = graph.n_nodes
+    presence = packed_cols[edges][:, None, :]
     # The initial frontier holds only real worlds, so the pad bits of
     # the last presence word are never read.
     all_worlds = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     if r % WORD_BITS:
         all_worlds[-1] = np.uint64((1 << (r % WORD_BITS)) - 1)
-    batch = max(1, _BATCH_WORDS // max(1, len(tails) * words))
+    batch = max(1, _BATCH_WORDS // max(1, (len(edges) + n) * words))
+    if min(batch, len(sources)) > 1:
+        # Repeated per source: ANDing a broadcast over short word rows
+        # is several times slower than a contiguous AND.
+        presence = np.repeat(presence, min(batch, len(sources)), axis=1)
     for lo in range(0, len(sources), batch):
         hi = min(lo + batch, len(sources))
-        nodes, row = np.unique(sources[lo:hi], return_inverse=True)
+        starts = position[sources[lo:hi]]
+        nodes = np.flatnonzero(np.bincount(starts, minlength=n))
         frontier = np.zeros((len(nodes), hi - lo, words), dtype=np.uint64)
-        frontier[row, np.arange(hi - lo)] = all_worlds
-        yield lo, hi, _levels(graph.n_nodes, nodes, frontier, tails, heads, presence, max_depth)
+        frontier[np.searchsorted(nodes, starts), np.arange(hi - lo)] = all_worlds
+        yield lo, hi, _levels(layout, presence[:, :hi - lo], nodes, frontier, max_depth)
 
 
-def _levels(n, nodes, frontier, tails, heads, presence, max_depth):
+def _levels(layout, presence, nodes, frontier, max_depth):
     """The level loop of :func:`_packed_bfs`.
 
-    Only arcs leaving the current frontier ``nodes`` are walked: their
-    tail words are gathered, ANDed with the arc's presence, OR-reduced
-    per head and stripped of the already visited.
+    A level whose frontier ``nodes`` sends out at most half of all arcs
+    walks only those arcs: their tail rows are gathered, ANDed with the
+    arc's presence and OR-reduced per head with ``reduceat``.  A broader
+    level takes the dense step over a dense ``(n, sources, words)``
+    frontier: one gather over every arc, then one ``bitwise_or.reduce``
+    per degree over its ``(heads x degree)`` arc block.  Either way the
+    already visited are stripped.
     """
-    unvisited = np.full((n,) + frontier.shape[1:], np.iinfo(np.uint64).max, dtype=np.uint64)
+    _, indptr, heads, tails, _ = layout
+    n, shape = len(indptr) - 1, frontier.shape[1:]
+    degrees = indptr[1:] - indptr[:-1]
+    # Positions are degree-sorted, so len(nodes) * degrees[0] bounds the
+    # frontier's arcs and settles most narrow levels without a sum.
+    widest, half = int(degrees[0]), len(tails) // 2
+    unvisited = np.full((n,) + shape, np.iinfo(np.uint64).max, dtype=np.uint64)
     unvisited[nodes] = ~frontier
     row_of = np.full(n, -1, dtype=np.intp)
-    presence = presence[:, None, :]
+    gathered = None
+    dense = False
     level = 0
     while max_depth is None or level < max_depth:
-        row_of[nodes] = np.arange(len(nodes))
-        tail_rows = row_of[tails]
-        row_of[nodes] = -1
-        arcs = np.flatnonzero(tail_rows >= 0)
-        if len(arcs) == 0:
-            return
-        gathered = frontier[tail_rows[arcs]]
-        gathered &= presence[arcs]
-        arc_heads = heads[arcs]
-        first = np.empty(len(arcs), dtype=bool)
-        first[0] = True
-        np.not_equal(arc_heads[1:], arc_heads[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        targets = arc_heads[starts]
-        reached = np.bitwise_or.reduceat(gathered, starts, axis=0)
-        reached &= unvisited[targets]
-        fresh = reached.any(axis=(1, 2))
-        if not fresh.all():
-            targets, reached = targets[fresh], reached[fresh]
-            if len(targets) == 0:
+        if len(nodes) * widest > half and int(degrees[nodes].sum()) > half:
+            if gathered is None:
+                gathered = np.empty((len(tails),) + shape, dtype=np.uint64)
+                # Runs of equal degree: positions [p0, p1) of degree d own
+                # the arcs indptr[p0]:indptr[p1] (none for d = 0, which
+                # the OR-reduce over an empty axis fills with zeros).
+                bounds = np.flatnonzero(np.diff(degrees, prepend=-1, append=-1)).tolist()
+                groups = [(p0, p1, int(degrees[p0])) for p0, p1 in zip(bounds, bounds[1:])]
+            if not dense:
+                compact, frontier = frontier, np.zeros((n,) + shape, dtype=np.uint64)
+                frontier[nodes] = compact
+                dense = True
+            # Tails are valid positions; mode="raise" would buffer out=.
+            np.take(frontier, tails, axis=0, out=gathered, mode="clip")
+            gathered &= presence
+            # The frontier is spent: the next one is reduced into it.
+            reached = frontier
+            for p0, p1, d in groups:
+                block = gathered[indptr[p0]:indptr[p1]].reshape((p1 - p0, d) + shape)
+                np.bitwise_or.reduce(block, axis=1, out=reached[p0:p1])
+            reached &= unvisited
+            unvisited ^= reached
+            nodes = np.flatnonzero(reached.any(axis=(1, 2)))
+            if len(nodes) == 0:
                 return
-        unvisited[targets] ^= reached
+            rows = slice(None)
+        else:
+            if dense:
+                frontier, dense = frontier[nodes], False
+            row_of[nodes] = np.arange(len(nodes))
+            tail_rows = row_of[tails]
+            row_of[nodes] = -1
+            arcs = np.flatnonzero(tail_rows >= 0)
+            if len(arcs) == 0:
+                return
+            arc_gathered = frontier[tail_rows[arcs]]
+            arc_gathered &= presence[arcs]
+            arc_heads = heads[arcs]
+            first = np.empty(len(arcs), dtype=bool)
+            first[0] = True
+            np.not_equal(arc_heads[1:], arc_heads[:-1], out=first[1:])
+            firsts = np.flatnonzero(first)
+            nodes = arc_heads[firsts]
+            reached = np.bitwise_or.reduceat(arc_gathered, firsts, axis=0)
+            reached &= unvisited[nodes]
+            fresh = reached.any(axis=(1, 2))
+            if not fresh.all():
+                nodes, reached = nodes[fresh], reached[fresh]
+                if len(nodes) == 0:
+                    return
+            unvisited[nodes] ^= reached
+            rows = nodes
         level += 1
-        nodes, frontier = targets, reached
-        yield level, nodes, reached
+        frontier = reached
+        yield level, rows, reached
 
 
 def packed_bfs_counts(
@@ -275,15 +344,75 @@ def packed_bfs_counts(
     ([[2, 2, 1]], [[0, 2, 2]])
     """
     sources = graph.node_indices(sources)
-    reached = np.zeros((len(sources), graph.n_nodes), dtype=np.int64)
-    hops = np.zeros((len(sources), graph.n_nodes), dtype=np.int64)
-    reached[np.arange(len(sources)), sources] = r
+    n = graph.n_nodes
+    position, words = graph.degree_layout[0], packed_words(r)
+    reached = np.zeros((len(sources), n), dtype=np.int64)
+    hops = np.zeros((len(sources), n), dtype=np.int64)
     for lo, hi, levels in _packed_bfs(graph, packed_cols, r, sources, max_depth):
-        for level, nodes, bits in levels:
-            counts = np.bitwise_count(bits).sum(axis=2, dtype=np.int64).T
-            reached[lo:hi, nodes] += counts
-            hops[lo:hi, nodes] += level * counts
+        # Per-word popcounts, node-major in position space; words are
+        # summed and nodes mapped back once per batch (a sum over a few
+        # words per level is a slow short-axis reduction).  The hop sum
+        # needs no multiply: sum(level * count) is last_level * reach
+        # minus the sum over levels of the reach before that level.
+        acc = np.zeros((2, n, hi - lo, words), dtype=np.int64)
+        reach, before = acc
+        level = 0
+        for level, rows, bits in levels:
+            before += reach
+            reach[rows] += np.bitwise_count(bits)
+        np.subtract(level * reach, before, out=before)
+        acc = np.einsum("...w->...", acc)[:, position]
+        reached[lo:hi] = acc[0].T
+        hops[lo:hi] = acc[1].T
+    reached[np.arange(len(sources)), sources] = r
     return reached, hops
+
+
+def _packed_bfs_codes(
+    graph: UncertainGraph,
+    packed_cols: np.ndarray,
+    r: int,
+    sources,
+    max_depth: int | None = None,
+):
+    """Per-world level codes from ``sources``, one source batch at a time.
+
+    Yields ``(lo, hi, codes)`` where ``codes`` is a C-contiguous
+    ``(hi - lo, r, n)`` array holding ``level + 1`` where world ``i``
+    reaches ``v`` from ``sources[lo + j]`` at ``level >= 1``, and ``0``
+    for unreached nodes and for the source itself.  The dtype is the
+    narrowest unsigned one that holds the deepest code: ``uint8`` below
+    255 levels.
+    """
+    sources = graph.node_indices(sources)
+    n = graph.n_nodes
+    position = graph.degree_layout[0]
+    words = packed_words(r)
+    # Sources per yielded block: ~4 words per (world, node) code with
+    # the caller's temporaries.
+    step = max(1, _BATCH_WORDS // max(1, 4 * n * r))
+    for lo, hi, levels in _packed_bfs(graph, packed_cols, r, sources, max_depth):
+        # Bit-sliced codes: bit k of a world's level + 1 at a node is
+        # kept in planes[k], so log2(depth + 1) + 1 planes are unpacked
+        # at the end instead of one per level.
+        planes: list[np.ndarray] = []
+        for level, rows, bits in levels:
+            code = level + 1
+            while len(planes) < code.bit_length():
+                planes.append(np.zeros((n, hi - lo, words), dtype=np.uint64))
+            for k in range(code.bit_length()):
+                if code >> k & 1:
+                    planes[k][rows] |= bits
+        dtype = np.min_scalar_type((1 << len(planes)) - 1)
+        planes = [plane[position] for plane in planes]
+        for block_lo in range(lo, hi, step):
+            block_hi = min(block_lo + step, hi)
+            cols = slice(block_lo - lo, block_hi - lo)
+            codes = np.zeros((block_hi - block_lo, n, r), dtype=dtype)
+            for plane in reversed(planes):
+                codes += codes
+                codes += _world_bits(plane[:, cols], r)
+            yield block_lo, block_hi, np.ascontiguousarray(codes.transpose(0, 2, 1))
 
 
 def packed_bfs_distances(
@@ -311,34 +440,11 @@ def packed_bfs_distances(
     [[[[0, 1, 2], [0, 1, -1]]]]
     """
     sources = graph.node_indices(sources)
-    n = graph.n_nodes
-    words = packed_words(r)
-    # Sources per yielded block: ~4 words per unpacked (world, node)
-    # entry with the caller's temporaries.
-    step = max(1, _BATCH_WORDS // max(1, 4 * n * r))
-    for lo, hi, levels in _packed_bfs(graph, packed_cols, r, sources, max_depth):
-        # Bit-sliced levels: bit k of the level at which a world first
-        # reaches a node is kept in planes[k], so log2(depth) + 1
-        # planes are unpacked at the end instead of one per level.
-        planes: list[np.ndarray] = []
-        seen = np.zeros((n, hi - lo, words), dtype=np.uint64)
-        for level, nodes, bits in levels:
-            seen[nodes] |= bits
-            for k in range(level.bit_length()):
-                if level >> k & 1:
-                    if k == len(planes):
-                        planes.append(np.zeros_like(seen))
-                    planes[k][nodes] |= bits
-        for block_lo in range(lo, hi, step):
-            block_hi = min(block_lo + step, hi)
-            cols = slice(block_lo - lo, block_hi - lo)
-            dist = np.zeros((block_hi - block_lo, n, r), dtype=np.int32)
-            for k, plane in enumerate(planes):
-                dist |= np.left_shift(_world_bits(plane[:, cols], r), k, dtype=np.int32)
-            dist += _world_bits(seen[:, cols], r)  # level + 1 where reached, else 0
-            dist -= 1
-            dist[np.arange(block_hi - block_lo), sources[block_lo:block_hi]] = 0
-            yield block_lo, block_hi, np.ascontiguousarray(dist.transpose(0, 2, 1))
+    for lo, hi, codes in _packed_bfs_codes(graph, packed_cols, r, sources, max_depth):
+        dist = codes.astype(np.int32)
+        dist -= 1
+        dist[np.arange(hi - lo), :, sources[lo:hi]] = 0
+        yield lo, hi, dist
 
 
 def _world_bits(words: np.ndarray, r: int) -> np.ndarray:

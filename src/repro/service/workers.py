@@ -87,9 +87,10 @@ def _phase_breakdown(total_s: float, phases: dict | None, stats: dict | None) ->
     """The per-job ``timings`` payload: wall ms per phase plus world counts.
 
     ``distance_ms`` is the oracle's packed BFS kernel (expected
-    distances, depth-limited connection).  ``cluster_ms`` is everything
-    the sampling and distance phases do not account for (threshold
-    guesses, greedy rounds, centrality kernels, estimator math).
+    distances, depth-limited connection, harmonic closeness).
+    ``cluster_ms`` is everything the sampling and distance phases do not
+    account for (threshold guesses, greedy rounds, the degree and
+    betweenness kernels, estimator math).
     mcl/gmm jobs sample no worlds, so their breakdown is all
     ``cluster_ms``.
 

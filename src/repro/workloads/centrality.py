@@ -35,7 +35,7 @@ from repro.core.schedule import resolve_guess_schedule
 from repro.exceptions import ClusteringError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.sizes import PracticalSchedule
-from repro.workloads.measures import MEASURE_KERNELS, MEASURE_NAMES
+from repro.workloads.measures import DISTANCE_MEASURES, MEASURE_KERNELS, MEASURE_NAMES
 
 #: Two-sided normal quantile of the 95% confidence half-width.
 _Z_95 = 1.959963984540054
@@ -190,7 +190,11 @@ def expected_centrality(
             if wanted > count or count == 0:
                 oracle.ensure_samples(wanted)
                 while processed_chunks < oracle.n_chunks:
-                    chunk_values = kernel(target, oracle.chunk_masks(processed_chunks))
+                    masks = oracle.chunk_masks(processed_chunks)
+                    if measure in DISTANCE_MEASURES:
+                        chunk_values = oracle.timed_distance(kernel, target, masks)
+                    else:
+                        chunk_values = kernel(target, masks)
                     count += chunk_values.shape[0]
                     sums += chunk_values.sum(axis=0)
                     sumsq += np.square(chunk_values).sum(axis=0)

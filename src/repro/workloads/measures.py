@@ -19,9 +19,9 @@ Measures
     ``1/inf = 0`` for unreachable pairs — the standard centrality that
     stays well defined on the disconnected worlds uncertain graphs
     routinely produce.  The packed multi-source BFS
-    (:func:`~repro.sampling.worlds.packed_bfs_distances`) walks the
-    batch's mask columns, 64 worlds per word, a batch of sources at a
-    time.
+    (:mod:`repro.sampling.worlds`) walks the batch's mask columns, 64
+    worlds per word, a batch of sources at a time, and yields narrow
+    per-world level codes that index a ``1/d`` table directly.
 ``betweenness``
     Brandes shortest-path betweenness (unordered pairs, endpoints
     excluded).  Computed per world in ``O(n * m)`` each — exact and
@@ -39,10 +39,14 @@ import scipy.sparse as sp
 
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.store import pack_mask_columns
-from repro.sampling.worlds import packed_bfs_distances
+from repro.sampling.worlds import _packed_bfs_codes
 
 #: Valid ``measure=`` names, in the order the CLI/API document them.
 MEASURE_NAMES = ("degree", "harmonic", "betweenness")
+
+#: Measures whose kernel runs the packed BFS; the Monte Carlo estimator
+#: books it as the oracle's distance phase.
+DISTANCE_MEASURES = frozenset({"harmonic"})
 
 
 def _as_mask_matrix(graph: UncertainGraph, masks) -> np.ndarray:
@@ -99,14 +103,14 @@ def world_harmonic(graph: UncertainGraph, masks) -> np.ndarray:
     values = np.zeros((r, n), dtype=np.float64)
     if n <= 1 or r == 0:
         return values
-    # 1/d per hop count d; the last entry serves unreached (-1) pairs.
+    # 1/d per level code d + 1; code 0 (unreached, or the source) is 0.
     inverse = np.zeros(n + 1, dtype=np.float64)
-    inverse[1:n] = 1.0 / np.arange(1, n, dtype=np.float64)
-    batches = packed_bfs_distances(graph, pack_mask_columns(masks), r, np.arange(n))
-    for lo, hi, dist in batches:
+    inverse[2:] = 1.0 / np.arange(1, n, dtype=np.float64)
+    batches = _packed_bfs_codes(graph, pack_mask_columns(masks), r, np.arange(n))
+    for lo, hi, codes in batches:
         # Each source's (r, n) block is C-contiguous and summed along its
         # rows, so the float summation order matches a per-source BFS.
-        values[:, lo:hi] = inverse[dist].sum(axis=2).T
+        values[:, lo:hi] = inverse[codes].sum(axis=2).T
     values /= n - 1
     return values
 

@@ -335,6 +335,15 @@ class TestPackedDistanceQueries:
             masks = oracle.chunk_masks(index)
             assert np.array_equal(world_harmonic(graph, masks), _csr_harmonic(graph, masks))
 
+    def test_harmonic_past_255_hops(self):
+        # Hop counts up to 269 take the wider level codes; the 1/d sums
+        # must still match the block-CSR BFS bit for bit.
+        graph = UncertainGraph.from_edges([(v, v + 1, 1.0) for v in range(269)])
+        masks = np.ones((3, graph.n_edges), dtype=bool)
+        masks[1, 100] = False
+        masks[2, [50, 200]] = False
+        assert np.array_equal(world_harmonic(graph, masks), _csr_harmonic(graph, masks))
+
     def test_distance_kernel_is_timed(self, graph, tmp_path):
         store = WorldStore(tmp_path)
         MonteCarloOracle(graph, seed=4, store=store).ensure_samples(128)
@@ -347,3 +356,12 @@ class TestPackedDistanceQueries:
         assert after["distance_s"] > 0.0
         # The chunk's first-touch mask read is a store read, not distance time.
         assert after["store_read_s"] > before["store_read_s"]
+
+    def test_harmonic_kernel_is_timed_as_distance(self, graph):
+        from repro import expected_centrality
+
+        oracle = MonteCarloOracle(graph, seed=4)
+        expected_centrality(None, measure="degree", oracle=oracle, samples=128)
+        assert oracle.phase_timings["distance_s"] == 0.0
+        expected_centrality(None, measure="harmonic", oracle=oracle, samples=128)
+        assert oracle.phase_timings["distance_s"] > 0.0

@@ -1593,14 +1593,21 @@ class TestTelemetryEndpoints:
         assert terminal["event"] == "done"
         assert terminal["data"]["timings"] == timings
 
-    def test_distance_jobs_attribute_the_packed_bfs(self, client):
-        params = {"graph": "toy", "algorithm": "kmedian", "k": 2,
-                  "samples": 128, "seed": 6}
+    @pytest.mark.parametrize("job", [
+        {"algorithm": "kmedian", "k": 2},
+        {"algorithm": "centrality", "measure": "harmonic"},
+        {"algorithm": "centrality", "measure": "degree"},
+    ], ids=["kmedian", "harmonic", "degree"])
+    def test_distance_jobs_attribute_the_packed_bfs(self, client, job):
+        params = {"graph": "toy", "samples": 128, "seed": 6, **job}
         status, payload = client.request("POST", "/jobs", params)
         assert status == 202
         timings = client.wait_job(payload["job"])["timings"]
         assert set(timings) == self.TIMINGS_KEYS
-        assert timings["distance_ms"] > 0
+        if job.get("measure") == "degree":
+            assert timings["distance_ms"] == 0
+        else:
+            assert timings["distance_ms"] > 0
         phases = sum(timings[key] for key in (
             "sample_ms", "label_ms", "store_read_ms", "distance_ms", "cluster_ms"))
         assert phases == pytest.approx(timings["total_ms"], abs=0.01)

@@ -7,6 +7,7 @@ from repro import UncertainGraph
 from repro.graph.components import connected_component_labels
 from repro.sampling.store import WORD_BITS, pack_mask_columns
 from repro.sampling.worlds import (
+    _packed_bfs_codes,
     block_bfs_distances,
     block_bfs_reached,
     packed_bfs_counts,
@@ -149,11 +150,29 @@ def _with_garbage_pad(cols, r):
     return cols
 
 
+def _hub_graph():
+    """A hub whose 24 spokes form a ring, plus a 12-edge tail off one spoke.
+
+    The spokes' arcs are more than half of all arcs, so a BFS from the
+    hub takes the dense step on its second level and the compacted step
+    before and after it.
+    """
+    spokes = [(0, leaf, 0.8) for leaf in range(1, 25)]
+    ring = [(leaf, leaf % 24 + 1, 0.5) for leaf in range(1, 25)]
+    tail = [(node, node + 1, 0.9) for node in range(24, 36)]
+    return UncertainGraph.from_edges(spokes + ring + tail)
+
+
+def _certain_path(n):
+    return UncertainGraph.from_edges([(v, v + 1, 1.0) for v in range(n - 1)])
+
+
 class TestPackedBfs:
     """Invariant 6: the packed BFS equals the block-CSR BFS bit for bit."""
 
     GRAPHS = {
         "random": lambda: random_graph(14, 0.2, np.random.default_rng(4)),
+        "hub": _hub_graph,
         "isolated": lambda: UncertainGraph.from_edges(
             [(1, 2, 0.6), (2, 3, 0.7), (5, 6, 0.5)], nodes=range(8)
         ),
@@ -200,6 +219,55 @@ class TestPackedBfs:
             for j, source in enumerate(sources[lo:hi]):
                 expected = block_bfs_distances(block, graph.n_nodes, r, int(source))
                 assert np.array_equal(dist[j], expected)
+
+    def test_levels_past_255_widen_the_codes(self):
+        # 269 hops: level codes (level + 1) no longer fit in uint8.
+        graph = _certain_path(270)
+        n, r = graph.n_nodes, 65
+        masks = np.ones((r, graph.n_edges), dtype=bool)
+        masks[1:, 200] = False  # world 0 is the whole path
+        cols = _with_garbage_pad(pack_mask_columns(masks), r)
+        block = world_block_csr(graph, masks)
+        sources = [0, n - 1, 100]
+        for depth in (None, 260):
+            expected = np.stack([block_bfs_distances(block, n, r, v, depth) for v in sources])
+            assert np.array_equal(_packed_distances(graph, cols, r, sources, depth), expected)
+            reached, hops = packed_bfs_counts(graph, cols, r, sources, depth)
+            assert np.array_equal(reached, (expected >= 0).sum(axis=1))
+            assert np.array_equal(hops, np.maximum(expected, 0).sum(axis=1))
+        (_, _, codes), = _packed_bfs_codes(graph, cols, r, [0])
+        assert codes.dtype == np.uint16 and codes.max() == n
+        (_, _, codes), = _packed_bfs_codes(graph, cols, r, [0], 254)
+        assert codes.dtype == np.uint8 and codes.max() == 255
+
+    def test_layout_belongs_to_the_graph_object(self):
+        graph = random_graph(14, 0.2, np.random.default_rng(4))
+        layout = graph.degree_layout
+        assert graph.degree_layout is layout
+        # Joining the least connected node to every other node moves it
+        # to position 0 of the mutated graph's layout.
+        low = int(np.argmin(graph.degrees()))
+        mutated, _ = graph.mutate(add=[
+            (graph.label_of(low), graph.label_of(v), 0.9)
+            for v in range(graph.n_nodes) if v != low and not graph.has_edge(low, v)
+        ])
+        fresh = UncertainGraph(
+            mutated.n_nodes, mutated.edge_src, mutated.edge_dst, mutated.edge_prob)
+        assert graph.degree_layout is layout
+        assert mutated.degree_layout is not layout
+        for got, want in zip(mutated.degree_layout, fresh.degree_layout):
+            assert np.array_equal(got, want)
+        assert mutated.degree_layout[0][low] == 0 != layout[0][low]
+        r = 70
+        masks = sample_edge_masks(mutated.edge_prob, r, rng=3)
+        block = world_block_csr(mutated, masks)
+        expected = np.stack([
+            block_bfs_distances(block, mutated.n_nodes, r, v) for v in range(mutated.n_nodes)
+        ])
+        reached, hops = packed_bfs_counts(
+            mutated, pack_mask_columns(masks), r, range(mutated.n_nodes))
+        assert np.array_equal(reached, (expected >= 0).sum(axis=1))
+        assert np.array_equal(hops, np.maximum(expected, 0).sum(axis=1))
 
     def test_rejects_bad_input(self, path4):
         cols = pack_mask_columns(np.ones((3, 3), dtype=bool))
