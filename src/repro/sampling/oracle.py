@@ -48,6 +48,7 @@ oracle bit-identically.
 
 from __future__ import annotations
 
+import bisect
 import time
 
 import numpy as np
@@ -167,6 +168,24 @@ class MonteCarloOracle:
     @property
     def max_samples(self) -> int:
         return self._max_samples
+
+    @property
+    def chunk_size(self) -> int:
+        """Worlds per growth step of :meth:`ensure_samples`."""
+        return self._chunk_size
+
+    @property
+    def stored_worlds(self) -> int:
+        """Worlds the attached store holds for this pool (0 without a
+        store, or when the store cannot be read: the cache is best
+        effort).  :meth:`ensure_samples` serves the pool from them
+        before it samples anything."""
+        if self._store is None:
+            return 0
+        try:
+            return self._store.count(self._pool_digest)
+        except (OSError, ValueError, OracleError):
+            return 0
 
     @property
     def store(self) -> WorldStore | None:
@@ -337,7 +356,7 @@ class MonteCarloOracle:
             stop = start + self.chunk_worlds(index)
             started = time.perf_counter()
             try:
-                packed, _labels = self._store.read(self._pool_digest, start, stop)
+                packed, _ = self._store.read(self._pool_digest, start, stop, labels=False)
             except (OSError, ValueError, OracleError):
                 packed = None
             self._store_read_s += time.perf_counter() - started
@@ -354,7 +373,7 @@ class MonteCarloOracle:
         """``kernel(*args)``, its wall time booked as ``distance_s``.
 
         For packed-BFS kernels run on this oracle's worlds outside its
-        own queries, e.g. harmonic closeness on :meth:`chunk_masks`.
+        own queries, e.g. harmonic closeness on :meth:`packed_worlds`.
         """
         started = time.perf_counter()
         try:
@@ -386,11 +405,11 @@ class MonteCarloOracle:
     # Chunked pool access (the workload surface)
     # ------------------------------------------------------------------
     #
-    # ``repro.workloads`` consumers iterate the pool chunk by chunk so
-    # every query family (clustering, k-median/k-center, centrality)
-    # shares one set of sampled worlds: a pool warmed by any workload is
-    # warm for all of them, and a store-served chunk loads its masks
-    # from the store — never from the sampler.
+    # ``repro.workloads`` consumers read the pool by chunk or by world
+    # range so every query family (clustering, k-median/k-center,
+    # centrality) shares one set of sampled worlds: a pool warmed by any
+    # workload is warm for all of them, and a store-served chunk loads
+    # its masks from the store — never from the sampler.
 
     @property
     def n_chunks(self) -> int:
@@ -399,8 +418,9 @@ class MonteCarloOracle:
 
     def chunk_worlds(self, index: int) -> int:
         """Worlds held by chunk ``index``."""
-        stops = self._chunk_starts[1:] + [self._n_samples]
-        return stops[index] - self._chunk_starts[index]
+        starts = self._chunk_starts
+        stop = starts[index + 1] if index + 1 < len(starts) else self._n_samples
+        return stop - starts[index]
 
     def chunk_masks(self, index: int) -> np.ndarray:
         """Boolean ``(worlds, m)`` edge masks of chunk ``index``.
@@ -409,6 +429,28 @@ class MonteCarloOracle:
         store on first touch (a read, not a resample).
         """
         return unpack_mask_columns(self._packed_chunk(index), self.chunk_worlds(index))
+
+    def packed_worlds(self, start: int, stop: int) -> np.ndarray:
+        """Packed ``(m, packed_words(stop - start))`` mask columns of the
+        pooled worlds ``[start, stop)``.
+
+        A range that is exactly one chunk is that chunk's columns (read
+        from the store on first touch, like :meth:`chunk_masks`); any
+        other range is cut from the chunks it spans and packed anew.
+        """
+        if not 0 <= start < stop <= self._n_samples:
+            raise ValueError(
+                f"world range [{start}, {stop}) outside the pool of {self._n_samples} worlds"
+            )
+        index = bisect.bisect_right(self._chunk_starts, start) - 1
+        if self._chunk_starts[index] == start and self.chunk_worlds(index) == stop - start:
+            return self._packed_chunk(index)
+        parts = []
+        while index < self.n_chunks and self._chunk_starts[index] < stop:
+            offset = self._chunk_starts[index]
+            parts.append(self.chunk_masks(index)[max(start - offset, 0):stop - offset])
+            index += 1
+        return pack_mask_columns(np.concatenate(parts))
 
     # ------------------------------------------------------------------
     # Queries

@@ -356,28 +356,26 @@ class _MemoryPool:
     def block_counts(self) -> list[int]:
         return [part.shape[0] for part in self.label_parts]
 
-    def read(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def read_masks(self, start: int, stop: int) -> np.ndarray:
         # Serve block-aligned ranges (the oracle's warm path reads the
         # pool back chunk by chunk) as stored views — parts are
         # append-only and treated as immutable, so no copy is needed.
         if start == stop:
-            return _empty_cols(self.meta), _empty_labels(self.meta)
+            return _empty_cols(self.meta)
         offset = 0
-        bool_slices, label_slices = [], []
+        bool_slices = []
         for packed_cols, labels in zip(self.packed_parts, self.label_parts, strict=True):
             rows = labels.shape[0]
             lo = max(start - offset, 0)
             hi = min(stop - offset, rows)
             if lo < hi:
                 if lo == 0 and hi == rows and start == offset and stop == offset + rows:
-                    return packed_cols, labels
+                    return packed_cols
                 bool_slices.append(unpack_mask_columns(packed_cols, rows)[lo:hi])
-                label_slices.append(labels[lo:hi])
             offset += rows
             if offset >= stop:
                 break
-        masks = np.concatenate(bool_slices, axis=0)
-        return pack_mask_columns(masks), np.concatenate(label_slices, axis=0)
+        return pack_mask_columns(np.concatenate(bool_slices, axis=0))
 
     def read_labels(self, start: int, stop: int) -> np.ndarray:
         label_slices = []
@@ -492,13 +490,12 @@ class _DiskPool:
         del labels_map
         return labels
 
-    def read(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def read_masks(self, start: int, stop: int) -> np.ndarray:
         n_edges = int(self.meta["n_edges"])
-        labels = self.read_labels(start, stop)
         if start == stop:
-            return _empty_cols(self.meta), labels
+            return _empty_cols(self.meta)
         if n_edges == 0:
-            return np.zeros((0, packed_words(stop - start)), dtype=np.uint64), labels
+            return np.zeros((0, packed_words(stop - start)), dtype=np.uint64)
         masks_map = np.memmap(self.masks_path, dtype=np.uint64, mode="r")
         try:
             offset_words = 0
@@ -513,14 +510,13 @@ class _DiskPool:
                         masks_map[offset_words: offset_words + n_edges * words]
                     ).reshape(n_edges, words)
                     if lo == 0 and hi == rows and start == block_start and stop == block_start + rows:
-                        return block, labels
+                        return block
                     bool_slices.append(unpack_mask_columns(block, rows)[lo:hi])
                 offset_words += n_edges * words
                 block_start += rows
                 if block_start >= stop:
                     break
-            masks = np.concatenate(bool_slices, axis=0)
-            return pack_mask_columns(masks), labels
+            return pack_mask_columns(np.concatenate(bool_slices, axis=0))
         finally:
             del masks_map
 
@@ -708,11 +704,16 @@ class WorldStore:
                 pool.refresh()
             return pool.count
 
-    def read(self, digest: str, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def read(
+        self, digest: str, start: int, stop: int, *, labels: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Columnar masks and labels of stored worlds ``[start, stop)``.
 
         Returns ``(packed_cols, labels)`` of shapes
         ``(m, packed_words(rows))`` uint64 and ``(rows, n)`` int32.
+        With ``labels=False`` no label bytes are touched and ``None``
+        stands in for them: the masks-only read of an oracle chunk
+        whose labels are already held.
         Block-aligned ranges (the oracle's warm path) are served as
         stored views/copies directly; misaligned ranges are re-packed.
         Disk pools are copied out of their memmap so no file handle
@@ -734,10 +735,13 @@ class WorldStore:
                 raise WorldStoreError(
                     f"read range [{start}, {stop}) outside stored pool of {pool.count} worlds"
                 )
-            packed_cols, labels = pool.read(start, stop)
+            packed_cols = pool.read_masks(start, stop)
+            label_rows = pool.read_labels(start, stop) if labels else None
         _STORE_WORLDS_READ.inc(stop - start)
-        _STORE_BYTES_READ.inc(packed_cols.nbytes + labels.nbytes)
-        return packed_cols, labels
+        _STORE_BYTES_READ.inc(
+            packed_cols.nbytes + (0 if label_rows is None else label_rows.nbytes)
+        )
+        return packed_cols, label_rows
 
     def read_labels(self, digest: str, start: int, stop: int) -> np.ndarray:
         """Labels only, worlds ``[start, stop)`` — no mask bytes touched.

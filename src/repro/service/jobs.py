@@ -241,6 +241,29 @@ def paginate_jobs(jobs, *, state: str | None = None, limit=None,
     return page, next_cursor
 
 
+def prune_terminal_jobs(jobs: dict[str, Job], retain: int) -> None:
+    """Delete the oldest terminal jobs of ``jobs`` beyond ``retain``.
+
+    Queues insert jobs in job-number order and never reinsert one, so
+    walking the dict in order meets the oldest terminal jobs first;
+    queued and running jobs are never removed.
+
+    Examples
+    --------
+    >>> jobs = {f"job-{i:06d}": Job(id=f"job-{i:06d}", key=str(i), params={})
+    ...         for i in (1, 2, 3)}
+    >>> jobs["job-000001"].status = jobs["job-000003"].status = "done"
+    >>> prune_terminal_jobs(jobs, retain=1)
+    >>> list(jobs)
+    ['job-000002', 'job-000003']
+    """
+    excess = sum(job.status in TERMINAL_STATES for job in jobs.values()) - retain
+    if excess > 0:
+        terminal = (job_id for job_id, job in jobs.items() if job.status in TERMINAL_STATES)
+        for job_id in list(itertools.islice(terminal, excess)):
+            del jobs[job_id]
+
+
 class JobQueue:
     """Thread-pool job queue with coalescing, polling, and cancellation.
 
@@ -319,7 +342,7 @@ class JobQueue:
             _JOBS_SUBMITTED.labels(algorithm=_algorithm_of(params)).inc()
             self._active += 1
             _QUEUE_DEPTH.set(self._active)
-            self._prune_locked()
+            prune_terminal_jobs(self._jobs, self._retain)
             self._futures[job.id] = self._executor.submit(self._run, job)
         return job, False
 
@@ -434,12 +457,3 @@ class JobQueue:
         if isinstance(job.result, dict) and job.result.get("timings") is not None:
             data["timings"] = job.result["timings"]
         job.add_event(status, data)
-
-    def _prune_locked(self) -> None:
-        terminal = sorted(
-            (j for j in self._jobs.values() if j.status in TERMINAL_STATES),
-            key=lambda job: job_number(job.id),
-        )
-        excess = len(terminal) - self._retain
-        for job in terminal[:max(excess, 0)]:
-            del self._jobs[job.id]

@@ -66,6 +66,7 @@ from repro.service.jobs import (
     _algorithm_of,
     canonical_key,
     job_number,
+    prune_terminal_jobs,
 )
 from repro.workloads import (
     expected_centrality,
@@ -512,7 +513,7 @@ class ProcessJobQueue:
                 self._client_active[client] = self._client_active.get(client, 0) + 1
             _JOBS_SUBMITTED.labels(algorithm=_algorithm_of(params)).inc()
             _QUEUE_DEPTH.set(sum(self._load))
-            self._prune_locked()
+            prune_terminal_jobs(self._jobs, self._retain)
             self._tasks[worker_id].put(
                 (job.id, params, graph, ancestors, trace_id or job.id)
             )
@@ -701,12 +702,3 @@ class ProcessJobQueue:
         if isinstance(job.result, dict) and job.result.get("timings") is not None:
             data["timings"] = job.result["timings"]
         job.add_event(status, data)
-
-    def _prune_locked(self) -> None:
-        terminal = sorted(
-            (j for j in self._jobs.values() if j.status in TERMINAL_STATES),
-            key=lambda job: job_number(job.id),
-        )
-        excess = len(terminal) - self._retain
-        for job in terminal[:max(excess, 0)]:
-            del self._jobs[job.id]

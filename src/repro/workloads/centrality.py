@@ -18,8 +18,18 @@ moments.  The run stops at the first round where the worst-case
 half-width drops to ``tol`` (absolute, on the measure's own scale), or
 when the sample budget is exhausted — ``converged`` records which.
 
-Chunks already folded into the running moments are never re-read:
-each round only processes the chunks the pool grew by.
+Per-world values are computed once, on blocks of new worlds, and
+folded into the running moments chunk by chunk.  Distance measures
+(the packed BFS costs the same for 1 or 64 worlds) read ahead: when a
+round grows the pool and the store already holds the next worlds, the
+pool grows to the next multiple of 64 worlds (capped at the budget,
+the stored count and the oracle's ``max_samples``), so a ramp such as
+``50, 64`` runs one BFS, not two.  The moments are folded over the
+chunks :meth:`~repro.sampling.oracle.MonteCarloOracle.ensure_samples`
+cuts when the pool grows to exactly each round's size, never over a
+whole block: float sums depend on how rows are grouped, so the
+estimate, its half-width and the round history do not depend on the
+read-ahead.
 """
 
 from __future__ import annotations
@@ -35,7 +45,8 @@ from repro.core.schedule import resolve_guess_schedule
 from repro.exceptions import ClusteringError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.sizes import PracticalSchedule
-from repro.workloads.measures import DISTANCE_MEASURES, MEASURE_KERNELS, MEASURE_NAMES
+from repro.sampling.store import WORD_BITS, unpack_mask_columns
+from repro.workloads.measures import DISTANCE_KERNELS, MEASURE_KERNELS, MEASURE_NAMES
 
 #: Two-sided normal quantile of the 95% confidence half-width.
 _Z_95 = 1.959963984540054
@@ -63,6 +74,8 @@ class CentralityResult:
         The measure estimated (``degree``/``harmonic``/``betweenness``).
     samples_used:
         Worlds the final estimate averages over (0 for an exact oracle).
+        A distance measure that stops early may leave up to 63 more
+        worlds read ahead in the oracle's pool.
     half_width:
         Final worst-case 95% confidence half-width across nodes
         (0 for an exact oracle).
@@ -170,15 +183,31 @@ def expected_centrality(
 
     if samples < 1:
         raise ClusteringError(f"samples must be >= 1, got {samples}")
-    kernel = MEASURE_KERNELS[measure]
     n = target.n_nodes
     schedule = resolve_guess_schedule(guess_schedule, gamma, p_lower)
     pool_size_for = PracticalSchedule(max_samples=samples)
+    chunk_size = oracle.chunk_size
+    # Blocks of at most this many worlds bound the per-world values held.
+    block_worlds = -(-chunk_size // WORD_BITS) * WORD_BITS
+
+    def evaluate(lo: int, hi: int) -> np.ndarray:
+        packed = oracle.packed_worlds(lo, hi)
+        if measure in DISTANCE_KERNELS:
+            return oracle.timed_distance(DISTANCE_KERNELS[measure], target, packed, hi - lo)
+        return MEASURE_KERNELS[measure](target, unpack_mask_columns(packed, hi - lo))
 
     count = 0
     sums = np.zeros(n, dtype=np.float64)
     sumsq = np.zeros(n, dtype=np.float64)
-    processed_chunks = 0
+    # Chunks to fold, first those of a pool the caller already grew.
+    slices: list[tuple[int, int]] = []
+    for index in range(oracle.n_chunks):
+        start = slices[-1][1] if slices else 0
+        slices.append((start, start + oracle.chunk_worlds(index)))
+    grown = oracle.num_samples  # the pool size without read-ahead
+    # Per-world values of worlds [values_lo, values_lo + len(world_values)).
+    world_values = np.zeros((0, n), dtype=np.float64)
+    values_lo = 0
     history: list[CentralityRound] = []
     converged = False
     half_width = math.inf
@@ -188,17 +217,28 @@ def expected_centrality(
         with telemetry.get_tracer().span("centrality.round", q=float(q)) as span:
             wanted = max(pool_size_for(q), count)
             if wanted > count or count == 0:
-                oracle.ensure_samples(wanted)
-                while processed_chunks < oracle.n_chunks:
-                    masks = oracle.chunk_masks(processed_chunks)
-                    if measure in DISTANCE_MEASURES:
-                        chunk_values = oracle.timed_distance(kernel, target, masks)
-                    else:
-                        chunk_values = kernel(target, masks)
-                    count += chunk_values.shape[0]
+                stored = oracle.stored_worlds
+                slices += _chunk_slices(grown, wanted, chunk_size, stored)
+                grown = max(grown, wanted)
+                target_size = grown
+                if measure in DISTANCE_KERNELS and grown > oracle.num_samples:
+                    ahead = -(-grown // WORD_BITS) * WORD_BITS
+                    ahead = min(ahead, samples, stored, oracle.max_samples)
+                    target_size = max(grown, ahead)
+                oracle.ensure_samples(target_size)
+                for lo, hi in slices:
+                    while values_lo + len(world_values) < hi:
+                        block_lo = values_lo + len(world_values)
+                        block_hi = min(oracle.num_samples, block_lo + block_worlds)
+                        world_values = np.concatenate(
+                            [world_values[lo - values_lo:], evaluate(block_lo, block_hi)]
+                        )
+                        values_lo = lo
+                    chunk_values = world_values[lo - values_lo:hi - values_lo]
+                    count += hi - lo
                     sums += chunk_values.sum(axis=0)
                     sumsq += np.square(chunk_values).sum(axis=0)
-                    processed_chunks += 1
+                slices = []
             mean = sums / count
             if count > 1:
                 variance = np.maximum(sumsq - count * np.square(mean), 0.0) / (count - 1)
@@ -227,3 +267,17 @@ def expected_centrality(
         converged=converged,
         history=tuple(history),
     )
+
+
+def _chunk_slices(start: int, stop: int, chunk_size: int, stored: int) -> list[tuple[int, int]]:
+    """The chunks ``ensure_samples(stop)`` cuts a pool of ``start`` worlds
+    into when ``stored`` worlds are in the store: chunks of at most
+    ``chunk_size`` worlds, the last stored one ending at ``stored``."""
+    slices = []
+    while start < stop:
+        end = min(start + chunk_size, stop)
+        if start < stored:
+            end = min(end, stored)
+        slices.append((start, end))
+        start = end
+    return slices

@@ -44,10 +44,6 @@ from repro.sampling.worlds import _packed_bfs_codes
 #: Valid ``measure=`` names, in the order the CLI/API document them.
 MEASURE_NAMES = ("degree", "harmonic", "betweenness")
 
-#: Measures whose kernel runs the packed BFS; the Monte Carlo estimator
-#: books it as the oracle's distance phase.
-DISTANCE_MEASURES = frozenset({"harmonic"})
-
 
 def _as_mask_matrix(graph: UncertainGraph, masks) -> np.ndarray:
     masks = np.asarray(masks, dtype=bool)
@@ -98,7 +94,24 @@ def world_harmonic(graph: UncertainGraph, masks) -> np.ndarray:
     [[0.75, 1.0, 0.75]]
     """
     masks = _as_mask_matrix(graph, masks)
-    r = masks.shape[0]
+    return packed_world_harmonic(graph, pack_mask_columns(masks), masks.shape[0])
+
+
+def packed_world_harmonic(graph: UncertainGraph, packed_cols: np.ndarray, r: int) -> np.ndarray:
+    """:func:`world_harmonic` of ``r`` worlds given as the store's packed
+    ``(m, packed_words(r))`` mask columns, which the BFS walks as is.
+
+    Each world's row depends on that world alone, so the values do not
+    depend on how worlds are grouped into blocks.
+
+    Examples
+    --------
+    >>> from repro.sampling.store import pack_mask_columns
+    >>> g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
+    >>> cols = pack_mask_columns([[True, True], [True, False]])
+    >>> packed_world_harmonic(g, cols, 2).round(2).tolist()
+    [[0.75, 1.0, 0.75], [0.5, 0.5, 0.0]]
+    """
     n = graph.n_nodes
     values = np.zeros((r, n), dtype=np.float64)
     if n <= 1 or r == 0:
@@ -106,8 +119,7 @@ def world_harmonic(graph: UncertainGraph, masks) -> np.ndarray:
     # 1/d per level code d + 1; code 0 (unreached, or the source) is 0.
     inverse = np.zeros(n + 1, dtype=np.float64)
     inverse[2:] = 1.0 / np.arange(1, n, dtype=np.float64)
-    batches = _packed_bfs_codes(graph, pack_mask_columns(masks), r, np.arange(n))
-    for lo, hi, codes in batches:
+    for lo, hi, codes in _packed_bfs_codes(graph, packed_cols, r, np.arange(n)):
         # Each source's (r, n) block is C-contiguous and summed along its
         # rows, so the float summation order matches a per-source BFS.
         values[:, lo:hi] = inverse[codes].sum(axis=2).T
@@ -175,4 +187,12 @@ MEASURE_KERNELS = {
     "degree": world_degrees,
     "harmonic": world_harmonic,
     "betweenness": world_betweenness,
+}
+
+#: Distance measures: their kernels run the packed BFS, which costs the
+#: same for 1 or 64 worlds.  Mapped to their entry on packed mask
+#: columns; the Monte Carlo estimator books it as the oracle's distance
+#: phase.
+DISTANCE_KERNELS = {
+    "harmonic": packed_world_harmonic,
 }

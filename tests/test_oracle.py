@@ -365,3 +365,75 @@ class TestPackedDistanceQueries:
         assert oracle.phase_timings["distance_s"] == 0.0
         expected_centrality(None, measure="harmonic", oracle=oracle, samples=128)
         assert oracle.phase_timings["distance_s"] > 0.0
+
+
+class TestPackedWorlds:
+    """The block surface of the centrality estimator: chunk size and
+    stored-count accessors, packed world ranges, masks-only reads."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_graph(15, 0.25, np.random.default_rng(12), prob_low=0.2, prob_high=0.9)
+
+    def test_chunk_size_and_stored_worlds(self, graph):
+        assert MonteCarloOracle(graph, seed=1, chunk_size=48).chunk_size == 48
+        assert MonteCarloOracle(graph, seed=1).stored_worlds == 0
+        store = WorldStore()
+        MonteCarloOracle(graph, seed=1, store=store).ensure_samples(70)
+        oracle = MonteCarloOracle(graph, seed=1, store=store)
+        assert oracle.stored_worlds == 70
+        store.clear()  # an unreadable store counts as empty, never raises
+        assert oracle.stored_worlds == 0
+
+    @pytest.mark.parametrize("chunk_size", [7, 50, 64])
+    @pytest.mark.parametrize("served", [False, True])
+    def test_packed_worlds_match_chunk_masks(self, graph, chunk_size, served):
+        from repro.sampling.store import unpack_mask_columns
+
+        store = WorldStore()
+        if served:
+            MonteCarloOracle(graph, seed=2, store=store).ensure_samples(150)
+        oracle = MonteCarloOracle(graph, seed=2, chunk_size=chunk_size, store=store)
+        oracle.ensure_samples(150)
+        masks = np.concatenate([oracle.chunk_masks(i) for i in range(oracle.n_chunks)])
+        for start, stop in [(0, 150), (0, 64), (64, 128), (3, 5), (140, 150),
+                            (0, chunk_size), (chunk_size, 2 * chunk_size)]:
+            packed = oracle.packed_worlds(start, stop)
+            assert np.array_equal(unpack_mask_columns(packed, stop - start), masks[start:stop])
+        # A whole chunk is served as the chunk's own columns, not a copy.
+        assert oracle.packed_worlds(chunk_size, 2 * chunk_size) is oracle.packed_worlds(
+            chunk_size, 2 * chunk_size)
+        for start, stop in [(0, 0), (-1, 3), (5, 4), (0, 151)]:
+            with pytest.raises(ValueError):
+                oracle.packed_worlds(start, stop)
+
+    def test_masks_only_store_read(self, graph):
+        from repro import telemetry
+
+        registry = telemetry.get_registry()
+        store = WorldStore()
+        MonteCarloOracle(graph, seed=3, store=store).ensure_samples(100)
+        digest = store.register(graph, 3)
+        for start, stop in [(0, 100), (10, 90)]:
+            packed, labels = store.read(digest, start, stop)
+            before = registry.value("repro_store_bytes_read_total")
+            masks_only, none = store.read(digest, start, stop, labels=False)
+            assert none is None
+            assert np.array_equal(masks_only, packed)
+            assert registry.value("repro_store_bytes_read_total") - before == packed.nbytes
+
+    def test_warm_harmonic_reads_labels_once(self, graph, tmp_path):
+        """A warm 64-world harmonic run reads each label row once and the
+        one word of masks once (it used to read labels twice and the
+        masks once per ramp step)."""
+        from repro import expected_centrality, telemetry
+
+        registry = telemetry.get_registry()
+        store = WorldStore(tmp_path)
+        MonteCarloOracle(graph, seed=4, store=store).ensure_samples(64)
+        before = registry.value("repro_store_bytes_read_total")
+        result = expected_centrality(graph, measure="harmonic", seed=4, samples=64,
+                                     tol=1e-12, store=store)
+        assert result.samples_used == 64 and result.n_rounds == 2
+        read = registry.value("repro_store_bytes_read_total") - before
+        assert read == 64 * graph.n_nodes * 4 + graph.n_edges * 8

@@ -31,7 +31,13 @@ from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.parallel import ParallelSampler
 from repro.sampling.sizes import PracticalSchedule
 from repro.service import BackgroundServer, ClusterService
-from repro.service.jobs import Job, JobQueue, canonical_key, paginate_jobs
+from repro.service.jobs import (
+    Job,
+    JobQueue,
+    canonical_key,
+    paginate_jobs,
+    prune_terminal_jobs,
+)
 
 TIMEOUT = 30.0
 
@@ -1218,6 +1224,84 @@ class TestJobListPagination:
             kept = [job.id for job in queue.list()]
             # The three oldest terminal jobs are the pruning victims.
             assert kept == [ids[3], ids[4], newest.id]
+        finally:
+            queue.shutdown()
+
+
+class TestPruneTerminalJobs:
+    """Pruning walks the insertion-ordered job dict: the oldest terminal
+    jobs go first, queued/running jobs never do, ``retain`` is kept."""
+
+    @staticmethod
+    def _jobs(statuses):
+        jobs = {}
+        for number, status in enumerate(statuses, start=1):
+            job = Job(id=f"job-{number:06d}", key=str(number), params={})
+            job.status = status
+            jobs[job.id] = job
+        return jobs
+
+    def test_oldest_terminal_first_active_never(self):
+        jobs = self._jobs(["done", "running", "failed", "queued", "cancelled",
+                           "done", "running", "done"])
+        prune_terminal_jobs(jobs, retain=2)
+        assert list(jobs) == ["job-000002", "job-000004", "job-000006",
+                              "job-000007", "job-000008"]
+
+    @pytest.mark.parametrize("retain", [1, 3, 5, 9])
+    def test_retain_is_exact(self, retain):
+        statuses = ["done", "queued", "failed", "done", "running", "cancelled", "done"]
+        jobs = self._jobs(statuses)
+        prune_terminal_jobs(jobs, retain=retain)
+        active = ("queued", "running")
+        terminal = [job.id for job in jobs.values() if job.status not in active]
+        all_terminal = [f"job-{i:06d}" for i, status in enumerate(statuses, start=1)
+                        if status not in active]
+        assert terminal == all_terminal[max(len(all_terminal) - retain, 0):]
+        assert {"job-000002", "job-000005"} <= set(jobs)
+
+    def test_thread_queue_keeps_running_job(self):
+        release = threading.Event()
+
+        def runner(job):
+            if job.params.get("hold"):
+                release.wait(TIMEOUT)
+            return {}
+
+        queue = JobQueue(runner, workers=2, retain=2)
+        try:
+            held, _ = queue.submit({"hold": True})
+            ids = [queue.submit({"i": i})[0].id for i in range(4)]
+            for job_id in ids:
+                _wait_terminal(queue, job_id)
+            newest, _ = queue.submit({"i": 99})
+            _wait_terminal(queue, newest.id)
+            assert queue.get(held.id).status in ("queued", "running")
+            # The last submit pruned the two oldest of four terminal jobs.
+            kept = [job.id for job in queue.list()]
+            assert kept == [held.id, ids[2], ids[3], newest.id]
+        finally:
+            release.set()
+            queue.shutdown()
+
+    def test_process_queue_honours_retain(self):
+        from repro.service.app import normalize_job_params
+        from repro.service.workers import ProcessJobQueue
+
+        graph = UncertainGraph.from_edges([(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.7)])
+        queue = ProcessJobQueue(workers=1, retain=2)
+        try:
+            ids = []
+            for seed in range(4):
+                params = normalize_job_params(
+                    {"graph": "g", "algorithm": "gmm", "k": 2, "seed": seed})
+                job, _ = queue.submit(params, context=graph)
+                _wait_terminal(queue, job.id)
+                ids.append(job.id)
+            # Each submit prunes the terminal jobs beyond the newest two,
+            # oldest first; the job just submitted is still active then.
+            assert [job.id for job in queue.list()] == ids[1:]
+            assert queue.get(ids[-1]).status == "done"
         finally:
             queue.shutdown()
 

@@ -479,3 +479,192 @@ class TestWorkloadAPI:
         assert np.array_equal(a.clustering.centers, b.clustering.centers)
         assert a.objective == b.objective
         assert a.history == b.history
+
+
+# ---------------------------------------------------------------------------
+# Word-block evaluation: read-ahead never changes a bit of the estimate
+# ---------------------------------------------------------------------------
+
+
+def _per_chunk_reference(oracle, measure, *, samples, tol, progress=None):
+    """The estimator folded chunk by chunk over a pool grown to exactly
+    each round's size, one kernel call per chunk: the layout the
+    word-block evaluation must reproduce bit for bit."""
+    from repro.core.schedule import resolve_guess_schedule
+    from repro.sampling.sizes import PracticalSchedule
+    from repro.workloads.measures import MEASURE_KERNELS
+
+    graph, n = oracle.graph, oracle.graph.n_nodes
+    pool_size_for = PracticalSchedule(max_samples=samples)
+    count, folded, history = 0, 0, []
+    sums, sumsq = np.zeros(n), np.zeros(n)
+    for q in resolve_guess_schedule("doubling", 0.5, 1e-4):
+        wanted = max(pool_size_for(q), count)
+        if wanted > count or count == 0:
+            oracle.ensure_samples(wanted)
+            while folded < oracle.n_chunks:
+                values = MEASURE_KERNELS[measure](graph, oracle.chunk_masks(folded))
+                count += values.shape[0]
+                sums += values.sum(axis=0)
+                sumsq += np.square(values).sum(axis=0)
+                folded += 1
+        mean = sums / count
+        half_width = np.inf
+        if count > 1:
+            variance = np.maximum(sumsq - count * np.square(mean), 0.0) / (count - 1)
+            half_width = float(np.sqrt(variance / count).max() * 1.959963984540054)
+        history.append((float(q), count, half_width, half_width <= tol))
+        if progress is not None:
+            progress(history[-1])
+        if half_width <= tol or count >= samples:
+            break
+    return sums / count, half_width, tuple(history), count
+
+
+def _history(result):
+    return tuple((r.q, r.samples, r.half_width, r.converged) for r in result.history)
+
+
+class TestWordBlockEvaluation:
+    """Distance measures read ahead to the next 64-world word and run one
+    packed BFS per block; the moments are still folded per chunk."""
+
+    SEED = 17
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_graph(14, 0.3, np.random.default_rng(SEEDS[0] + 7),
+                            prob_low=0.2, prob_high=0.9)
+
+    def _warm_store(self, graph, worlds):
+        store = WorldStore()
+        MonteCarloOracle(graph, seed=self.SEED, store=store).ensure_samples(worlds)
+        return store
+
+    def _assert_same(self, result, reference):
+        values, half_width, history, samples_used = reference
+        assert np.array_equal(result.values, values)
+        assert result.half_width == half_width
+        assert _history(result) == history
+        assert result.samples_used == samples_used
+
+    @pytest.mark.parametrize("samples", [64, 200, 256])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 50, 64, 128, 512])
+    @pytest.mark.parametrize("mode", ["warm", "partial", "cold", "pregrown"])
+    def test_bit_identical_to_per_chunk_fold(self, graph, mode, chunk_size, samples):
+        stored = {"warm": 300, "partial": 100, "pregrown": 300}.get(mode)
+        store = None if stored is None else self._warm_store(graph, stored)
+
+        def oracle():
+            built = MonteCarloOracle(graph, seed=self.SEED, chunk_size=chunk_size, store=store)
+            if mode == "pregrown":
+                built.ensure_samples(57)
+            return built
+
+        reference = _per_chunk_reference(oracle(), "harmonic", samples=samples, tol=1e-12)
+        caller = oracle()
+        result = expected_centrality(None, measure="harmonic", oracle=caller,
+                                     samples=samples, tol=1e-12)
+        self._assert_same(result, reference)
+        if mode in ("warm", "pregrown"):
+            assert caller.cache_stats["worlds_sampled"] == 0
+            # The pool never reads past the budget or the word it ends in.
+            assert samples <= caller.num_samples <= -(-samples // 64) * 64
+
+    @pytest.mark.parametrize("measure", ["degree", "betweenness"])
+    @pytest.mark.parametrize("chunk_size", [7, 50, 128])
+    def test_other_measures_match_and_never_read_ahead(self, graph, measure, chunk_size):
+        store = self._warm_store(graph, 300)
+        kwargs = dict(seed=self.SEED, chunk_size=chunk_size, store=store)
+        reference = _per_chunk_reference(
+            MonteCarloOracle(graph, **kwargs), measure, samples=100, tol=1e-12)
+        caller = MonteCarloOracle(graph, **kwargs)
+        result = expected_centrality(None, measure=measure, oracle=caller,
+                                     samples=100, tol=1e-12)
+        self._assert_same(result, reference)
+        assert caller.num_samples == result.samples_used == 100
+
+    def test_loose_tol_stops_at_round_one(self, graph):
+        store = self._warm_store(graph, 300)
+        reference = _per_chunk_reference(
+            MonteCarloOracle(graph, seed=self.SEED, store=store), "harmonic",
+            samples=256, tol=10.0)
+        caller = MonteCarloOracle(graph, seed=self.SEED, store=store)
+        result = expected_centrality(None, measure="harmonic", oracle=caller,
+                                     samples=256, tol=10.0)
+        self._assert_same(result, reference)
+        assert result.n_rounds == 1 and result.converged
+        # The first round read the rest of its word ahead: a stopped-early
+        # run holds up to 63 more worlds than it averaged.
+        assert result.samples_used == 50
+        assert caller.num_samples == caller.cache_stats["worlds_cached"] == 64
+
+    @pytest.mark.parametrize("max_samples", [50, 51, 63, 65, 99, 101])
+    def test_max_samples_just_above_wanted(self, graph, max_samples):
+        store = self._warm_store(graph, 300)
+
+        def run(estimate):
+            events = []
+            try:
+                outcome = estimate(events.append)
+            except OracleError as error:
+                outcome = str(error)
+            return outcome, events
+
+        kwargs = dict(seed=self.SEED, store=store, max_samples=max_samples)
+        ref, ref_events = run(lambda progress: _per_chunk_reference(
+            MonteCarloOracle(graph, **kwargs), "harmonic", samples=256, tol=1e-12,
+            progress=progress))
+        got, events = run(lambda progress: expected_centrality(
+            graph, measure="harmonic", samples=256, tol=1e-12, progress=progress,
+            **kwargs))
+        assert [tuple(e.values()) for e in events] == ref_events
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            self._assert_same(got, ref)
+
+    def test_warm_word_runs_one_bfs_and_samples_nothing(self, graph, monkeypatch):
+        from repro.workloads import measures
+
+        store = self._warm_store(graph, 64)
+        calls = []
+        original = measures._packed_bfs_codes
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "_packed_bfs_codes", counting)
+        caller = MonteCarloOracle(graph, seed=self.SEED, store=store)
+        result = expected_centrality(None, measure="harmonic", oracle=caller,
+                                     samples=64, tol=1e-12)
+        assert result.n_rounds == 2 and result.samples_used == 64
+        assert calls == [64]
+        assert caller.cache_stats == {"worlds_cached": 64, "worlds_sampled": 0}
+
+    def test_store_cleared_between_count_and_read(self, graph, monkeypatch, tmp_path):
+        cache = tmp_path / "worlds"
+        store = WorldStore(cache)
+        MonteCarloOracle(graph, seed=self.SEED, store=store).ensure_samples(64)
+        untouched = expected_centrality(graph, measure="harmonic", seed=self.SEED,
+                                        samples=64, tol=1e-12, store=store)
+        counted = MonteCarloOracle.stored_worlds
+        cleared = []
+
+        def count_then_clear(oracle):
+            stored = counted.fget(oracle)
+            if not cleared:
+                cleared.append(WorldStore(cache).clear())  # "another process"
+            return stored
+
+        monkeypatch.setattr(MonteCarloOracle, "stored_worlds", property(count_then_clear))
+        caller = MonteCarloOracle(graph, seed=self.SEED, store=store)
+        result = expected_centrality(None, measure="harmonic", oracle=caller,
+                                     samples=64, tol=1e-12)
+        assert cleared == [1]
+        assert caller.cache_stats["worlds_sampled"] > 0  # the worlds were redrawn
+        assert np.array_equal(result.values, untouched.values)
+        assert result.half_width == untouched.half_width
+        assert result.history == untouched.history
+        assert result.samples_used == untouched.samples_used
