@@ -737,7 +737,10 @@ class WorldStore:
                 )
             packed_cols = pool.read_masks(start, stop)
             label_rows = pool.read_labels(start, stop) if labels else None
-        _STORE_WORLDS_READ.inc(stop - start)
+        # A masks-only read follows a labels read of the same worlds,
+        # which already counted them; bytes count on every read.
+        if label_rows is not None:
+            _STORE_WORLDS_READ.inc(stop - start)
         _STORE_BYTES_READ.inc(
             packed_cols.nbytes + (0 if label_rows is None else label_rows.nbytes)
         )

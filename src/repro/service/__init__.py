@@ -20,10 +20,12 @@ Modules
 :mod:`repro.service.cache`
     :class:`OracleCache` — the pool cache keyed by ``pool_fingerprint``.
 :mod:`repro.service.jobs`
-    :class:`JobQueue` — coalescing background jobs with cancellation,
-    progress events, and pagination helpers.
+    :class:`JobQueue` — the job-queue core (coalescing, admission,
+    cancellation, progress events) over its thread executor, and
+    pagination helpers.
 :mod:`repro.service.workers`
-    :class:`ProcessJobQueue` — the multi-process worker pool.
+    :class:`ProcessJobQueue` — the same core over the worker-process
+    executor, and the shared clustering runner.
 :mod:`repro.service.admission`
     :class:`AdmissionControl` — rate limits and queue backpressure.
 :mod:`repro.service.app`

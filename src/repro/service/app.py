@@ -29,15 +29,15 @@ POST   ``/v1/shutdown``                  drain in-flight jobs, then stop
 
 Cheap queries (estimates, stats) run synchronously — but off the event
 loop, on the default executor.  Clustering jobs go through a job queue
-(coalescing, cancellation, progress events): the in-process
-:class:`~repro.service.jobs.JobQueue` by default, or — with
-``worker_processes >= 1`` — the
-:class:`~repro.service.workers.ProcessJobQueue`, which dispatches to
-spawned worker processes each holding its own oracle cache over the
-same on-disk world store.  Either way a warm repeated request samples
-zero new worlds and returns labels bit-identical to the equivalent
-direct library call — see ``docs/ARCHITECTURE.md`` for the invariants
-and ``tests/test_service.py`` for the pins.
+(coalescing, cancellation, progress events): one
+:class:`~repro.service.jobs.JobQueue` core that runs jobs on in-process
+threads by default, or — with ``worker_processes >= 1`` — the
+:class:`~repro.service.workers.ProcessJobQueue`, the same core
+dispatching to spawned worker processes each holding its own oracle
+cache over the same on-disk world store.  Either way a warm repeated
+request samples zero new worlds and returns labels bit-identical to
+the equivalent direct library call — see ``docs/ARCHITECTURE.md`` for
+the invariants and ``tests/test_service.py`` for the pins.
 
 Admission control (:class:`~repro.service.admission.AdmissionControl`)
 fronts every request: optional per-client token-bucket rate limits,
@@ -847,17 +847,9 @@ class ClusterService:
         return 202, job.describe()
 
     def _run_job(self, job) -> dict:
-        """Execute one clustering job on a worker thread."""
-        params = job.params
-        # The graph (and its derivation lineage) captured at submission;
-        # falling back to the registry only covers jobs submitted
-        # without a context (direct queue use).
-        if isinstance(job.context, tuple):
-            graph, ancestors = job.context
-        elif job.context is not None:
-            graph, ancestors = job.context, ()
-        else:
-            graph, _revision, ancestors = self.graphs.resolve_with_ancestors(params["graph"])
+        """Execute one clustering job on a thread-executor thread."""
+        # The graph (and its derivation lineage) captured at submission.
+        graph, ancestors = job.context
 
         def cancel_check() -> None:
             if job.cancel_event.is_set():
@@ -867,7 +859,7 @@ class ClusterService:
             job.add_event("progress", data)
 
         return execute_clustering(
-            job.id, params, graph, ancestors, self.cache,
+            job.id, job.params, graph, ancestors, self.cache,
             cancel_check=cancel_check, progress=progress,
         )
 

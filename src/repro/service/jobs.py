@@ -1,13 +1,26 @@
-"""Background job queue with request coalescing and cancellation.
+"""Background job queue: one bookkeeping core, two executors.
 
-Long-running clustering requests (``mcp``/``acp``/``mcl``/``gmm``) do
-not block the event loop: they are recorded as :class:`Job` objects and
-executed on a :class:`~concurrent.futures.ThreadPoolExecutor` (or
-dispatched to worker *processes* by
-:class:`repro.service.workers.ProcessJobQueue`, which shares the
-:class:`Job` bookkeeping defined here), while HTTP clients poll
-``GET /v1/jobs/{id}``, stream ``/v1/jobs/{id}/events``, and fetch
-``/v1/jobs/{id}/result``.
+Long-running requests (mcp/acp clustering, k-median/k-center,
+centrality, and the mcl/gmm baselines) do not block the event loop:
+:class:`JobQueue` records each one as a :class:`Job` and hands it to an
+*executor*, while HTTP clients poll ``GET /v1/jobs/{id}``, stream
+``/v1/jobs/{id}/events``, and fetch ``/v1/jobs/{id}/result``.
+
+The queue owns every piece of job state: ids, the coalescing ledger,
+per-client counts and the admission snapshot, cancel, retain/prune,
+and finishing a job (metrics plus the terminal event).  An executor
+only runs jobs and reports back through the queue's callbacks
+(:meth:`JobQueue.job_started`, :meth:`~JobQueue.job_progress`,
+:meth:`~JobQueue.job_finished`); it never changes a job itself.  Two
+executors exist:
+
+* :class:`ThreadExecutor` (here) runs ``runner(job)`` on a
+  :class:`~concurrent.futures.ThreadPoolExecutor` inside the service
+  process — the library default and ``repro serve --workers 0``;
+* :class:`repro.service.workers.WorkerPool` dispatches jobs to spawned
+  worker processes (``repro serve --workers N``);
+  :class:`~repro.service.workers.ProcessJobQueue` is a :class:`JobQueue`
+  wired to one.
 
 Coalescing invariant
     Jobs are keyed by the canonical JSON of their *normalized*
@@ -20,10 +33,14 @@ Coalescing invariant
     the oracle cache then serves warm with zero new sampling.
 
 Cancellation
-    ``cancel()`` flips the job's event.  A queued job is withdrawn from
-    the executor and marked ``cancelled`` immediately; a running job is
-    unwound cooperatively at its next ``cancel_check`` (between
-    threshold guesses in mcp/acp) via
+    ``cancel()`` sets the job's event, and the job stops being a
+    coalescing target at once.  The thread executor withdraws a job
+    that has not started and marks it ``cancelled`` synchronously.  The
+    worker pool cannot reach into a worker's task queue: it drops a
+    cancel flag file, so a queued job is cancelled when its worker
+    dequeues it (after a ``running`` event).  Under either executor a
+    running job is unwound cooperatively at its next ``cancel_check``
+    (between threshold guesses in mcp/acp) via
     :class:`~repro.exceptions.JobCancelledError`.
 
 Events
@@ -37,6 +54,12 @@ Admission
     queue lock *only when a brand-new job would be created* — coalesced
     resubmissions are never rejected (they add no load), and the check
     is race-free against concurrent submissions.
+
+Shutdown
+    ``shutdown()`` closes the queue first: a later submission answers
+    503 before anything is registered.  Outstanding jobs are then
+    cancelled, the executor is stopped, and any job still not terminal
+    is marked ``cancelled`` so no client polls forever.
 """
 
 from __future__ import annotations
@@ -47,7 +70,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import telemetry
@@ -89,8 +112,6 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: The states a job never leaves.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
-
-_TERMINAL = TERMINAL_STATES  # backward-compatible alias
 
 #: Default / maximum page sizes of :func:`paginate_jobs`.
 DEFAULT_PAGE_LIMIT = 100
@@ -152,9 +173,9 @@ class Job:
     #: Replayable event log (lifecycle transitions + progress reports).
     events: list[dict] = field(default_factory=list)
     cancel_event: threading.Event = field(default_factory=threading.Event, repr=False)
-    #: Opaque payload captured at submission (the service stores the
-    #: resolved graph object here so a job is immune to the registry
-    #: entry being replaced mid-flight).  Never serialized.
+    #: Payload captured at submission: the service stores the resolved
+    #: ``(graph, ancestors)`` here so a job is immune to the registry
+    #: entry being replaced mid-flight.  Never serialized.
     context: object = field(default=None, repr=False)
     _events_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -264,43 +285,44 @@ def prune_terminal_jobs(jobs: dict[str, Job], retain: int) -> None:
             del jobs[job_id]
 
 
+
+
 class JobQueue:
-    """Thread-pool job queue with coalescing, polling, and cancellation.
+    """Job bookkeeping — coalescing, admission, cancel, finish — over an executor.
 
     Parameters
     ----------
     runner:
-        ``runner(job) -> dict`` executed on a worker thread; its return
-        value becomes ``job.result``.  Raising
-        :class:`JobCancelledError` marks the job ``cancelled``; any
-        other exception marks it ``failed`` with the message recorded.
+        ``runner(job) -> dict`` run by the :class:`ThreadExecutor` on a
+        worker thread; its return value becomes ``job.result``.
+        Raising :class:`JobCancelledError` marks the job ``cancelled``;
+        any other exception marks it ``failed`` with the message
+        recorded.  ``None`` leaves the executor to a subclass
+        (:class:`~repro.service.workers.ProcessJobQueue`).
     workers:
-        Executor thread count — the number of clustering jobs that run
-        concurrently.
+        How many jobs run concurrently (executor threads, or worker
+        processes for the worker pool).
     retain:
         How many *terminal* jobs to keep for result retrieval; the
         oldest (by job id, deterministically) are pruned beyond this.
     """
 
-    def __init__(self, runner: Callable[[Job], dict], *, workers: int = 2,
+    def __init__(self, runner: Callable[[Job], dict] | None, *, workers: int = 2,
                  retain: int = 256):
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         if retain <= 0:
             raise ValueError(f"retain must be positive, got {retain}")
-        self._runner = runner
         self.workers = int(workers)
         self._retain = int(retain)
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
-        self._futures: dict[str, object] = {}
         self._inflight: dict[str, str] = {}  # canonical key -> job id
         self._ids = itertools.count(1)
         self._active = 0  # queued + running (mirrors the depth gauge)
         self._client_active: Counter[str] = Counter()
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-job"
-        )
+        self._closed = False
+        self._executor = None if runner is None else ThreadExecutor(self, runner)
 
     def submit(self, params: dict, *, key_suffix: str = "",
                context: object = None, client: str = "", trace_id: str = "",
@@ -313,17 +335,22 @@ class JobQueue:
         coalescing key with identity the params alone cannot carry (the
         service passes the graph-registry revision, so jobs against a
         re-uploaded graph never coalesce across contents); ``context``
-        is attached to the job for the runner; ``client`` is the
-        submitting client's admission identity.
+        is attached to the job for the executor (the service passes
+        ``(graph, ancestors)``); ``client`` is the submitting client's
+        admission identity.
 
         ``admit`` (if given) is called under the queue lock with a
         snapshot ``{"queued", "running", "client_active", "workers"}``
         before a *new* job is created; raising
         :class:`~repro.exceptions.ServiceError` from it rejects the
         submission race-free.  Coalesced submissions skip the check.
+        A queue that has been shut down rejects every submission with
+        a 503 before registering anything.
         """
         key = canonical_key(params) + (f"#{key_suffix}" if key_suffix else "")
         with self._lock:
+            if self._closed:
+                raise ServiceError("job queue is shut down", status=503)
             existing_id = self._inflight.get(key)
             if existing_id is not None:
                 job = self._jobs[existing_id]
@@ -334,7 +361,10 @@ class JobQueue:
                 admit(self._snapshot_locked(client))
             job = Job(id=f"job-{next(self._ids):06d}", key=key, params=dict(params),
                       context=context, client=client, trace_id=trace_id)
-            job.add_event("queued", {"params": job.params})
+            # The executor cannot report back before the lock is
+            # released, so "queued" is always the job's first event.
+            placement = self._executor.submit(job, key_suffix)
+            job.add_event("queued", {"params": job.params, **placement})
             self._jobs[job.id] = job
             self._inflight[key] = job.id
             if client:
@@ -343,7 +373,6 @@ class JobQueue:
             self._active += 1
             _QUEUE_DEPTH.set(self._active)
             prune_terminal_jobs(self._jobs, self._retain)
-            self._futures[job.id] = self._executor.submit(self._run, job)
         return job, False
 
     def _snapshot_locked(self, client: str) -> dict:
@@ -371,68 +400,83 @@ class JobQueue:
     def active_count(self) -> int:
         """Number of non-terminal jobs (queued + running)."""
         with self._lock:
-            return sum(
-                1 for job in self._jobs.values() if job.status not in TERMINAL_STATES
-            )
+            return self._active
 
     def cancel(self, job_id: str) -> Job:
         """Cancel ``job_id``; terminal jobs are left untouched.
 
-        A queued job is marked ``cancelled`` synchronously; a running
-        one only after its worker observes the event at the next
-        ``cancel_check``, so callers may still see ``running`` briefly.
-        Either way the job stops being a coalescing target immediately
-        — a fresh identical submission gets a fresh job rather than
-        latching onto one that is doomed to finish ``cancelled``.
+        The job stops being a coalescing target immediately — a fresh
+        identical submission gets a fresh job rather than latching onto
+        one that is doomed to finish ``cancelled``.  When the job
+        reaches ``cancelled`` depends on the executor (see the module
+        docstring), so callers may still see ``queued``/``running``
+        briefly.
         """
         job = self.get(job_id)
         with self._lock:
-            if job.status in TERMINAL_STATES:
-                return job
-            job.cancel_event.set()
-            if self._inflight.get(job.key) == job.id:
-                del self._inflight[job.key]
-            future = self._futures.get(job_id)
-            if future is not None and future.cancel():
-                self._finish_locked(job, "cancelled", error="cancelled before start")
+            if job.status not in TERMINAL_STATES:
+                self._cancel_locked(job)
         return job
 
+    def _cancel_locked(self, job: Job) -> None:
+        job.cancel_event.set()
+        if self._inflight.get(job.key) == job.id:
+            del self._inflight[job.key]
+        if self._executor.withdraw(job):
+            self._finish_locked(job, "cancelled", error="cancelled before start")
+
     def shutdown(self) -> None:
-        """Cancel queued jobs and wait for running ones to finish."""
+        """Close the queue, cancel outstanding jobs, and stop the executor."""
         with self._lock:
-            jobs = list(self._jobs.values())
-        for job in jobs:
-            if job.status not in TERMINAL_STATES:
-                self.cancel(job.id)
-        self._executor.shutdown(wait=True, cancel_futures=True)
+            if self._closed:
+                return
+            self._closed = True
+            for job in list(self._jobs.values()):
+                if job.status not in TERMINAL_STATES:
+                    self._cancel_locked(job)
+        self._executor.shutdown()
+        with self._lock:
+            for job in self._jobs.values():
+                if job.status not in TERMINAL_STATES:
+                    self._finish_locked(job, "cancelled", error="cancelled at shutdown")
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Executor callbacks
     # ------------------------------------------------------------------
 
-    def _run(self, job: Job) -> None:
+    def job_started(self, job_id: str, data: dict | None = None) -> bool:
+        """Move a queued job to ``running``; False if it is not queued."""
         with self._lock:
-            if job.status != "queued":  # cancelled between submit and start
-                return
-            if job.cancel_event.is_set():
-                self._finish_locked(job, "cancelled", error="cancelled before start")
-                return
+            job = self._jobs.get(job_id)
+            if job is None or job.status != "queued":
+                return False
             job.status = "running"
             job.started_at = time.time()
-        job.add_event("running")
-        try:
-            with telemetry.get_tracer().trace(job.trace_id or job.id):
-                result = self._runner(job)
-        except JobCancelledError as error:
-            with self._lock:
-                self._finish_locked(job, "cancelled", error=str(error) or "cancelled")
-        except Exception as error:  # noqa: BLE001 - job boundary
-            with self._lock:
-                self._finish_locked(job, "failed", error=f"{type(error).__name__}: {error}")
-        else:
-            with self._lock:
+            job.add_event("running", data)
+        return True
+
+    def job_progress(self, job_id: str, data: dict) -> None:
+        """Record a progress report of a job that is still in flight."""
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is not None and job.status not in TERMINAL_STATES:
+                job.add_event("progress", data)
+
+    def job_finished(self, job_id: str, status: str, *, result: dict | None = None,
+                     error: str | None = None) -> None:
+        """Move a job to terminal ``status``.
+
+        A job that is already terminal (withdrawn, or cancelled at
+        shutdown while its worker still reported) or pruned is left as
+        it is.
+        """
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None or job.status in TERMINAL_STATES:
+                return
+            if result is not None:
                 job.result = result
-                self._finish_locked(job, "done")
+            self._finish_locked(job, status, error=error)
 
     def _finish_locked(self, job: Job, status: str, *, error: str | None = None) -> None:
         job.status = status
@@ -442,18 +486,72 @@ class JobQueue:
             job.started_at = job.finished_at
         if self._inflight.get(job.key) == job.id:
             del self._inflight[job.key]
-        self._futures.pop(job.id, None)
         if job.client:
             self._client_active[job.client] -= 1
             if self._client_active[job.client] <= 0:
                 del self._client_active[job.client]
+        self._executor.release(job)
         algorithm = _algorithm_of(job.params)
         _JOBS_COMPLETED.labels(algorithm=algorithm, status=status).inc()
         _JOB_SECONDS.labels(algorithm=algorithm).observe(
             job.finished_at - job.started_at)
-        self._active = max(self._active - 1, 0)
+        self._active -= 1
         _QUEUE_DEPTH.set(self._active)
         data = {"status": status, "error": error}
         if isinstance(job.result, dict) and job.result.get("timings") is not None:
             data["timings"] = job.result["timings"]
         job.add_event(status, data)
+
+
+class ThreadExecutor:
+    """Runs a :class:`JobQueue`'s jobs on threads of the service process.
+
+    The executor seam every executor implements, all called with the
+    queue lock held: ``submit(job, key_suffix)`` starts a job and
+    returns extra ``queued`` event data; ``withdraw(job)`` returns True
+    if the job was stopped before it started; ``release(job)`` drops
+    the executor's own record of a finished job.  ``shutdown()`` runs
+    without the lock and returns once no job is executing.
+
+    ``runner`` is the test seam for thread mode: swapping it changes
+    what jobs submitted afterwards run.
+    """
+
+    def __init__(self, queue: JobQueue, runner: Callable[[Job], dict]):
+        self.runner = runner
+        self._queue = queue
+        self._futures: dict[str, Future] = {}
+        self._pool = ThreadPoolExecutor(
+            max_workers=queue.workers, thread_name_prefix="repro-job"
+        )
+
+    def submit(self, job: Job, key_suffix: str) -> dict:
+        self._futures[job.id] = self._pool.submit(self._run, job)
+        return {}
+
+    def withdraw(self, job: Job) -> bool:
+        future = self._futures.get(job.id)
+        return future is not None and future.cancel()
+
+    def release(self, job: Job) -> None:
+        self._futures.pop(job.id, None)
+
+    def shutdown(self) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _run(self, job: Job) -> None:
+        queue = self._queue
+        if job.cancel_event.is_set():  # cancelled after its thread picked it up
+            queue.job_finished(job.id, "cancelled", error="cancelled before start")
+            return
+        if not queue.job_started(job.id):
+            return
+        try:
+            with telemetry.get_tracer().trace(job.trace_id or job.id):
+                result = self.runner(job)
+        except JobCancelledError as error:
+            queue.job_finished(job.id, "cancelled", error=str(error) or "cancelled")
+        except Exception as error:  # noqa: BLE001 - job boundary
+            queue.job_finished(job.id, "failed", error=f"{type(error).__name__}: {error}")
+        else:
+            queue.job_finished(job.id, "done", result=result)

@@ -44,10 +44,8 @@ from urllib.parse import urlsplit
 import numpy
 
 from repro.exceptions import ServiceError
+from repro.service.jobs import TERMINAL_STATES
 from repro.telemetry import parse_prometheus_text
-
-#: Job states after which polling stops.
-_TERMINAL = ("done", "failed", "cancelled")
 
 
 class ServiceClient:
@@ -169,7 +167,7 @@ async def run_job(client: ServiceClient, job_params: dict, *,
         status, described = await client.request("GET", f"/v1/jobs/{job_id}")
         if status != 200:
             raise ServiceError(f"job poll failed ({status}): {described}", status=502)
-        if described["status"] in _TERMINAL:
+        if described["status"] in TERMINAL_STATES:
             break
         if time.monotonic() > deadline:
             raise ServiceError(f"job {job_id} timed out", status=502)
@@ -218,7 +216,7 @@ async def collect_job_events(host: str, port: int, job_id: str, *,
             elif not text and data_lines:
                 events.append(json.loads("\n".join(data_lines)))
                 data_lines = []
-                if events[-1].get("event") in _TERMINAL:
+                if events[-1].get("event") in TERMINAL_STATES:
                     break
         return events
     finally:

@@ -1,39 +1,44 @@
-"""Multi-process job execution for the clustering service.
+"""Worker-process executor of the job queue, and the shared clustering runner.
 
-The thread-pool :class:`~repro.service.jobs.JobQueue` keeps every job
-inside the service process, where the GIL serializes the numpy-light
-parts of mcp/acp — one heavy job starves the rest.  This module scales
-the service *horizontally*: a front-door asyncio process keeps the HTTP
-listener, graph registry, and admission control, and dispatches
-clustering jobs to N spawned **worker processes**
-(:class:`WorkerPool`), each holding its own
+:class:`~repro.service.jobs.JobQueue` keeps all job bookkeeping; this
+module supplies its second executor.  The thread executor keeps every
+job inside the service process, where the GIL serializes the
+numpy-light parts of mcp/acp — one heavy job starves the rest.
+:class:`WorkerPool` scales the service *horizontally*: the front-door
+asyncio process keeps the HTTP listener, graph registry, admission
+control and the job queue, and dispatches jobs to N spawned **worker
+processes**, each holding its own
 :class:`~repro.service.cache.OracleCache` over the *same* on-disk
 :class:`~repro.sampling.store.WorldStore` — the flock append protocol
 makes concurrent writers safe, so two workers cold-sampling one digest
-converge on a single consistent pool.
+converge on a single consistent pool.  :class:`ProcessJobQueue` is a
+job queue wired to a worker pool.
 
 Routing (the cross-process coalescing ledger)
     Identical in-flight submissions are already coalesced by the
-    front door (one :class:`Job` per canonical key).  On top of that,
-    the pool keeps an LRU *affinity ledger* mapping a job's world-pool
-    identity ``(graph, revision, seed)`` to the
+    queue (one :class:`~repro.service.jobs.Job` per canonical key).  On
+    top of that, the pool keeps an LRU *affinity ledger* mapping a
+    job's world-pool identity ``(graph, revision, seed)`` to the
     worker that last served it, so repeat jobs land on the worker whose
     in-memory cache is already warm — zero sampling, bit-identical
     labels — instead of warming N caches.
 
 Cancellation
     Workers poll a per-job *cancel flag file* in the pool's spool
-    directory from the ``cancel_check`` hook; the front door creates
-    the file on ``DELETE /v1/jobs/{id}``.  This is the cross-process
-    analogue of the in-process ``threading.Event``.
+    directory from the ``cancel_check`` hook; the pool creates the file
+    when the queue cancels the job (``DELETE /v1/jobs/{id}``).  This is
+    the cross-process analogue of the in-process ``threading.Event``.
+    A queued job is therefore cancelled only when its worker dequeues
+    it, after a ``running`` event.
 
 Events
     Workers push ``running`` / ``progress`` / terminal events onto one
-    shared queue; a drainer thread in the front door applies them to
-    the :class:`Job` records, which the SSE endpoint then streams.
+    shared queue; a drainer thread in the front door hands them to the
+    job queue's callbacks, which update the job records the SSE
+    endpoint streams.
 
 :func:`execute_clustering` is the single clustering runner shared by
-both execution models, so thread mode and process mode cannot drift.
+both executors, so thread mode and process mode cannot drift.
 """
 
 from __future__ import annotations
@@ -53,21 +58,9 @@ from repro.baselines.gmm import gmm_clustering
 from repro.baselines.mcl import mcl_clustering
 from repro.core.acp import acp_clustering
 from repro.core.mcp import mcp_clustering
-from repro.exceptions import JobCancelledError, ServiceError
+from repro.exceptions import JobCancelledError
 from repro.sampling.sizes import PracticalSchedule
-from repro.service.jobs import (
-    _JOB_SECONDS,
-    _JOBS_COALESCED,
-    _JOBS_COMPLETED,
-    _JOBS_SUBMITTED,
-    _QUEUE_DEPTH,
-    TERMINAL_STATES,
-    Job,
-    _algorithm_of,
-    canonical_key,
-    job_number,
-    prune_terminal_jobs,
-)
+from repro.service.jobs import JobQueue, canonical_key
 from repro.workloads import (
     expected_centrality,
     kcenter_clustering,
@@ -126,10 +119,10 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
                        cancel_check=None, progress=None) -> dict:
     """Run one normalized clustering job and return its result payload.
 
-    The single runner behind both execution models: the in-process
-    thread queue and the spawned worker processes call exactly this
-    function, so results (including the warm/cold cache accounting and
-    the bit-identical assignment guarantees) cannot differ between
+    The single runner behind both executors: the thread executor (via
+    the service's runner) and the spawned worker processes call exactly
+    this function, so results (including the warm/cold cache accounting
+    and the bit-identical assignment guarantees) cannot differ between
     them.
 
     Parameters
@@ -156,12 +149,11 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
     payload = {"job": job_id, "algorithm": algorithm, "graph": params["graph"]}
     with telemetry.get_tracer().span("job", job=job_id, algorithm=algorithm,
                                      graph=params["graph"]):
-        payload.update(_execute_algorithm(
-            job_id, algorithm, params, graph, ancestors, cache,
+        fields, phases, stats = _execute_algorithm(
+            algorithm, params, graph, ancestors, cache,
             cancel_check=cancel_check, progress=progress,
-        ))
-        phases = payload.pop("_phases", None)
-        stats = payload.pop("_stats", None)
+        )
+        payload.update(fields)
     if cancel_check is not None:
         cancel_check()
     total_s = time.perf_counter() - started
@@ -170,134 +162,80 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
     return payload
 
 
-def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
-                       ancestors, cache, *, cancel_check, progress) -> dict:
+def _execute_algorithm(algorithm: str, params: dict, graph, ancestors, cache, *,
+                       cancel_check, progress) -> tuple[dict, dict | None, dict | None]:
     """The per-algorithm body of :func:`execute_clustering`.
 
-    Returns the algorithm's payload fields plus the private
-    ``_phases``/``_stats`` keys (this job's oracle phase timings and
-    world accounting) that the caller folds into ``timings``.
+    Returns ``(fields, phases, stats)``: the algorithm's payload fields
+    plus this job's oracle phase timings and world accounting, which
+    the caller folds into ``timings``.  mcl and gmm run on the graph
+    itself; every other family leases one oracle over the job's world
+    pool, supplies its call and result fields, and reports the pool's
+    accounting.
     """
     payload = {}
     phases = stats = None
-    if algorithm in ("mcp", "acp"):
-        schedule = PracticalSchedule(max_samples=params["samples"])
-        with cache.lease(
-            graph,
-            seed=params["seed"],
-            chunk_size=params["chunk_size"],
-            max_samples=MAX_REQUEST_SAMPLES,
-            ancestors=ancestors,
-        ) as oracle:
-            run = mcp_clustering if algorithm == "mcp" else acp_clustering
-            result = run(
-                None,
-                params["k"],
-                oracle=oracle,
-                seed=params["seed"],
-                depth=params["depth"],
-                sample_schedule=schedule,
-                cancel_check=cancel_check,
-                progress=progress,
-            )
-            stats = oracle.cache_stats
-            phases = oracle.phase_timings
-        clustering = result.clustering
-        payload.update(
-            k=params["k"],
-            seed=params["seed"],
-            q_final=result.q_final,
-            samples_used=result.samples_used,
-            n_guesses=result.n_guesses,
-            worlds_cached=stats["worlds_cached"],
-            worlds_sampled=stats["worlds_sampled"],
-            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
-            pool_digest=oracle.pool_digest,
-        )
-        if algorithm == "mcp":
-            payload["min_prob"] = result.min_prob_estimate
-            payload["covers_all"] = result.covers_all
-        else:
-            payload["avg_prob"] = result.avg_prob_estimate
-            payload["phi_best"] = result.phi_best
-    elif algorithm in ("kmedian", "kcenter"):
-        with cache.lease(
-            graph,
-            seed=params["seed"],
-            chunk_size=params["chunk_size"],
-            max_samples=MAX_REQUEST_SAMPLES,
-            ancestors=ancestors,
-        ) as oracle:
-            run = kmedian_clustering if algorithm == "kmedian" else kcenter_clustering
-            result = run(
-                None,
-                params["k"],
-                oracle=oracle,
-                samples=params["samples"],
-                cancel_check=cancel_check,
-                progress=progress,
-            )
-            stats = oracle.cache_stats
-            phases = oracle.phase_timings
-        clustering = result.clustering
-        payload.update(
-            k=params["k"],
-            seed=params["seed"],
-            objective=result.objective,
-            samples_used=result.samples_used,
-            n_rounds=result.n_rounds,
-            worlds_cached=stats["worlds_cached"],
-            worlds_sampled=stats["worlds_sampled"],
-            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
-            pool_digest=oracle.pool_digest,
-        )
-    elif algorithm == "centrality":
-        with cache.lease(
-            graph,
-            seed=params["seed"],
-            chunk_size=params["chunk_size"],
-            max_samples=MAX_REQUEST_SAMPLES,
-            ancestors=ancestors,
-        ) as oracle:
-            result = expected_centrality(
-                None,
-                measure=params["measure"],
-                oracle=oracle,
-                samples=params["samples"],
-                tol=params["tol"],
-                cancel_check=cancel_check,
-                progress=progress,
-            )
-            stats = oracle.cache_stats
-            phases = oracle.phase_timings
-        clustering = None
-        payload.update(
-            measure=params["measure"],
-            seed=params["seed"],
-            tol=params["tol"],
-            values=np.asarray(result.values, dtype=float).tolist(),
-            half_width=result.half_width,
-            converged=result.converged,
-            samples_used=result.samples_used,
-            n_rounds=result.n_rounds,
-            worlds_cached=stats["worlds_cached"],
-            worlds_sampled=stats["worlds_sampled"],
-            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
-            pool_digest=oracle.pool_digest,
-        )
-    elif algorithm == "mcl":
+    if algorithm == "mcl":
         result = mcl_clustering(graph, inflation=params["inflation"])
         clustering = result.clustering
         payload.update(inflation=params["inflation"], n_clusters=result.n_clusters)
-    else:  # gmm
+    elif algorithm == "gmm":
         clustering = gmm_clustering(graph, params["k"], seed=params["seed"])
         payload.update(k=params["k"], seed=params["seed"])
+    else:
+        hooks = {"cancel_check": cancel_check, "progress": progress}
+        with cache.lease(
+            graph,
+            seed=params["seed"],
+            chunk_size=params["chunk_size"],
+            max_samples=MAX_REQUEST_SAMPLES,
+            ancestors=ancestors,
+        ) as oracle:
+            if algorithm in ("mcp", "acp"):
+                run = mcp_clustering if algorithm == "mcp" else acp_clustering
+                result = run(None, params["k"], oracle=oracle, seed=params["seed"],
+                             depth=params["depth"],
+                             sample_schedule=PracticalSchedule(max_samples=params["samples"]),
+                             **hooks)
+                clustering = result.clustering
+                payload.update(k=params["k"], seed=params["seed"], q_final=result.q_final,
+                               samples_used=result.samples_used, n_guesses=result.n_guesses)
+                if algorithm == "mcp":
+                    payload.update(min_prob=result.min_prob_estimate,
+                                   covers_all=result.covers_all)
+                else:
+                    payload.update(avg_prob=result.avg_prob_estimate,
+                                   phi_best=result.phi_best)
+            elif algorithm in ("kmedian", "kcenter"):
+                run = kmedian_clustering if algorithm == "kmedian" else kcenter_clustering
+                result = run(None, params["k"], oracle=oracle, samples=params["samples"],
+                             **hooks)
+                clustering = result.clustering
+                payload.update(k=params["k"], seed=params["seed"],
+                               objective=result.objective,
+                               samples_used=result.samples_used, n_rounds=result.n_rounds)
+            else:  # centrality
+                result = expected_centrality(None, measure=params["measure"],
+                                             oracle=oracle, samples=params["samples"],
+                                             tol=params["tol"], **hooks)
+                clustering = None
+                payload.update(measure=params["measure"], seed=params["seed"],
+                               tol=params["tol"],
+                               values=np.asarray(result.values, dtype=float).tolist(),
+                               half_width=result.half_width, converged=result.converged,
+                               samples_used=result.samples_used, n_rounds=result.n_rounds)
+            stats = oracle.cache_stats
+            phases = oracle.phase_timings
+        payload.update(
+            worlds_cached=stats["worlds_cached"],
+            worlds_sampled=stats["worlds_sampled"],
+            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
+            pool_digest=oracle.pool_digest,
+        )
     if clustering is not None:
         payload["assignment"] = np.asarray(clustering.assignment).astype(int).tolist()
         payload["centers"] = np.asarray(clustering.centers).astype(int).tolist()
-    payload["_phases"] = phases
-    payload["_stats"] = stats
-    return payload
+    return payload, phases, stats
 
 
 @dataclass(frozen=True)
@@ -390,62 +328,40 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
             events.put((job_id, "failed", {"error": f"{type(error).__name__}: {error}"}))
         else:
             ship_metrics()
-            events.put((job_id, "done", {"result": result, "worker": worker_id}))
+            events.put((job_id, "done", {"result": result}))
 
 
-class ProcessJobQueue:
-    """Job queue dispatching to spawned worker processes.
+class WorkerPool:
+    """Executor of a :class:`~repro.service.jobs.JobQueue` over spawned worker processes.
 
-    API-compatible with :class:`~repro.service.jobs.JobQueue` (submit /
-    get / list / cancel / shutdown / active_count), so
-    :class:`~repro.service.app.ClusterService` treats the two
-    interchangeably.  Jobs are routed per-worker through the affinity
-    ledger (see the module docstring); each worker has a private task
-    queue so affinity is preserved even under contention.
+    Implements the executor seam described on
+    :class:`~repro.service.jobs.ThreadExecutor`.  It spawns the workers,
+    routes each job through the affinity ledger (see the module
+    docstring) onto that worker's private task queue — so affinity
+    holds even under contention — drops cancel flag files, and drains
+    the workers' events into the queue's callbacks.  It keeps only
+    routing state (the ledger, per-worker load, and which worker runs
+    each job); job state stays with the queue.
 
     A worker that dies hard (segfault, OOM kill) takes its queued jobs
     with it — they stay ``running``/``queued`` until shutdown cancels
     them.  The grace-period drain in ``POST /v1/shutdown`` bounds the
     damage; supervising and respawning workers is out of scope here.
-
-    Parameters
-    ----------
-    workers:
-        Worker *process* count (>= 1).
-    world_cache:
-        Shared on-disk world-store directory (or ``None`` for
-        per-worker in-memory stores — pools are then warm only via the
-        affinity ledger, never shared across workers).
-    cache_bytes:
-        Per-worker oracle-cache budget.
-    retain:
-        Terminal jobs kept for result retrieval (as in
-        :class:`~repro.service.jobs.JobQueue`).
-    trace_log:
-        Span-log path handed to every worker process (``None`` disables
-        tracing in the workers).
     """
 
-    def __init__(self, *, workers: int = 2, world_cache=None,
-                 cache_bytes: int = 256 << 20, retain: int = 256,
+    #: Seconds :meth:`shutdown` waits for workers before terminating them.
+    SHUTDOWN_GRACE_S = 5.0
+
+    def __init__(self, queue, *, world_cache=None, cache_bytes: int = 256 << 20,
                  trace_log: str | None = None):
         import multiprocessing as mp
 
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if retain <= 0:
-            raise ValueError(f"retain must be positive, got {retain}")
-        self.workers = int(workers)
-        self._retain = int(retain)
-        self._lock = threading.Lock()
-        self._jobs: dict[str, Job] = {}
-        self._inflight: dict[str, str] = {}  # canonical key -> job id
-        self._client_active: dict[str, int] = {}
-        self._next_id = 1
+        self._queue = queue
+        self.workers = queue.workers
         self._spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
         self._ledger: OrderedDict[str, int] = OrderedDict()
         self._load = [0] * self.workers  # outstanding jobs per worker
-        self._closed = False
+        self._worker_of: dict[str, int] = {}  # job id -> worker running it
 
         ctx = mp.get_context("spawn")
         config = WorkerConfig(
@@ -472,54 +388,18 @@ class ProcessJobQueue:
         )
         self._drainer.start()
 
-    # ------------------------------------------------------------------
-    # Front-door API (mirrors JobQueue)
-    # ------------------------------------------------------------------
+    def submit(self, job, key_suffix: str) -> dict:
+        """Route ``job`` to a worker; the ``queued`` event names it."""
+        worker_id = self._route(job.params, key_suffix)
+        self._load[worker_id] += 1
+        self._worker_of[job.id] = worker_id
+        graph, ancestors = job.context
+        self._tasks[worker_id].put(
+            (job.id, job.params, graph, ancestors, job.trace_id or job.id)
+        )
+        return {"worker": worker_id}
 
-    def submit(self, params: dict, *, key_suffix: str = "",
-               context: object = None, client: str = "", trace_id: str = "",
-               admit=None) -> tuple[Job, bool]:
-        """Enqueue ``params`` or coalesce onto an identical in-flight job.
-
-        Semantics match :meth:`repro.service.jobs.JobQueue.submit`
-        (coalescing, ``admit`` under the lock for new jobs only); the
-        job is dispatched to the worker the affinity ledger selects.
-        """
-        key = canonical_key(params) + (f"#{key_suffix}" if key_suffix else "")
-        if isinstance(context, tuple):
-            graph, ancestors = context
-        else:
-            graph, ancestors = context, ()
-        with self._lock:
-            if self._closed:
-                raise ServiceError("job queue is shut down", status=503)
-            existing_id = self._inflight.get(key)
-            if existing_id is not None:
-                job = self._jobs[existing_id]
-                job.coalesced += 1
-                _JOBS_COALESCED.labels(algorithm=_algorithm_of(params)).inc()
-                return job, True
-            if admit is not None:
-                admit(self._snapshot_locked(client))
-            job = Job(id=f"job-{self._next_id:06d}", key=key, params=dict(params),
-                      context=context, client=client, trace_id=trace_id)
-            self._next_id += 1
-            worker_id = self._route_locked(params, key_suffix)
-            job.add_event("queued", {"params": job.params, "worker": worker_id})
-            self._jobs[job.id] = job
-            self._inflight[key] = job.id
-            self._load[worker_id] += 1
-            if client:
-                self._client_active[client] = self._client_active.get(client, 0) + 1
-            _JOBS_SUBMITTED.labels(algorithm=_algorithm_of(params)).inc()
-            _QUEUE_DEPTH.set(sum(self._load))
-            prune_terminal_jobs(self._jobs, self._retain)
-            self._tasks[worker_id].put(
-                (job.id, params, graph, ancestors, trace_id or job.id)
-            )
-        return job, False
-
-    def _route_locked(self, params: dict, key_suffix: str) -> int:
+    def _route(self, params: dict, key_suffix: str) -> int:
         """Pick a worker: ledger affinity first, least-loaded otherwise."""
         affinity = pool_affinity_key(params, key_suffix)
         worker_id = self._ledger.get(affinity)
@@ -531,90 +411,41 @@ class ProcessJobQueue:
             self._ledger.popitem(last=False)
         return worker_id
 
-    def _snapshot_locked(self, client: str) -> dict:
-        queued = running = 0
-        for job in self._jobs.values():
-            if job.status == "queued":
-                queued += 1
-            elif job.status == "running":
-                running += 1
-        return {
-            "queued": queued,
-            "running": running,
-            "client_active": self._client_active.get(client, 0) if client else 0,
-            "workers": self.workers,
-        }
+    def withdraw(self, job) -> bool:
+        """Drop the cancel flag the job's worker polls; never withdraws.
 
-    def get(self, job_id: str) -> Job:
-        """The job with ``job_id``, or a 404 :class:`ServiceError`."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise ServiceError(f"no such job: {job_id}", status=404)
-        return job
-
-    def list(self) -> list[Job]:
-        """All retained jobs, in submission (job id) order."""
-        with self._lock:
-            return sorted(self._jobs.values(), key=lambda job: job_number(job.id))
-
-    def active_count(self) -> int:
-        """Number of non-terminal jobs (queued + running)."""
-        with self._lock:
-            return sum(
-                1 for job in self._jobs.values() if job.status not in TERMINAL_STATES
-            )
-
-    def cancel(self, job_id: str) -> Job:
-        """Cancel ``job_id`` cooperatively; terminal jobs are untouched.
-
-        Drops the cancel flag file the executing worker polls from its
-        ``cancel_check`` hook, so a queued job is cancelled when the
-        worker dequeues it and a running one at its next threshold
-        guess — callers may see ``queued``/``running`` for a short
-        while.  Coalescing against the job stops immediately.
+        A queued job is cancelled when its worker dequeues it, a
+        running one at its next ``cancel_check``.
         """
-        job = self.get(job_id)
-        with self._lock:
-            if job.status in TERMINAL_STATES:
-                return job
-            job.cancel_event.set()
-            if self._inflight.get(job.key) == job.id:
-                del self._inflight[job.key]
-            self._write_cancel_flag(job.id)
-        return job
-
-    def _write_cancel_flag(self, job_id: str) -> None:
         try:
-            with open(os.path.join(self._spool_dir, f"{job_id}.cancel"), "w") as flag:
+            with open(self._flag_path(job.id), "w") as flag:
                 flag.write("cancelled\n")
         except OSError:  # pragma: no cover - spool dir removed mid-shutdown
             pass
+        return False
 
-    def shutdown(self, *, grace_s: float = 5.0) -> None:
-        """Stop the pool: cancel outstanding jobs, then stop workers.
+    def release(self, job) -> None:
+        """Free the routing slot of the worker that ran ``job``."""
+        worker_id = self._worker_of.pop(job.id, None)
+        if worker_id is not None:
+            self._load[worker_id] = max(self._load[worker_id] - 1, 0)
+        try:
+            os.unlink(self._flag_path(job.id))
+        except OSError:
+            pass
 
-        Outstanding jobs get cancel flags and the workers a ``None``
-        sentinel; workers that fail to exit within ``grace_s`` seconds
-        are terminated.  Jobs still non-terminal after that are marked
-        ``cancelled`` by the front door so no client polls forever.
+    def _flag_path(self, job_id: str) -> str:
+        return os.path.join(self._spool_dir, f"{job_id}.cancel")
+
+    def shutdown(self) -> None:
+        """Stop the workers, then the drainer; remove the spool directory.
+
+        Workers get a ``None`` sentinel; those that fail to exit within
+        :attr:`SHUTDOWN_GRACE_S` seconds are terminated.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            outstanding = [
-                job for job in self._jobs.values()
-                if job.status not in TERMINAL_STATES
-            ]
-            for job in outstanding:
-                job.cancel_event.set()
-                if self._inflight.get(job.key) == job.id:
-                    del self._inflight[job.key]
-                self._write_cancel_flag(job.id)
         for tasks in self._tasks:
             tasks.put(None)
-        deadline = time.monotonic() + max(grace_s, 0.0)
+        deadline = time.monotonic() + self.SHUTDOWN_GRACE_S
         for proc in self._procs:
             proc.join(timeout=max(deadline - time.monotonic(), 0.1))
             if proc.is_alive():
@@ -622,20 +453,14 @@ class ProcessJobQueue:
                 proc.join(timeout=5)
         self._events.put(None)  # stop the drainer
         self._drainer.join(timeout=5)
-        with self._lock:
-            for job in self._jobs.values():
-                if job.status not in TERMINAL_STATES:
-                    self._finish_locked(job, "cancelled", error="cancelled at shutdown")
         for queue in (*self._tasks, self._events):
             queue.close()
             queue.cancel_join_thread()
         shutil.rmtree(self._spool_dir, ignore_errors=True)
 
-    # ------------------------------------------------------------------
-    # Event drainer (front-door thread)
-    # ------------------------------------------------------------------
-
     def _drain_events(self) -> None:
+        """Front-door thread: apply worker events through the queue."""
+        queue = self._queue
         while True:
             try:
                 event = self._events.get()
@@ -650,55 +475,39 @@ class ProcessJobQueue:
                     # fold it into the front door's registry so
                     # GET /v1/metrics reflects the whole fleet.
                     telemetry.get_registry().merge_delta(data)
-                continue
-            with self._lock:
-                job = self._jobs.get(job_id)
-                if job is None or job.status in TERMINAL_STATES:
-                    # Pruned or already finalized (e.g. cancelled at
-                    # shutdown while the worker still reported): drop.
-                    continue
-                if kind == "running":
-                    job.status = "running"
-                    job.started_at = time.time()
-                    job.add_event("running", data)
-                elif kind == "progress":
-                    job.add_event("progress", data)
-                elif kind == "done":
-                    job.result = data["result"]
-                    self._finish_locked(job, "done")
-                elif kind in ("failed", "cancelled"):
-                    self._finish_locked(job, kind, error=data.get("error"))
+            elif kind == "running":
+                queue.job_started(job_id, data)
+            elif kind == "progress":
+                queue.job_progress(job_id, data)
+            elif kind == "done":
+                queue.job_finished(job_id, "done", result=data["result"])
+            else:  # "failed" / "cancelled"
+                queue.job_finished(job_id, kind, error=data.get("error"))
 
-    def _finish_locked(self, job: Job, status: str, *, error: str | None = None) -> None:
-        job.status = status
-        job.error = error
-        job.finished_at = time.time()
-        if job.started_at is None:
-            job.started_at = job.finished_at
-        if self._inflight.get(job.key) == job.id:
-            del self._inflight[job.key]
-        if job.client:
-            remaining = self._client_active.get(job.client, 0) - 1
-            if remaining > 0:
-                self._client_active[job.client] = remaining
-            else:
-                self._client_active.pop(job.client, None)
-        # Free the routing load slot of the worker that ran the job.
-        worker_id = job.events[0]["data"].get("worker") if job.events else None
-        if worker_id is not None and 0 <= worker_id < self.workers:
-            self._load[worker_id] = max(self._load[worker_id] - 1, 0)
-        flag = os.path.join(self._spool_dir, f"{job.id}.cancel")
-        if os.path.exists(flag):
-            try:
-                os.unlink(flag)
-            except OSError:  # pragma: no cover
-                pass
-        algorithm = _algorithm_of(job.params)
-        _JOBS_COMPLETED.labels(algorithm=algorithm, status=status).inc()
-        _JOB_SECONDS.labels(algorithm=algorithm).observe(
-            job.finished_at - job.started_at)
-        _QUEUE_DEPTH.set(sum(self._load))
-        data = {"status": status, "error": error}
-        if isinstance(job.result, dict) and job.result.get("timings") is not None:
-            data["timings"] = job.result["timings"]
-        job.add_event(status, data)
+
+class ProcessJobQueue(JobQueue):
+    """A :class:`~repro.service.jobs.JobQueue` executed by a :class:`WorkerPool`.
+
+    Parameters
+    ----------
+    workers:
+        Worker *process* count (>= 1).
+    world_cache:
+        Shared on-disk world-store directory (or ``None`` for
+        per-worker in-memory stores — pools are then warm only via the
+        affinity ledger, never shared across workers).
+    cache_bytes:
+        Per-worker oracle-cache budget.
+    retain:
+        Terminal jobs kept for result retrieval.
+    trace_log:
+        Span-log path handed to every worker process (``None`` disables
+        tracing in the workers).
+    """
+
+    def __init__(self, *, workers: int = 2, world_cache=None,
+                 cache_bytes: int = 256 << 20, retain: int = 256,
+                 trace_log: str | None = None):
+        super().__init__(None, workers=workers, retain=retain)
+        self._executor = WorkerPool(self, world_cache=world_cache,
+                                    cache_bytes=cache_bytes, trace_log=trace_log)

@@ -83,3 +83,13 @@ def labeling_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(UnionFindWorldBackend, "component_labels", spy)
     return calls
+
+
+def set_job_runner(service, runner) -> None:
+    """Swap what a thread-mode service's jobs run (the gated-runner seam).
+
+    Jobs that start after the call run ``runner(job)`` on the thread
+    executor; tests wrap ``service._run_job`` in a gate to hold jobs
+    queued or running.
+    """
+    service.jobs._executor.runner = runner

@@ -437,3 +437,24 @@ class TestPackedWorlds:
         assert result.samples_used == 64 and result.n_rounds == 2
         read = registry.value("repro_store_bytes_read_total") - before
         assert read == 64 * graph.n_nodes * 4 + graph.n_edges * 8
+
+    @pytest.mark.parametrize("kind", ["harmonic", "kmedian"])
+    def test_warm_op_counts_each_world_read_once(self, tmp_path, kind):
+        """``repro_store_worlds_read_total`` counts worlds served: a warm
+        64-world op reads a chunk's labels and later its masks, and the
+        masks-only read must not count the same worlds again."""
+        from repro import expected_centrality, kmedian_clustering, telemetry
+        from repro.datasets import dblp_like
+
+        graph = dblp_like(120, seed=0)
+        registry = telemetry.get_registry()
+        store = WorldStore(tmp_path)
+        MonteCarloOracle(graph, seed=5, store=store).ensure_samples(64)
+        before = registry.value("repro_store_worlds_read_total")
+        if kind == "harmonic":
+            result = expected_centrality(graph, measure="harmonic", seed=5, samples=64,
+                                         tol=1e-12, store=store)
+        else:
+            result = kmedian_clustering(graph, 4, seed=5, samples=64, store=store)
+        assert result.samples_used == 64
+        assert registry.value("repro_store_worlds_read_total") - before == 64

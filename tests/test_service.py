@@ -38,6 +38,7 @@ from repro.service.jobs import (
     paginate_jobs,
     prune_terminal_jobs,
 )
+from tests.conftest import set_job_runner
 
 TIMEOUT = 30.0
 
@@ -444,7 +445,7 @@ class TestJobs:
                 gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        set_job_runner(service, gated)
         try:
             for seed in (101, 102):
                 client.request("POST", "/jobs", {"graph": "toy", "algorithm": "gmm",
@@ -456,7 +457,7 @@ class TestJobs:
             assert "not done" in payload["error"]["message"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            set_job_runner(service, original)
         client.wait_job(submitted["job"])
 
     def test_cancel_queued_job(self, service, client):
@@ -468,7 +469,7 @@ class TestJobs:
                 gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        set_job_runner(service, gated)
         try:
             for seed in (201, 202):
                 client.request("POST", "/jobs", {"graph": "toy", "algorithm": "gmm",
@@ -483,7 +484,7 @@ class TestJobs:
             assert "cancelled" in payload["error"]["message"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            set_job_runner(service, original)
 
     def test_coalescing_identical_inflight_jobs(self, service, client):
         gate = threading.Event()
@@ -493,7 +494,7 @@ class TestJobs:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        set_job_runner(service, gated)
         try:
             params = {**self.PARAMS, "seed": 55}
             _, first = client.request("POST", "/jobs", params)
@@ -510,7 +511,7 @@ class TestJobs:
             assert different["job"] != first["job"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            set_job_runner(service, original)
         assert client.wait_job(first["job"])["status"] == "done"
         status, payload = client.request("GET", f"/jobs/{first['job']}")
         assert payload["coalesced"] == 1
@@ -523,7 +524,7 @@ class TestJobs:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        set_job_runner(service, gated)
         client.request("PUT", "/graphs/mut", "0 1 0.9\n1 2 0.9\n2 3 0.9\n",
                        content_type="text/plain")
         params = {"graph": "mut", "algorithm": "gmm", "k": 2}
@@ -538,7 +539,7 @@ class TestJobs:
             assert second["coalesced"] is False
         finally:
             gate.set()
-            service.jobs._runner = original
+            set_job_runner(service, original)
         client.wait_job(first["job"])
         client.wait_job(second["job"])
         _, res1 = client.request("GET", f"/jobs/{first['job']}/result")
@@ -574,29 +575,63 @@ class TestJobs:
         assert payload["leases"] >= 1
 
 
+#: A job that runs until cancelled: k=1 drives the mcp threshold
+#: search deep under a sample cap far beyond what the toy graph needs.
+#: With one worker it holds every later job ``queued`` behind it.
+BLOCKER = {"graph": "toy", "algorithm": "mcp", "k": 1, "samples": 1_000_000, "seed": 71}
+GMM = {"graph": "toy", "algorithm": "gmm", "k": 2, "seed": 0}
+
+
+@pytest.fixture(params=["thread", "process"])
+def make_queue(request):
+    """Build job queues over one executor, each with one worker.
+
+    The thread queue runs the service's own runner; both execute real
+    jobs on the toy graph.  Every queue made is shut down afterwards.
+    """
+    from repro.service.workers import ProcessJobQueue
+
+    queues = []
+
+    def make(retain: int = 256) -> JobQueue:
+        if request.param == "thread":
+            queue = JobQueue(ClusterService(datasets=())._run_job, workers=1, retain=retain)
+        else:
+            queue = ProcessJobQueue(workers=1, retain=retain)
+        queues.append(queue)
+        return queue
+
+    yield make
+    for queue in queues:
+        queue.shutdown()
+
+
+def _submit(queue: JobQueue, params: dict, **kwargs):
+    """Submit ``params`` as the service does: normalized, graph captured."""
+    from repro.service.app import normalize_job_params
+
+    return queue.submit(normalize_job_params(params), context=(_toy_graph(), ()), **kwargs)
+
+
 class TestJobQueueUnit:
-    """Queue semantics that are racy to pin over HTTP."""
+    """Queue semantics that are racy to pin over HTTP, under both executors."""
 
     def test_canonical_key_order_insensitive(self):
         assert canonical_key({"a": 1, "b": 2}) == canonical_key({"b": 2, "a": 1})
         assert canonical_key({"a": 1}) != canonical_key({"a": 2})
 
-    def test_coalesces_only_while_in_flight(self):
-        release = threading.Event()
-        queue = JobQueue(lambda job: (release.wait(TIMEOUT), {"ok": True})[1], workers=1)
-        try:
-            first, coalesced_first = queue.submit({"x": 1})
-            again, coalesced_again = queue.submit({"x": 1})
-            assert not coalesced_first and coalesced_again
-            assert again.id == first.id and first.coalesced == 1
-            release.set()
-            _wait_terminal(queue, first.id)
-            fresh, coalesced_fresh = queue.submit({"x": 1})
-            assert not coalesced_fresh and fresh.id != first.id
-            _wait_terminal(queue, fresh.id)
-        finally:
-            release.set()
-            queue.shutdown()
+    def test_coalesces_only_while_in_flight(self, make_queue):
+        queue = make_queue()
+        blocker, _ = _submit(queue, BLOCKER)
+        first, coalesced_first = _submit(queue, GMM)
+        again, coalesced_again = _submit(queue, GMM)
+        assert not coalesced_first and coalesced_again
+        assert again.id == first.id and first.coalesced == 1
+        queue.cancel(blocker.id)
+        assert _wait_terminal(queue, first.id).status == "done"
+        fresh, coalesced_fresh = _submit(queue, GMM)
+        assert not coalesced_fresh and fresh.id != first.id
+        assert _wait_terminal(queue, fresh.id).status == "done"
 
     def test_cancel_running_job_via_cancel_check(self):
         started = threading.Event()
@@ -621,54 +656,109 @@ class TestJobQueueUnit:
         finally:
             queue.shutdown()
 
-    def test_cancelled_job_stops_coalescing_immediately(self):
-        started = threading.Event()
-        release = threading.Event()
+    def test_cancelled_job_stops_coalescing_immediately(self, make_queue):
+        queue = make_queue()
+        doomed, _ = _submit(queue, BLOCKER)
+        queue.cancel(doomed.id)  # key must leave the coalescing ledger now
+        fresh, coalesced = _submit(queue, BLOCKER)
+        assert not coalesced
+        assert fresh.id != doomed.id
+        queue.cancel(fresh.id)
+        assert _wait_terminal(queue, doomed.id).status == "cancelled"
+        assert _wait_terminal(queue, fresh.id).status == "cancelled"
 
-        def runner(job):
-            started.set()
-            release.wait(TIMEOUT)
-            if job.cancel_event.is_set():
-                raise JobCancelledError("cancelled")
-            return {"ok": True}
+    def test_failure_recorded_not_raised(self, make_queue):
+        queue = make_queue()
+        job, _ = _submit(queue, {**GMM, "k": 10})  # the toy graph has 6 nodes
+        final = _wait_terminal(queue, job.id)
+        assert final.status == "failed"
+        assert final.error.startswith("ClusteringError: k must satisfy")
+        assert queue.active_count() == 0
+        with pytest.raises(ServiceError):
+            queue.get("job-424242")
 
-        queue = JobQueue(runner, workers=1)
+    def test_terminal_jobs_pruned(self, make_queue):
+        queue = make_queue(retain=2)
+        done = []
+        for seed in range(3):
+            job, _ = _submit(queue, {**GMM, "seed": seed})
+            _wait_terminal(queue, job.id)
+            done.append(job.id)
+        blocker, _ = _submit(queue, BLOCKER)  # prunes the oldest of three
+        held, _ = _submit(queue, {**GMM, "seed": 9})
+        assert [job.id for job in queue.list()] == [*done[1:], blocker.id, held.id]
+        queue.cancel(blocker.id)
+        assert _wait_terminal(queue, held.id).status == "done"
+        _wait_terminal(queue, blocker.id)
+        newest, _ = _submit(queue, {**GMM, "seed": 10})
+        # Oldest terminal first, the job just submitted never.
+        assert [job.id for job in queue.list()] == [blocker.id, held.id, newest.id]
+        _wait_terminal(queue, newest.id)
+
+    def test_counts_balance_under_concurrent_submit_and_cancel(self):
+        """More threads than cores race submits, coalescing and cancels;
+        a lost update would leave a non-zero active or per-client count."""
+        import sys
+
+        queue = JobQueue(lambda job: {"ok": True}, workers=4, retain=1000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            doomed, _ = queue.submit({"x": 1})
-            assert started.wait(TIMEOUT)
-            queue.cancel(doomed.id)  # running: key must leave _inflight now
-            fresh, coalesced = queue.submit({"x": 1})
-            assert not coalesced
-            assert fresh.id != doomed.id
-            release.set()
-            assert _wait_terminal(queue, doomed.id).status == "cancelled"
-            assert _wait_terminal(queue, fresh.id).status == "done"
+            def submitter(client):
+                for i in range(60):
+                    job, _ = queue.submit({"i": i % 7}, client=client)
+                    if i % 3 == 0:
+                        queue.cancel(job.id)
+
+            threads = [threading.Thread(target=submitter, args=(f"c{n}",)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(TIMEOUT)
+            assert not any(thread.is_alive() for thread in threads)
+            for job in queue.list():
+                _wait_terminal(queue, job.id)
+            assert queue.active_count() == 0
+            snapshots = []
+            last, _ = queue.submit({"last": True}, client="c0", admit=snapshots.append)
+            assert snapshots == [{"queued": 0, "running": 0, "client_active": 0,
+                                  "workers": 4}]
+            _wait_terminal(queue, last.id)
         finally:
-            release.set()
+            sys.setswitchinterval(interval)
             queue.shutdown()
 
-    def test_failure_recorded_not_raised(self):
-        queue = JobQueue(lambda job: 1 / 0, workers=1)
-        try:
-            job, _ = queue.submit({})
-            final = _wait_terminal(queue, job.id)
-            assert final.status == "failed"
-            assert "ZeroDivisionError" in final.error
-            with pytest.raises(ServiceError):
-                queue.get("job-424242")
-        finally:
-            queue.shutdown()
+    def test_submit_after_shutdown_is_503_and_registers_nothing(self, make_queue):
+        queue = make_queue()
+        queue.shutdown()
+        for _ in range(2):  # the repeat must not coalesce onto a phantom job
+            with pytest.raises(ServiceError) as caught:
+                _submit(queue, GMM, client="c")
+            assert caught.value.status == 503
+        assert queue.list() == []
+        assert queue.active_count() == 0
 
-    def test_terminal_jobs_pruned(self):
-        queue = JobQueue(lambda job: {}, workers=1, retain=2)
-        try:
-            ids = [queue.submit({"i": i})[0].id for i in range(5)]
-            for job_id in ids:
-                _wait_terminal(queue, job_id)
-            queue.submit({"i": 99})
-            assert len(queue.list()) <= 4  # 2 retained + in-flight slack
-        finally:
-            queue.shutdown()
+    def test_admission_snapshot_counts(self, make_queue):
+        queue = make_queue()
+        snapshots = []
+        blocker, _ = _submit(queue, BLOCKER, client="c", admit=snapshots.append)
+        _submit(queue, GMM, client="c", admit=snapshots.append)
+        _submit(queue, GMM, client="c", admit=snapshots.append)  # coalesced: no check
+        other, _ = _submit(queue, {**GMM, "seed": 1}, client="d", admit=snapshots.append)
+        assert snapshots[0] == {"queued": 0, "running": 0, "client_active": 0, "workers": 1}
+        assert len(snapshots) == 3
+        assert snapshots[1]["queued"] + snapshots[1]["running"] == 1
+        assert snapshots[1]["client_active"] == 1
+        assert snapshots[2]["queued"] + snapshots[2]["running"] == 2
+        assert snapshots[2]["client_active"] == 0
+        queue.cancel(blocker.id)
+        _wait_terminal(queue, blocker.id)
+        _wait_terminal(queue, other.id)
+        assert queue.active_count() == 0
+        last = []
+        job, _ = _submit(queue, {**GMM, "seed": 2}, client="c", admit=last.append)
+        assert last == [{"queued": 0, "running": 0, "client_active": 0, "workers": 1}]
+        _wait_terminal(queue, job.id)
 
 
 def _wait_terminal(queue: JobQueue, job_id: str):
@@ -915,7 +1005,7 @@ class TestGraphMutation:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        set_job_runner(service, gated)
         params = {"graph": "toy", "algorithm": "gmm", "k": 2}
         try:
             _, first = client.request("POST", "/jobs", params)
@@ -933,7 +1023,7 @@ class TestGraphMutation:
             assert third["job"] == second["job"] and third["coalesced"] is True
         finally:
             gate.set()
-            service.jobs._runner = original
+            set_job_runner(service, original)
         client.wait_job(first["job"])
         client.wait_job(second["job"])
 
@@ -1295,7 +1385,7 @@ class TestPruneTerminalJobs:
             for seed in range(4):
                 params = normalize_job_params(
                     {"graph": "g", "algorithm": "gmm", "k": 2, "seed": seed})
-                job, _ = queue.submit(params, context=graph)
+                job, _ = queue.submit(params, context=(graph, ()))
                 _wait_terminal(queue, job.id)
                 ids.append(job.id)
             # Each submit prunes the terminal jobs beyond the newest two,
@@ -1366,7 +1456,7 @@ class TestAdmissionOverHttp:
             gate.wait(TIMEOUT)
             return original(job)
 
-        svc.jobs._runner = gated
+        set_job_runner(svc, gated)
         server = BackgroundServer(svc).start()
         client = Client(server.port)
         try:
@@ -1426,7 +1516,7 @@ class TestDrainShutdown:
             gate.wait(TIMEOUT)
             return original(job)
 
-        svc.jobs._runner = gated
+        set_job_runner(svc, gated)
         server = BackgroundServer(svc).start()
         client = Client(server.port)
         try:
@@ -1476,7 +1566,7 @@ class TestDrainShutdown:
                 raise JobCancelledError("cancelled at shutdown")
             return original(job)
 
-        svc.jobs._runner = gated
+        set_job_runner(svc, gated)
         server = BackgroundServer(svc).start()
         client = Client(server.port)
         try:

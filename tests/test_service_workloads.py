@@ -22,6 +22,7 @@ import pytest
 
 from repro.sampling.parallel import ParallelSampler
 from repro.service import BackgroundServer, ClusterService
+from tests.conftest import set_job_runner
 from tests.test_service import TIMEOUT, Client, _read_sse, _toy_graph
 
 
@@ -121,7 +122,7 @@ class TestWorkloadJobs:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        set_job_runner(service, gated)
         try:
             params = {"graph": "toy", "algorithm": "kcenter", "k": 2,
                       "samples": 250, "seed": 91}
@@ -139,7 +140,7 @@ class TestWorkloadJobs:
             assert other["job"] != first["job"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            set_job_runner(service, original)
         assert client.wait_job(first["job"])["status"] == "done"
 
     def test_centrality_jobs_coalesce_on_measure_and_tol(self, service, client):
@@ -150,7 +151,7 @@ class TestWorkloadJobs:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        set_job_runner(service, gated)
         try:
             params = {"graph": "toy", "algorithm": "centrality",
                       "measure": "harmonic", "seed": 92}
@@ -165,7 +166,7 @@ class TestWorkloadJobs:
             assert other_tol["job"] != first["job"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            set_job_runner(service, original)
         assert client.wait_job(first["job"])["status"] == "done"
 
 
