@@ -13,7 +13,12 @@ exists for, recording each into the durable artifact:
 * ``job/mixed/workersN`` — mixed cold/warm/mutate job throughput with
   N spawned worker *processes* over one shared on-disk world store
   (the throughput-vs-workers scaling cells; a 1-core CI box cannot
-  show real scaling, so the gate only guards against regression).
+  show real scaling, so the gate only guards against regression);
+* ``cache/budget/poolsN`` — one cold oracle-cache lease plus the byte
+  budget check its release runs, on a disk store pre-filled with N
+  small pools.  The check reads the store's byte ledger, so the
+  800-pool cell costs the 50-pool one plus a longer directory listing
+  (~1 ms on a 2-core ext4 host), not a summary per pool (~10 ms).
 
 The same cells can be produced against a *remote* server with
 ``repro bench-serve`` — the CI smoke job does exactly that; this suite
@@ -26,10 +31,14 @@ from __future__ import annotations
 import asyncio
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.record import record_benchmark, record_extra
+from repro.graph.uncertain_graph import UncertainGraph
+from repro.sampling.store import WorldStore, pack_mask_columns
 from repro.service import BackgroundServer, ClusterService
+from repro.service.cache import OracleCache
 from repro.service.loadgen import ServiceClient, _quantile, run_job, run_mixed_load
 from repro.telemetry import parse_prometheus_text
 
@@ -189,3 +198,36 @@ def test_warm_across_worker_pools_bit_identical(krogan_tiny, tmp_path):
     assert warm["warm"] is True and warm["worlds_sampled"] == 0
     assert warm["assignment"] == cold["assignment"]
     assert warm["centers"] == cold["centers"]
+
+
+BUDGET_ROUNDS = 15
+BUDGET_WORLDS = 64
+
+
+@pytest.mark.parametrize("n_pools", [50, 800])
+def test_cache_budget_check(tmp_path, n_pools):
+    """A cold lease and its budget check against a store of ``n_pools``."""
+    toy = UncertainGraph.from_edges(
+        [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.8), (3, 4, 0.85), (4, 5, 0.85),
+         (3, 5, 0.75), (2, 3, 0.05)]
+    )
+    packed = pack_mask_columns(np.ones((1, toy.n_edges), dtype=bool))
+    labels = np.zeros((1, toy.n_nodes), dtype=np.int32)
+    writer = WorldStore(tmp_path)
+    for seed in range(n_pools):
+        writer.append(writer.register(toy, seed), 0, packed, labels)
+    cache = OracleCache(WorldStore(tmp_path), max_bytes=1 << 30)
+    times = []
+    for round_ in range(BUDGET_ROUNDS):
+        begin = time.perf_counter()
+        with cache.lease(toy, seed=n_pools + round_) as oracle:
+            oracle.ensure_samples(BUDGET_WORLDS)
+        times.append(time.perf_counter() - begin)
+        assert oracle.cache_stats["worlds_sampled"] == BUDGET_WORLDS
+        cache.store.clear(oracle.pool_digest)  # keep the store at n_pools
+    stats = cache.stats()
+    assert stats["pools"] == n_pools and stats["evictions"] == 0
+    record_benchmark(
+        "service", f"cache/budget/pools{n_pools}", seconds=min(times), items=1,
+        meta={"pools": n_pools, "worlds": BUDGET_WORLDS, "rounds": BUDGET_ROUNDS},
+    )

@@ -67,7 +67,8 @@ def _print_profile(total_s: float, oracle) -> None:
     timings = _phase_breakdown(total_s, phases, stats)
     print("phase         wall_ms", file=sys.stderr)
     for name, key in (("sample", "sample_ms"), ("label", "label_ms"),
-                      ("store read", "store_read_ms"), ("distance", "distance_ms"),
+                      ("store read", "store_read_ms"), ("store write", "store_write_ms"),
+                      ("distance", "distance_ms"),
                       ("cluster", "cluster_ms"), ("total", "total_ms")):
         print(f"{name:<12} {timings[key]:>9.3f}", file=sys.stderr)
     print(f"worlds sampled {timings['worlds_sampled']}", file=sys.stderr)
@@ -467,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument(
         "--profile", action="store_true",
-        help="print the phase breakdown (sample/label/store read/distance/cluster "
-        "wall ms, worlds sampled vs reused) after the estimate",
+        help="print the phase breakdown (sample/label/store read/store write/"
+        "distance/cluster wall ms, worlds sampled vs reused) after the estimate",
     )
     estimate.set_defaults(func=_cmd_estimate)
 
@@ -489,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("-o", "--output", default=None, help="write TSV here (default stdout)")
     cluster.add_argument(
         "--profile", action="store_true",
-        help="print the phase breakdown (sample/label/store read/distance/cluster "
-        "wall ms, worlds sampled vs reused) after clustering",
+        help="print the phase breakdown (sample/label/store read/store write/"
+        "distance/cluster wall ms, worlds sampled vs reused) after clustering",
     )
     cluster.set_defaults(func=_cmd_cluster)
 

@@ -146,6 +146,7 @@ class MonteCarloOracle:
         self._worlds_cached = 0
         self._worlds_sampled = 0
         self._store_read_s = 0.0
+        self._store_write_s = 0.0
         self._distance_s = 0.0
 
     # ------------------------------------------------------------------
@@ -213,16 +214,19 @@ class MonteCarloOracle:
         (both from the attached :class:`ParallelSampler`),
         ``store_read_s`` the time spent serving worlds from the store
         instead of sampling (labels up front, packed masks on a
-        chunk's first depth or distance query), and ``distance_s`` the
-        packed BFS kernel behind :meth:`expected_distances`, the
-        depth-limited queries and :meth:`timed_distance` (harmonic
-        closeness).  The service's per-job ``timings``
-        breakdown is the delta of this dict across one job.
+        chunk's first depth or distance query), ``store_write_s`` the
+        time spent appending freshly sampled chunks to the store, and
+        ``distance_s`` the packed BFS kernel behind
+        :meth:`expected_distances`, the depth-limited queries and
+        :meth:`timed_distance` (harmonic closeness).  The service's
+        per-job ``timings`` breakdown is the delta of this dict across
+        one job.
         """
         return {
             "sample_s": self._sampler.sample_seconds,
             "label_s": self._sampler.label_seconds,
             "store_read_s": self._store_read_s,
+            "store_write_s": self._store_write_s,
             "distance_s": self._distance_s,
             "chunks": self._sampler.chunks_produced,
         }
@@ -278,7 +282,9 @@ class MonteCarloOracle:
                     self._worlds_sampled += count
                     span.set("source", "sampled")
                     if self._store is not None:
+                        started = time.perf_counter()
                         self._store.append(self._pool_digest, start, packed, labels)
+                        self._store_write_s += time.perf_counter() - started
             self._packed_chunks.append(packed)
             self._chunk_starts.append(start)
             self._label_chunks.append(labels.astype(self._label_dtype, copy=False))

@@ -344,13 +344,19 @@ def _coerce_block_counts(value, n_worlds: int):
 
 
 class _MemoryPool:
-    """In-memory pool: growing lists of columnar-mask and label blocks."""
+    """In-memory pool: growing lists of columnar-mask and label blocks.
+
+    ``mask_bytes`` / ``label_bytes`` are the pool's byte ledger, kept
+    current by :meth:`append` so a size query never re-sums the parts.
+    """
 
     def __init__(self, meta: dict):
         self.meta = meta
         self.packed_parts: list[np.ndarray] = []
         self.label_parts: list[np.ndarray] = []
         self.count = 0
+        self.mask_bytes = 0
+        self.label_bytes = 0
 
     @property
     def block_counts(self) -> list[int]:
@@ -401,14 +407,10 @@ class _MemoryPool:
         self.packed_parts.append(np.ascontiguousarray(packed_cols, dtype=np.uint64))
         self.label_parts.append(np.ascontiguousarray(labels, dtype=np.int32))
         self.count += labels.shape[0]
+        self.mask_bytes += self.packed_parts[-1].nbytes
+        self.label_bytes += self.label_parts[-1].nbytes
         self.meta["n_worlds"] = self.count
         self.meta["block_counts"] = self.block_counts
-
-    def nbytes(self) -> tuple[int, int]:
-        return (
-            sum(part.nbytes for part in self.packed_parts),
-            sum(part.nbytes for part in self.label_parts),
-        )
 
 
 class _DiskPool:
@@ -420,6 +422,10 @@ class _DiskPool:
     first and the block list in ``meta.json`` updated (atomically, via
     ``os.replace``) last, so a torn append leaves trailing garbage that
     no reader ever addresses.
+
+    ``mask_bytes`` / ``label_bytes`` are the byte ledger of the block
+    layout this object last adopted (at init, :meth:`append` and
+    :meth:`refresh`), so a size query is two attribute reads.
     """
 
     def __init__(self, directory: Path, meta: dict):
@@ -427,6 +433,7 @@ class _DiskPool:
         self.meta = meta
         self.count = int(meta.get("n_worlds", 0))
         self.block_counts = list(meta.get("block_counts", []))
+        self.mask_bytes, self.label_bytes = self._implied_bytes(self.count, self.block_counts)
 
     @property
     def masks_path(self) -> Path:
@@ -478,6 +485,7 @@ class _DiskPool:
                     os.truncate(path, implied)
         self.count = count
         self.block_counts = block_counts
+        self.mask_bytes, self.label_bytes = mask_bytes, label_bytes
         self.meta["n_worlds"] = count
         self.meta["block_counts"] = block_counts
 
@@ -530,12 +538,11 @@ class _DiskPool:
             handle.write(labels.tobytes())
         self.count += labels.shape[0]
         self.block_counts.append(int(labels.shape[0]))
+        self.mask_bytes += packed_cols.nbytes
+        self.label_bytes += labels.nbytes
         self.meta["n_worlds"] = self.count
         self.meta["block_counts"] = list(self.block_counts)
         _write_meta(self.directory, self.meta)
-
-    def nbytes(self) -> tuple[int, int]:
-        return self._implied_bytes(self.count, self.block_counts)
 
 
 def _empty_cols(meta: dict) -> np.ndarray:
@@ -592,6 +599,10 @@ class WorldStore:
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._pools: dict[str, _MemoryPool | _DiskPool] = {}
+        #: Known disk pools whose directory the last :meth:`pool_sizes`
+        #: listing did not show (another process removed them); their
+        #: ledger is re-read from disk if the directory comes back.
+        self._vanished: set[str] = set()
         self._lock = threading.Lock()
 
     @property
@@ -633,7 +644,7 @@ class WorldStore:
                 _STORE_POOLS.inc()
             else:
                 # Disk pools are (re-)validated on every register, even
-                # when _scan_disk already listed them: scanning only
+                # when pool_sizes already listed them: listing only
                 # reads metadata, and the corruption-recovery contract
                 # (reset, never crash) must hold for oracle attachment.
                 directory = self._cache_dir / digest
@@ -833,30 +844,79 @@ class WorldStore:
     # Maintenance (CLI `repro cache {info,clear}`)
     # ------------------------------------------------------------------
 
-    def _scan_disk(self) -> None:
-        """Register every pool directory found under ``cache_dir``."""
-        if self._cache_dir is None or not self._cache_dir.is_dir():
-            return
-        for entry in sorted(self._cache_dir.iterdir()):
-            meta_path = entry / _META_NAME
-            if entry.name in self._pools or not meta_path.is_file():
-                continue
+    def _adopt(self, name: str) -> _DiskPool | None:
+        """Register the pool directory ``name`` from its ``meta.json``.
+
+        Returns the new pool, or ``None`` when ``name`` is not a readable
+        pool of this format (foreign entries, corrupt or old-format
+        metadata, a directory whose meta another process has not
+        written yet).  Callers hold the store lock.
+        """
+        if not _DIGEST_RE.fullmatch(name):
+            return None
+        directory = self._cache_dir / name
+        try:
+            with open(directory / _META_NAME, encoding="utf-8") as handle:
+                meta = json.load(handle)
+            if meta.get("format") != FORMAT_VERSION or meta.get("digest") != name:
+                return None
+            # Coerce the required keys now so a meta.json missing any
+            # of them is skipped here instead of crashing info() later.
+            for key in ("n_worlds", "n_nodes", "n_edges"):
+                meta[key] = int(meta[key])
+            meta["block_counts"] = _coerce_block_counts(
+                meta.get("block_counts", []), meta["n_worlds"]
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+        pool = self._pools[name] = _DiskPool(directory, meta)
+        return pool
+
+    def pool_sizes(self) -> dict[str, int]:
+        """Bytes (packed masks + labels) of every stored pool, by digest.
+
+        The oracle cache's budget check: it reads each pool's byte
+        ledger, so its cost does not grow with what the pools hold.  A
+        disk store lists ``cache_dir`` once and parses ``meta.json``
+        only for pool directories it has not seen before (pools other
+        processes wrote); known disk pools whose directory is gone —
+        another process cleared them — are left out.  A known pool
+        whose directory reappears is re-read from disk once.  Sizes of
+        known pools that another process grew are as of this store's
+        last look at them (``register``, ``count``, ``append``).
+
+        Examples
+        --------
+        >>> from repro.sampling.oracle import MonteCarloOracle
+        >>> g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
+        >>> store = WorldStore()
+        >>> with MonteCarloOracle(g, seed=7, store=store) as oracle:
+        ...     oracle.ensure_samples(64)
+        >>> list(store.pool_sizes().values())   # 16 mask + 768 label bytes
+        [784]
+        """
+        with self._lock:
+            if self._cache_dir is None:
+                return {
+                    digest: pool.mask_bytes + pool.label_bytes
+                    for digest, pool in self._pools.items()
+                }
             try:
-                with open(meta_path, encoding="utf-8") as handle:
-                    meta = json.load(handle)
-                if meta.get("format") != FORMAT_VERSION or meta.get("digest") != entry.name:
-                    continue
-                # Coerce the required keys now so a meta.json missing any
-                # of them is skipped here instead of crashing info() later.
-                for key in ("n_worlds", "n_nodes", "n_edges"):
-                    meta[key] = int(meta[key])
-                meta["block_counts"] = _coerce_block_counts(
-                    meta.get("block_counts", []), meta["n_worlds"]
-                )
-                with self._lock:
-                    self._pools.setdefault(entry.name, _DiskPool(entry, meta))
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
+                names = os.listdir(self._cache_dir)
+            except OSError:  # not created yet
+                names = []
+            sizes = {}
+            for name in names:
+                pool = self._pools.get(name)
+                if pool is None:
+                    pool = self._adopt(name)
+                    if pool is None:
+                        continue
+                elif name in self._vanished:
+                    pool.refresh()
+                sizes[name] = pool.mask_bytes + pool.label_bytes
+            self._vanished = self._pools.keys() - sizes.keys()
+            return sizes
 
     def info(self) -> list[PoolInfo]:
         """One :class:`PoolInfo` per stored pool (disk pools included).
@@ -865,7 +925,7 @@ class WorldStore:
         pool growing in another thread is reported at a consistent
         count rather than mid-append.
         """
-        self._scan_disk()
+        self.pool_sizes()  # registers pool directories other processes wrote
         rows = []
         with self._lock:
             pools = sorted(self._pools.items())
@@ -873,7 +933,7 @@ class WorldStore:
             with self._lock:
                 if self._pools.get(digest) is not pool:
                     continue  # cleared between the snapshot and this row
-                mask_bytes, label_bytes = pool.nbytes()
+                mask_bytes, label_bytes = pool.mask_bytes, pool.label_bytes
                 n_worlds = pool.count
                 n_blocks = len(pool.block_counts)
             rows.append(
@@ -896,9 +956,12 @@ class WorldStore:
         On a disk store this removes the named directories themselves,
         including pool directories whose metadata is corrupt or from an
         older format version — ``clear`` is the recovery tool, so it
-        must not skip exactly the pools that failed to register.
+        must not skip exactly the pools that failed to register.  Only
+        clearing every pool scans ``cache_dir``; clearing one digest
+        touches that pool's directory alone.
         """
-        self._scan_disk()
+        if digest is None:
+            self.pool_sizes()  # registers every pool directory
         with self._lock:
             digests = [digest] if digest is not None else list(self._pools)
             removed = 0

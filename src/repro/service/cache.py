@@ -18,6 +18,18 @@ removes its directory (it will be re-sampled on the next miss — the
 cache is best-effort by construction, see the PR-3 invalidation
 contract in ``docs/ARCHITECTURE.md``).
 
+The budget check runs after every lease that sampled or touched a pool
+for the first time, so its cost must not grow with the store: it reads
+the store's per-pool byte ledger (:meth:`WorldStore.pool_sizes
+<repro.sampling.store.WorldStore.pool_sizes>` — one directory listing
+and a ``meta.json`` parse only for pools never seen before) instead of
+building a :class:`~repro.sampling.store.PoolInfo` per pool.  Recency
+is one order per process: pools already in the store when the cache is
+built come first (in digest order), a pool first seen later — e.g.
+written by another worker process over the same ``--world-cache`` —
+enters at the most-recent end, and a lease moves its pool there.  So
+no process evicts another's fresh pools ahead of its own stale ones.
+
 Graph mutations *derive* instead of evicting: when a lease misses but
 the caller supplies ancestor revisions of the graph (the registry's
 lineage after ``PATCH /graphs/{name}/edges``), the cache pins the
@@ -106,7 +118,12 @@ class OracleCache:
         self._store = store if store is not None else WorldStore()
         self._max_bytes = int(max_bytes)
         self._lock = threading.Lock()
-        self._recency: OrderedDict[str, None] = OrderedDict()
+        # Least recently used first.  Pools the store already holds
+        # (e.g. left in a disk cache dir by earlier runs) are the
+        # oldest, in digest order; see _enforce_budget for the rest.
+        self._recency: OrderedDict[str, None] = OrderedDict.fromkeys(
+            sorted(self._store.pool_sizes())
+        )
         self._pinned: Counter[str] = Counter()
         self._leases = 0
         self._warm_leases = 0
@@ -203,8 +220,8 @@ class OracleCache:
                 # raised before the pool was registered) must not enter
                 # the LRU: recording it would accumulate junk digests
                 # from bad requests until a budget trip, and its
-                # ``first_touch`` would trigger a pointless store
-                # rescan.
+                # ``first_touch`` would trigger a pointless budget
+                # check.
                 first_touch = False
                 if oracle is not None:
                     first_touch = digest not in self._recency
@@ -216,7 +233,7 @@ class OracleCache:
                     self._warm_leases += 1
             # The pool footprint can only grow when this lease sampled
             # new worlds or touched a pool we have not accounted yet —
-            # warm repeats (the hot path) skip the store rescan.
+            # warm repeats (the hot path) skip the budget check.
             if stats["worlds_sampled"] > 0 or first_touch:
                 self._enforce_budget()
 
@@ -260,18 +277,16 @@ class OracleCache:
                 return
 
     def _pool_bytes(self) -> dict[str, int]:
-        """Per-pool byte sizes from the store.
+        """Per-pool byte sizes from the store's ledger.
 
-        Lock ordering: callers hold the cache lock, and ``store.info()``
-        takes the store's own lock — so the ordering is always *cache
-        lock → store lock*.  The store never calls back into the cache,
-        which keeps the ordering acyclic (no deadlock); never take the
-        cache lock from code the store can invoke.
+        Lock ordering: callers hold the cache lock, and
+        ``store.pool_sizes()`` takes the store's own lock — so the
+        ordering is always *cache lock → store lock*.  The store never
+        calls back into the cache, which keeps the ordering acyclic (no
+        deadlock); never take the cache lock from code the store can
+        invoke.
         """
-        return {
-            pool.digest: pool.mask_bytes + pool.label_bytes
-            for pool in self._store.info()
-        }
+        return self._store.pool_sizes()
 
     def _enforce_budget(self) -> None:
         """Evict LRU unpinned pools until the byte budget is met.
@@ -282,26 +297,31 @@ class OracleCache:
         and eviction: the new pool escaped the total, and eviction
         mis-subtracted the stale size of any concurrently-grown pool,
         leaving the budget silently overshot.
+
+        One check costs one ledger read (:meth:`_pool_bytes`) plus set
+        arithmetic over the digests: no per-pool metadata parse, no
+        per-pool summary.  It also keeps the recency order in step with
+        the store: pools first seen now (another process wrote them)
+        enter at the most-recent end, in digest order, and pools gone
+        from the store (another process cleared them) leave it.
+        Eviction walks from the least-recent end and skips pinned pools.
         """
         with self._lock:
             sizes = self._pool_bytes()
+            for digest in self._recency.keys() - sizes.keys():
+                del self._recency[digest]
+            for digest in sorted(sizes.keys() - self._recency.keys()):
+                self._recency[digest] = None
             total = sum(sizes.values())
             if total <= self._max_bytes:
                 return
-            # Pools the store holds but this process never leased (e.g.
-            # left over in a disk cache dir from earlier runs) count
-            # toward the total, so they must be evictable too — as the
-            # oldest candidates, before anything recently used —
-            # otherwise an over-budget legacy pool would force every
-            # fresh pool out forever.
-            unleased = [digest for digest in sorted(sizes) if digest not in self._recency]
-            for digest in unleased + list(self._recency):
+            for digest in list(self._recency):
                 if total <= self._max_bytes:
                     break
                 if self._pinned.get(digest):
                     continue
-                total -= sizes.get(digest, 0)
-                self._recency.pop(digest, None)
+                total -= sizes[digest]
+                del self._recency[digest]
                 self._evictions += 1
                 self._store.clear(digest)
 

@@ -80,34 +80,41 @@ _LEDGER_CAPACITY = 256
 def _phase_breakdown(total_s: float, phases: dict | None, stats: dict | None) -> dict:
     """The per-job ``timings`` payload: wall ms per phase plus world counts.
 
-    ``distance_ms`` is the oracle's packed BFS kernel (expected
-    distances, depth-limited connection, harmonic closeness).
-    ``cluster_ms`` is everything the sampling and distance phases do not
-    account for (threshold guesses, greedy rounds, the degree and
-    betweenness kernels, estimator math).
+    ``store_write_ms`` is the oracle appending freshly sampled chunks
+    to the world store.  ``distance_ms`` is the oracle's packed BFS
+    kernel (expected distances, depth-limited connection, harmonic
+    closeness).  ``cluster_ms`` is everything the sampling, store and
+    distance phases do not account for (threshold guesses, greedy
+    rounds, the degree and betweenness kernels, estimator math).
     mcl/gmm jobs sample no worlds, so their breakdown is all
     ``cluster_ms``.
 
     Examples
     --------
     >>> out = _phase_breakdown(0.25, {"sample_s": 0.1, "label_s": 0.05,
-    ...                               "store_read_s": 0.0, "distance_s": 0.06,
-    ...                               "chunks": 2},
+    ...                               "store_read_s": 0.0, "store_write_s": 0.01,
+    ...                               "distance_s": 0.06, "chunks": 2},
     ...                        {"worlds_cached": 0, "worlds_sampled": 1024})
-    >>> out["sample_ms"], out["distance_ms"], out["cluster_ms"], out["worlds_sampled"]
-    (100.0, 60.0, 40.0, 1024)
+    >>> out["sample_ms"], out["store_write_ms"], out["distance_ms"], out["cluster_ms"]
+    (100.0, 10.0, 60.0, 30.0)
+    >>> out["worlds_sampled"]
+    1024
     """
     phases = phases or {}
     sample_s = phases.get("sample_s", 0.0)
     label_s = phases.get("label_s", 0.0)
     store_read_s = phases.get("store_read_s", 0.0)
+    store_write_s = phases.get("store_write_s", 0.0)
     distance_s = phases.get("distance_s", 0.0)
-    cluster_s = max(total_s - sample_s - label_s - store_read_s - distance_s, 0.0)
+    cluster_s = max(
+        total_s - sample_s - label_s - store_read_s - store_write_s - distance_s, 0.0
+    )
     return {
         "total_ms": round(total_s * 1000.0, 3),
         "sample_ms": round(sample_s * 1000.0, 3),
         "label_ms": round(label_s * 1000.0, 3),
         "store_read_ms": round(store_read_s * 1000.0, 3),
+        "store_write_ms": round(store_write_s * 1000.0, 3),
         "distance_ms": round(distance_s * 1000.0, 3),
         "cluster_ms": round(cluster_s * 1000.0, 3),
         "worlds_sampled": int(stats["worlds_sampled"]) if stats else 0,

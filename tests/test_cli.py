@@ -52,7 +52,8 @@ class TestEstimate:
             line.rsplit(None, 1) for line in capsys.readouterr().err.splitlines()
             if line.split()[0] in ("sample", "label", "store", "distance", "cluster", "total")
         )
-        assert set(rows) == {"sample", "label", "store read", "distance", "cluster", "total"}
+        assert set(rows) == {"sample", "label", "store read", "store write", "distance",
+                             "cluster", "total"}
         assert float(rows["distance"]) > 0.0
 
 

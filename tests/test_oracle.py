@@ -357,6 +357,18 @@ class TestPackedDistanceQueries:
         # The chunk's first-touch mask read is a store read, not distance time.
         assert after["store_read_s"] > before["store_read_s"]
 
+    def test_store_appends_are_timed(self, graph, tmp_path):
+        store = WorldStore(tmp_path)
+        cold = MonteCarloOracle(graph, seed=4, store=store)
+        cold.ensure_samples(128)
+        assert cold.phase_timings["store_write_s"] > 0.0
+        warm = MonteCarloOracle(graph, seed=4, store=store)
+        warm.ensure_samples(128)  # served from the store: nothing appended
+        assert warm.phase_timings["store_write_s"] == 0.0
+        storeless = MonteCarloOracle(graph, seed=4)
+        storeless.ensure_samples(128)
+        assert storeless.phase_timings["store_write_s"] == 0.0
+
     def test_harmonic_kernel_is_timed_as_distance(self, graph):
         from repro import expected_centrality
 

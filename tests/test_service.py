@@ -839,6 +839,42 @@ class TestOracleCacheEviction:
         digests = {pool.digest for pool in cache.store.info()}
         assert len(digests) == 1  # legacy pool evicted, active one kept
 
+    def test_other_process_pools_join_the_recency_order(self, tmp_path):
+        """A second store over the same directory stands in for another
+        worker process: its fresh pool is not evicted ahead of pools
+        this cache leased earlier, and a pool it clears (or re-samples)
+        is reflected in this cache's total."""
+        from repro.sampling.oracle import MonteCarloOracle
+        from repro.sampling.store import WorldStore, pool_fingerprint
+        from repro.service.cache import OracleCache
+
+        graph = _toy_graph()
+        # 7 edges x 4 words x 8 B of masks + 256 worlds x 6 nodes x 4 B of labels.
+        pool_bytes = 7 * 4 * 8 + 256 * 6 * 4
+        cache = OracleCache(WorldStore(tmp_path), max_bytes=3 * pool_bytes)
+        for seed in (0, 1):
+            with cache.lease(graph, seed=seed) as oracle:
+                oracle.ensure_samples(256)
+        other = WorldStore(tmp_path)
+        with MonteCarloOracle(graph, seed=2, store=other) as oracle:
+            oracle.ensure_samples(256)
+        with cache.lease(graph, seed=3) as oracle:  # the fourth pool: one must go
+            oracle.ensure_samples(256)
+        survivors = {pool.digest for pool in cache.store.info()}
+        assert cache.stats()["evictions"] == 1
+        assert pool_fingerprint(graph, 0) not in survivors  # least recently leased
+        assert pool_fingerprint(graph, 2) in survivors  # the other process's fresh pool
+
+        before = cache.stats()
+        other.clear(pool_fingerprint(graph, 1))
+        after = cache.stats()
+        assert after["pools"] == before["pools"] - 1
+        assert after["bytes"] == before["bytes"] - pool_bytes
+        # Re-sampled by the other process at a different size: re-read once.
+        with MonteCarloOracle(graph, seed=1, store=other) as oracle:
+            oracle.ensure_samples(128)
+        assert cache.stats()["bytes"] == after["bytes"] + 7 * 2 * 8 + 128 * 6 * 4
+
     def test_pinned_pool_never_evicted_mid_lease(self):
         from repro.service.cache import OracleCache
 
@@ -907,6 +943,51 @@ class TestOracleCacheAccounting:
             t.join()
         assert not errors
         assert cache.stats()["bytes"] <= 10 * 1024
+
+    def test_under_budget_check_does_constant_work(self, tmp_path, monkeypatch):
+        """The budget check reads the store's byte ledger: one directory
+        listing, no meta.json parse for pools it already knows, no
+        PoolInfo rows, no per-pool block-size sums."""
+        import numpy as np
+
+        import repro.sampling.store as store_module
+        from repro.sampling.store import WorldStore, pack_mask_columns
+        from repro.service.cache import OracleCache
+
+        graph = _toy_graph()
+        packed = pack_mask_columns(np.ones((1, graph.n_edges), dtype=bool))
+        labels = np.zeros((1, graph.n_nodes), dtype=np.int32)
+        writer = WorldStore(tmp_path)
+        for seed in range(300):
+            writer.append(writer.register(graph, seed), 0, packed, labels)
+        cache = OracleCache(WorldStore(tmp_path), max_bytes=1 << 30)
+        cache._enforce_budget()  # every pool known from here on
+
+        calls = {"listdir": 0, "json.load": 0, "PoolInfo": 0, "block sums": 0}
+
+        def spy(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(store_module.os, "listdir", spy("listdir", store_module.os.listdir))
+        monkeypatch.setattr(store_module.json, "load", spy("json.load", store_module.json.load))
+        monkeypatch.setattr(store_module, "PoolInfo", spy("PoolInfo", store_module.PoolInfo))
+        monkeypatch.setattr(
+            store_module, "_mask_block_bytes",
+            spy("block sums", store_module._mask_block_bytes),
+        )
+        cache._enforce_budget()
+        assert calls == {"listdir": 1, "json.load": 0, "PoolInfo": 0, "block sums": 0}
+        assert cache.stats()["pools"] == 300
+        # A pool another process adds costs exactly one meta parse, once.
+        writer.append(writer.register(graph, 300), 0, packed, labels)
+        cache._enforce_budget()
+        cache._enforce_budget()
+        assert calls["json.load"] == 1 and calls["PoolInfo"] == 0
+        assert cache.stats()["pools"] == 301
+        assert cache.stats()["evictions"] == 0
 
     def test_failed_construction_leaves_no_recency_entry(self):
         from repro.service.cache import OracleCache
@@ -1703,7 +1784,7 @@ class TestTelemetryEndpoints:
     """``GET /v1/metrics``, cache agreement, and per-job phase timings."""
 
     TIMINGS_KEYS = {
-        "total_ms", "sample_ms", "label_ms", "store_read_ms",
+        "total_ms", "sample_ms", "label_ms", "store_read_ms", "store_write_ms",
         "distance_ms", "cluster_ms", "worlds_sampled", "worlds_reused",
     }
 
@@ -1783,7 +1864,8 @@ class TestTelemetryEndpoints:
         else:
             assert timings["distance_ms"] > 0
         phases = sum(timings[key] for key in (
-            "sample_ms", "label_ms", "store_read_ms", "distance_ms", "cluster_ms"))
+            "sample_ms", "label_ms", "store_read_ms", "store_write_ms", "distance_ms",
+            "cluster_ms"))
         assert phases == pytest.approx(timings["total_ms"], abs=0.01)
 
     def test_fleet_metrics_aggregate_across_two_process_workers(self, tmp_path):

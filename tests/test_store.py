@@ -217,6 +217,51 @@ class TestWorldStoreUnit:
         assert store.info() == []
 
 
+    @pytest.mark.parametrize("persistent", [False, True], ids=["memory", "disk"])
+    def test_byte_ledger_matches_the_block_layout(self, graph, tmp_path, persistent):
+        store = WorldStore(tmp_path / "cache" if persistent else None)
+        for seed, (chunk, samples) in enumerate([(32, 64), (48, 100), (512, 7)]):
+            with MonteCarloOracle(graph, seed=seed, chunk_size=chunk, store=store) as oracle:
+                oracle.ensure_samples(samples)
+        sizes = store.pool_sizes()
+        assert sizes == {pool.digest: pool.mask_bytes + pool.label_bytes
+                         for pool in store.info()}
+        assert sorted(sizes.values()) == sorted(
+            graph.n_edges * 8 * sum(packed_words(c) for c in blocks)
+            + samples * graph.n_nodes * 4
+            for samples, blocks in [(64, [32, 32]), (100, [48, 48, 4]), (7, [7])]
+        )
+
+    def test_clear_one_pool_lists_no_directory(self, graph, tmp_path, monkeypatch):
+        import repro.sampling.store as store_module
+
+        store = WorldStore(tmp_path / "cache")
+        for seed in range(3):
+            with MonteCarloOracle(graph, seed=seed, store=store) as oracle:
+                oracle.ensure_samples(16)
+        listings = []
+        listdir = store_module.os.listdir
+        monkeypatch.setattr(
+            store_module.os, "listdir", lambda path: listings.append(path) or listdir(path)
+        )
+        assert store.clear(pool_fingerprint(graph, 1)) == 1
+        assert listings == []
+        assert len(store.pool_sizes()) == 2
+
+    def test_pool_sizes_skip_pools_removed_elsewhere(self, graph, tmp_path):
+        store = WorldStore(tmp_path / "cache")
+        other = WorldStore(tmp_path / "cache")
+        with MonteCarloOracle(graph, seed=1, store=store) as oracle:
+            oracle.ensure_samples(64)
+        digest = pool_fingerprint(graph, 1)
+        assert list(store.pool_sizes()) == [digest]
+        other.clear(digest)
+        assert store.pool_sizes() == {}
+        with MonteCarloOracle(graph, seed=1, store=other) as oracle:
+            oracle.ensure_samples(32)  # re-created elsewhere at another size
+        assert store.pool_sizes() == other.pool_sizes()
+
+
 class TestOracleReuse:
     def test_warm_run_zero_sampling_bit_identical(self, graph, monkeypatch):
         """The acceptance criterion: a cached second run samples nothing."""
@@ -360,7 +405,7 @@ class TestDiskPersistence:
             assert np.array_equal(redo.component_labels, cold_labels)
 
     def test_corruption_after_scan_still_treated_as_miss(self, graph, tmp_path, monkeypatch):
-        """register() re-validates pools that _scan_disk pre-registered."""
+        """register() re-validates pools that a directory scan pre-registered."""
         cache = tmp_path / "worlds"
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
             cold.ensure_samples(64)
@@ -383,7 +428,7 @@ class TestDiskPersistence:
             digest = cold.pool_digest
         meta_path = cache / digest / "meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["format"] = 0  # an old format version _scan_disk rejects
+        meta["format"] = 0  # an old format version the directory scan rejects
         meta_path.write_text(json.dumps(meta))
 
         store = WorldStore(cache)
