@@ -28,7 +28,7 @@ bench:
 bench-service:
 	$(PYTHON) -m pytest -q benchmarks/test_bench_service.py
 	$(PYTHON) benchmarks/compare.py benchmarks/baselines/BENCH_service.json \
-	    benchmarks/out/BENCH_service.json
+	    benchmarks/out/BENCH_service.json --fail-over 2.0
 
 # Run the clustering service on the default port with a local world cache.
 serve:

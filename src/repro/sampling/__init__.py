@@ -9,11 +9,9 @@ from repro.sampling.parallel import (
 from repro.sampling.store import (
     WorldStore,
     pack_mask_columns,
-    pack_masks,
     packed_words,
     pool_fingerprint,
     unpack_mask_columns,
-    unpack_masks,
 )
 from repro.sampling.deltas import DeriveResult, derive_pool, diff_edges
 from repro.sampling.worlds import (
@@ -51,11 +49,9 @@ __all__ = [
     "UnionFindWorldBackend",
     "WorldStore",
     "pack_mask_columns",
-    "pack_masks",
     "packed_words",
     "pool_fingerprint",
     "unpack_mask_columns",
-    "unpack_masks",
     "average_degree_representative",
     "degree_discrepancy",
     "most_probable_world",

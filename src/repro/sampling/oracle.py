@@ -247,7 +247,9 @@ class MonteCarloOracle:
         ``r`` and the current pool size is drawn.  With a store
         attached, that difference is first covered from stored worlds
         (bit-identical to freshly drawn ones); only the remainder is
-        sampled, and sampled chunks are appended back to the store.
+        sampled, and sampled chunks are appended back to the store
+        (best effort: an append that fails with :class:`OSError`, say
+        on a full disk, keeps the chunk and loses only the cache).
 
         Raises
         ------
@@ -283,7 +285,10 @@ class MonteCarloOracle:
                     span.set("source", "sampled")
                     if self._store is not None:
                         started = time.perf_counter()
-                        self._store.append(self._pool_digest, start, packed, labels)
+                        try:
+                            self._store.append(self._pool_digest, start, packed, labels)
+                        except OSError:
+                            pass  # a full or failing disk costs the cache, not the chunk
                         self._store_write_s += time.perf_counter() - started
             self._packed_chunks.append(packed)
             self._chunk_starts.append(start)

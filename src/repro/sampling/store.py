@@ -41,12 +41,17 @@ Delta derivation
 
 :class:`WorldStore` holds one growing pool per digest, either purely in
 memory or spilled to a disk directory (one subdirectory per digest with
-raw ``numpy`` files read back through :class:`numpy.memmap`).  Pools
+raw ``numpy`` files, read back with :func:`numpy.fromfile`).  Pools
 grow in *blocks* (one per append; ``meta.json`` records the block world
 counts, since columnar packing makes block boundaries part of the
-layout).  Because cached and freshly drawn worlds are bit-identical, a
-:class:`~repro.sampling.oracle.MonteCarloOracle` can resume progressive
-sampling from a cached pool mid-schedule and extend it in place.
+layout).  Memory and disk pools are one type, :class:`_Pool`: one
+block walk serves every read, one byte ledger sizes the pool, and the
+two differ only in where a block's bytes live.  One validator
+(:meth:`_Pool.load`) decides whether a pool directory is sound; an
+unsound one is never served.  Because cached and freshly drawn worlds
+are bit-identical, a :class:`~repro.sampling.oracle.MonteCarloOracle`
+can resume progressive sampling from a cached pool mid-schedule and
+extend it in place.
 
 Concurrency: reads are safe from any number of processes.  Disk
 appends take an advisory ``flock`` on the pool directory and re-read
@@ -115,11 +120,9 @@ _STORE_FLOCK_WAIT = telemetry.get_registry().histogram(
 __all__ = [
     "WorldStore",
     "pack_mask_columns",
-    "pack_masks",
     "packed_words",
     "pool_fingerprint",
     "unpack_mask_columns",
-    "unpack_masks",
 ]
 
 #: Bits per packed word; masks are stored as ``uint64`` bitsets.
@@ -136,6 +139,15 @@ _META_NAME = "meta.json"
 _MASKS_NAME = "masks.u64"
 _LABELS_NAME = "labels.i32"
 _LOCK_NAME = ".lock"
+
+#: The label layout, in memory and in ``labels.i32``: one ``int32``
+#: per (world, node), world-major rows.  Every label byte count, read
+#: and write derives from it.
+_LABEL_DTYPE = np.dtype(np.int32)
+
+#: Element type of each data file; a pool's blocks are addressed by
+#: file name (the *kind* of bytes: masks or labels).
+_DTYPES = {_MASKS_NAME: np.dtype(np.uint64), _LABELS_NAME: _LABEL_DTYPE}
 
 #: Pool directories are named by their SHA-256 hex digest.
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}")
@@ -172,77 +184,14 @@ def packed_words(n_bits: int) -> int:
     return (int(n_bits) + WORD_BITS - 1) // WORD_BITS
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a 2-D boolean matrix along axis 1 into whole uint64 words."""
-    rows, n = bits.shape
-    words = packed_words(n)
-    packed_bytes = np.packbits(bits, axis=1, bitorder="little")
-    row_bytes = words * (WORD_BITS // 8)
-    if packed_bytes.shape[1] != row_bytes:
-        padded = np.zeros((rows, row_bytes), dtype=np.uint8)
-        padded[:, : packed_bytes.shape[1]] = packed_bytes
-        packed_bytes = padded
-    return np.ascontiguousarray(packed_bytes).view(np.uint64)
-
-
-def _unpack_bits(packed: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits` (drops the pad bits)."""
-    if packed.shape[1] != packed_words(n_bits):
-        raise ValueError(
-            f"packed rows hold {packed.shape[1]} words but {n_bits} bits "
-            f"need {packed_words(n_bits)}"
-        )
-    if n_bits == 0:
-        return np.zeros((packed.shape[0], 0), dtype=bool)
-    bits = np.unpackbits(packed.view(np.uint8), axis=1, count=n_bits, bitorder="little")
-    return bits.view(np.bool_)
-
-
-def pack_masks(masks: np.ndarray) -> np.ndarray:
-    """Pack boolean edge masks into world-major ``uint64`` bitset rows.
-
-    The result has shape ``(r, packed_words(m))``: row ``i`` is world
-    ``i``'s edge bitset.  Bit ``j`` of row ``i`` — little-endian within
-    each word — is ``masks[i, j]``.  The store itself keeps the
-    *columnar* layout (:func:`pack_mask_columns`); this row-major
-    variant remains for world-at-a-time consumers.
-
-    Examples
-    --------
-    >>> masks = np.array([[True, False, True], [False, True, False]])
-    >>> packed = pack_masks(masks)
-    >>> packed.shape, packed.dtype.name
-    ((2, 1), 'uint64')
-    >>> bool(np.array_equal(unpack_masks(packed, 3), masks))
-    True
-    """
-    masks = np.ascontiguousarray(masks, dtype=bool)
-    if masks.ndim != 2:
-        raise ValueError(f"masks must be 2-D (worlds, edges), got shape {masks.shape}")
-    return _pack_bits(masks)
-
-
-def unpack_masks(packed: np.ndarray, n_edges: int) -> np.ndarray:
-    """Unpack world-major ``uint64`` bitset rows back into boolean masks.
-
-    Inverse of :func:`pack_masks`: returns a ``(r, n_edges)`` boolean
-    array.  ``packed`` may be any array-like (including a
-    :class:`numpy.memmap` slice read back from disk).
-    """
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    if packed.ndim != 2:
-        raise ValueError(f"packed masks must be 2-D, got shape {packed.shape}")
-    return _unpack_bits(packed, n_edges)
-
-
 def pack_mask_columns(masks: np.ndarray) -> np.ndarray:
     """Pack boolean edge masks into the store's edge-major columnar form.
 
     The result has shape ``(m, packed_words(r))``: row ``e`` is edge
     ``e``'s presence bitset over the ``r`` worlds (bit ``i`` of row
-    ``e`` is ``masks[i, e]``, little-endian within each word).  Same 8x
-    memory cut as :func:`pack_masks`, but one edge's bits are one
-    contiguous row — the property delta application relies on.
+    ``e`` is ``masks[i, e]``, little-endian within each word).  That is
+    an 8x memory cut over the boolean bytes, and one edge's bits are
+    one contiguous row — the property delta application relies on.
 
     Examples
     --------
@@ -256,26 +205,38 @@ def pack_mask_columns(masks: np.ndarray) -> np.ndarray:
     masks = np.ascontiguousarray(masks, dtype=bool)
     if masks.ndim != 2:
         raise ValueError(f"masks must be 2-D (worlds, edges), got shape {masks.shape}")
-    return _pack_bits(np.ascontiguousarray(masks.T))
+    n_worlds, n_edges = masks.shape
+    packed_bytes = np.packbits(np.ascontiguousarray(masks.T), axis=1, bitorder="little")
+    row_bytes = packed_words(n_worlds) * (WORD_BITS // 8)
+    if packed_bytes.shape[1] != row_bytes:
+        padded = np.zeros((n_edges, row_bytes), dtype=np.uint8)
+        padded[:, : packed_bytes.shape[1]] = packed_bytes
+        packed_bytes = padded
+    return np.ascontiguousarray(packed_bytes).view(np.uint64)
 
 
 def unpack_mask_columns(packed_cols: np.ndarray, n_worlds: int) -> np.ndarray:
     """Unpack columnar masks back into a world-major boolean matrix.
 
     Inverse of :func:`pack_mask_columns`: returns ``(n_worlds, m)``
-    booleans from an ``(m, packed_words(n_worlds))`` word matrix.
+    booleans from an ``(m, packed_words(n_worlds))`` word matrix (pad
+    bits dropped).  ``packed_cols`` may be any array-like, including a
+    :class:`numpy.memmap` view.
     """
     packed_cols = np.ascontiguousarray(packed_cols, dtype=np.uint64)
     if packed_cols.ndim != 2:
         raise ValueError(f"packed columns must be 2-D, got shape {packed_cols.shape}")
-    if packed_cols.shape[0] == 0:
-        if packed_cols.shape[1] != packed_words(n_worlds):
-            raise ValueError(
-                f"packed columns hold {packed_cols.shape[1]} words but "
-                f"{n_worlds} worlds need {packed_words(n_worlds)}"
-            )
-        return np.zeros((n_worlds, 0), dtype=bool)
-    return np.ascontiguousarray(_unpack_bits(packed_cols, n_worlds).T)
+    if packed_cols.shape[1] != packed_words(n_worlds):
+        raise ValueError(
+            f"packed columns hold {packed_cols.shape[1]} words but "
+            f"{n_worlds} worlds need {packed_words(n_worlds)}"
+        )
+    if packed_cols.shape[0] == 0 or n_worlds == 0:
+        return np.zeros((n_worlds, packed_cols.shape[0]), dtype=bool)
+    bits = np.unpackbits(
+        packed_cols.view(np.uint8), axis=1, count=n_worlds, bitorder="little"
+    )
+    return np.ascontiguousarray(bits.view(np.bool_).T)
 
 
 def pool_fingerprint(graph: UncertainGraph, seed) -> str:
@@ -335,229 +296,28 @@ def _mask_block_bytes(n_edges: int, block_counts) -> int:
     return sum(int(n_edges) * packed_words(int(c)) * 8 for c in block_counts)
 
 
-def _coerce_block_counts(value, n_worlds: int):
-    """Validate a meta ``block_counts`` list against ``n_worlds``."""
-    counts = [int(c) for c in value]
-    if any(c <= 0 for c in counts) or sum(counts) != int(n_worlds):
-        raise ValueError(f"block_counts {counts} do not sum to {n_worlds}")
-    return counts
+def _file_size(path: Path) -> int:
+    try:
+        return os.stat(path).st_size
+    except FileNotFoundError:
+        return 0
 
 
-class _MemoryPool:
-    """In-memory pool: growing lists of columnar-mask and label blocks.
+def _read_file(path: Path, offset: int, shape: tuple[int, int]) -> np.ndarray:
+    """``shape`` items from ``offset`` (in items) of the data file ``path``.
 
-    ``mask_bytes`` / ``label_bytes`` are the pool's byte ledger, kept
-    current by :meth:`append` so a size query never re-sums the parts.
+    A file too short to hold them raises
+    :class:`~repro.exceptions.WorldStoreError`: a read never returns
+    fewer worlds than its range names.
     """
-
-    def __init__(self, meta: dict):
-        self.meta = meta
-        self.packed_parts: list[np.ndarray] = []
-        self.label_parts: list[np.ndarray] = []
-        self.count = 0
-        self.mask_bytes = 0
-        self.label_bytes = 0
-
-    @property
-    def block_counts(self) -> list[int]:
-        return [part.shape[0] for part in self.label_parts]
-
-    def read_masks(self, start: int, stop: int) -> np.ndarray:
-        # Serve block-aligned ranges (the oracle's warm path reads the
-        # pool back chunk by chunk) as stored views — parts are
-        # append-only and treated as immutable, so no copy is needed.
-        if start == stop:
-            return _empty_cols(self.meta)
-        offset = 0
-        bool_slices = []
-        for packed_cols, labels in zip(self.packed_parts, self.label_parts, strict=True):
-            rows = labels.shape[0]
-            lo = max(start - offset, 0)
-            hi = min(stop - offset, rows)
-            if lo < hi:
-                if lo == 0 and hi == rows and start == offset and stop == offset + rows:
-                    return packed_cols
-                bool_slices.append(unpack_mask_columns(packed_cols, rows)[lo:hi])
-            offset += rows
-            if offset >= stop:
-                break
-        return pack_mask_columns(np.concatenate(bool_slices, axis=0))
-
-    def read_labels(self, start: int, stop: int) -> np.ndarray:
-        label_slices = []
-        offset = 0
-        for labels in self.label_parts:
-            rows = labels.shape[0]
-            lo = max(start - offset, 0)
-            hi = min(stop - offset, rows)
-            if lo < hi:
-                if lo == 0 and hi == rows and start == offset and stop == offset + rows:
-                    return labels
-                label_slices.append(labels[lo:hi])
-            offset += rows
-            if offset >= stop:
-                break
-        if not label_slices:
-            return _empty_labels(self.meta)
-        if len(label_slices) == 1:
-            return label_slices[0]  # a view, like the block-aligned read above
-        return np.concatenate(label_slices, axis=0)
-
-    def append(self, packed_cols: np.ndarray, labels: np.ndarray) -> None:
-        self.packed_parts.append(np.ascontiguousarray(packed_cols, dtype=np.uint64))
-        self.label_parts.append(np.ascontiguousarray(labels, dtype=np.int32))
-        self.count += labels.shape[0]
-        self.mask_bytes += self.packed_parts[-1].nbytes
-        self.label_bytes += self.label_parts[-1].nbytes
-        self.meta["n_worlds"] = self.count
-        self.meta["block_counts"] = self.block_counts
-
-
-class _DiskPool:
-    """Disk-backed pool: append-only block files + an atomic meta record.
-
-    ``masks.u64`` holds the columnar blocks back to back (block ``b``
-    occupies ``n_edges * packed_words(block_counts[b])`` words);
-    ``labels.i32`` holds world-major label rows.  Data is appended
-    first and the block list in ``meta.json`` updated (atomically, via
-    ``os.replace``) last, so a torn append leaves trailing garbage that
-    no reader ever addresses.
-
-    ``mask_bytes`` / ``label_bytes`` are the byte ledger of the block
-    layout this object last adopted (at init, :meth:`append` and
-    :meth:`refresh`), so a size query is two attribute reads.
-    """
-
-    def __init__(self, directory: Path, meta: dict):
-        self.directory = directory
-        self.meta = meta
-        self.count = int(meta.get("n_worlds", 0))
-        self.block_counts = list(meta.get("block_counts", []))
-        self.mask_bytes, self.label_bytes = self._implied_bytes(self.count, self.block_counts)
-
-    @property
-    def masks_path(self) -> Path:
-        return self.directory / _MASKS_NAME
-
-    @property
-    def labels_path(self) -> Path:
-        return self.directory / _LABELS_NAME
-
-    def _implied_bytes(self, count: int, block_counts) -> tuple[int, int]:
-        return (
-            _mask_block_bytes(int(self.meta["n_edges"]), block_counts),
-            count * int(self.meta["n_nodes"]) * 4,
-        )
-
-    def refresh(self, truncate: bool = False) -> None:
-        """Adopt the on-disk world count (another process may have grown
-        or cleared the pool since we registered).  With ``truncate=True``
-        — callers must hold the pool write lock — also restore the
-        file-bytes == block-layout invariant by truncating any trailing
-        bytes a torn append left behind (never safe from the read path:
-        a concurrent writer's fresh rows look like trailing garbage
-        until its meta lands).  Unsound state resets the count to 0 —
-        re-sampling, never wrong worlds."""
-        count = 0
-        block_counts: list[int] = []
-        try:
-            with open(self.directory / _META_NAME, encoding="utf-8") as handle:
-                disk = json.load(handle)
-            if (
-                disk.get("format") == FORMAT_VERSION
-                and disk.get("digest") == self.meta["digest"]
-                and int(disk["n_worlds"]) >= 0
-            ):
-                count = int(disk["n_worlds"])
-                block_counts = _coerce_block_counts(disk.get("block_counts", []), count)
-        except (OSError, ValueError, KeyError, TypeError):
-            count, block_counts = 0, []
-        mask_bytes, label_bytes = self._implied_bytes(count, block_counts)
-        for path, implied in ((self.masks_path, mask_bytes), (self.labels_path, label_bytes)):
-            size = path.stat().st_size if path.exists() else 0
-            if size < implied:
-                count, block_counts = 0, []  # data cannot back the meta: reset
-                mask_bytes, label_bytes = self._implied_bytes(0, [])
-                break
-        if truncate:
-            for path, implied in ((self.masks_path, mask_bytes), (self.labels_path, label_bytes)):
-                if path.exists() and path.stat().st_size > implied:
-                    os.truncate(path, implied)
-        self.count = count
-        self.block_counts = block_counts
-        self.mask_bytes, self.label_bytes = mask_bytes, label_bytes
-        self.meta["n_worlds"] = count
-        self.meta["block_counts"] = block_counts
-
-    def read_labels(self, start: int, stop: int) -> np.ndarray:
-        n = int(self.meta["n_nodes"])
-        labels_map = np.memmap(
-            self.labels_path, dtype=np.int32, mode="r", shape=(self.count, n)
-        )
-        labels = np.array(labels_map[start:stop])
-        del labels_map
-        return labels
-
-    def read_masks(self, start: int, stop: int) -> np.ndarray:
-        n_edges = int(self.meta["n_edges"])
-        if start == stop:
-            return _empty_cols(self.meta)
-        if n_edges == 0:
-            return np.zeros((0, packed_words(stop - start)), dtype=np.uint64)
-        masks_map = np.memmap(self.masks_path, dtype=np.uint64, mode="r")
-        try:
-            offset_words = 0
-            bool_slices = []
-            block_start = 0
-            for rows in self.block_counts:
-                words = packed_words(rows)
-                lo = max(start - block_start, 0)
-                hi = min(stop - block_start, rows)
-                if lo < hi:
-                    block = np.array(
-                        masks_map[offset_words: offset_words + n_edges * words]
-                    ).reshape(n_edges, words)
-                    if lo == 0 and hi == rows and start == block_start and stop == block_start + rows:
-                        return block
-                    bool_slices.append(unpack_mask_columns(block, rows)[lo:hi])
-                offset_words += n_edges * words
-                block_start += rows
-                if block_start >= stop:
-                    break
-            return pack_mask_columns(np.concatenate(bool_slices, axis=0))
-        finally:
-            del masks_map
-
-    def append(self, packed_cols: np.ndarray, labels: np.ndarray) -> None:
-        packed_cols = np.ascontiguousarray(packed_cols, dtype=np.uint64)
-        labels = np.ascontiguousarray(labels, dtype=np.int32)
-        if packed_cols.shape[0]:
-            with open(self.masks_path, "ab") as handle:
-                handle.write(packed_cols.tobytes())
-        with open(self.labels_path, "ab") as handle:
-            handle.write(labels.tobytes())
-        self.count += labels.shape[0]
-        self.block_counts.append(int(labels.shape[0]))
-        self.mask_bytes += packed_cols.nbytes
-        self.label_bytes += labels.nbytes
-        self.meta["n_worlds"] = self.count
-        self.meta["block_counts"] = list(self.block_counts)
-        _write_meta(self.directory, self.meta)
-
-
-def _empty_cols(meta: dict) -> np.ndarray:
-    return np.zeros((int(meta["n_edges"]), 0), dtype=np.uint64)
-
-
-def _empty_labels(meta: dict) -> np.ndarray:
-    return np.zeros((0, int(meta["n_nodes"])), dtype=np.int32)
-
-
-def _slice_block_worlds(packed_cols: np.ndarray, rows: int, lo: int, hi: int) -> np.ndarray:
-    """Columnar re-slice of worlds ``[lo, hi)`` out of a packed block."""
-    if lo == 0 and hi == rows:
-        return packed_cols
-    return pack_mask_columns(unpack_mask_columns(packed_cols, rows)[lo:hi])
+    dtype = _DTYPES[path.name]
+    count = shape[0] * shape[1]
+    if not count:
+        return np.zeros(shape, dtype=dtype)  # nothing to read; the file may not exist
+    data = np.fromfile(path, dtype=dtype, count=count, offset=offset * dtype.itemsize)
+    if data.size != count:
+        raise WorldStoreError(f"{path} ends before the block layout its meta records")
+    return data.reshape(shape)
 
 
 def _write_meta(directory: Path, meta: dict) -> None:
@@ -566,6 +326,177 @@ def _write_meta(directory: Path, meta: dict) -> None:
         json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
     os.replace(tmp, directory / _META_NAME)
+
+
+class _Pool:
+    """One pool of worlds: its byte ledger and where its blocks live.
+
+    Worlds arrive in *blocks*, one per append: block ``b`` holds
+    ``block_counts[b]`` worlds as ``(n_edges, packed_words(rows))``
+    ``uint64`` mask columns plus ``(rows, n_nodes)`` label rows.  An
+    in-memory pool keeps each block's two arrays in ``parts``; a disk
+    pool (``directory`` set) keeps them back to back in ``masks.u64``
+    and ``labels.i32``, each block at the offset the blocks before it
+    imply.  Disk data is appended first and ``meta.json`` (atomic, via
+    ``os.replace``) last, so a torn append leaves trailing bytes that
+    no reader ever addresses.
+
+    The ledger — ``block_counts``, ``count``, ``mask_bytes`` and
+    ``label_bytes`` — is kept current by every append and refresh, so
+    a size query is two attribute reads.
+    """
+
+    def __init__(self, digest: str, n_nodes: int, n_edges: int,
+                 directory: Path | None = None, block_counts=()):
+        self.digest = digest
+        self.n_nodes = n_nodes
+        self.n_edges = n_edges
+        self.directory = directory
+        self.parts: dict[str, list[np.ndarray]] = {_MASKS_NAME: [], _LABELS_NAME: []}
+        self._set_layout(list(block_counts))
+
+    @classmethod
+    def load(cls, directory: Path, digest: str, shape: tuple[int, int] | None = None):
+        """The one pool validator: ``directory``'s pool if sound, else ``None``.
+
+        Sound means ``meta.json`` parses and names this format version,
+        ``digest`` and — when ``shape`` gives them — the expected
+        ``(n_nodes, n_edges)``; its ``block_counts`` are positive and
+        sum to ``n_worlds``; and both data files hold at least the bytes
+        that layout implies (bytes past it are a torn append's, never
+        addressed).
+        """
+        try:
+            with open(directory / _META_NAME, encoding="utf-8") as handle:
+                meta = json.load(handle)
+            n_nodes, n_edges = int(meta["n_nodes"]), int(meta["n_edges"])
+            block_counts = [int(c) for c in meta.get("block_counts", [])]
+            if not (
+                meta["format"] == FORMAT_VERSION
+                and meta["digest"] == digest
+                and shape in (None, (n_nodes, n_edges))
+                and min(n_nodes, n_edges) >= 0
+                and all(c > 0 for c in block_counts)
+                and sum(block_counts) == int(meta["n_worlds"])
+            ):
+                return None
+            pool = cls(digest, n_nodes, n_edges, directory, block_counts)
+            if (
+                _file_size(directory / _MASKS_NAME) < pool.mask_bytes
+                or _file_size(directory / _LABELS_NAME) < pool.label_bytes
+            ):
+                return None
+            return pool
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+
+    def _set_layout(self, block_counts: list[int]) -> None:
+        self.block_counts = block_counts
+        self.count = sum(block_counts)
+        self.mask_bytes = _mask_block_bytes(self.n_edges, block_counts)
+        self.label_bytes = self.count * self.n_nodes * _LABEL_DTYPE.itemsize
+
+    def meta(self) -> dict:
+        return {
+            "format": FORMAT_VERSION,
+            "digest": self.digest,
+            "n_worlds": self.count,
+            "block_counts": list(self.block_counts),
+            "n_nodes": self.n_nodes,
+            "n_edges": self.n_edges,
+        }
+
+    def refresh(self, truncate: bool = False) -> None:
+        """Adopt the on-disk layout (another process may have grown or
+        cleared the pool since we registered).  An unsound pool resets
+        to 0 worlds — re-sampling, never wrong worlds.  With
+        ``truncate=True`` — callers must hold the pool write lock — also
+        cut the data files back to that layout, dropping what a torn
+        append left behind (never safe from the read path: a concurrent
+        writer's fresh rows look like trailing garbage until its meta
+        lands)."""
+        sound = _Pool.load(self.directory, self.digest, (self.n_nodes, self.n_edges))
+        self._set_layout(sound.block_counts if sound is not None else [])
+        if truncate:
+            for name, size in ((_MASKS_NAME, self.mask_bytes), (_LABELS_NAME, self.label_bytes)):
+                if _file_size(self.directory / name) > size:
+                    os.truncate(self.directory / name, size)
+
+    def read(self, kind: str, start: int, stop: int) -> np.ndarray:
+        """Worlds ``[start, stop)`` of ``kind`` (``masks.u64`` or
+        ``labels.i32``) — the one block walk.
+
+        A range that is exactly one block comes back as stored: a view
+        of an in-memory part, a fresh read of a disk block.  Any other
+        range is cut from the blocks it overlaps: label rows are read
+        and joined, mask blocks read whole, cut and packed anew.
+        """
+        if start == stop:
+            shape = (self.n_edges, 0) if kind == _MASKS_NAME else (0, self.n_nodes)
+            return np.zeros(shape, dtype=_DTYPES[kind])
+        pieces = []
+        first = word = 0
+        for index, rows in enumerate(self.block_counts):
+            lo, hi = max(start - first, 0), min(stop - first, rows)
+            if lo < hi:
+                block = self._block(kind, index, first, word, rows, lo, hi)
+                if (first, first + rows) == (start, stop):
+                    return block
+                pieces.append(
+                    unpack_mask_columns(block, rows)[lo:hi] if kind == _MASKS_NAME else block
+                )
+            first += rows
+            word += self.n_edges * packed_words(rows)
+            if first >= stop:
+                break
+        if kind == _MASKS_NAME:
+            return pack_mask_columns(np.concatenate(pieces, axis=0))
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+
+    def _block(self, kind, index, first, word, rows, lo, hi) -> np.ndarray:
+        """Block ``index`` as stored.  Label rows are stored one world
+        after another, so only the block's worlds ``[lo, hi)`` are read;
+        a columnar mask block is always read whole."""
+        if kind == _MASKS_NAME:
+            if self.directory is None:
+                return self.parts[kind][index]
+            return _read_file(self.directory / kind, word, (self.n_edges, packed_words(rows)))
+        if self.directory is None:
+            return self.parts[kind][index][lo:hi]
+        return _read_file(
+            self.directory / kind, (first + lo) * self.n_nodes, (hi - lo, self.n_nodes)
+        )
+
+    @contextmanager
+    def appending(self):
+        """Hold the pool for one append.  A disk pool takes its write
+        lock and re-reads (and truncates to) the on-disk layout first,
+        so concurrent writers of one pool trim each other's overlap."""
+        if self.directory is None:
+            yield
+            return
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with _pool_write_lock(self.directory):
+            self.refresh(truncate=True)
+            yield
+
+    def append(self, packed_cols: np.ndarray, labels: np.ndarray) -> None:
+        """Add one block at the end of the pool (inside :meth:`appending`)."""
+        if self.directory is None:
+            self.parts[_MASKS_NAME].append(packed_cols)
+            self.parts[_LABELS_NAME].append(labels)
+        else:
+            if not (self.directory / _META_NAME).exists():
+                _write_meta(self.directory, self.meta())  # so clear() sweeps the data
+            for name, data in ((_MASKS_NAME, packed_cols), (_LABELS_NAME, labels)):
+                with open(self.directory / name, "ab") as handle:
+                    handle.write(data.tobytes())
+        self.block_counts.append(int(labels.shape[0]))
+        self.count += int(labels.shape[0])
+        self.mask_bytes += packed_cols.nbytes
+        self.label_bytes += labels.nbytes
+        if self.directory is not None:
+            _write_meta(self.directory, self.meta())
 
 
 class WorldStore:
@@ -577,9 +508,9 @@ class WorldStore:
         ``None`` keeps every pool in memory (useful for sharing pools
         between oracles inside one process).  A directory path spills
         pools to disk — one subdirectory per digest, raw binary data
-        files read back through :class:`numpy.memmap` — so pools
-        persist across process runs.  The directory is created lazily
-        on the first append.
+        files read back with :func:`numpy.fromfile` — so pools persist
+        across process runs.  The directory is created lazily on the
+        first append.
 
     Examples
     --------
@@ -598,7 +529,7 @@ class WorldStore:
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._pools: dict[str, _MemoryPool | _DiskPool] = {}
+        self._pools: dict[str, _Pool] = {}
         #: Known disk pools whose directory the last :meth:`pool_sizes`
         #: listing did not show (another process removed them); their
         #: ledger is re-read from disk if the directory comes back.
@@ -627,77 +558,43 @@ class WorldStore:
         empty — corruption can cost re-sampling, never wrong worlds.
         """
         digest = pool_fingerprint(graph, seed)
-        meta = {
-            "format": FORMAT_VERSION,
-            "digest": digest,
-            "n_worlds": 0,
-            "block_counts": [],
-            "n_nodes": int(graph.n_nodes),
-            "n_edges": int(graph.n_edges),
-        }
+        shape = (int(graph.n_nodes), int(graph.n_edges))
         with self._lock:
-            pool = self._pools.get(digest)
-            if pool is not None and not isinstance(pool, _DiskPool):
+            if digest not in self._pools:
+                _STORE_POOLS.inc()
+            elif self._cache_dir is None:
                 return digest
             if self._cache_dir is None:
-                self._pools[digest] = _MemoryPool(meta)
-                _STORE_POOLS.inc()
-            else:
-                # Disk pools are (re-)validated on every register, even
-                # when pool_sizes already listed them: listing only
-                # reads metadata, and the corruption-recovery contract
-                # (reset, never crash) must hold for oracle attachment.
-                directory = self._cache_dir / digest
-                disk_meta = self._load_valid_meta(directory, meta)
-                if digest not in self._pools:
-                    _STORE_POOLS.inc()
-                self._pools[digest] = _DiskPool(directory, disk_meta)
+                self._pools[digest] = _Pool(digest, *shape)
+                return digest
+            # Disk pools are (re-)validated on every register, even when
+            # pool_sizes already listed them: another process may have
+            # corrupted the pool since, and the corruption-recovery
+            # contract (reset, never crash) must hold for oracle attachment.
+            directory = self._cache_dir / digest
+            pool = _Pool.load(directory, digest, shape)
+            if pool is None:
+                if (directory / _META_NAME).exists():
+                    shutil.rmtree(directory, ignore_errors=True)  # unsound: discard
+                pool = _Pool(digest, *shape, directory)
+            self._pools[digest] = pool
         return digest
 
-    def _load_valid_meta(self, directory: Path, fresh_meta: dict) -> dict:
-        """Validate an existing pool directory; reset it when unsound."""
-        meta_path = directory / _META_NAME
-        if not meta_path.exists():
-            return dict(fresh_meta)
-        try:
-            with open(meta_path, encoding="utf-8") as handle:
-                meta = json.load(handle)
-            count = int(meta["n_worlds"])
-            ok = (
-                meta.get("format") == FORMAT_VERSION
-                and meta.get("digest") == fresh_meta["digest"]
-                and int(meta["n_nodes"]) == fresh_meta["n_nodes"]
-                and int(meta["n_edges"]) == fresh_meta["n_edges"]
-                and count >= 0
-            )
-            block_counts: list[int] = []
-            if ok:
-                block_counts = _coerce_block_counts(meta.get("block_counts", []), count)
-            if ok and count:
-                mask_bytes = _mask_block_bytes(fresh_meta["n_edges"], block_counts)
-                if mask_bytes:
-                    ok = (directory / _MASKS_NAME).stat().st_size >= mask_bytes
-                ok = ok and (
-                    (directory / _LABELS_NAME).stat().st_size
-                    >= count * fresh_meta["n_nodes"] * 4
-                )
-            if ok:
-                merged = dict(fresh_meta)
-                merged["n_worlds"] = count
-                merged["block_counts"] = block_counts
-                return merged
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        shutil.rmtree(directory, ignore_errors=True)
-        return dict(fresh_meta)
-
-    def _pool(self, digest: str):
+    def _pool(self, digest: str) -> _Pool:
         try:
             return self._pools[digest]
         except KeyError:
             raise WorldStoreError(
                 f"unknown pool digest {digest[:12]}...; call register() first"
             ) from None
+
+    def _readable(self, digest: str, start: int, stop: int) -> _Pool:
+        pool = self._pool(digest)
+        if not 0 <= start <= stop <= pool.count:
+            raise WorldStoreError(
+                f"read range [{start}, {stop}) outside stored pool of {pool.count} worlds"
+            )
+        return pool
 
     # ------------------------------------------------------------------
     # Pool access
@@ -709,9 +606,9 @@ class WorldStore:
         Disk pools re-read the on-disk count, so growth (or clearing)
         by another process is observed before the next read or append.
         """
-        pool = self._pool(digest)
         with self._lock:
-            if isinstance(pool, _DiskPool):
+            pool = self._pool(digest)
+            if pool.directory is not None:
                 pool.refresh()
             return pool.count
 
@@ -726,28 +623,25 @@ class WorldStore:
         stands in for them: the masks-only read of an oracle chunk
         whose labels are already held.
         Block-aligned ranges (the oracle's warm path) are served as
-        stored views/copies directly; misaligned ranges are re-packed.
-        Disk pools are copied out of their memmap so no file handle
-        outlives the call; in-memory pools may return *views* of the
-        stored parts (parts are append-only and treated as immutable),
-        so callers must not mutate the result.
+        stored blocks directly; misaligned ranges are re-packed.  Disk
+        reads return fresh arrays (no file handle outlives the call),
+        and a data file shorter than the meta says raises rather than
+        returning fewer worlds.  In-memory pools may return *views* of
+        the stored parts (parts are append-only and treated as
+        immutable), so callers must not mutate the result.
 
-        The range check and the copy-out run under the store lock, so a
-        concurrent :meth:`append` or disk :meth:`refresh` from another
-        thread (the service's job executor shares one store across all
-        worker threads) can never shift ``pool.count`` between the
+        The range check and the read run under the store lock, so a
+        concurrent :meth:`append` or disk refresh from another thread
+        (the service's job executor shares one store across all worker
+        threads) can never shift the pool's count between the
         validation and the slice.  Readers in *other processes* are
         lock-free as before: data files are append-only and the meta
         block list lands atomically after the rows it describes.
         """
         with self._lock:
-            pool = self._pool(digest)
-            if not 0 <= start <= stop <= pool.count:
-                raise WorldStoreError(
-                    f"read range [{start}, {stop}) outside stored pool of {pool.count} worlds"
-                )
-            packed_cols = pool.read_masks(start, stop)
-            label_rows = pool.read_labels(start, stop) if labels else None
+            pool = self._readable(digest, start, stop)
+            packed_cols = pool.read(_MASKS_NAME, start, stop)
+            label_rows = pool.read(_LABELS_NAME, start, stop) if labels else None
         # A masks-only read follows a labels read of the same worlds,
         # which already counted them; bytes count on every read.
         if label_rows is not None:
@@ -767,12 +661,7 @@ class WorldStore:
         view/copy contract as :meth:`read`.
         """
         with self._lock:
-            pool = self._pool(digest)
-            if not 0 <= start <= stop <= pool.count:
-                raise WorldStoreError(
-                    f"read range [{start}, {stop}) outside stored pool of {pool.count} worlds"
-                )
-            labels = pool.read_labels(start, stop)
+            labels = self._readable(digest, start, stop).read(_LABELS_NAME, start, stop)
         _STORE_WORLDS_READ.inc(stop - start)
         _STORE_BYTES_READ.inc(labels.nbytes)
         return labels
@@ -799,7 +688,7 @@ class WorldStore:
         other already persisted).
         """
         packed_cols = np.ascontiguousarray(packed_cols, dtype=np.uint64)
-        labels = np.ascontiguousarray(labels, dtype=np.int32)
+        labels = np.ascontiguousarray(labels, dtype=_LABEL_DTYPE)
         rows = labels.shape[0]
         if packed_cols.shape[1] != packed_words(rows):
             raise WorldStoreError(
@@ -808,82 +697,47 @@ class WorldStore:
             )
         with self._lock:
             pool = self._pool(digest)
-            if packed_cols.shape[0] != int(pool.meta["n_edges"]):
+            if packed_cols.shape[0] != pool.n_edges:
                 raise WorldStoreError(
                     f"columnar block has {packed_cols.shape[0]} edge rows, "
-                    f"pool expects {pool.meta['n_edges']}"
+                    f"pool expects {pool.n_edges}"
                 )
-            if isinstance(pool, _DiskPool):
-                pool.directory.mkdir(parents=True, exist_ok=True)
-                with _pool_write_lock(pool.directory):
-                    pool.refresh(truncate=True)
-                    if start > pool.count:
-                        return pool.count  # pool was cleared underneath us
-                    skip = pool.count - start
-                    if skip < rows:
-                        if not (pool.directory / _META_NAME).exists():
-                            _write_meta(pool.directory, pool.meta)
-                        block = _slice_block_worlds(packed_cols, rows, skip, rows)
-                        pool.append(block, labels[skip:])
-                        _STORE_WORLDS_APPENDED.inc(rows - skip)
-                        _STORE_BYTES_APPENDED.inc(block.nbytes + labels[skip:].nbytes)
+            with pool.appending():
+                if start > pool.count:
+                    if pool.directory is None:
+                        raise WorldStoreError(
+                            f"append at {start} would leave a gap (pool has {pool.count} worlds)"
+                        )
+                    return pool.count  # pool was cleared underneath us
+                skip = pool.count - start
+                if skip < rows:
+                    if skip:
+                        packed_cols = pack_mask_columns(
+                            unpack_mask_columns(packed_cols, rows)[skip:]
+                        )
+                        labels = labels[skip:]
+                    pool.append(packed_cols, labels)
+                    _STORE_WORLDS_APPENDED.inc(rows - skip)
+                    _STORE_BYTES_APPENDED.inc(packed_cols.nbytes + labels.nbytes)
                 return pool.count
-            if start > pool.count:
-                raise WorldStoreError(
-                    f"append at {start} would leave a gap (pool has {pool.count} worlds)"
-                )
-            skip = pool.count - start
-            if skip < rows:
-                block = _slice_block_worlds(packed_cols, rows, skip, rows)
-                pool.append(block, labels[skip:])
-                _STORE_WORLDS_APPENDED.inc(rows - skip)
-                _STORE_BYTES_APPENDED.inc(block.nbytes + labels[skip:].nbytes)
-            return pool.count
 
     # ------------------------------------------------------------------
     # Maintenance (CLI `repro cache {info,clear}`)
     # ------------------------------------------------------------------
-
-    def _adopt(self, name: str) -> _DiskPool | None:
-        """Register the pool directory ``name`` from its ``meta.json``.
-
-        Returns the new pool, or ``None`` when ``name`` is not a readable
-        pool of this format (foreign entries, corrupt or old-format
-        metadata, a directory whose meta another process has not
-        written yet).  Callers hold the store lock.
-        """
-        if not _DIGEST_RE.fullmatch(name):
-            return None
-        directory = self._cache_dir / name
-        try:
-            with open(directory / _META_NAME, encoding="utf-8") as handle:
-                meta = json.load(handle)
-            if meta.get("format") != FORMAT_VERSION or meta.get("digest") != name:
-                return None
-            # Coerce the required keys now so a meta.json missing any
-            # of them is skipped here instead of crashing info() later.
-            for key in ("n_worlds", "n_nodes", "n_edges"):
-                meta[key] = int(meta[key])
-            meta["block_counts"] = _coerce_block_counts(
-                meta.get("block_counts", []), meta["n_worlds"]
-            )
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            return None
-        pool = self._pools[name] = _DiskPool(directory, meta)
-        return pool
 
     def pool_sizes(self) -> dict[str, int]:
         """Bytes (packed masks + labels) of every stored pool, by digest.
 
         The oracle cache's budget check: it reads each pool's byte
         ledger, so its cost does not grow with what the pools hold.  A
-        disk store lists ``cache_dir`` once and parses ``meta.json``
-        only for pool directories it has not seen before (pools other
-        processes wrote); known disk pools whose directory is gone —
-        another process cleared them — are left out.  A known pool
-        whose directory reappears is re-read from disk once.  Sizes of
-        known pools that another process grew are as of this store's
-        last look at them (``register``, ``count``, ``append``).
+        disk store lists ``cache_dir`` once and validates only pool
+        directories it has not seen before (pools other processes
+        wrote), leaving out the unsound ones; known disk pools whose
+        directory is gone — another process cleared them — are left out
+        too.  A known pool whose directory reappears is re-read from
+        disk once.  Sizes of known pools that another process grew are
+        as of this store's last look at them (``register``, ``count``,
+        ``append``).
 
         Examples
         --------
@@ -909,9 +763,12 @@ class WorldStore:
             for name in names:
                 pool = self._pools.get(name)
                 if pool is None:
-                    pool = self._adopt(name)
-                    if pool is None:
+                    if not _DIGEST_RE.fullmatch(name):
                         continue
+                    pool = _Pool.load(self._cache_dir / name, name)
+                    if pool is None:
+                        continue  # unsound, or its meta is not written yet
+                    self._pools[name] = pool
                 elif name in self._vanished:
                     pool.refresh()
                 sizes[name] = pool.mask_bytes + pool.label_bytes
@@ -933,49 +790,46 @@ class WorldStore:
             with self._lock:
                 if self._pools.get(digest) is not pool:
                     continue  # cleared between the snapshot and this row
-                mask_bytes, label_bytes = pool.mask_bytes, pool.label_bytes
-                n_worlds = pool.count
-                n_blocks = len(pool.block_counts)
-            rows.append(
-                PoolInfo(
-                    digest=digest,
-                    n_worlds=n_worlds,
-                    n_nodes=int(pool.meta["n_nodes"]),
-                    n_edges=int(pool.meta["n_edges"]),
-                    n_blocks=n_blocks,
-                    mask_bytes=mask_bytes,
-                    label_bytes=label_bytes,
-                    persistent=isinstance(pool, _DiskPool),
+                rows.append(
+                    PoolInfo(
+                        digest=digest,
+                        n_worlds=pool.count,
+                        n_nodes=pool.n_nodes,
+                        n_edges=pool.n_edges,
+                        n_blocks=len(pool.block_counts),
+                        mask_bytes=pool.mask_bytes,
+                        label_bytes=pool.label_bytes,
+                        persistent=pool.directory is not None,
+                    )
                 )
-            )
         return rows
 
     def clear(self, digest: str | None = None) -> int:
         """Drop one pool (or all of them); returns how many were removed.
 
         On a disk store this removes the named directories themselves,
-        including pool directories whose metadata is corrupt or from an
-        older format version — ``clear`` is the recovery tool, so it
-        must not skip exactly the pools that failed to register.  Only
-        clearing every pool scans ``cache_dir``; clearing one digest
-        touches that pool's directory alone.
+        including pool directories that are unsound or from an older
+        format version — ``clear`` is the recovery tool, so it must not
+        skip exactly the pools that failed to register.  Only clearing
+        every pool scans ``cache_dir``; clearing one digest touches that
+        pool's directory alone.
         """
         if digest is None:
-            self.pool_sizes()  # registers every pool directory
+            self.pool_sizes()  # registers every sound pool directory
         with self._lock:
             digests = [digest] if digest is not None else list(self._pools)
             removed = 0
             for key in digests:
                 pool = self._pools.pop(key, None)
-                if isinstance(pool, _DiskPool):
-                    shutil.rmtree(pool.directory, ignore_errors=True)
                 if pool is not None:
                     removed += 1
+                    if pool.directory is not None:
+                        shutil.rmtree(pool.directory, ignore_errors=True)
             if self._cache_dir is not None and self._cache_dir.is_dir():
-                # Sweep unregistered leftovers (corrupt meta, old format)
-                # — but only directories that look like pools (64-hex
-                # digest name + meta file), so clearing a mistyped path
-                # can never destroy unrelated user data.
+                # Sweep unregistered leftovers (unsound pools, old
+                # format) — but only directories that look like pools
+                # (64-hex digest name + meta file), so clearing a
+                # mistyped path can never destroy unrelated user data.
                 leftovers = (
                     [self._cache_dir / digest] if digest is not None
                     else list(self._cache_dir.iterdir())

@@ -1699,6 +1699,37 @@ class TestProgressCallback:
             assert {"q", "samples", "covered"} <= set(record)
 
 
+class TestFullDiskStore:
+    def test_thread_mode_job_on_failing_store_ends_done(self, tmp_path, monkeypatch):
+        """A store append failing with ENOSPC costs the cache, not the job."""
+        import errno
+        import os
+
+        from repro.sampling.store import WorldStore
+
+        def full_disk(self, digest, start, packed_cols, labels):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(WorldStore, "append", full_disk)
+        svc = ClusterService(
+            datasets=(), job_workers=1, world_cache=tmp_path / "worlds", cache_bytes=64 << 20,
+        )
+        svc.graphs.register_graph("toy", _toy_graph(), source="test")
+        params = {"graph": "toy", "algorithm": "mcp", "k": 2, "samples": 300, "seed": 0}
+        with BackgroundServer(svc) as server:
+            client = Client(server.port)
+            try:
+                result = client.run_job(params)  # asserts the job ended "done"
+                assert result["worlds_sampled"] > 0
+                library = mcp_clustering(
+                    _toy_graph(), 2, seed=0,
+                    sample_schedule=PracticalSchedule(max_samples=300),
+                )
+                assert result["assignment"] == [int(x) for x in library.clustering.assignment]
+            finally:
+                client.close()
+
+
 class TestProcessWorkers:
     """The tentpole end to end: spawned worker processes over one store."""
 

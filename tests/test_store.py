@@ -13,6 +13,7 @@ Pins the PR-3 invariants:
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -25,11 +26,9 @@ from repro.sampling.store import (
     FORMAT_VERSION,
     WorldStore,
     pack_mask_columns,
-    pack_masks,
     packed_words,
     pool_fingerprint,
     unpack_mask_columns,
-    unpack_masks,
 )
 
 
@@ -59,41 +58,6 @@ class SamplerSpy:
         monkeypatch.setattr(ParallelSampler, method, spy)
 
 
-class TestPacking:
-    @pytest.mark.parametrize("r,m", [(0, 5), (1, 1), (3, 63), (4, 64), (5, 65), (7, 200), (2, 0)])
-    def test_roundtrip(self, r, m):
-        rng = np.random.default_rng(r * 100 + m)
-        masks = rng.random((r, m)) < 0.5
-        packed = pack_masks(masks)
-        assert packed.dtype == np.uint64
-        assert packed.shape == (r, packed_words(m))
-        assert np.array_equal(unpack_masks(packed, m), masks)
-
-    def test_eight_fold_memory_cut(self):
-        # Acceptance criterion: packed bytes <= ~1/8 of boolean bytes.
-        # 640 edges = exactly 10 words, so the ratio is exactly 8 here.
-        masks = np.random.default_rng(1).random((256, 640)) < 0.3
-        packed = pack_masks(masks)
-        assert packed.nbytes * 8 == masks.nbytes
-        # Padding never costs more than 7 bytes per row.
-        ragged = np.random.default_rng(2).random((64, 129)) < 0.3
-        assert pack_masks(ragged).nbytes <= ragged.nbytes / 8 + 8 * 64
-
-    def test_bad_shapes(self):
-        with pytest.raises(ValueError):
-            pack_masks(np.zeros(4, dtype=bool))
-        with pytest.raises(ValueError):
-            unpack_masks(np.zeros((2, 2), dtype=np.uint64), 200)
-
-    def test_memmap_roundtrip(self, tmp_path):
-        masks = np.random.default_rng(3).random((10, 100)) < 0.4
-        packed = pack_masks(masks)
-        path = tmp_path / "masks.u64"
-        path.write_bytes(packed.tobytes())
-        view = np.memmap(path, dtype=np.uint64, mode="r", shape=packed.shape)
-        assert np.array_equal(unpack_masks(view[3:7], 100), masks[3:7])
-
-
 class TestColumnarPacking:
     """The store's edge-major layout: one row per edge."""
 
@@ -118,6 +82,9 @@ class TestColumnarPacking:
         masks = np.random.default_rng(2).random((640, 50)) < 0.3
         cols = pack_mask_columns(masks)
         assert cols.nbytes * 8 == masks.nbytes  # 640 worlds = 10 words exactly
+        # Padding never costs more than 7 bytes per edge row.
+        ragged = np.random.default_rng(3).random((129, 64)) < 0.3
+        assert pack_mask_columns(ragged).nbytes <= ragged.nbytes / 8 + 8 * 64
 
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -126,6 +93,14 @@ class TestColumnarPacking:
             unpack_mask_columns(np.zeros((2, 2), dtype=np.uint64), 200)
         with pytest.raises(ValueError):
             unpack_mask_columns(np.zeros((0, 2), dtype=np.uint64), 200)
+
+    def test_memmap_roundtrip(self, tmp_path):
+        masks = np.random.default_rng(4).random((100, 10)) < 0.4
+        cols = pack_mask_columns(masks)
+        path = tmp_path / "masks.u64"
+        path.write_bytes(cols.tobytes())
+        view = np.memmap(path, dtype=np.uint64, mode="r", shape=cols.shape)
+        assert np.array_equal(unpack_mask_columns(view[3:7], 100), masks[:, 3:7])
 
 
 class TestFingerprint:
@@ -410,15 +385,105 @@ class TestDiskPersistence:
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
             cold.ensure_samples(64)
             digest = cold.pool_digest
+        store = WorldStore(cache)
+        assert len(store.info()) == 1  # scans (and registers) the sound pool
         labels_path = cache / digest / "labels.i32"
         labels_path.write_bytes(labels_path.read_bytes()[:-4])
-
-        store = WorldStore(cache)
-        store.info()  # scans (and registers) the now-corrupt pool
         spy = SamplerSpy(monkeypatch)
         with MonteCarloOracle(graph, seed=4, chunk_size=32, store=store) as redo:
             redo.ensure_samples(64)  # must reset and resample, not crash
             assert spy.worlds == 64
+
+    @pytest.mark.parametrize("name", ["masks.u64", "labels.i32"])
+    def test_short_data_pool_is_unlisted_and_swept(self, graph, tmp_path, name):
+        """A pool whose data files are shorter than its meta says is not
+        listed (nor sized for the cache budget), but clear() removes it."""
+        cache = tmp_path / "worlds"
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
+            cold.ensure_samples(64)
+            digest = cold.pool_digest
+        path = cache / digest / name
+        path.write_bytes(path.read_bytes()[:-4])
+
+        store = WorldStore(cache)
+        assert store.pool_sizes() == {}
+        assert store.info() == []
+        assert store.clear() == 1
+        assert not (cache / digest).exists()
+
+    @pytest.mark.parametrize("start,stop", [(0, 64), (32, 64), (0, 40), (20, 50)])
+    def test_short_data_files_raise_on_read(self, graph, tmp_path, start, stop):
+        """Data files cut short after the pool was counted: reads raise,
+        they never return fewer worlds than asked for."""
+        cache = tmp_path / "worlds"
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
+            cold.ensure_samples(64)
+        store = WorldStore(cache)
+        digest = store.register(graph, 4)
+        assert store.count(digest) == 64
+        for name in ("masks.u64", "labels.i32"):
+            path = cache / digest / name
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises((ValueError, WorldStoreError)):
+            store.read_labels(digest, start, stop)
+        with pytest.raises((ValueError, WorldStoreError)):
+            store.read(digest, start, stop, labels=False)
+
+    def test_torn_append_garbage_is_never_served(self, graph, tmp_path, monkeypatch):
+        """A crash between the data write and the meta.json update leaves
+        bytes past the recorded layout: readers serve exactly the worlds
+        the meta records, and the next append truncates the rest."""
+        cache = tmp_path / "worlds"
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as torn:
+            torn.ensure_samples(64)
+            digest = torn.pool_digest
+        pool_dir = cache / digest
+        for name, garbage in (("masks.u64", 24), ("labels.i32", 40)):
+            with open(pool_dir / name, "ab") as handle:
+                handle.write(b"\xab" * garbage)
+
+        spy = SamplerSpy(monkeypatch, "sample_chunk_packed")
+        store = WorldStore(cache)
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, store=store) as warm:
+            assert warm.stored_worlds == 64
+            warm.ensure_samples(64)
+            assert spy.worlds == 0
+            warm.ensure_samples(96)  # appends worlds 64..95 after the garbage
+            assert spy.worlds == 32
+            warm_labels = warm.component_labels
+            warm_masks = warm.packed_worlds(0, 96)
+            warm_distances = warm.expected_distances()
+        assert (pool_dir / "masks.u64").stat().st_size == 3 * graph.n_edges * 8
+        assert (pool_dir / "labels.i32").stat().st_size == 96 * graph.n_nodes * 4
+
+        with MonteCarloOracle(graph, seed=4, chunk_size=32) as cold:
+            cold.ensure_samples(96)
+            assert np.array_equal(warm_labels, cold.component_labels)
+            assert np.array_equal(warm_masks, cold.packed_worlds(0, 96))
+            assert np.array_equal(warm_distances, cold.expected_distances())
+        fresh = WorldStore(cache)
+        packed, labels = fresh.read(fresh.register(graph, 4), 0, 96)
+        assert np.array_equal(labels, warm_labels)
+        assert np.array_equal(packed, warm_masks)
+
+    def test_full_disk_keeps_the_sampled_chunk(self, graph, tmp_path):
+        """An append that fails with ENOSPC costs the cache, not the run."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs a device whose writes fail with ENOSPC")
+        cache = tmp_path / "worlds"
+        pool_dir = cache / pool_fingerprint(graph, 4)
+        pool_dir.mkdir(parents=True)
+        (pool_dir / "masks.u64").symlink_to("/dev/full")
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as full:
+            full.ensure_samples(100)
+            assert full.cache_stats == {"worlds_cached": 0, "worlds_sampled": 100}
+            assert full.phase_timings["store_write_s"] > 0
+            assert full.stored_worlds == 0
+            with MonteCarloOracle(graph, seed=4, chunk_size=32) as plain:
+                plain.ensure_samples(100)
+                assert np.array_equal(full.component_labels, plain.component_labels)
+                assert np.array_equal(full.connection_to_all(0), plain.connection_to_all(0))
+                assert np.array_equal(full.expected_distances(), plain.expected_distances())
 
     def test_clear_removes_unrecognized_pool_dirs(self, graph, tmp_path):
         """clear() is the recovery tool: it sweeps corrupt/old-format pools."""
