@@ -21,6 +21,7 @@ inflation) that the reference implementation uses to stay sparse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,8 @@ def mcl_clustering(
         Clustering whose clusters are the weakly connected components of
         the converged flow matrix and whose centers are attractors.
     """
-    if inflation <= 1.0:
-        raise ClusteringError(f"inflation must be > 1, got {inflation}")
+    if not (math.isfinite(inflation) and inflation > 1.0):
+        raise ClusteringError(f"inflation must be a finite number > 1, got {inflation}")
     if expansion < 2:
         raise ClusteringError(f"expansion must be >= 2, got {expansion}")
     if loop_weight < 0:

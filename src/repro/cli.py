@@ -29,24 +29,14 @@ import time
 import numpy as np
 
 from repro import __version__
-from repro.baselines.gmm import gmm_clustering
 from repro.baselines.kpt import kpt_clustering
-from repro.baselines.mcl import mcl_clustering
-from repro.core.acp import acp_clustering
-from repro.core.clustering import Clustering
-from repro.core.mcp import mcp_clustering
 from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.exceptions import ReproError
 from repro.graph.io import read_uncertain_graph, write_uncertain_graph
 from repro.sampling.oracle import MonteCarloOracle
-from repro.sampling.sizes import PracticalSchedule
 from repro.sampling.store import WorldStore
-from repro.workloads import (
-    MEASURE_NAMES,
-    expected_centrality,
-    kcenter_clustering,
-    kmedian_clustering,
-)
+from repro.workloads.families import FAMILIES, MAX_REQUEST_SAMPLES, phase_breakdown
+from repro.workloads.measures import MEASURE_NAMES
 
 _CLUSTER_ALGORITHMS = ("mcp", "acp", "mcl", "gmm", "kpt")
 
@@ -58,13 +48,11 @@ def _print_profile(total_s: float, oracle) -> None:
     ``GET /v1/jobs/{id}``), computed from the run's oracle; algorithms
     without an oracle (mcl/gmm/kpt) attribute everything to clustering.
     """
-    from repro.service.workers import _phase_breakdown
-
     phases = stats = None
     if oracle is not None:
         phases = oracle.phase_timings
         stats = oracle.cache_stats
-    timings = _phase_breakdown(total_s, phases, stats)
+    timings = phase_breakdown(total_s, phases, stats)
     print("phase         wall_ms", file=sys.stderr)
     for name, key in (("sample", "sample_ms"), ("label", "label_ms"),
                       ("store read", "store_read_ms"), ("store write", "store_write_ms"),
@@ -75,8 +63,14 @@ def _print_profile(total_s: float, oracle) -> None:
     print(f"worlds reused  {timings['worlds_reused']}", file=sys.stderr)
 
 
-def _write_clustering(clustering: Clustering, graph, stream) -> None:
+def _write_result(clustering, fields: dict, graph, stream) -> None:
+    """TSV of a clustering (node/cluster/center), or of ``fields["values"]`` (node/value)."""
     labels = graph.node_labels
+    if clustering is None:
+        stream.write("node\tvalue\n")
+        for node, value in enumerate(fields["values"]):
+            stream.write(f"{labels[node]}\t{value:.6g}\n")
+        return
     stream.write("node\tcluster\tcenter\n")
     for node in range(clustering.n_nodes):
         cluster = int(clustering.assignment[node])
@@ -124,100 +118,35 @@ def _coerce(token: str):
         return token
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_family(args) -> int:
+    """``cluster`` / ``kmedian`` / ``kcenter`` / ``centrality``: run one
+    family of :data:`~repro.workloads.families.FAMILIES` (or the
+    CLI-only ``kpt``) with the service's parameter rules and oracle
+    configuration, and write its TSV."""
+    algorithm = args.algorithm if args.command == "cluster" else args.command
+    family = FAMILIES.get(algorithm)  # None: kpt
+    params = family.normalize(vars(args)) if family is not None else None
     graph = read_uncertain_graph(args.graph, merge=args.merge)
-    schedule = PracticalSchedule(max_samples=args.samples)
     started = time.perf_counter()
-    oracle = None
-    if args.algorithm in ("mcp", "acp") and args.profile:
-        # Built explicitly (instead of inside the algorithm) so the
-        # profile table can read its phase timings afterwards.
-        oracle = MonteCarloOracle(graph, seed=args.seed, cache_dir=args.world_cache)
-    if args.algorithm == "mcp":
-        result = mcp_clustering(
-            graph, args.k, oracle=oracle, seed=args.seed, depth=args.depth,
-            sample_schedule=schedule, cache_dir=args.world_cache,
-        )
-        clustering = result.clustering
-        print(f"mcp: k={args.k} min-prob~={result.min_prob_estimate:.3f} q={result.q_final:.4f}", file=sys.stderr)
-    elif args.algorithm == "acp":
-        result = acp_clustering(
-            graph, args.k, oracle=oracle, seed=args.seed, depth=args.depth,
-            sample_schedule=schedule, cache_dir=args.world_cache,
-        )
-        clustering = result.clustering
-        print(f"acp: k={args.k} avg-prob~={result.avg_prob_estimate:.3f}", file=sys.stderr)
-    elif args.algorithm == "mcl":
-        result = mcl_clustering(graph, inflation=args.inflation)
-        clustering = result.clustering
-        print(f"mcl: inflation={args.inflation} -> {result.n_clusters} clusters", file=sys.stderr)
-    elif args.algorithm == "gmm":
-        clustering = gmm_clustering(graph, args.k, seed=args.seed)
-    elif args.algorithm == "kpt":
-        clustering = kpt_clustering(graph, seed=args.seed)
+    if family is None:
+        oracle, clustering, fields = None, kpt_clustering(graph, seed=args.seed), {}
         print(f"kpt: {clustering.k} clusters", file=sys.stderr)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ReproError(f"unknown algorithm {args.algorithm}")
-
+    else:
+        oracle = (MonteCarloOracle(graph, seed=params["seed"], chunk_size=params["chunk_size"],
+                                   max_samples=MAX_REQUEST_SAMPLES, cache_dir=args.world_cache)
+                  if family.leases_oracle else None)
+        clustering, fields = family.run(graph, oracle, params, None, None)
+        if family.summary is not None:
+            print(family.summary(fields), file=sys.stderr)
     total_s = time.perf_counter() - started
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            _write_clustering(clustering, graph, handle)
+            _write_result(clustering, fields, graph, handle)
         print(f"wrote {args.output}", file=sys.stderr)
     else:
-        _write_clustering(clustering, graph, sys.stdout)
-    if args.profile:
+        _write_result(clustering, fields, graph, sys.stdout)
+    if getattr(args, "profile", False):
         _print_profile(total_s, oracle)
-    return 0
-
-
-def _cmd_kclustering(args) -> int:
-    """Shared runner of the ``kmedian`` / ``kcenter`` subcommands."""
-    graph = read_uncertain_graph(args.graph, merge=args.merge)
-    run = kmedian_clustering if args.command == "kmedian" else kcenter_clustering
-    result = run(
-        graph, args.k, seed=args.seed, samples=args.samples, cache_dir=args.world_cache
-    )
-    aggregate = "mean" if args.command == "kmedian" else "max"
-    print(
-        f"{args.command}: k={args.k} {aggregate}-expected-distance~="
-        f"{result.objective:.3f} [{result.samples_used} worlds]",
-        file=sys.stderr,
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            _write_clustering(result.clustering, graph, handle)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        _write_clustering(result.clustering, graph, sys.stdout)
-    return 0
-
-
-def _cmd_centrality(args) -> int:
-    graph = read_uncertain_graph(args.graph, merge=args.merge)
-    result = expected_centrality(
-        graph, measure=args.measure, seed=args.seed, samples=args.samples,
-        tol=args.tol, cache_dir=args.world_cache,
-    )
-    status = "converged" if result.converged else "budget exhausted"
-    print(
-        f"centrality: measure={args.measure} half-width~={result.half_width:.4f} "
-        f"({status}, {result.samples_used} worlds, {result.n_rounds} rounds)",
-        file=sys.stderr,
-    )
-
-    def write_values(stream):
-        labels = graph.node_labels
-        stream.write("node\tvalue\n")
-        for node, value in enumerate(result.values):
-            stream.write(f"{labels[node]}\t{value:.6g}\n")
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            write_values(handle)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        write_values(sys.stdout)
     return 0
 
 
@@ -473,81 +402,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.set_defaults(func=_cmd_estimate)
 
-    cluster = sub.add_parser("cluster", help="cluster a .uel graph")
-    cluster.add_argument("graph")
+    def family(name, help, *, samples, samples_help):
+        """A table-family subcommand with the flags every family shares."""
+        parser = sub.add_parser(name, help=help)
+        parser.add_argument("graph")
+        parser.add_argument("--samples", type=int, default=samples, help=samples_help)
+        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument(
+            "--world-cache", default=None, metavar="DIR",
+            help="persistent world-store directory; the pool is shared with "
+            "every other workload of the same (graph, seed)",
+        )
+        parser.add_argument("--merge", default="error", help="duplicate-edge policy")
+        parser.add_argument(
+            "-o", "--output", default=None, help="write TSV here (default stdout)"
+        )
+        parser.set_defaults(func=_cmd_family)
+        return parser
+
+    cluster = family("cluster", "cluster a .uel graph", samples=1000,
+                     samples_help="Monte Carlo budget")
     cluster.add_argument("--algorithm", choices=_CLUSTER_ALGORITHMS, default="mcp")
     cluster.add_argument("--k", type=int, default=10, help="clusters (mcp/acp/gmm)")
     cluster.add_argument("--depth", type=int, default=None, help="path-length limit (mcp/acp)")
     cluster.add_argument("--inflation", type=float, default=2.0, help="mcl granularity")
-    cluster.add_argument("--samples", type=int, default=1000, help="Monte Carlo budget")
-    cluster.add_argument(
-        "--world-cache", default=None, metavar="DIR",
-        help="persistent world-store directory for mcp/acp: sampled pools are "
-        "reused across runs with the same (graph, seed)",
-    )
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--merge", default="error")
-    cluster.add_argument("-o", "--output", default=None, help="write TSV here (default stdout)")
     cluster.add_argument(
         "--profile", action="store_true",
         help="print the phase breakdown (sample/label/store read/store write/"
         "distance/cluster wall ms, worlds sampled vs reused) after clustering",
     )
-    cluster.set_defaults(func=_cmd_cluster)
 
     for kind, objective in (("kmedian", "mean"), ("kcenter", "max")):
-        workload = sub.add_parser(
-            kind,
-            help=f"probabilistic {kind[1:]} clustering ({objective} expected "
+        workload = family(
+            kind, f"probabilistic {kind[1:]} clustering ({objective} expected "
             "hop distance over sampled worlds)",
+            samples=1000, samples_help="worlds the expected distances are estimated over",
         )
-        workload.add_argument("graph")
         workload.add_argument("--k", type=int, default=10, help="number of clusters")
-        workload.add_argument(
-            "--samples", type=int, default=1000,
-            help="worlds the expected distances are estimated over",
-        )
-        workload.add_argument("--seed", type=int, default=0)
-        workload.add_argument(
-            "--world-cache", default=None, metavar="DIR",
-            help="persistent world-store directory; the pool is shared with "
-            "every other workload of the same (graph, seed)",
-        )
-        workload.add_argument("--merge", default="error", help="duplicate-edge policy")
-        workload.add_argument(
-            "-o", "--output", default=None, help="write TSV here (default stdout)"
-        )
-        workload.set_defaults(func=_cmd_kclustering)
 
-    centrality = sub.add_parser(
-        "centrality",
-        help="expected per-node centrality over sampled worlds "
+    centrality = family(
+        "centrality", "expected per-node centrality over sampled worlds "
         "(progressive sampling with confidence stopping)",
+        samples=2000, samples_help="sample budget (worlds)",
     )
-    centrality.add_argument("graph")
     centrality.add_argument(
         "--measure", choices=MEASURE_NAMES, default="degree",
         help="centrality measure to estimate",
     )
     centrality.add_argument(
-        "--samples", type=int, default=2000, help="sample budget (worlds)"
-    )
-    centrality.add_argument(
         "--tol", type=float, default=0.05,
         help="stop once every node's 95%% confidence half-width is below this",
     )
-    centrality.add_argument("--seed", type=int, default=0)
-    centrality.add_argument(
-        "--world-cache", default=None, metavar="DIR",
-        help="persistent world-store directory; the pool is shared with "
-        "every other workload of the same (graph, seed)",
-    )
-    centrality.add_argument("--merge", default="error", help="duplicate-edge policy")
-    centrality.add_argument(
-        "-o", "--output", default=None,
-        help="write TSV node/value pairs here (default stdout)",
-    )
-    centrality.set_defaults(func=_cmd_centrality)
 
     mutate = sub.add_parser(
         "mutate",

@@ -50,7 +50,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import itertools
-import math
 import sys
 import threading
 import time
@@ -60,7 +59,7 @@ import numpy as np
 
 from repro import __version__, telemetry
 from repro.datasets.registry import DATASET_NAMES, load_dataset
-from repro.exceptions import GraphValidationError, JobCancelledError, ReproError, ServiceError
+from repro.exceptions import GraphValidationError, ReproError, ServiceError
 from repro.graph.io import parse_uncertain_graph_text, probability_error
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.store import WorldStore
@@ -75,10 +74,13 @@ from repro.service.http import (
     sse_event,
 )
 from repro.service.jobs import TERMINAL_STATES, JobQueue, paginate_jobs
-from repro.service.workers import MAX_REQUEST_SAMPLES, ProcessJobQueue, execute_clustering
-from repro.workloads.measures import MEASURE_NAMES
+from repro.service.workers import ProcessJobQueue, execute_clustering
+from repro.workloads.families import FAMILIES, MAX_REQUEST_SAMPLES, integer
 
-_JOB_ALGORITHMS = ("mcp", "acp", "mcl", "gmm", "kmedian", "kcenter", "centrality")
+_JOB_ALGORITHMS = tuple(FAMILIES)
+#: Every field some family takes; any other body field is a 400.
+_JOB_FIELDS = {"graph", "algorithm"} | {
+    name for family in FAMILIES.values() for name, _default, _parse in family.params}
 
 #: Query keys ``GET /v1/graphs/{name}/estimate`` accepts; any other key
 #: is a 400, as unknown job fields are.
@@ -256,25 +258,13 @@ def _validated_edge_triples(edges):
         yield u, v, p
 
 
-def _positive_int(value, name: str, *, minimum: int = 1, maximum: int | None = None) -> int:
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ServiceError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ServiceError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ServiceError(f"{name} must be <= {maximum}, got {value}")
-    return value
-
-
 def normalize_job_params(body: dict) -> dict:
     """Validate a job-submission body into canonical parameters.
 
-    Fills every default explicitly and drops fields the chosen
-    algorithm ignores, so two requests that mean the same computation
-    produce the same coalescing key (e.g. ``{"k": 2}`` and ``{"k": 2,
-    "seed": 0}`` coalesce; an ``mcl`` job ignores ``k`` entirely).
+    Checks the graph name and the algorithm here; the family table
+    (:data:`~repro.workloads.families.FAMILIES`) fills every default
+    and drops fields the algorithm ignores, so two requests that mean
+    the same computation get the same coalescing key.
 
     Examples
     --------
@@ -282,17 +272,12 @@ def normalize_job_params(body: dict) -> dict:
     >>> b = normalize_job_params({"graph": "toy", "k": 2, "seed": 0})
     >>> a == b
     True
-    >>> normalize_job_params({"graph": "toy", "algorithm": "mcl"})["algorithm"]
-    'mcl'
-    >>> normalize_job_params({"graph": "toy", "algorithm": "centrality",
-    ...                       "measure": "harmonic"})["measure"]
-    'harmonic'
+    >>> normalize_job_params({"graph": "toy", "algorithm": "mcl", "k": 3})
+    {'graph': 'toy', 'algorithm': 'mcl', 'inflation': 2.0}
     """
     if not isinstance(body, dict):
         raise ServiceError("job body must be a JSON object")
-    known = {"graph", "algorithm", "k", "seed", "depth", "samples",
-             "chunk_size", "inflation", "measure", "tol"}
-    unknown = set(body) - known
+    unknown = set(body) - _JOB_FIELDS
     if unknown:
         raise ServiceError(f"unknown job fields: {sorted(unknown)}")
     graph = body.get("graph")
@@ -306,43 +291,7 @@ def normalize_job_params(body: dict) -> dict:
             f"algorithm must be one of {_JOB_ALGORITHMS}, got {algorithm!r}",
             code="unknown_algorithm",
         )
-    params = {"graph": graph, "algorithm": algorithm}
-    if algorithm == "mcl":
-        try:
-            params["inflation"] = float(body.get("inflation", 2.0))
-        except (TypeError, ValueError):
-            raise ServiceError("inflation must be a number") from None
-        return params
-    if algorithm != "centrality":
-        params["k"] = _positive_int(body.get("k", 10), "k")
-    params["seed"] = int(_positive_int(body.get("seed", 0), "seed", minimum=0))
-    if algorithm == "gmm":
-        return params
-    if algorithm == "centrality":
-        measure = body.get("measure", "degree")
-        if measure not in MEASURE_NAMES:
-            raise ServiceError(
-                f"measure must be one of {MEASURE_NAMES}, got {measure!r}"
-            )
-        params["measure"] = measure
-        try:
-            tol = float(body.get("tol", 0.05))
-        except (TypeError, ValueError):
-            raise ServiceError("tol must be a number") from None
-        if not math.isfinite(tol) or tol <= 0:
-            raise ServiceError(f"tol must be a positive number, got {tol}")
-        params["tol"] = tol
-    elif algorithm in ("mcp", "acp"):
-        depth = body.get("depth")
-        params["depth"] = None if depth is None else _positive_int(depth, "depth")
-    # The progressive schedule starts at 50 worlds (PracticalSchedule's
-    # min_samples), so a smaller budget would only fail inside the
-    # worker — reject it here as the request error it is.
-    params["samples"] = _positive_int(
-        body.get("samples", 1000), "samples", minimum=50, maximum=MAX_REQUEST_SAMPLES
-    )
-    params["chunk_size"] = _positive_int(body.get("chunk_size", 512), "chunk_size")
-    return params
+    return {"graph": graph, "algorithm": algorithm, **FAMILIES[algorithm].normalize(body)}
 
 
 class ClusterService:
@@ -713,12 +662,10 @@ class ClusterService:
             raise ServiceError(f"unknown estimate query parameters: {sorted(unknown)}")
         if "u" not in query or "v" not in query:
             raise ServiceError("estimate needs 'u' and 'v' query parameters")
-        samples = _positive_int(
-            query.get("samples", 2000), "samples", maximum=MAX_REQUEST_SAMPLES
-        )
-        seed = _positive_int(query.get("seed", 0), "seed", minimum=0)
+        samples = integer(query.get("samples", 2000), "samples", maximum=MAX_REQUEST_SAMPLES)
+        seed = integer(query.get("seed", 0), "seed", minimum=0)
         depth = query.get("depth")
-        depth = None if depth is None else _positive_int(depth, "depth")
+        depth = None if depth is None else integer(depth, "depth")
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None,
@@ -850,17 +797,10 @@ class ClusterService:
         """Execute one clustering job on a thread-executor thread."""
         # The graph (and its derivation lineage) captured at submission.
         graph, ancestors = job.context
-
-        def cancel_check() -> None:
-            if job.cancel_event.is_set():
-                raise JobCancelledError(f"job {job.id} cancelled")
-
-        def progress(data: dict) -> None:
-            job.add_event("progress", data)
-
         return execute_clustering(
             job.id, job.params, graph, ancestors, self.cache,
-            cancel_check=cancel_check, progress=progress,
+            cancelled=job.cancel_event.is_set,
+            progress=functools.partial(job.add_event, "progress"),
         )
 
 

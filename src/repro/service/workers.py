@@ -43,6 +43,7 @@ both executors, so thread mode and process mode cannot drift.
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 import tempfile
@@ -54,83 +55,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.baselines.gmm import gmm_clustering
-from repro.baselines.mcl import mcl_clustering
-from repro.core.acp import acp_clustering
-from repro.core.mcp import mcp_clustering
 from repro.exceptions import JobCancelledError
-from repro.sampling.sizes import PracticalSchedule
 from repro.service.jobs import JobQueue, canonical_key
-from repro.workloads import (
-    expected_centrality,
-    kcenter_clustering,
-    kmedian_clustering,
-)
-
-#: Upper bound on request-supplied sample budgets.  This is the
-#: library's default ``max_samples`` oracle guard: letting a request
-#: raise its own cap would turn one HTTP call into an arbitrarily large
-#: uninterruptible sampling run on a worker.
-MAX_REQUEST_SAMPLES = 1_000_000
+from repro.workloads.families import FAMILIES, MAX_REQUEST_SAMPLES, phase_breakdown
 
 #: Affinity-ledger capacity (distinct warm pools the router remembers).
 _LEDGER_CAPACITY = 256
 
 
-def _phase_breakdown(total_s: float, phases: dict | None, stats: dict | None) -> dict:
-    """The per-job ``timings`` payload: wall ms per phase plus world counts.
-
-    ``store_write_ms`` is the oracle appending freshly sampled chunks
-    to the world store.  ``distance_ms`` is the oracle's packed BFS
-    kernel (expected distances, depth-limited connection, harmonic
-    closeness).  ``cluster_ms`` is everything the sampling, store and
-    distance phases do not account for (threshold guesses, greedy
-    rounds, the degree and betweenness kernels, estimator math).
-    mcl/gmm jobs sample no worlds, so their breakdown is all
-    ``cluster_ms``.
-
-    Examples
-    --------
-    >>> out = _phase_breakdown(0.25, {"sample_s": 0.1, "label_s": 0.05,
-    ...                               "store_read_s": 0.0, "store_write_s": 0.01,
-    ...                               "distance_s": 0.06, "chunks": 2},
-    ...                        {"worlds_cached": 0, "worlds_sampled": 1024})
-    >>> out["sample_ms"], out["store_write_ms"], out["distance_ms"], out["cluster_ms"]
-    (100.0, 10.0, 60.0, 30.0)
-    >>> out["worlds_sampled"]
-    1024
-    """
-    phases = phases or {}
-    sample_s = phases.get("sample_s", 0.0)
-    label_s = phases.get("label_s", 0.0)
-    store_read_s = phases.get("store_read_s", 0.0)
-    store_write_s = phases.get("store_write_s", 0.0)
-    distance_s = phases.get("distance_s", 0.0)
-    cluster_s = max(
-        total_s - sample_s - label_s - store_read_s - store_write_s - distance_s, 0.0
-    )
-    return {
-        "total_ms": round(total_s * 1000.0, 3),
-        "sample_ms": round(sample_s * 1000.0, 3),
-        "label_ms": round(label_s * 1000.0, 3),
-        "store_read_ms": round(store_read_s * 1000.0, 3),
-        "store_write_ms": round(store_write_s * 1000.0, 3),
-        "distance_ms": round(distance_s * 1000.0, 3),
-        "cluster_ms": round(cluster_s * 1000.0, 3),
-        "worlds_sampled": int(stats["worlds_sampled"]) if stats else 0,
-        "worlds_reused": int(stats["worlds_cached"]) if stats else 0,
-    }
-
-
 def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
-                       cancel_check=None, progress=None) -> dict:
+                       cancelled=None, progress=None) -> dict:
     """Run one normalized clustering job and return its result payload.
 
     The single runner behind both executors: the thread executor (via
     the service's runner) and the spawned worker processes call exactly
     this function, so results (including the warm/cold cache accounting
     and the bit-identical assignment guarantees) cannot differ between
-    them.
+    them.  A family that samples (see
+    :data:`~repro.workloads.families.FAMILIES`) runs on one oracle
+    leased from ``cache``; mcl and gmm run on the graph itself.
 
     Parameters
     ----------
@@ -143,106 +86,57 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
         pool derivation).
     cache:
         The executing side's :class:`~repro.service.cache.OracleCache`.
-    cancel_check, progress:
-        Threaded through to the algorithm driver (mcp/acp, the
-        k-median/k-center/centrality workloads); ``progress`` receives
-        one JSON-safe dict per threshold guess (mcp/acp), greedy round
-        (kmedian/kcenter) or sampling round (centrality).
+    cancelled:
+        A predicate; once it returns true the job raises
+        :class:`~repro.exceptions.JobCancelledError` at its next check
+        (its start and end, and before every threshold guess, greedy
+        round or sampling round).
+    progress:
+        Receives one JSON-safe dict per threshold guess (mcp/acp),
+        greedy round (kmedian/kcenter) or sampling round (centrality).
     """
     algorithm = params["algorithm"]
+    family = FAMILIES[algorithm]
     started = time.perf_counter()
-    if cancel_check is not None:
-        cancel_check()
+
+    def cancel_check() -> None:
+        if cancelled is not None and cancelled():
+            raise JobCancelledError(f"job {job_id} cancelled")
+
+    cancel_check()
     payload = {"job": job_id, "algorithm": algorithm, "graph": params["graph"]}
+    phases = stats = None
     with telemetry.get_tracer().span("job", job=job_id, algorithm=algorithm,
                                      graph=params["graph"]):
-        fields, phases, stats = _execute_algorithm(
-            algorithm, params, graph, ancestors, cache,
-            cancel_check=cancel_check, progress=progress,
-        )
-        payload.update(fields)
-    if cancel_check is not None:
-        cancel_check()
+        if not family.leases_oracle:  # mcl / gmm run on the graph itself
+            clustering, fields = family.run(graph, None, params, cancel_check, progress)
+            payload.update(fields)
+        else:
+            with cache.lease(
+                graph,
+                seed=params["seed"],
+                chunk_size=params["chunk_size"],
+                max_samples=MAX_REQUEST_SAMPLES,
+                ancestors=ancestors,
+            ) as oracle:
+                clustering, fields = family.run(graph, oracle, params, cancel_check, progress)
+                stats = oracle.cache_stats
+                phases = oracle.phase_timings
+            payload.update(
+                fields,
+                worlds_cached=stats["worlds_cached"],
+                worlds_sampled=stats["worlds_sampled"],
+                warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
+                pool_digest=oracle.pool_digest,
+            )
+        if clustering is not None:
+            payload["assignment"] = np.asarray(clustering.assignment).astype(int).tolist()
+            payload["centers"] = np.asarray(clustering.centers).astype(int).tolist()
+    cancel_check()
     total_s = time.perf_counter() - started
     payload["elapsed_s"] = total_s
-    payload["timings"] = _phase_breakdown(total_s, phases, stats)
+    payload["timings"] = phase_breakdown(total_s, phases, stats)
     return payload
-
-
-def _execute_algorithm(algorithm: str, params: dict, graph, ancestors, cache, *,
-                       cancel_check, progress) -> tuple[dict, dict | None, dict | None]:
-    """The per-algorithm body of :func:`execute_clustering`.
-
-    Returns ``(fields, phases, stats)``: the algorithm's payload fields
-    plus this job's oracle phase timings and world accounting, which
-    the caller folds into ``timings``.  mcl and gmm run on the graph
-    itself; every other family leases one oracle over the job's world
-    pool, supplies its call and result fields, and reports the pool's
-    accounting.
-    """
-    payload = {}
-    phases = stats = None
-    if algorithm == "mcl":
-        result = mcl_clustering(graph, inflation=params["inflation"])
-        clustering = result.clustering
-        payload.update(inflation=params["inflation"], n_clusters=result.n_clusters)
-    elif algorithm == "gmm":
-        clustering = gmm_clustering(graph, params["k"], seed=params["seed"])
-        payload.update(k=params["k"], seed=params["seed"])
-    else:
-        hooks = {"cancel_check": cancel_check, "progress": progress}
-        with cache.lease(
-            graph,
-            seed=params["seed"],
-            chunk_size=params["chunk_size"],
-            max_samples=MAX_REQUEST_SAMPLES,
-            ancestors=ancestors,
-        ) as oracle:
-            if algorithm in ("mcp", "acp"):
-                run = mcp_clustering if algorithm == "mcp" else acp_clustering
-                result = run(None, params["k"], oracle=oracle, seed=params["seed"],
-                             depth=params["depth"],
-                             sample_schedule=PracticalSchedule(max_samples=params["samples"]),
-                             **hooks)
-                clustering = result.clustering
-                payload.update(k=params["k"], seed=params["seed"], q_final=result.q_final,
-                               samples_used=result.samples_used, n_guesses=result.n_guesses)
-                if algorithm == "mcp":
-                    payload.update(min_prob=result.min_prob_estimate,
-                                   covers_all=result.covers_all)
-                else:
-                    payload.update(avg_prob=result.avg_prob_estimate,
-                                   phi_best=result.phi_best)
-            elif algorithm in ("kmedian", "kcenter"):
-                run = kmedian_clustering if algorithm == "kmedian" else kcenter_clustering
-                result = run(None, params["k"], oracle=oracle, samples=params["samples"],
-                             **hooks)
-                clustering = result.clustering
-                payload.update(k=params["k"], seed=params["seed"],
-                               objective=result.objective,
-                               samples_used=result.samples_used, n_rounds=result.n_rounds)
-            else:  # centrality
-                result = expected_centrality(None, measure=params["measure"],
-                                             oracle=oracle, samples=params["samples"],
-                                             tol=params["tol"], **hooks)
-                clustering = None
-                payload.update(measure=params["measure"], seed=params["seed"],
-                               tol=params["tol"],
-                               values=np.asarray(result.values, dtype=float).tolist(),
-                               half_width=result.half_width, converged=result.converged,
-                               samples_used=result.samples_used, n_rounds=result.n_rounds)
-            stats = oracle.cache_stats
-            phases = oracle.phase_timings
-        payload.update(
-            worlds_cached=stats["worlds_cached"],
-            worlds_sampled=stats["worlds_sampled"],
-            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
-            pool_digest=oracle.pool_digest,
-        )
-    if clustering is not None:
-        payload["assignment"] = np.asarray(clustering.assignment).astype(int).tolist()
-        payload["centers"] = np.asarray(clustering.centers).astype(int).tolist()
-    return payload, phases, stats
 
 
 @dataclass(frozen=True)
@@ -313,10 +207,6 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
         job_id, params, graph, ancestors, trace_id = task
         cancel_path = os.path.join(config.spool_dir, f"{job_id}.cancel")
 
-        def cancel_check(path=cancel_path, job=job_id) -> None:
-            if os.path.exists(path):
-                raise JobCancelledError(f"job {job} cancelled")
-
         def progress(data, job=job_id) -> None:
             events.put((job, "progress", data))
 
@@ -325,7 +215,8 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
             with telemetry.get_tracer().trace(trace_id or job_id):
                 result = execute_clustering(
                     job_id, params, graph, ancestors, cache,
-                    cancel_check=cancel_check, progress=progress,
+                    cancelled=functools.partial(os.path.exists, cancel_path),
+                    progress=progress,
                 )
         except JobCancelledError as error:
             ship_metrics()

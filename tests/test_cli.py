@@ -113,6 +113,19 @@ class TestCluster:
         assert main(["cluster", graph_file, "--k", "99"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["cluster", "centrality"])
+    def test_budget_below_schedule_start_reports_error(self, graph_file, capsys, command):
+        """The progressive schedule starts at 50 worlds; a smaller budget
+        is a usage error, as the service answers it, not a traceback."""
+        assert main([command, graph_file, "--samples", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: samples must be >= 50")
+
+    @pytest.mark.parametrize("inflation", ["nan", "inf"])
+    def test_non_finite_inflation_reports_error(self, graph_file, capsys, inflation):
+        argv = ["cluster", graph_file, "--algorithm", "mcl", "--inflation", inflation]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: inflation must be a finite number")
+
 
 class TestGenerate:
     def test_generates_uel(self, tmp_path, capsys):

@@ -81,6 +81,11 @@ class TestParameters:
         with pytest.raises(ClusteringError):
             mcl_clustering(two_triangles, inflation=1.0)
 
+    @pytest.mark.parametrize("inflation", [float("nan"), float("inf")])
+    def test_inflation_must_be_finite(self, two_triangles, inflation):
+        with pytest.raises(ClusteringError, match="finite"):
+            mcl_clustering(two_triangles, inflation=inflation)
+
     def test_expansion_at_least_two(self, two_triangles):
         with pytest.raises(ClusteringError):
             mcl_clustering(two_triangles, expansion=1)

@@ -214,11 +214,20 @@ class TestNegativePaths:
         assert payload["error"]["code"] == "bad_request"
 
     def test_bad_k_is_400(self, client):
-        for k in (0, -2, "many"):
+        for k in (0, -2, "many", 2.7, True):
             status, payload = client.request(
                 "POST", "/jobs", {"graph": "toy", "algorithm": "kmedian", "k": k}
             )
-            assert status == 400
+            assert status == 400, k
+
+    @pytest.mark.parametrize("inflation", ["nan", "inf", "-inf"])
+    def test_non_finite_inflation_is_400(self, client, inflation):
+        status, payload = client.request(
+            "POST", "/jobs", {"graph": "toy", "algorithm": "mcl", "inflation": inflation}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert "inflation" in payload["error"]["message"]
 
     def test_clustering_params_rejected_for_centrality(self, client):
         # k is dropped for centrality, so two requests differing only in
