@@ -14,6 +14,10 @@ exists for, recording each into the durable artifact:
   N spawned worker *processes* over one shared on-disk world store
   (the throughput-vs-workers scaling cells; a 1-core CI box cannot
   show real scaling, so the gate only guards against regression);
+* ``job/dispatch/warm`` — the dispatch overhead of a warm job under a
+  2-worker process pool: the median, over repeats of one warm acp
+  job, of the client's latency (submit, long-poll, result fetch) minus
+  the worker's own ``elapsed_s``;
 * ``cache/budget/poolsN`` — one cold oracle-cache lease plus the byte
   budget check its release runs, on a disk store pre-filled with N
   small pools.  The check reads the store's byte ledger, so the
@@ -198,6 +202,42 @@ def test_warm_across_worker_pools_bit_identical(krogan_tiny, tmp_path):
     assert warm["warm"] is True and warm["worlds_sampled"] == 0
     assert warm["assignment"] == cold["assignment"]
     assert warm["centers"] == cold["centers"]
+
+
+DISPATCH_REPEATS = 40
+
+
+def test_job_dispatch_overhead_warm(krogan_tiny, tmp_path):
+    """What a warm job costs beyond its own run: HTTP, queue and IPC hops."""
+    service = ClusterService(
+        datasets=(), worker_processes=2, world_cache=tmp_path / "worlds",
+    )
+    service.graphs.register_graph("bench", krogan_tiny.graph, source="krogan_tiny")
+    params = {"graph": "bench", "k": 4, "samples": 1000, "seed": 0}
+    with BackgroundServer(service) as running:
+
+        async def go():
+            client = await ServiceClient("127.0.0.1", running.port).connect()
+            try:
+                await run_job(client, {**params, "algorithm": "mcp"})  # warms the pool
+                overheads = []
+                for _ in range(DISPATCH_REPEATS):
+                    begin = time.perf_counter()
+                    result = await run_job(client, {**params, "algorithm": "acp"})
+                    latency = time.perf_counter() - begin
+                    assert result["warm"] is True and result["worlds_sampled"] == 0
+                    overheads.append(latency - result["elapsed_s"])
+                return overheads
+            finally:
+                await client.close()
+
+        overheads = asyncio.run(go())
+    record_benchmark(
+        "service", "job/dispatch/warm", seconds=float(np.median(overheads)), items=1,
+        meta={"graph": "krogan_tiny", "algorithm": "acp", "k": params["k"],
+              "workers": 2, "repeats": DISPATCH_REPEATS,
+              "p90_s": _quantile(sorted(overheads), 0.90)},
+    )
 
 
 BUDGET_ROUNDS = 15

@@ -18,7 +18,7 @@ PATCH  ``/v1/graphs/{name}/edges``       mutate edges (add/remove/update)
 GET    ``/v1/graphs/{name}/estimate``    synchronous reliability estimate
 POST   ``/v1/jobs``                      submit a clustering job (202)
 GET    ``/v1/jobs``                      list jobs (``state``/``limit``/``cursor``)
-GET    ``/v1/jobs/{id}``                 job status
+GET    ``/v1/jobs/{id}``                 job status (``?wait=`` long-polls)
 GET    ``/v1/jobs/{id}/events``          job progress stream (SSE)
 GET    ``/v1/jobs/{id}/result``          job result (409 until ``done``)
 DELETE ``/v1/jobs/{id}``                 cancel a job
@@ -73,7 +73,7 @@ from repro.service.http import (
     Router,
     sse_event,
 )
-from repro.service.jobs import TERMINAL_STATES, JobQueue, paginate_jobs
+from repro.service.jobs import MAX_WAIT_S, TERMINAL_STATES, JobQueue, paginate_jobs
 from repro.service.workers import ProcessJobQueue, execute_clustering
 from repro.workloads.families import FAMILIES, MAX_REQUEST_SAMPLES, integer
 
@@ -506,8 +506,14 @@ class ClusterService:
 
     async def _drain_then_stop(self, grace_s: float) -> None:
         deadline = time.monotonic() + grace_s
-        while self.jobs.active_count() > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.05)
+        while True:
+            # Re-listed each round: a submission that was already past
+            # the middleware when the drain began can still add a job.
+            pending = [job for job in self.jobs.list() if job.status not in TERMINAL_STATES]
+            remaining = deadline - time.monotonic()
+            if not pending or remaining <= 0:
+                break
+            await asyncio.gather(*(job.wait_terminal(remaining) for job in pending))
         self.shutdown_event.set()
 
     # ------------------------------------------------------------------
@@ -751,7 +757,26 @@ class ClusterService:
         }
 
     async def _handle_job_status(self, request: Request):
-        return 200, self.jobs.get(request.params["id"]).describe()
+        """``GET /v1/jobs/{id}``: the job's status summary.
+
+        ``?wait=<seconds>`` (at most :data:`~repro.service.jobs.MAX_WAIT_S`)
+        long-polls: the answer comes as soon as the job is terminal, or
+        with the still-running description once the wait elapses.
+        """
+        job = self.jobs.get(request.params["id"])
+        raw = request.query.get("wait")
+        if raw is not None:
+            try:
+                wait = float(raw)
+            except ValueError:
+                wait = None
+            # NaN fails both bounds, and infinity the cap.
+            if wait is None or not 0 <= wait <= MAX_WAIT_S:
+                raise ServiceError(
+                    f"wait must be a number of seconds in [0, {MAX_WAIT_S:g}], got {raw!r}"
+                )
+            await job.wait_terminal(wait)
+        return 200, job.describe()
 
     async def _handle_job_events(self, request: Request):
         """``GET /v1/jobs/{id}/events``: stream the job's events as SSE.
@@ -777,7 +802,7 @@ class ClusterService:
                     seq += 1
                     if record["event"] in TERMINAL_STATES:
                         return
-                await asyncio.sleep(0.05)
+                await job.wait_events(seq)
 
         return EventStream(stream())
 
@@ -891,11 +916,13 @@ class BackgroundServer:
     def stop(self) -> None:
         """Stop the server, join the thread, shut the job queue down."""
         if self._loop is not None and self._thread is not None:
-            # The loop may already be gone if POST /shutdown drained and
-            # stopped it from inside.
+            # Stop through the shutdown event, as POST /shutdown does, so
+            # the loop is stopped once: a second stop() would cut short
+            # the teardown a drain that just finished has started.  The
+            # loop may already be gone if that teardown is done.
             if not self._loop.is_closed():
                 try:
-                    self._loop.call_soon_threadsafe(self._loop.stop)
+                    self._loop.call_soon_threadsafe(self._service.shutdown_event.set)
                 except RuntimeError:  # pragma: no cover - closed in between
                     pass
             self._thread.join(timeout=30)

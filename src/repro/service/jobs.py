@@ -3,7 +3,7 @@
 Long-running requests (mcp/acp clustering, k-median/k-center,
 centrality, and the mcl/gmm baselines) do not block the event loop:
 :class:`JobQueue` records each one as a :class:`Job` and hands it to an
-*executor*, while HTTP clients poll ``GET /v1/jobs/{id}``, stream
+*executor*, while HTTP clients long-poll ``GET /v1/jobs/{id}?wait=``, stream
 ``/v1/jobs/{id}/events``, and fetch ``/v1/jobs/{id}/result``.
 
 The queue owns every piece of job state: ids, the coalescing ledger,
@@ -47,7 +47,12 @@ Events
     Every lifecycle transition (and every progress report from the
     clustering progress hook) is appended to ``job.events`` with a
     monotone per-job ``seq`` — the replayable record the SSE endpoint
-    streams.
+    streams.  :meth:`Job.add_event` is the one place both executors
+    record events, so it is also where waiting ends: coroutines parked
+    in :meth:`Job.wait_events` / :meth:`Job.wait_terminal` (the
+    long-poll ``GET /v1/jobs/{id}?wait=``, the SSE tail, the shutdown
+    drain) are woken on their own event loop through
+    ``loop.call_soon_threadsafe``, whichever thread records the event.
 
 Admission
     ``submit(..., admit=...)`` invokes the admission callback under the
@@ -59,11 +64,12 @@ Shutdown
     ``shutdown()`` closes the queue first: a later submission answers
     503 before anything is registered.  Outstanding jobs are then
     cancelled, the executor is stopped, and any job still not terminal
-    is marked ``cancelled`` so no client polls forever.
+    is marked ``cancelled`` so no client waits forever.
 """
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import json
 import threading
@@ -116,6 +122,9 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: Default / maximum page sizes of :func:`paginate_jobs`.
 DEFAULT_PAGE_LIMIT = 100
 MAX_PAGE_LIMIT = 1000
+
+#: Longest ``?wait=`` (seconds) a job-status long-poll may ask for.
+MAX_WAIT_S = 60.0
 
 
 def canonical_key(params: dict) -> str:
@@ -178,12 +187,16 @@ class Job:
     #: entry being replaced mid-flight.  Never serialized.
     context: object = field(default=None, repr=False)
     _events_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: Futures of coroutines parked in :meth:`wait_events`; the next
+    #: :meth:`add_event` resolves them all.
+    _waiters: list[asyncio.Future] = field(default_factory=list, repr=False)
 
     def add_event(self, event: str, data: dict | None = None) -> dict:
         """Append an event record ``{"seq", "event", "data", "ts"}``.
 
         ``seq`` is monotone per job, so the SSE endpoint can replay the
-        history and then tail new events without duplication.
+        history and then tail new events without duplication.  Every
+        waiter parked in :meth:`wait_events` is woken on its own loop.
         """
         with self._events_lock:
             record = {
@@ -193,7 +206,49 @@ class Job:
                 "ts": time.time(),
             }
             self.events.append(record)
+            waiters, self._waiters = self._waiters, []
+        for future in waiters:
+            try:
+                future.get_loop().call_soon_threadsafe(_wake, future)
+            except RuntimeError:  # the waiter's loop has closed
+                pass
         return record
+
+    async def wait_events(self, count: int, timeout: float | None = None) -> bool:
+        """Wait until the job holds more than ``count`` events.
+
+        Returns False if ``timeout`` seconds (``None``: no limit) pass
+        first.  A waiter that times out or is cancelled unregisters
+        itself, so nothing is left on the job.
+        """
+        future = asyncio.get_running_loop().create_future()
+        with self._events_lock:
+            if len(self.events) > count:
+                return True
+            self._waiters.append(future)
+        try:
+            await asyncio.wait_for(future, timeout)
+            return True
+        except TimeoutError:
+            return False
+        finally:
+            with self._events_lock:
+                if future in self._waiters:
+                    self._waiters.remove(future)
+
+    async def wait_terminal(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for a terminal status; True once reached."""
+        deadline = time.monotonic() + timeout
+        while True:
+            # Count before reading the status: a job turns terminal
+            # before its terminal event is appended, so a status seen
+            # non-terminal means that event lies beyond ``seen``.
+            seen = len(self.events)
+            if self.status in TERMINAL_STATES:
+                return True
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not await self.wait_events(seen, remaining):
+                return self.status in TERMINAL_STATES
 
     def describe(self) -> dict:
         """JSON-safe status summary (no result payload).
@@ -218,6 +273,11 @@ class Job:
             "events": len(self.events),
             "timings": timings,
         }
+
+
+def _wake(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
 
 
 def paginate_jobs(jobs, *, state: str | None = None, limit=None,

@@ -44,7 +44,7 @@ from urllib.parse import urlsplit
 import numpy
 
 from repro.exceptions import ServiceError
-from repro.service.jobs import TERMINAL_STATES
+from repro.service.jobs import MAX_WAIT_S, TERMINAL_STATES
 from repro.telemetry import parse_prometheus_text
 
 
@@ -153,7 +153,14 @@ async def wait_ready(host: str, port: int, *, timeout: float = 30.0) -> None:
 
 async def run_job(client: ServiceClient, job_params: dict, *,
                   poll_interval: float = 0.02, timeout: float = 600.0) -> dict:
-    """Submit a job, poll to completion, and return its result payload.
+    """Submit a job, long-poll it to completion, and return its result payload.
+
+    Each status request asks the service to answer once the job is
+    terminal (``GET /v1/jobs/{id}?wait=``, at most
+    :data:`~repro.service.jobs.MAX_WAIT_S` seconds), so a job normally
+    costs one status request.  ``poll_interval`` is only the pause
+    after an answer that is still not terminal: a wait that elapsed, or
+    a server that ignores ``wait``.
 
     The result dict additionally carries the job id under ``"job"``
     (the service includes it in every result payload).
@@ -164,7 +171,8 @@ async def run_job(client: ServiceClient, job_params: dict, *,
     job_id = submitted["job"]
     deadline = time.monotonic() + timeout
     while True:
-        status, described = await client.request("GET", f"/v1/jobs/{job_id}")
+        wait = min(MAX_WAIT_S, max(deadline - time.monotonic(), 0.0))
+        status, described = await client.request("GET", f"/v1/jobs/{job_id}?wait={wait:.3f}")
         if status != 200:
             raise ServiceError(f"job poll failed ({status}): {described}", status=502)
         if described["status"] in TERMINAL_STATES:

@@ -35,7 +35,12 @@ Events
     Workers push ``running`` / ``progress`` / terminal events onto one
     shared queue; a drainer thread in the front door hands them to the
     job queue's callbacks, which update the job records the SSE
-    endpoint streams.
+    endpoint streams.  Each job ends in exactly one terminal message
+    (``done`` / ``failed`` / ``cancelled``) that also carries the
+    worker's metric delta, merged before the job turns terminal.
+    Recording that event (:meth:`~repro.service.jobs.Job.add_event`)
+    wakes the front door's waiters — long-polls, SSE tails, the
+    shutdown drain — on the event loop, so no client polls for it.
 
 :func:`execute_clustering` is the single clustering runner shared by
 both executors, so thread mode and process mode cannot drift.
@@ -175,11 +180,12 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
     events on ``events`` as ``(job_id, kind, data)``.
 
     Telemetry: the worker's own registry accumulates every counter the
-    instrumented layers touch; after each job the movement since the
-    last ship is sent as a ``(None, "metrics", delta)`` event *before*
-    the job's terminal event, so by the time the front door marks a job
-    terminal the fleet-level ``GET /v1/metrics`` already includes the
-    job's contribution.
+    instrumented layers touch; the movement since the previous job
+    rides in the job's terminal event as ``data["metrics"]``, and the
+    front door merges it before marking the job terminal, so the
+    fleet-level ``GET /v1/metrics`` already includes a job once it
+    reads terminal.  The worker never renders its registry, so the
+    cache's scrape-time collector is not attached here.
     """
     # Imported here (not at module top) only for clarity of what the
     # worker side actually needs; spawn re-imports this module anyway.
@@ -190,16 +196,9 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
         telemetry.get_tracer().configure(config.trace_log)
     store = WorldStore(config.world_cache)
     cache = OracleCache(store, max_bytes=config.cache_bytes)
-    cache.attach_metrics()
     registry = telemetry.get_registry()
     registry.take_delta()  # baseline: don't re-ship pre-fork/import counts
 
-    def ship_metrics() -> None:
-        delta = registry.take_delta()
-        if delta["counters"] or delta["histograms"]:
-            events.put((None, "metrics", delta))
-
-    events.put((None, "ready", {"worker": worker_id}))
     while True:
         task = tasks.get()
         if task is None:
@@ -219,14 +218,13 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
                     progress=progress,
                 )
         except JobCancelledError as error:
-            ship_metrics()
-            events.put((job_id, "cancelled", {"error": str(error) or "cancelled"}))
+            kind, data = "cancelled", {"error": str(error) or "cancelled"}
         except Exception as error:  # noqa: BLE001 - job boundary
-            ship_metrics()
-            events.put((job_id, "failed", {"error": f"{type(error).__name__}: {error}"}))
+            kind, data = "failed", {"error": f"{type(error).__name__}: {error}"}
         else:
-            ship_metrics()
-            events.put((job_id, "done", {"result": result}))
+            kind, data = "done", {"result": result}
+        data["metrics"] = registry.take_delta()
+        events.put((job_id, kind, data))
 
 
 class WorkerPool:
@@ -367,20 +365,16 @@ class WorkerPool:
             if event is None:
                 return
             job_id, kind, data = event
-            if job_id is None:  # pool-level events ("ready", "metrics")
-                if kind == "metrics":
-                    # A worker shipped its counter/histogram movement;
-                    # fold it into the front door's registry so
-                    # GET /v1/metrics reflects the whole fleet.
-                    telemetry.get_registry().merge_delta(data)
-            elif kind == "running":
+            if kind == "running":
                 queue.job_started(job_id, data)
             elif kind == "progress":
                 queue.job_progress(job_id, data)
-            elif kind == "done":
-                queue.job_finished(job_id, "done", result=data["result"])
-            else:  # "failed" / "cancelled"
-                queue.job_finished(job_id, kind, error=data.get("error"))
+            else:  # "done" / "failed" / "cancelled"
+                # Fold the worker's counter/histogram movement in first,
+                # so GET /v1/metrics covers a job once it reads terminal.
+                telemetry.get_registry().merge_delta(data["metrics"])
+                queue.job_finished(job_id, kind, result=data.get("result"),
+                                   error=data.get("error"))
 
 
 class ProcessJobQueue(JobQueue):

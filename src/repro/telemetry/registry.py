@@ -302,11 +302,13 @@ class MetricsRegistry:
     # -- collectors ---------------------------------------------------------
 
     def register_collector(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` before every snapshot/render/delta.
+        """Run ``fn`` before every read (value, snapshot, render).
 
         Collectors mirror an authoritative source (e.g. cache stats)
         into series via ``set_total``/``set`` so scrape output and the
-        source endpoint share one code path.
+        source endpoint share one code path.  :meth:`take_delta` does
+        not run them: they fill local-only and gauge series, which no
+        delta ships.
         """
         with self._lock:
             self._collectors.append(fn)
@@ -426,9 +428,10 @@ class MetricsRegistry:
         The returned dict is self-describing (family shape rides along)
         so a receiving registry can merge it without having imported
         the modules that defined the families.  Gauges are excluded —
-        they are instantaneous and process-local.
+        they are instantaneous and process-local — and so are
+        ``local_only`` families; collectors fill only those two kinds,
+        so none is run here.
         """
-        self._collect()
         delta: dict = {"counters": {}, "histograms": {}}
         with self._lock:
             for name, family in self._families.items():

@@ -32,6 +32,7 @@ from repro.sampling.parallel import ParallelSampler
 from repro.sampling.sizes import PracticalSchedule
 from repro.service import BackgroundServer, ClusterService
 from repro.service.jobs import (
+    MAX_WAIT_S,
     Job,
     JobQueue,
     canonical_key,
@@ -88,11 +89,11 @@ class Client:
     def wait_job(self, job_id: str) -> dict:
         deadline = time.monotonic() + TIMEOUT
         while time.monotonic() < deadline:
-            status, payload = self.request("GET", f"/jobs/{job_id}")
+            # Long-polls well inside the connection's own timeout.
+            status, payload = self.request("GET", f"/jobs/{job_id}?wait=5")
             assert status == 200
             if payload["status"] in ("done", "failed", "cancelled"):
                 return payload
-            time.sleep(0.01)
         raise AssertionError(f"job {job_id} did not finish within {TIMEOUT}s")
 
     def run_job(self, params: dict) -> dict:
@@ -1332,6 +1333,125 @@ class TestJobEventStream:
         assert payload["error"]["code"] == "not_found"
 
 
+#: A job that runs ~0.3 s on the toy graph and ends ``done``: long
+#: enough for a long-poll or an SSE subscriber to park before it ends.
+#: Every use takes its own seed, so no repeat is served warm.
+SLOW = {"graph": "toy", "algorithm": "mcp", "k": 1, "samples": 100_000}
+
+
+@pytest.fixture(scope="class", params=["thread", "process"])
+def any_server(request, tmp_path_factory):
+    """``(service, server)`` serving the toy graph under either executor."""
+    if request.param == "thread":
+        svc = ClusterService(datasets=(), job_workers=2)
+    else:
+        svc = ClusterService(datasets=(), worker_processes=2,
+                             world_cache=tmp_path_factory.mktemp("worlds"))
+    svc.graphs.register_graph("toy", _toy_graph(), source="test")
+    with BackgroundServer(svc) as running:
+        yield svc, running
+
+
+class TestLongPoll:
+    """``GET /v1/jobs/{id}?wait=`` and the SSE tail are woken by the
+    queue recording an event, not by polling, under both executors."""
+
+    def test_long_poll_answers_within_10ms_of_terminal_event(self, any_server):
+        svc, server = any_server
+        client = Client(server.port)
+        try:
+            _, submitted = client.request("POST", "/jobs", {**SLOW, "seed": 1})
+            sent = time.time()
+            status, described = client.request("GET", f"/jobs/{submitted['job']}?wait=20")
+            received = time.time()
+        finally:
+            client.close()
+        assert status == 200 and described["status"] == "done"
+        terminal = svc.jobs.get(submitted["job"]).events[-1]
+        assert terminal["event"] == "done"
+        assert sent < terminal["ts"]  # the poll was waiting when the job ended
+        assert received - terminal["ts"] < 0.010
+
+    def test_elapsed_wait_returns_non_terminal_description(self, any_server):
+        svc, server = any_server
+        client = Client(server.port)
+        try:
+            _, submitted = client.request("POST", "/jobs", {**SLOW, "seed": 2})
+            job_id = submitted["job"]
+            begin = time.monotonic()
+            status, described = client.request("GET", f"/jobs/{job_id}?wait=0.05")
+            assert time.monotonic() - begin >= 0.05
+            assert status == 200
+            assert described["id"] == job_id
+            assert described["status"] in ("queued", "running")
+            assert svc.jobs.get(job_id)._waiters == []  # the elapsed wait unregistered
+            assert client.wait_job(job_id)["status"] == "done"
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("wait", ["-1", "nan", "inf", "-inf", "soon", "", f"{MAX_WAIT_S + 0.5:g}"])
+    def test_bad_wait_400(self, any_server, wait):
+        _, server = any_server
+        client = Client(server.port)
+        try:
+            _, submitted = client.request("POST", "/jobs", {**GMM, "seed": 3})
+            status, payload = client.request("GET", f"/jobs/{submitted['job']}?wait={wait}")
+            assert status == 400
+            assert payload["error"]["code"] == "bad_request"
+            assert "wait must be" in payload["error"]["message"]
+            status, _ = client.request("GET", f"/jobs/{submitted['job']}?wait=0")
+            assert status == 200
+        finally:
+            client.close()
+
+    def test_sse_subscriber_receives_done_within_10ms(self, any_server):
+        import socket
+
+        svc, server = any_server
+        client = Client(server.port)
+        try:
+            _, submitted = client.request("POST", "/jobs", {**SLOW, "seed": 4})
+        finally:
+            client.close()
+        job_id = submitted["job"]
+        with socket.create_connection(("127.0.0.1", server.port), timeout=TIMEOUT) as sock:
+            sock.sendall(f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
+                         f"Host: h\r\nConnection: close\r\n\r\n".encode())
+            raw = b""
+            while b"event: done" not in raw:
+                chunk = sock.recv(65536)
+                assert chunk, raw
+                raw += chunk
+            received = time.time()
+        terminal = svc.jobs.get(job_id).events[-1]
+        assert terminal["event"] == "done"
+        assert received - terminal["ts"] < 0.010
+
+    def test_timed_out_and_cancelled_waiters_unregister(self, make_queue):
+        import asyncio
+
+        queue = make_queue()
+        blocker, _ = _submit(queue, BLOCKER)
+        queued, _ = _submit(queue, GMM)  # held behind the blocker: no new events
+
+        async def scenario():
+            assert await queued.wait_terminal(0.05) is False
+            assert queued._waiters == []
+            waiting = asyncio.ensure_future(queued.wait_events(len(queued.events)))
+            await asyncio.sleep(0.01)
+            assert len(queued._waiters) == 1
+            waiting.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiting
+            assert queued._waiters == []
+
+        asyncio.run(scenario())
+        queue.cancel(blocker.id)
+        queue.cancel(queued.id)
+        assert _wait_terminal(queue, queued.id).status == "cancelled"
+        _wait_terminal(queue, blocker.id)
+
+
 class TestJobListPagination:
     """GET /v1/jobs?state=&limit=&cursor= plus the pagination unit pins."""
 
@@ -1385,9 +1505,18 @@ class TestJobListPagination:
         assert len(page) == 2 and cursor is None
 
     def test_prune_is_deterministic_oldest_terminal_first(self):
-        queue = JobQueue(lambda job: {}, workers=1, retain=2)
+        submitted = threading.Event()
+
+        def runner(job):
+            # Held until all five are in, so pruning on submit cannot
+            # drop a finished one before it is awaited.
+            submitted.wait(TIMEOUT)
+            return {}
+
+        queue = JobQueue(runner, workers=1, retain=2)
         try:
             ids = [queue.submit({"i": i})[0].id for i in range(5)]
+            submitted.set()
             for job_id in ids:
                 _wait_terminal(queue, job_id)
             newest, _ = queue.submit({"i": 99})
@@ -1433,16 +1562,18 @@ class TestPruneTerminalJobs:
 
     def test_thread_queue_keeps_running_job(self):
         release = threading.Event()
+        submitted = threading.Event()
 
         def runner(job):
-            if job.params.get("hold"):
-                release.wait(TIMEOUT)
+            # The four others are held until all are in, as above.
+            (release if job.params.get("hold") else submitted).wait(TIMEOUT)
             return {}
 
         queue = JobQueue(runner, workers=2, retain=2)
         try:
             held, _ = queue.submit({"hold": True})
             ids = [queue.submit({"i": i})[0].id for i in range(4)]
+            submitted.set()
             for job_id in ids:
                 _wait_terminal(queue, job_id)
             newest, _ = queue.submit({"i": 99})
@@ -1904,8 +2035,9 @@ class TestTelemetryEndpoints:
 
         Two distinct jobs overlap in flight, so least-loaded dispatch
         lands them on different worker processes; each worker ships its
-        counter deltas over the event queue before the terminal event,
-        so by the time both jobs read as done the parent's scrape must
+        counter deltas inside the job's terminal event, merged before
+        the job turns terminal, so by the time both jobs read as done
+        the parent's scrape must
         account for every world either worker sampled.
         """
         from repro.telemetry import parse_prometheus_text

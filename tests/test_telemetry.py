@@ -133,6 +133,18 @@ class TestDeltaShipping:
         assert "repro_mirrored_total" not in delta["counters"]
         assert delta["counters"]["repro_shipped_total"]["series"][()] == 2
 
+    def test_take_delta_runs_no_collector_render_does(self):
+        """Collectors fill local-only and gauge series, which no delta
+        ships; a worker's per-job delta must not pay for them."""
+        worker = MetricsRegistry()
+        calls = []
+        worker.register_collector(lambda: calls.append(None))
+        worker.counter("repro_shipped_total", "S.").inc()
+        assert worker.take_delta()["counters"]["repro_shipped_total"]["series"][()] == 1
+        assert calls == []
+        worker.render()
+        assert len(calls) == 1
+
     def test_merge_registers_unknown_families(self):
         """The parent need not have imported the defining module."""
         worker = MetricsRegistry()
