@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test doctest bench bench-service serve docs docs-check lint clean
+.PHONY: test doctest bench bench-service counts serve docs docs-check lint clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -29,6 +29,12 @@ bench-service:
 	$(PYTHON) -m pytest -q benchmarks/test_bench_service.py
 	$(PYTHON) benchmarks/compare.py benchmarks/baselines/BENCH_service.json \
 	    benchmarks/out/BENCH_service.json --fail-over 2.0
+
+# The benchmark's exact-count check, also run by CI's bench job: two
+# traced runs per workload at one seed must agree on every count and
+# result digest (perfbench/check_counts.py).
+counts:
+	$(PYTHON) perfbench/check_counts.py
 
 # Run the clustering service on the default port with a local world cache.
 serve:

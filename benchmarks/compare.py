@@ -15,7 +15,10 @@ Used two ways:
 Speedup is ``baseline_seconds / current_seconds`` — above 1.0 means the
 current run is faster.  Benchmarks present in only one file are listed
 but never fail the gate (new benchmarks have no baseline yet; retired
-ones have no current run).
+ones have no current run).  Benchmarks more than
+:data:`STALE_SPEEDUP` times faster than their baseline are listed as
+stale, report only: against such a baseline a 2x gate cannot catch the
+loss of the gain, so the baseline wants re-recording.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.record import load_artifact  # noqa: E402
+
+#: Speedup over the baseline above which a cell is reported as stale.
+STALE_SPEEDUP = 2.0
 
 
 def compare_artifacts(baseline: dict, current: dict) -> list[dict]:
@@ -104,6 +110,14 @@ def main(argv=None) -> int:
     missing = [row["name"] for row in rows if row["speedup"] is None]
     if missing:
         print(f"\nnot comparable (present in only one file): {len(missing)}")
+    stale = [row for row in rows if row["speedup"] is not None and row["speedup"] > STALE_SPEEDUP]
+    if stale:
+        print(
+            f"\nstale baseline (more than {STALE_SPEEDUP:g}x faster; report only, "
+            f"re-record it): {len(stale)}"
+        )
+        for row in stale:
+            print(f"  {row['name']}: {_fmt_speedup(row['speedup'])}")
     if args.fail_over is not None:
         threshold = 1.0 / args.fail_over
         regressions = [

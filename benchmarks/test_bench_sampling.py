@@ -1,7 +1,8 @@
 """Throughput of the world-sampling engine and the world store.
 
 Measures ``ensure_samples`` (mask sampling + labeling) per substrate,
-plus the
+the progressive growth of one pool through mcp's chunk steps
+(``ensure_samples/krogan0.4/progressive``), plus the
 warm-vs-cold world-store cells (``world_store/<substrate>/{cold,warm}``:
 a cold run samples into a fresh disk cache, a warm run serves the same
 pool from it), and records each measurement into the durable
@@ -14,6 +15,11 @@ Substrates:
 * ``sparse1500`` — the subcritical synthetic substrate of
   ``test_bench_backends.py``, for continuity with the PR-1 numbers.
 
+The progressive cell runs on ``krogan_like(0.4)``, the graph of the
+``cold-cluster`` perfbench workload, and grows its pool in the five
+chunks cold mcp draws there, so it sees what each chunk costs beyond
+its worlds; the other cells draw one 512-world chunk.
+
 Sampling is serial and there is one labeler, but the ``ensure_samples``
 cells keep their ``/unionfind/workers=1`` suffix so ``compare.py``
 pairs them with the committed baseline cells of the same name.
@@ -25,11 +31,13 @@ import numpy as np
 import pytest
 
 from benchmarks.record import record_pytest_benchmark
-from repro.datasets import dblp_like
+from repro.datasets import dblp_like, krogan_like
 from repro.datasets.synthetic import gnm_uncertain
 from repro.sampling import MonteCarloOracle
 
 R = 512  # worlds per measured ensure_samples call
+#: Pool sizes cold mcp (k = 3 or 5) grows through on krogan_like(0.4).
+PROGRESSIVE_STEPS = (50, 56, 63, 84, 251)
 
 
 def _substrate(name):
@@ -63,6 +71,31 @@ def test_ensure_samples_throughput(benchmark, substrate):
             "workers": 1,
             "substrate": substrate_name,
             "r": R,
+            "nodes": graph.n_nodes,
+            "edges": graph.n_edges,
+        },
+    )
+
+
+def test_ensure_samples_progressive(benchmark):
+    graph = krogan_like(seed=0, scale=0.4).graph
+
+    def run():
+        oracle = MonteCarloOracle(graph, seed=1, chunk_size=R)
+        for r in PROGRESSIVE_STEPS:
+            oracle.ensure_samples(r)
+        return oracle.phase_timings["chunks"]
+
+    chunks = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    assert chunks == len(PROGRESSIVE_STEPS)
+    record_pytest_benchmark(
+        "sampling",
+        "ensure_samples/krogan0.4/progressive",
+        benchmark,
+        items=PROGRESSIVE_STEPS[-1],
+        meta={
+            "substrate": "krogan0.4",
+            "steps": list(PROGRESSIVE_STEPS),
             "nodes": graph.n_nodes,
             "edges": graph.n_edges,
         },

@@ -3,7 +3,7 @@
 The Monte Carlo pipelines spend nearly all their time drawing and
 labeling possible worlds (paper Section 4).  This module supplies the
 one path from a graph to labeled worlds: draw a chunk's edge masks
-from per-edge streams (:func:`sample_mask_rows`), label them with one
+from per-edge streams (the kernel of :func:`sample_mask_rows`), label them with one
 :class:`~repro.sampling.backends.UnionFindWorldBackend`
 ``component_labels`` call, and pack the masks
 for the store (:func:`~repro.sampling.store.pack_mask_columns`).  It
@@ -52,17 +52,32 @@ once in ``numpy``:
    and ``random() < p`` is exactly ``(output >> 11) < ceil(p * 2**53)``.
 
 The draw loop interleaves the worlds over ``lanes`` copies of every
-stream — lane ``l`` draws worlds ``start + l``, ``start + l + lanes``,
-… and jumps ``lanes`` steps per draw — so each ``numpy`` call covers
-up to ``_LANE_STREAMS`` states whatever the edge count.  Nothing is
-memoized: a one-world call on 2812 edges, state derivation included,
-takes under a millisecond.  ``tests/stream_reference.py`` keeps the
-scalar ``SeedSequence``/``PCG64`` construction the kernel is pinned
-against, bit for bit.
+stream, ``lanes`` fixed by the edge count so that each ``numpy`` call
+covers up to ``_LANE_STREAMS`` states: world ``w`` sits in lane
+``w % lanes`` at draw step ``w // lanes``, and each step jumps every
+lane ``lanes`` LCG steps on.  The per-lane jump coefficients are
+computed once per lane count (:func:`_lane_table`).
+
+Stream cursor
+-------------
+Progressive sampling grows a pool in chunks (cold mcp on
+krogan_like(0.4) draws 50, 6, 7, 21 and 167 worlds).  Deriving the
+lane states costs the seed-word hash and two ``(lanes, m)`` jumps, so
+a :class:`ParallelSampler` keeps them: its :class:`_StreamCursor`
+holds every edge's lane states at the step of the last world it drew,
+plus each edge's step increment and threshold.  A chunk whose first
+world lies in that step or the next resumes from the cursor; any
+other chunk, another root or the first chunk derives afresh, as the
+stateless :func:`sample_mask_rows` always does.  Both paths run the
+same step and output code, and the absolute lane layout makes their
+bits equal.  ``tests/stream_reference.py`` keeps the scalar
+``SeedSequence``/``PCG64`` construction the kernel is pinned against,
+bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -204,20 +219,21 @@ def _limbs(values) -> tuple[np.ndarray, np.ndarray]:
             np.array([x & _MASK64 for x in values], dtype=np.uint64))
 
 
-def _scratch(like: np.ndarray) -> tuple:
+def _scratch(shape) -> tuple:
     """Scratch arrays for :func:`_mul_add` and the draw loop."""
-    return tuple(np.empty_like(like) for _ in range(4)) + (np.empty(like.shape, dtype=bool),)
+    return tuple(np.empty(shape, dtype=np.uint64) for _ in range(4)) + (np.empty(shape, dtype=bool),)
 
 
-def _mul_add(hi, lo, b_hi, b_lo, c_hi, c_lo, scratch=None) -> None:
+def _mul_add(hi, lo, b_hi, b_lo, c_hi, c_lo, scratch) -> None:
     """``(hi, lo) <- (hi, lo) * b + c`` mod ``2**128``, in place.
 
     128-bit values live as ``(hi, lo)`` uint64 limbs; ``b`` and ``c``
     broadcast against the state.  numpy's wrapping uint64 multiply gives
     every term of the product except the high half of ``lo * b_lo``,
-    which is assembled from 32-bit halves.
+    which is assembled from 32-bit halves.  ``scratch`` is a
+    :func:`_scratch` tuple of the state's shape.
     """
-    a0, a1, t, u, carry = _scratch(lo) if scratch is None else scratch
+    a0, a1, t, u, carry = scratch
     b0, b1 = b_lo & _MASK32, b_lo >> 32
     np.bitwise_and(lo, _MASK32, out=a0)
     np.right_shift(lo, 32, out=a1)
@@ -284,6 +300,126 @@ def _validated_edges(edge_src, edge_dst, edge_prob):
     return lo, hi, edge_prob
 
 
+def _lane_count(m: int) -> int:
+    """Lanes of an ``m``-edge draw: enough for ``_LANE_STREAMS`` states per call."""
+    return min(-(-_LANE_STREAMS // m), _MAX_LANES)
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_table(lanes: int):
+    """Jump coefficients of the lane layout with ``lanes`` lanes.
+
+    Returns ``(lane_mult, lane_plus, step_mult, step_plus)``.  Lane
+    ``l`` sits ``l`` LCG steps after lane 0, so its state is
+    ``lane_mult[l] * x + lane_plus[l] * inc`` for lane 0's state ``x``
+    (:func:`_jump` of ``l``, as ``(hi, lo)`` limb columns of shape
+    ``(lanes, 1)``).  One draw step moves every lane ``lanes`` LCG
+    steps on: ``step_mult`` is a limb pair, ``step_plus`` a Python int.
+    """
+    mults, pluses = [], []
+    mult, plus = 1, 0
+    for _ in range(lanes):
+        mults.append(mult)
+        pluses.append(plus)
+        mult, plus = mult * _PCG_MULT & _MASK128, (plus * _PCG_MULT + 1) & _MASK128
+    lane_mult, lane_plus = (tuple(limb[:, None] for limb in _limbs(c)) for c in (mults, pluses))
+    return lane_mult, lane_plus, _limbs([mult]), plus
+
+
+class _StreamCursor:
+    """Every edge's stream at one draw step of the lane layout.
+
+    World ``w`` of every stream sits in lane ``w % lanes`` at step
+    ``w // lanes``, with ``lanes`` fixed by the edge count
+    (:func:`_lane_count`), so a cursor left at a chunk's last step
+    holds the next chunk's first world or sits one step before it.
+    Between draws it keeps the ``(lanes, m)`` lane states of ``step``
+    and the per-edge step increment and threshold; scratch belongs to
+    each call.
+    """
+
+    __slots__ = ("root", "step", "state_hi", "state_lo", "shift_hi", "shift_lo", "threshold")
+
+    def __init__(self, root, edges, step: int, scratch: tuple):
+        """Derive the lane states of ``step`` from ``root``'s seed words."""
+        lo, hi, edge_prob = edges
+        lanes = scratch[0].shape[0]
+        lane_mult, lane_plus, _, step_plus = _lane_table(lanes)
+        seed_hi, seed_lo, seq_hi, seq_lo = _edge_seed_words(root, lo, hi)
+        inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+        inc_lo = (seq_lo << 1) | 1
+        # World w's state is mult * (seed + inc) + plus * inc for
+        # (mult, plus) = _jump(w + 2): the two seeding steps come first.
+        # Lane l holds world w = step * lanes + l, _jump(l) after the
+        # lane-0 world, so its seed and inc coefficients compose the
+        # lane table with lane 0's jump.
+        mult, plus = _jump(step * lanes + 2)
+        coef_scratch = _scratch((lanes, 1))
+        seed_coef, inc_coef = ([limb.copy() for limb in lane_mult] for _ in range(2))
+        _mul_add(*seed_coef, *_limbs([mult]), 0, 0, coef_scratch)
+        _mul_add(*inc_coef, *_limbs([(mult + plus) & _MASK128]), *lane_plus, coef_scratch)
+        self.state_hi, self.state_lo = (np.repeat(limb[None, :], lanes, axis=0)
+                                        for limb in (seed_hi, seed_lo))
+        shift_hi, shift_lo = (np.repeat(limb[None, :], lanes, axis=0) for limb in (inc_hi, inc_lo))
+        _mul_add(shift_hi, shift_lo, *inc_coef, 0, 0, scratch)
+        _mul_add(self.state_hi, self.state_lo, *seed_coef, shift_hi, shift_lo, scratch)
+        # Each draw step then moves every lane `lanes` LCG steps on.
+        _mul_add(inc_hi, inc_lo, *_limbs([step_plus]), 0, 0, tuple(array[0] for array in scratch))
+        self.shift_hi, self.shift_lo = inc_hi, inc_lo
+        # random() < p  <=>  (output >> 11) * 2**-53 < p  <=>  (output >> 11) < ceil(p * 2**53)
+        self.threshold = np.where(
+            edge_prob > 0, np.ceil(np.minimum(edge_prob, 1.0) * 2.0**53), 0.0
+        ).astype(np.uint64)
+        self.root, self.step = root, step
+
+    def draw(self, start: int, rows: int, scratch: tuple) -> np.ndarray:
+        """Masks of worlds ``[start, start + rows)``, leaving the cursor
+        at the step of the last one.  ``start`` must lie in the
+        cursor's step or the next; ``rows`` is positive."""
+        lanes, m = self.state_lo.shape
+        first, last = start // lanes, (start + rows - 1) // lanes
+        step_mult = _lane_table(lanes)[2]
+        blocks = np.empty((last - first + 1, lanes, m), dtype=bool)
+        x, rot, rotated = scratch[:3]
+        for block, step in zip(blocks, range(first, last + 1), strict=True):
+            if step != self.step:
+                _mul_add(self.state_hi, self.state_lo, *step_mult,
+                         self.shift_hi, self.shift_lo, scratch)
+                self.step = step
+            # PCG64's XSL-RR output: (hi ^ lo) rotated right by hi >> 58.
+            np.bitwise_xor(self.state_hi, self.state_lo, out=x)
+            np.right_shift(self.state_hi, 58, out=rot)
+            np.right_shift(x, rot, out=rotated)
+            np.subtract(64, rot, out=rot)
+            rot &= 63
+            x <<= rot
+            x |= rotated
+            x >>= 11
+            np.less(x, self.threshold, out=block)
+        offset = start - first * lanes
+        return blocks.reshape(-1, m)[offset:offset + rows]
+
+
+def _draw_rows(cursor, root, edges, start: int, rows: int):
+    """Masks of worlds ``[start, start + rows)`` and the cursor after them.
+
+    ``cursor`` (or ``None``) is resumed when it holds ``root``'s
+    streams at ``start``'s step or the one before; otherwise the lane
+    states are derived afresh from the seed words.
+    """
+    if start < 0 or rows < 0:
+        raise ValueError(f"start and rows must be non-negative, got {start}, {rows}")
+    m = len(edges[2])
+    if rows == 0 or m == 0:
+        return np.zeros((rows, m), dtype=bool), cursor
+    lanes = _lane_count(m)
+    scratch = _scratch((lanes, m))
+    step = int(start) // lanes
+    if cursor is None or cursor.root is not root or not 0 <= step - cursor.step <= 1:
+        cursor = _StreamCursor(root, edges, step, scratch)
+    return cursor.draw(start, rows, scratch), cursor
+
+
 def sample_mask_rows(
     edge_src: np.ndarray,
     edge_dst: np.ndarray,
@@ -312,60 +448,19 @@ def sample_mask_rows(
     >>> bool(np.array_equal(masks, np.concatenate(parts)))
     True
     """
-    if start < 0 or rows < 0:
-        raise ValueError(f"start and rows must be non-negative, got {start}, {rows}")
-    lo, hi, edge_prob = _validated_edges(edge_src, edge_dst, edge_prob)
-    m = len(edge_prob)
-    if rows == 0 or m == 0:
-        return np.zeros((rows, m), dtype=bool)
-    seed_hi, seed_lo, seq_hi, seq_lo = _edge_seed_words(root, lo, hi)
-    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
-    inc_lo = (seq_lo << 1) | 1
-    # Lane l starts at world w = start + l, whose state is
-    # mult * (seed + inc) + plus * inc for (mult, plus) = _jump(w + 2).
-    lanes = min(rows, -(-_LANE_STREAMS // m), _MAX_LANES)
-    seed_coefs, inc_coefs = [], []
-    mult, plus = _jump(int(start) + 2)
-    for _ in range(lanes):
-        seed_coefs.append(mult)
-        inc_coefs.append((mult + plus) & _MASK128)
-        mult, plus = mult * _PCG_MULT & _MASK128, (plus * _PCG_MULT + 1) & _MASK128
-    state_hi, state_lo = (np.repeat(limb[None, :], lanes, axis=0) for limb in (seed_hi, seed_lo))
-    shift_hi, shift_lo = (np.repeat(limb[None, :], lanes, axis=0) for limb in (inc_hi, inc_lo))
-    _mul_add(shift_hi, shift_lo, *(limb[:, None] for limb in _limbs(inc_coefs)), 0, 0)
-    _mul_add(state_hi, state_lo, *(limb[:, None] for limb in _limbs(seed_coefs)), shift_hi, shift_lo)
-    # Each draw then moves every lane `lanes` steps on.
-    mult, plus = _jump(lanes)
-    mult_hi, mult_lo = _limbs([mult])
-    shift_hi, shift_lo = inc_hi.copy(), inc_lo.copy()
-    _mul_add(shift_hi, shift_lo, *_limbs([plus]), 0, 0)
-    # random() < p  <=>  (output >> 11) * 2**-53 < p  <=>  (output >> 11) < ceil(p * 2**53)
-    threshold = np.where(
-        edge_prob > 0, np.ceil(np.minimum(edge_prob, 1.0) * 2.0**53), 0.0
-    ).astype(np.uint64)
-    steps = -(-rows // lanes)
-    masks = np.empty((steps * lanes, m), dtype=bool)
-    blocks = masks.reshape(steps, lanes, m)
-    scratch = _scratch(state_lo)
-    x, rot, rotated = scratch[:3]
-    for step in range(steps):
-        if step:
-            _mul_add(state_hi, state_lo, mult_hi, mult_lo, shift_hi, shift_lo, scratch)
-        # PCG64's XSL-RR output: (hi ^ lo) rotated right by hi >> 58.
-        np.bitwise_xor(state_hi, state_lo, out=x)
-        np.right_shift(state_hi, 58, out=rot)
-        np.right_shift(x, rot, out=rotated)
-        np.subtract(64, rot, out=rot)
-        rot &= 63
-        x <<= rot
-        x |= rotated
-        x >>= 11
-        np.less(x, threshold, out=blocks[step])
-    return masks[:rows]
+    edges = _validated_edges(edge_src, edge_dst, edge_prob)
+    return _draw_rows(None, root, edges, start, rows)[0]
 
 
 class ParallelSampler:
     """Draws and labels chunks of worlds.
+
+    The sampler keeps a stream cursor for the root it last drew, so a
+    chunk that starts where the previous one ended resumes every
+    edge's stream instead of deriving it from the seed again
+    (progressive sampling grows a pool this way).  Any other chunk
+    derives afresh; the masks are the same either way.  Like its phase
+    counters, the cursor serves one caller at a time.
 
     Parameters
     ----------
@@ -383,6 +478,9 @@ class ParallelSampler:
 
     def __init__(self, graph: UncertainGraph):
         self._graph = graph
+        self._edges = _validated_edges(graph.edge_src, graph.edge_dst, graph.edge_prob)
+        #: Where the last chunk left the streams (see :class:`_StreamCursor`).
+        self._cursor = None
         self._labeler = UnionFindWorldBackend()
         #: Cumulative phase wall time of this sampler instance, the
         #: source of the per-job ``timings`` breakdown (the global
@@ -402,14 +500,7 @@ class ParallelSampler:
         pattern.
         """
         started = time.perf_counter()
-        masks = sample_mask_rows(
-            self._graph.edge_src,
-            self._graph.edge_dst,
-            self._graph.edge_prob,
-            root,
-            start,
-            count,
-        )
+        masks, self._cursor = _draw_rows(self._cursor, root, self._edges, start, count)
         sampled_at = time.perf_counter()
         # One labeling call per chunk (through the instance, so an
         # instrumented labeler class observes exactly the

@@ -96,6 +96,22 @@ def test_gate_passes_and_fails_on_threshold(bench_dir, capsys):
     assert "PERF GATE FAILED" in out and "x:" in out
 
 
+def test_stale_baselines_are_reported_not_gated(bench_dir, capsys):
+    baseline = bench_dir / "baseline.json"
+    current = bench_dir / "current.json"
+    baseline.write_text(json.dumps(_artifact({"stale": 3.0, "edge": 2.0, "kept": 1.0})))
+    current.write_text(json.dumps(_artifact({"stale": 1.0, "edge": 1.0, "kept": 1.0})))
+    assert compare_main([str(baseline), str(current), "--fail-over", "2.0"]) == 0
+    out = capsys.readouterr().out
+    assert "stale baseline" in out and "  stale: 3.00x" in out
+    assert "  edge:" not in out and "  kept:" not in out
+
+    current.write_text(json.dumps(_artifact({"stale": 1.0, "edge": 1.0, "kept": 1.0})))
+    baseline.write_text(json.dumps(_artifact({"stale": 1.5, "edge": 2.0, "kept": 1.0})))
+    assert compare_main([str(baseline), str(current)]) == 0
+    assert "stale baseline" not in capsys.readouterr().out
+
+
 def test_gate_ignores_unmatched_benchmarks(bench_dir, capsys):
     baseline = bench_dir / "baseline.json"
     current = bench_dir / "current.json"

@@ -24,6 +24,7 @@ from repro.core.mcp import mcp_clustering
 from repro.exceptions import OracleError, ServiceError
 from repro.experiments.config import ExperimentScale
 from repro.sampling import MonteCarloOracle
+from repro.sampling import parallel
 from repro.sampling.deltas import derive_pool
 from repro.sampling.parallel import (
     EDGE_STREAM_TAG,
@@ -285,6 +286,91 @@ class TestKernelMatchesNumpy:
         prob = np.array([p for _, _, p in edges], dtype=np.float64)
         masks = sample_mask_rows(src, dst, prob, root, start, rows)
         assert np.array_equal(masks, reference_mask_rows(src, dst, prob, root, start, rows))
+
+
+class TestStreamCursor:
+    """A sampler resumes every edge's stream where its last chunk ended.
+
+    A resumed draw and a fresh derivation from the seed words must give
+    the same bits (invariant 1): every draw here is checked against the
+    scalar reference, whatever the chunk sequence.
+    """
+
+    #: Chunk moves of the random sequences; each appears twice.
+    _MOVES = ("sequential", "forward", "rewind", "empty", "short", "switch-root") * 2
+
+    @pytest.fixture
+    def seed_word_calls(self, monkeypatch):
+        """Roots whose seed words were hashed, i.e. fresh derivations."""
+        calls = []
+        original = parallel._edge_seed_words
+
+        def counting(root, lo, hi):
+            calls.append(root)
+            return original(root, lo, hi)
+
+        monkeypatch.setattr(parallel, "_edge_seed_words", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", sweep_seeds())
+    @pytest.mark.parametrize("n,edge_fraction", [(80, 0.06), (90, 0.2)])
+    def test_random_chunk_sequences_match_reference(self, seed, n, edge_fraction):
+        rng = np.random.default_rng(seed)
+        g = random_graph(n, edge_fraction, rng, prob_low=0.05, prob_high=0.95)
+        lanes = parallel._lane_count(g.n_edges)
+        roots = [_sweep_root(seed), np.random.SeedSequence(seed)]
+        sampler = ParallelSampler(g)
+        root, end = roots[0], 0
+        for move in rng.permutation(self._MOVES):
+            start, rows = end, int(rng.integers(1, 3 * lanes))
+            if move == "forward":
+                start = end + int(rng.integers(1, 3 * lanes))
+            elif move == "rewind":
+                start = int(rng.integers(0, end + 1))
+            elif move == "empty":
+                rows = 0
+            elif move == "short":
+                rows = int(rng.integers(1, lanes))
+            elif move == "switch-root":
+                root = roots[1] if root is roots[0] else roots[0]
+            masks, _ = sampler.sample_chunk(root, start, rows)
+            expected = reference_mask_rows(g.edge_src, g.edge_dst, g.edge_prob, root, start, rows)
+            assert np.array_equal(masks, expected), (move, start, rows)
+            end = start + rows
+
+    def test_progressive_growth_derives_once(self, tiny_substrate, seed_word_calls):
+        """mcp's growth steps draw from one derivation and equal one
+        whole-pool draw; only a rewind or another root derives again."""
+        g, root = tiny_substrate, np.random.SeedSequence(17)
+        sampler = ParallelSampler(g)
+        chunks, end = [], 0
+        for r in (50, 56, 63, 84, 251):
+            chunks.append(sampler.sample_chunk(root, end, r - end)[0])
+            end = r
+        sampler.sample_chunk(root, end, 0)
+        assert seed_word_calls == [root]
+        whole = sample_mask_rows(g.edge_src, g.edge_dst, g.edge_prob, root, 0, 251)
+        assert np.array_equal(np.concatenate(chunks), whole)
+        sampler.sample_chunk(root, 0, 10)
+        other = np.random.SeedSequence(17)
+        sampler.sample_chunk(other, 10, 10)
+        assert seed_word_calls == [root, root, root, other]
+
+    def test_store_prefix_then_sampled_suffix(self, tiny_substrate, seed_word_calls):
+        """A pool whose first worlds come from the store derives once,
+        at the first sampled chunk, and then resumes."""
+        g, store = tiny_substrate, WorldStore()
+        grown_oracle(g, chunk_size=512, seed=23, samples=100, store=store)
+        seed_word_calls.clear()
+        oracle = grown_oracle(g, chunk_size=64, seed=23, samples=250, store=store)
+        assert oracle.cache_stats == {"worlds_cached": 100, "worlds_sampled": 150}
+        assert len(seed_word_calls) == 1
+        masks = unpack_mask_columns(oracle.packed_worlds(0, 250), 250)
+        root = ensure_seed_sequence(23)
+        expected = reference_mask_rows(g.edge_src, g.edge_dst, g.edge_prob, root, 0, 250)
+        assert np.array_equal(masks, expected)
+        fresh = grown_oracle(g, chunk_size=512, seed=23, samples=250)
+        assert np.array_equal(oracle.component_labels, fresh.component_labels)
 
 
 class TestKernelInputs:
