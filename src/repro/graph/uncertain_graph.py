@@ -12,6 +12,7 @@ once), matching the paper's setting.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -106,6 +107,7 @@ class UncertainGraph:
         "_adj_nodes",
         "_adj_edges",
         "_degree_layout",
+        "_content_hash",
         "_revision",
     )
 
@@ -138,6 +140,7 @@ class UncertainGraph:
         self._adj_nodes = None
         self._adj_edges = None
         self._degree_layout = None
+        self._content_hash = None
         if revision < 0:
             raise GraphValidationError(f"revision must be non-negative, got {revision}")
         self._revision = int(revision)
@@ -405,6 +408,38 @@ class UncertainGraph:
                 position, layout_indptr, heads, position[adj_nodes[arcs]], adj_edges[arcs]
             )
         return self._degree_layout
+
+    def content_hash(self, prefix: bytes):
+        """A SHA-256 state over ``prefix``, the node count and the edge arrays.
+
+        The edge endpoints are hashed as ``int64`` and the probabilities
+        as ``float64``, so the state depends on the graph's content
+        alone.  Built once per graph object and prefix, like
+        :attr:`degree_layout`; every call returns a fresh copy for the
+        caller to extend (:func:`repro.sampling.store.pool_fingerprint`
+        adds the seed).
+
+        Examples
+        --------
+        >>> g = UncertainGraph.from_edges([(0, 1, 0.5)])
+        >>> g.content_hash(b"x").hexdigest() == g.content_hash(b"x").hexdigest()
+        True
+        """
+        memo = self._content_hash
+        if memo is None or memo[0] != prefix:
+            state = hashlib.sha256(prefix)
+            state.update(str(self._n).encode())
+            state.update(np.ascontiguousarray(self._src, dtype=np.int64).tobytes())
+            state.update(np.ascontiguousarray(self._dst, dtype=np.int64).tobytes())
+            state.update(np.ascontiguousarray(self._prob, dtype=np.float64).tobytes())
+            self._content_hash = memo = (prefix, state)
+        return memo[1].copy()
+
+    def __getstate__(self):
+        # Hash states do not pickle; a copy rebuilds its own on first use.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_content_hash"] = None
+        return None, state
 
     def neighbors(self, node: int) -> np.ndarray:
         """Neighbor indices of ``node`` (order unspecified but stable)."""

@@ -259,7 +259,8 @@ def derive_pool(
             affected_worlds = np.flatnonzero(flip_matrix.any(axis=0))
             labels_child = np.array(labels_parent)  # copy; reads may be views
             if len(affected_worlds):
-                old = np.ascontiguousarray(labels_parent[affected_worlds])
+                # int32: the repair marks unflipped worlds with label -1.
+                old = labels_parent[affected_worlds].astype(np.int32)
                 labels_child[affected_worlds] = _relabel_affected(
                     labeler, child_graph, packed_child, affected_worlds,
                     old, flips, flip_matrix[:, affected_worlds],

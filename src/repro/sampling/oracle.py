@@ -11,8 +11,10 @@ Storage is chunked.  Each chunk keeps
 
 * the component labels of its worlds — an ``(c, n)`` matrix of node
   indices, uint16 when the graph has at most 65536 nodes (int32
-  otherwise) so that connection queries compare half the bytes — for
-  unbounded connection queries,
+  otherwise, :func:`~repro.sampling.store.label_dtype`) so that
+  connection queries compare half the bytes — for unbounded connection
+  queries; the store keeps the same dtype, so served chunks are not
+  converted,
 * the edge masks, bit-packed into edge-major ``uint64`` columns (1/8 of
   the boolean bytes; see :mod:`repro.sampling.store`), which the
   hop-distance kernels walk directly and :meth:`chunk_masks` unpacks
@@ -58,7 +60,12 @@ from repro import telemetry
 from repro.exceptions import OracleError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.parallel import ParallelSampler, ensure_seed_sequence, sample_mask_rows
-from repro.sampling.store import WorldStore, pack_mask_columns, unpack_mask_columns
+from repro.sampling.store import (
+    WorldStore,
+    label_dtype,
+    pack_mask_columns,
+    unpack_mask_columns,
+)
 from repro.sampling.worlds import packed_bfs_counts
 
 
@@ -141,7 +148,7 @@ class MonteCarloOracle:
         #: them into one (``_pool_labels``), so chunk boundaries are
         #: kept by ``_chunk_starts`` alone.
         self._label_chunks: list[np.ndarray] = []
-        self._label_dtype = np.uint16 if graph.n_nodes <= 1 << 16 else np.int32
+        self._label_dtype = label_dtype(graph.n_nodes)
         self._n_samples = 0
         self._worlds_cached = 0
         self._worlds_sampled = 0
@@ -281,6 +288,7 @@ class MonteCarloOracle:
                     packed, labels = self._sampler.sample_chunk_packed(
                         self._seed_seq, start, count
                     )
+                    labels = labels.astype(self._label_dtype, copy=False)
                     self._worlds_sampled += count
                     span.set("source", "sampled")
                     if self._store is not None:
@@ -292,7 +300,7 @@ class MonteCarloOracle:
                         self._store_write_s += time.perf_counter() - started
             self._packed_chunks.append(packed)
             self._chunk_starts.append(start)
-            self._label_chunks.append(labels.astype(self._label_dtype, copy=False))
+            self._label_chunks.append(labels)
             self._n_samples += labels.shape[0]
 
     def _load_cached_labels(self, start: int, want: int):

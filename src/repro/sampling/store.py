@@ -44,11 +44,16 @@ memory or spilled to a disk directory (one subdirectory per digest with
 raw ``numpy`` files, read back with :func:`numpy.fromfile`).  Pools
 grow in *blocks* (one per append; ``meta.json`` records the block world
 counts, since columnar packing makes block boundaries part of the
-layout).  Memory and disk pools are one type, :class:`_Pool`: one
-block walk serves every read, one byte ledger sizes the pool, and the
-two differ only in where a block's bytes live.  One validator
-(:meth:`_Pool.load`) decides whether a pool directory is sound; an
-unsound one is never served.  Because cached and freshly drawn worlds
+layout).  Labels are node indices stored as ``uint16`` up to 65536
+nodes (``labels.u16``) and ``int32`` beyond (``labels.i32``), the one
+rule :func:`label_dtype` the oracle keeps too.  Memory and disk pools
+are one type, :class:`_Pool`: one block walk serves every read, one
+byte ledger sizes the pool, and the two differ only in where a block's
+bytes live.  One validator (:meth:`_Pool.load`) decides whether a pool
+directory is sound; an unsound one is never served.  Its parse is
+memoized by the exact ``meta.json`` bytes: every count, register and
+append still reads the meta and checks the data file sizes, and parses
+again only when the bytes changed.  Because cached and freshly drawn worlds
 are bit-identical, a :class:`~repro.sampling.oracle.MonteCarloOracle`
 can resume progressive sampling from a cached pool mid-schedule and
 extend it in place.
@@ -60,7 +65,8 @@ pool trim each other's overlap instead of misaligning file rows (safe
 because any two writers produce identical rows — worlds are pure
 functions of their position).  A pool cleared externally while a
 writer is running simply stops being extended (the write is dropped,
-never misplaced).  Within one process, every count/read/append (and
+never misplaced).  No mtime or inode is trusted: a pool is re-checked
+by its meta content and its data file sizes.  Within one process, every count/read/append (and
 the size snapshots behind :meth:`WorldStore.info`) runs under a
 per-store thread lock, so a single :class:`WorldStore` can back many
 oracles across executor threads — the clustering service's hot path
@@ -72,7 +78,6 @@ attached to the shared store.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -119,6 +124,7 @@ _STORE_FLOCK_WAIT = telemetry.get_registry().histogram(
 
 __all__ = [
     "WorldStore",
+    "label_dtype",
     "pack_mask_columns",
     "packed_words",
     "pool_fingerprint",
@@ -132,36 +138,52 @@ WORD_BITS = 64
 #: cache directories are treated as misses rather than misread.  Version
 #: 2 introduced the edge-major columnar layout; version 3 keys pools on
 #: ``(graph, seed)`` alone (v2 keys also hashed a labeler name and a
-#: chunk size).
-FORMAT_VERSION = 3
+#: chunk size); version 4 stores labels as ``uint16`` up to 65536 nodes
+#: (:func:`label_dtype`).
+FORMAT_VERSION = 4
 
 _META_NAME = "meta.json"
-_MASKS_NAME = "masks.u64"
-_LABELS_NAME = "labels.i32"
 _LOCK_NAME = ".lock"
 
-#: The label layout, in memory and in ``labels.i32``: one ``int32``
-#: per (world, node), world-major rows.  Every label byte count, read
-#: and write derives from it.
-_LABEL_DTYPE = np.dtype(np.int32)
+#: The two kinds of bytes a pool holds, one data file each.
+_MASKS, _LABELS = "masks", "labels"
+_MASK_DTYPE = np.dtype(np.uint64)
 
-#: Element type of each data file; a pool's blocks are addressed by
-#: file name (the *kind* of bytes: masks or labels).
-_DTYPES = {_MASKS_NAME: np.dtype(np.uint64), _LABELS_NAME: _LABEL_DTYPE}
+#: Data file of each element type.
+_FILE_NAMES = {
+    _MASK_DTYPE: "masks.u64",
+    np.dtype(np.uint16): "labels.u16",
+    np.dtype(np.int32): "labels.i32",
+}
 
 #: Pool directories are named by their SHA-256 hex digest.
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 
+def label_dtype(n_nodes: int) -> np.dtype:
+    """The label layout of an ``n_nodes`` graph, in memory and on disk.
+
+    Labels are node indices, so ``uint16`` holds them up to 65536 nodes
+    and ``int32`` beyond.  The store writes and reads this dtype and
+    the oracle keeps it, so a store-served chunk needs no conversion.
+
+    Examples
+    --------
+    >>> label_dtype(65536).name, label_dtype(65537).name
+    ('uint16', 'int32')
+    """
+    return np.dtype(np.uint16 if n_nodes <= 1 << 16 else np.int32)
+
+
 @contextmanager
-def _pool_write_lock(directory: Path):
+def _pool_write_lock(directory: str):
     """Advisory cross-process write lock on one pool directory."""
     try:
         import fcntl
     except ImportError:  # pragma: no cover - non-POSIX platforms
         yield
         return
-    with open(directory / _LOCK_NAME, "a+b") as handle:
+    with open(os.path.join(directory, _LOCK_NAME), "a+b") as handle:
         waited = time.perf_counter()
         fcntl.flock(handle, fcntl.LOCK_EX)
         _STORE_FLOCK_WAIT.observe(time.perf_counter() - waited)
@@ -267,12 +289,8 @@ def pool_fingerprint(graph: UncertainGraph, seed) -> str:
     False
     """
     seed_seq = ensure_seed_sequence(seed)
-    digest = hashlib.sha256()
-    digest.update(b"repro-world-pool-v%d" % FORMAT_VERSION)
-    digest.update(str(graph.n_nodes).encode())
-    digest.update(np.ascontiguousarray(graph.edge_src, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(graph.edge_dst, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(graph.edge_prob, dtype=np.float64).tobytes())
+    # The graph part is hashed once per graph object and copied per seed.
+    digest = graph.content_hash(b"repro-world-pool-v%d" % FORMAT_VERSION)
     digest.update(str(seed_seq.entropy).encode())
     digest.update(repr(tuple(int(k) for k in seed_seq.spawn_key)).encode())
     return digest.hexdigest()
@@ -296,21 +314,43 @@ def _mask_block_bytes(n_edges: int, block_counts) -> int:
     return sum(int(n_edges) * packed_words(int(c)) * 8 for c in block_counts)
 
 
-def _file_size(path: Path) -> int:
+def _file_size(path: str) -> int:
     try:
         return os.stat(path).st_size
     except FileNotFoundError:
         return 0
 
 
-def _read_file(path: Path, offset: int, shape: tuple[int, int]) -> np.ndarray:
-    """``shape`` items from ``offset`` (in items) of the data file ``path``.
+def _read_bytes(path: str, size_hint: int = 0) -> bytes | None:
+    """All bytes of the file at ``path``, or ``None`` if it cannot be read.
+
+    The buffer is sized from ``size_hint`` (the bytes last seen there),
+    so a file that has not grown much is read with one ``os.read``: a
+    short read of a regular file is its end.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        size = max(4096, 2 * size_hint)
+        chunks = [os.read(fd, size)]
+        while len(chunks[-1]) == size:
+            chunks.append(os.read(fd, size))
+        return b"".join(chunks)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
+
+
+def _read_file(path: str, dtype: np.dtype, offset: int, shape: tuple[int, int]) -> np.ndarray:
+    """``shape`` items of ``dtype`` from ``offset`` (in items) of the data file ``path``.
 
     A file too short to hold them raises
     :class:`~repro.exceptions.WorldStoreError`: a read never returns
     fewer worlds than its range names.
     """
-    dtype = _DTYPES[path.name]
     count = shape[0] * shape[1]
     if not count:
         return np.zeros(shape, dtype=dtype)  # nothing to read; the file may not exist
@@ -320,55 +360,58 @@ def _read_file(path: Path, offset: int, shape: tuple[int, int]) -> np.ndarray:
     return data.reshape(shape)
 
 
-def _write_meta(directory: Path, meta: dict) -> None:
-    tmp = directory / (_META_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, directory / _META_NAME)
-
-
 class _Pool:
     """One pool of worlds: its byte ledger and where its blocks live.
 
     Worlds arrive in *blocks*, one per append: block ``b`` holds
     ``block_counts[b]`` worlds as ``(n_edges, packed_words(rows))``
-    ``uint64`` mask columns plus ``(rows, n_nodes)`` label rows.  An
-    in-memory pool keeps each block's two arrays in ``parts``; a disk
-    pool (``directory`` set) keeps them back to back in ``masks.u64``
-    and ``labels.i32``, each block at the offset the blocks before it
-    imply.  Disk data is appended first and ``meta.json`` (atomic, via
+    ``uint64`` mask columns plus ``(rows, n_nodes)`` label rows of
+    :func:`label_dtype`.  An in-memory pool keeps each block's two
+    arrays in ``parts``; a disk pool (``directory`` set) keeps them back
+    to back in ``masks.u64`` and ``labels.u16`` (``labels.i32`` above
+    65536 nodes), each block at the offset the blocks before it imply.
+    Disk data is appended first and ``meta.json`` (atomic, via
     ``os.replace``) last, so a torn append leaves trailing bytes that
     no reader ever addresses.
 
     The ledger — ``block_counts``, ``count``, ``mask_bytes`` and
     ``label_bytes`` — is kept current by every append and refresh, so
-    a size query is two attribute reads.
+    a size query is two attribute reads.  A disk pool also keeps the
+    exact ``meta.json`` bytes its ledger was parsed from (``meta_bytes``,
+    ``None`` while no sound meta backs it): a refresh that reads the
+    same bytes again skips the parse, never the checks.
     """
 
     def __init__(self, digest: str, n_nodes: int, n_edges: int,
-                 directory: Path | None = None, block_counts=()):
+                 directory: str | None = None, block_counts=(), meta_bytes=None):
         self.digest = digest
         self.n_nodes = n_nodes
         self.n_edges = n_edges
         self.directory = directory
-        self.parts: dict[str, list[np.ndarray]] = {_MASKS_NAME: [], _LABELS_NAME: []}
+        self.meta_bytes = meta_bytes
+        if directory is None:
+            self.parts: dict[str, list[np.ndarray]] = {_MASKS: [], _LABELS: []}
         self._set_layout(list(block_counts))
 
     @classmethod
-    def load(cls, directory: Path, digest: str, shape: tuple[int, int] | None = None):
+    def load(cls, directory: str, digest: str, shape: tuple[int, int] | None = None,
+             meta_bytes: bytes | None = None):
         """The one pool validator: ``directory``'s pool if sound, else ``None``.
 
-        Sound means ``meta.json`` parses and names this format version,
+        Sound means ``meta.json`` (``meta_bytes`` when the caller has
+        already read it) parses and names this format version,
         ``digest`` and — when ``shape`` gives them — the expected
         ``(n_nodes, n_edges)``; its ``block_counts`` are positive and
         sum to ``n_worlds``; and both data files hold at least the bytes
         that layout implies (bytes past it are a torn append's, never
         addressed).
         """
+        if meta_bytes is None:
+            meta_bytes = _read_bytes(os.path.join(directory, _META_NAME))
+            if meta_bytes is None:
+                return None
         try:
-            with open(directory / _META_NAME, encoding="utf-8") as handle:
-                meta = json.load(handle)
+            meta = json.loads(meta_bytes)
             n_nodes, n_edges = int(meta["n_nodes"]), int(meta["n_edges"])
             block_counts = [int(c) for c in meta.get("block_counts", [])]
             if not (
@@ -380,13 +423,8 @@ class _Pool:
                 and sum(block_counts) == int(meta["n_worlds"])
             ):
                 return None
-            pool = cls(digest, n_nodes, n_edges, directory, block_counts)
-            if (
-                _file_size(directory / _MASKS_NAME) < pool.mask_bytes
-                or _file_size(directory / _LABELS_NAME) < pool.label_bytes
-            ):
-                return None
-            return pool
+            pool = cls(digest, n_nodes, n_edges, directory, block_counts, meta_bytes)
+            return pool if pool._holds_layout() else None
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
@@ -394,7 +432,21 @@ class _Pool:
         self.block_counts = block_counts
         self.count = sum(block_counts)
         self.mask_bytes = _mask_block_bytes(self.n_edges, block_counts)
-        self.label_bytes = self.count * self.n_nodes * _LABEL_DTYPE.itemsize
+        self.label_bytes = self.count * self.n_nodes * label_dtype(self.n_nodes).itemsize
+
+    def dtype(self, kind: str) -> np.dtype:
+        return _MASK_DTYPE if kind == _MASKS else label_dtype(self.n_nodes)
+
+    def path(self, kind: str) -> str:
+        """The data file of ``kind`` (``masks`` or ``labels``)."""
+        return os.path.join(self.directory, _FILE_NAMES[self.dtype(kind)])
+
+    def _holds_layout(self) -> bool:
+        """Whether both data files hold at least the ledger's bytes."""
+        return (
+            _file_size(self.path(_MASKS)) >= self.mask_bytes
+            and _file_size(self.path(_LABELS)) >= self.label_bytes
+        )
 
     def meta(self) -> dict:
         return {
@@ -406,7 +458,15 @@ class _Pool:
             "n_edges": self.n_edges,
         }
 
-    def refresh(self, truncate: bool = False) -> None:
+    def _write_meta(self) -> None:
+        raw = json.dumps(self.meta(), indent=2, sort_keys=True).encode() + b"\n"
+        path = os.path.join(self.directory, _META_NAME)
+        with open(path + ".tmp", "wb") as handle:
+            handle.write(raw)
+        os.replace(path + ".tmp", path)
+        self.meta_bytes = raw
+
+    def refresh(self, truncate: bool = False) -> bool:
         """Adopt the on-disk layout (another process may have grown or
         cleared the pool since we registered).  An unsound pool resets
         to 0 worlds — re-sampling, never wrong worlds.  With
@@ -414,17 +474,30 @@ class _Pool:
         cut the data files back to that layout, dropping what a torn
         append left behind (never safe from the read path: a concurrent
         writer's fresh rows look like trailing garbage until its meta
-        lands)."""
-        sound = _Pool.load(self.directory, self.digest, (self.n_nodes, self.n_edges))
-        self._set_layout(sound.block_counts if sound is not None else [])
+        lands).
+
+        Every call reads ``meta.json`` and checks both data file sizes;
+        only when the meta bytes differ from those the ledger was
+        parsed from does it re-run the validator (:meth:`load`).
+        Returns ``False`` when a meta file is there but the pool it
+        describes is unsound.
+        """
+        raw = _read_bytes(os.path.join(self.directory, _META_NAME), len(self.meta_bytes or b""))
+        if raw is None or raw != self.meta_bytes or not self._holds_layout():
+            sound = None if raw is None else _Pool.load(
+                self.directory, self.digest, (self.n_nodes, self.n_edges), raw
+            )
+            self._set_layout(sound.block_counts if sound else [])
+            self.meta_bytes = sound.meta_bytes if sound else None
         if truncate:
-            for name, size in ((_MASKS_NAME, self.mask_bytes), (_LABELS_NAME, self.label_bytes)):
-                if _file_size(self.directory / name) > size:
-                    os.truncate(self.directory / name, size)
+            for kind, size in ((_MASKS, self.mask_bytes), (_LABELS, self.label_bytes)):
+                if _file_size(self.path(kind)) > size:
+                    os.truncate(self.path(kind), size)
+        return raw is None or self.meta_bytes is not None
 
     def read(self, kind: str, start: int, stop: int) -> np.ndarray:
-        """Worlds ``[start, stop)`` of ``kind`` (``masks.u64`` or
-        ``labels.i32``) — the one block walk.
+        """Worlds ``[start, stop)`` of ``kind`` (``masks`` or ``labels``)
+        — the one block walk.
 
         A range that is exactly one block comes back as stored: a view
         of an in-memory part, a fresh read of a disk block.  Any other
@@ -432,8 +505,8 @@ class _Pool:
         and joined, mask blocks read whole, cut and packed anew.
         """
         if start == stop:
-            shape = (self.n_edges, 0) if kind == _MASKS_NAME else (0, self.n_nodes)
-            return np.zeros(shape, dtype=_DTYPES[kind])
+            shape = (self.n_edges, 0) if kind == _MASKS else (0, self.n_nodes)
+            return np.zeros(shape, dtype=self.dtype(kind))
         pieces = []
         first = word = 0
         for index, rows in enumerate(self.block_counts):
@@ -443,13 +516,13 @@ class _Pool:
                 if (first, first + rows) == (start, stop):
                     return block
                 pieces.append(
-                    unpack_mask_columns(block, rows)[lo:hi] if kind == _MASKS_NAME else block
+                    unpack_mask_columns(block, rows)[lo:hi] if kind == _MASKS else block
                 )
             first += rows
             word += self.n_edges * packed_words(rows)
             if first >= stop:
                 break
-        if kind == _MASKS_NAME:
+        if kind == _MASKS:
             return pack_mask_columns(np.concatenate(pieces, axis=0))
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
 
@@ -457,15 +530,14 @@ class _Pool:
         """Block ``index`` as stored.  Label rows are stored one world
         after another, so only the block's worlds ``[lo, hi)`` are read;
         a columnar mask block is always read whole."""
-        if kind == _MASKS_NAME:
-            if self.directory is None:
-                return self.parts[kind][index]
-            return _read_file(self.directory / kind, word, (self.n_edges, packed_words(rows)))
         if self.directory is None:
-            return self.parts[kind][index][lo:hi]
-        return _read_file(
-            self.directory / kind, (first + lo) * self.n_nodes, (hi - lo, self.n_nodes)
-        )
+            part = self.parts[kind][index]
+            return part if kind == _MASKS else part[lo:hi]
+        if kind == _MASKS:
+            offset, shape = word, (self.n_edges, packed_words(rows))
+        else:
+            offset, shape = (first + lo) * self.n_nodes, (hi - lo, self.n_nodes)
+        return _read_file(self.path(kind), self.dtype(kind), offset, shape)
 
     @contextmanager
     def appending(self):
@@ -475,7 +547,7 @@ class _Pool:
         if self.directory is None:
             yield
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
+        os.makedirs(self.directory, exist_ok=True)
         with _pool_write_lock(self.directory):
             self.refresh(truncate=True)
             yield
@@ -483,20 +555,20 @@ class _Pool:
     def append(self, packed_cols: np.ndarray, labels: np.ndarray) -> None:
         """Add one block at the end of the pool (inside :meth:`appending`)."""
         if self.directory is None:
-            self.parts[_MASKS_NAME].append(packed_cols)
-            self.parts[_LABELS_NAME].append(labels)
+            self.parts[_MASKS].append(packed_cols)
+            self.parts[_LABELS].append(labels)
         else:
-            if not (self.directory / _META_NAME).exists():
-                _write_meta(self.directory, self.meta())  # so clear() sweeps the data
-            for name, data in ((_MASKS_NAME, packed_cols), (_LABELS_NAME, labels)):
-                with open(self.directory / name, "ab") as handle:
+            if self.meta_bytes is None:
+                self._write_meta()  # so clear() sweeps the data
+            for kind, data in ((_MASKS, packed_cols), (_LABELS, labels)):
+                with open(self.path(kind), "ab") as handle:
                     handle.write(data.tobytes())
         self.block_counts.append(int(labels.shape[0]))
         self.count += int(labels.shape[0])
         self.mask_bytes += packed_cols.nbytes
         self.label_bytes += labels.nbytes
         if self.directory is not None:
-            _write_meta(self.directory, self.meta())
+            self._write_meta()
 
 
 class WorldStore:
@@ -560,7 +632,8 @@ class WorldStore:
         digest = pool_fingerprint(graph, seed)
         shape = (int(graph.n_nodes), int(graph.n_edges))
         with self._lock:
-            if digest not in self._pools:
+            pool = self._pools.get(digest)
+            if pool is None:
                 _STORE_POOLS.inc()
             elif self._cache_dir is None:
                 return digest
@@ -568,15 +641,13 @@ class WorldStore:
                 self._pools[digest] = _Pool(digest, *shape)
                 return digest
             # Disk pools are (re-)validated on every register, even when
-            # pool_sizes already listed them: another process may have
-            # corrupted the pool since, and the corruption-recovery
-            # contract (reset, never crash) must hold for oracle attachment.
-            directory = self._cache_dir / digest
-            pool = _Pool.load(directory, digest, shape)
-            if pool is None:
-                if (directory / _META_NAME).exists():
-                    shutil.rmtree(directory, ignore_errors=True)  # unsound: discard
-                pool = _Pool(digest, *shape, directory)
+            # known: another process may have corrupted the pool since,
+            # and the corruption-recovery contract (reset, never crash)
+            # must hold for oracle attachment.
+            if pool is None or (pool.n_nodes, pool.n_edges) != shape:
+                pool = _Pool(digest, *shape, os.path.join(self._cache_dir, digest))
+            if not pool.refresh():
+                shutil.rmtree(pool.directory, ignore_errors=True)  # unsound: discard
             self._pools[digest] = pool
         return digest
 
@@ -603,8 +674,10 @@ class WorldStore:
     def count(self, digest: str) -> int:
         """Worlds currently stored for ``digest``.
 
-        Disk pools re-read the on-disk count, so growth (or clearing)
-        by another process is observed before the next read or append.
+        Disk pools re-read ``meta.json`` and re-check their data file
+        sizes, so growth (or clearing) by another process is observed
+        before the next read or append; the meta is parsed again only
+        when its bytes changed.
         """
         with self._lock:
             pool = self._pool(digest)
@@ -618,7 +691,8 @@ class WorldStore:
         """Columnar masks and labels of stored worlds ``[start, stop)``.
 
         Returns ``(packed_cols, labels)`` of shapes
-        ``(m, packed_words(rows))`` uint64 and ``(rows, n)`` int32.
+        ``(m, packed_words(rows))`` uint64 and ``(rows, n)``
+        :func:`label_dtype` (``uint16`` up to 65536 nodes).
         With ``labels=False`` no label bytes are touched and ``None``
         stands in for them: the masks-only read of an oracle chunk
         whose labels are already held.
@@ -640,8 +714,8 @@ class WorldStore:
         """
         with self._lock:
             pool = self._readable(digest, start, stop)
-            packed_cols = pool.read(_MASKS_NAME, start, stop)
-            label_rows = pool.read(_LABELS_NAME, start, stop) if labels else None
+            packed_cols = pool.read(_MASKS, start, stop)
+            label_rows = pool.read(_LABELS, start, stop) if labels else None
         # A masks-only read follows a labels read of the same worlds,
         # which already counted them; bytes count on every read.
         if label_rows is not None:
@@ -661,7 +735,7 @@ class WorldStore:
         view/copy contract as :meth:`read`.
         """
         with self._lock:
-            labels = self._readable(digest, start, stop).read(_LABELS_NAME, start, stop)
+            labels = self._readable(digest, start, stop).read(_LABELS, start, stop)
         _STORE_WORLDS_READ.inc(stop - start)
         _STORE_BYTES_READ.inc(labels.nbytes)
         return labels
@@ -671,10 +745,11 @@ class WorldStore:
 
         ``packed_cols`` is the columnar block (``(m, packed_words(rows))``
         uint64, see :func:`pack_mask_columns`); ``labels`` its ``(rows,
-        n)`` world labels; ``start`` the absolute pool position of the
-        first appended world.  Worlds the store already holds are
-        silently dropped (safe: worlds are pure functions of their
-        position, so any two writers produce identical rows).  A gap
+        n)`` world labels (stored as :func:`label_dtype`); ``start`` the
+        absolute pool position of the first appended world.  Worlds the
+        store already holds are silently dropped (safe: worlds are pure
+        functions of their position, so any two writers produce
+        identical rows).  A gap
         beyond the current end raises
         :class:`~repro.exceptions.WorldStoreError` for in-memory pools
         (a same-process logic error); for disk pools — where a gap
@@ -688,7 +763,7 @@ class WorldStore:
         other already persisted).
         """
         packed_cols = np.ascontiguousarray(packed_cols, dtype=np.uint64)
-        labels = np.ascontiguousarray(labels, dtype=_LABEL_DTYPE)
+        labels = np.ascontiguousarray(labels, dtype=label_dtype(np.shape(labels)[1]))
         rows = labels.shape[0]
         if packed_cols.shape[1] != packed_words(rows):
             raise WorldStoreError(
@@ -697,10 +772,10 @@ class WorldStore:
             )
         with self._lock:
             pool = self._pool(digest)
-            if packed_cols.shape[0] != pool.n_edges:
+            if (packed_cols.shape[0], labels.shape[1]) != (pool.n_edges, pool.n_nodes):
                 raise WorldStoreError(
-                    f"columnar block has {packed_cols.shape[0]} edge rows, "
-                    f"pool expects {pool.n_edges}"
+                    f"block of {packed_cols.shape[0]} edge rows and {labels.shape[1]} "
+                    f"label columns; pool expects {pool.n_edges} and {pool.n_nodes}"
                 )
             with pool.appending():
                 if start > pool.count:
@@ -746,8 +821,8 @@ class WorldStore:
         >>> store = WorldStore()
         >>> with MonteCarloOracle(g, seed=7, store=store) as oracle:
         ...     oracle.ensure_samples(64)
-        >>> list(store.pool_sizes().values())   # 16 mask + 768 label bytes
-        [784]
+        >>> list(store.pool_sizes().values())   # 16 mask + 384 uint16 label bytes
+        [400]
         """
         with self._lock:
             if self._cache_dir is None:
@@ -765,7 +840,7 @@ class WorldStore:
                 if pool is None:
                     if not _DIGEST_RE.fullmatch(name):
                         continue
-                    pool = _Pool.load(self._cache_dir / name, name)
+                    pool = _Pool.load(os.path.join(self._cache_dir, name), name)
                     if pool is None:
                         continue  # unsound, or its meta is not written yet
                     self._pools[name] = pool

@@ -14,7 +14,8 @@ exists for:
 ``estimate/sustained``
     Requests per second over ``duration`` seconds of ``concurrency``
     keep-alive connections issuing reliability estimates against the
-    warm pool, with latency quantiles.
+    warm pool, with latency quantiles; the cell's ``seconds`` is the
+    window per request, so a seconds gate follows the throughput.
 ``job/mixed`` (``--mixed-jobs``)
     Jobs per second of a mixed cold/warm/mutate stream — the
     throughput-vs-workers scaling cell.
@@ -580,11 +581,13 @@ def write_artifact(results: dict, path) -> None:
             "meta": {"graph": results["graph"], "worlds_sampled": results["warm_worlds_sampled"]},
         },
         "estimate/sustained": {
-            "seconds": results["sustained_duration_s"],
-            "items": results["sustained_requests"],
+            "seconds": results["sustained_duration_s"] / max(results["sustained_requests"], 1),
+            "items": 1,
             "throughput": results["requests_per_second"],
             "meta": {
                 "concurrency": results["concurrency"],
+                "window_s": results["sustained_duration_s"],
+                "requests": results["sustained_requests"],
                 "latency_p50_s": results["latency_p50_s"],
                 "latency_p95_s": results["latency_p95_s"],
                 "latency_p99_s": results.get("latency_p99_s", 0.0),

@@ -448,7 +448,7 @@ class TestPackedWorlds:
                                      tol=1e-12, store=store)
         assert result.samples_used == 64 and result.n_rounds == 2
         read = registry.value("repro_store_bytes_read_total") - before
-        assert read == 64 * graph.n_nodes * 4 + graph.n_edges * 8
+        assert read == 64 * graph.n_nodes * 2 + graph.n_edges * 8  # uint16 labels
 
     @pytest.mark.parametrize("kind", ["harmonic", "kmedian"])
     def test_warm_op_counts_each_world_read_once(self, tmp_path, kind):

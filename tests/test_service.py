@@ -804,15 +804,15 @@ class TestOracleCacheEviction:
         from repro.service.cache import OracleCache
 
         graph = _toy_graph()
-        # One 6-node/7-edge pool of 256 worlds: 256*8 mask bytes (1 word)
-        # + 256*6*4 label bytes ~ 8 KiB. Budget of 10 KiB keeps one.
-        cache = OracleCache(max_bytes=10 * 1024)
+        # One 6-node/7-edge pool of 256 worlds: 7*4*8 mask bytes
+        # + 256*6*2 uint16 label bytes ~ 3.2 KiB. Budget of 5 KiB keeps one.
+        cache = OracleCache(max_bytes=5 * 1024)
         for seed in range(3):
             with cache.lease(graph, seed=seed) as oracle:
                 oracle.ensure_samples(256)
         stats = cache.stats()
         assert stats["evictions"] >= 2
-        assert stats["bytes"] <= 10 * 1024
+        assert stats["bytes"] <= 5 * 1024
         assert stats["pools"] == 1
         # The surviving pool is the most recently used: seed=2 is warm.
         with cache.lease(graph, seed=2) as oracle:
@@ -831,7 +831,7 @@ class TestOracleCacheEviction:
             old.ensure_samples(512)
         # ...that alone exceeds this service's budget. It must be the
         # eviction victim — not every pool this process actually uses.
-        cache = OracleCache(WorldStore(tmp_path), max_bytes=12 * 1024)
+        cache = OracleCache(WorldStore(tmp_path), max_bytes=6 * 1024)
         for _ in range(2):
             with cache.lease(graph, seed=0) as oracle:
                 oracle.ensure_samples(256)
@@ -850,8 +850,8 @@ class TestOracleCacheEviction:
         from repro.service.cache import OracleCache
 
         graph = _toy_graph()
-        # 7 edges x 4 words x 8 B of masks + 256 worlds x 6 nodes x 4 B of labels.
-        pool_bytes = 7 * 4 * 8 + 256 * 6 * 4
+        # 7 edges x 4 words x 8 B of masks + 256 worlds x 6 nodes x 2 B of labels.
+        pool_bytes = 7 * 4 * 8 + 256 * 6 * 2
         cache = OracleCache(WorldStore(tmp_path), max_bytes=3 * pool_bytes)
         for seed in (0, 1):
             with cache.lease(graph, seed=seed) as oracle:
@@ -874,7 +874,7 @@ class TestOracleCacheEviction:
         # Re-sampled by the other process at a different size: re-read once.
         with MonteCarloOracle(graph, seed=1, store=other) as oracle:
             oracle.ensure_samples(128)
-        assert cache.stats()["bytes"] == after["bytes"] + 7 * 2 * 8 + 128 * 6 * 4
+        assert cache.stats()["bytes"] == after["bytes"] + 7 * 2 * 8 + 128 * 6 * 2
 
     def test_pinned_pool_never_evicted_mid_lease(self):
         from repro.service.cache import OracleCache
@@ -923,7 +923,7 @@ class TestOracleCacheAccounting:
         from repro.service.cache import OracleCache
 
         graph = _toy_graph()
-        cache = OracleCache(max_bytes=10 * 1024)  # ~one 256-world pool
+        cache = OracleCache(max_bytes=5 * 1024)  # ~one 256-world pool
         errors = []
 
         def churn(seed: int):
@@ -943,7 +943,7 @@ class TestOracleCacheAccounting:
         for t in threads:
             t.join()
         assert not errors
-        assert cache.stats()["bytes"] <= 10 * 1024
+        assert cache.stats()["bytes"] <= 5 * 1024
 
     def test_under_budget_check_does_constant_work(self, tmp_path, monkeypatch):
         """The budget check reads the store's byte ledger: one directory
@@ -964,7 +964,7 @@ class TestOracleCacheAccounting:
         cache = OracleCache(WorldStore(tmp_path), max_bytes=1 << 30)
         cache._enforce_budget()  # every pool known from here on
 
-        calls = {"listdir": 0, "json.load": 0, "PoolInfo": 0, "block sums": 0}
+        calls = {"listdir": 0, "json.loads": 0, "PoolInfo": 0, "block sums": 0}
 
         def spy(name, func):
             def wrapper(*args, **kwargs):
@@ -973,20 +973,20 @@ class TestOracleCacheAccounting:
             return wrapper
 
         monkeypatch.setattr(store_module.os, "listdir", spy("listdir", store_module.os.listdir))
-        monkeypatch.setattr(store_module.json, "load", spy("json.load", store_module.json.load))
+        monkeypatch.setattr(store_module.json, "loads", spy("json.loads", store_module.json.loads))
         monkeypatch.setattr(store_module, "PoolInfo", spy("PoolInfo", store_module.PoolInfo))
         monkeypatch.setattr(
             store_module, "_mask_block_bytes",
             spy("block sums", store_module._mask_block_bytes),
         )
         cache._enforce_budget()
-        assert calls == {"listdir": 1, "json.load": 0, "PoolInfo": 0, "block sums": 0}
+        assert calls == {"listdir": 1, "json.loads": 0, "PoolInfo": 0, "block sums": 0}
         assert cache.stats()["pools"] == 300
         # A pool another process adds costs exactly one meta parse, once.
         writer.append(writer.register(graph, 300), 0, packed, labels)
         cache._enforce_budget()
         cache._enforce_budget()
-        assert calls["json.load"] == 1 and calls["PoolInfo"] == 0
+        assert calls["json.loads"] == 1 and calls["PoolInfo"] == 0
         assert cache.stats()["pools"] == 301
         assert cache.stats()["evictions"] == 0
 

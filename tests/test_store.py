@@ -12,8 +12,11 @@ Pins the PR-3 invariants:
   sampling mid-schedule, and treat corruption as a miss.
 """
 
+import hashlib
 import json
 import os
+import pickle
+import types
 
 import numpy as np
 import pytest
@@ -27,9 +30,11 @@ from repro.sampling.store import (
     WorldStore,
     pack_mask_columns,
     packed_words,
+    label_dtype,
     pool_fingerprint,
     unpack_mask_columns,
 )
+from repro.utils.rng import ensure_seed_sequence
 
 
 @pytest.fixture
@@ -134,6 +139,50 @@ class TestFingerprint:
         assert pool_fingerprint(sub, 7) != base
 
 
+    @pytest.mark.parametrize("seed", [7, np.random.SeedSequence(3, spawn_key=(1, 2))])
+    def test_memoized_graph_hash_matches_the_unmemoized_construction(self, graph, seed):
+        """The graph part of the digest is hashed once per graph object and
+        copied per seed; the digest is exactly what hashing every input
+        afresh gives, also for a pickled copy (which drops the memo)."""
+        seed_seq = ensure_seed_sequence(seed)
+        reference = hashlib.sha256()
+        reference.update(b"repro-world-pool-v%d" % FORMAT_VERSION)
+        reference.update(str(graph.n_nodes).encode())
+        reference.update(np.ascontiguousarray(graph.edge_src, dtype=np.int64).tobytes())
+        reference.update(np.ascontiguousarray(graph.edge_dst, dtype=np.int64).tobytes())
+        reference.update(np.ascontiguousarray(graph.edge_prob, dtype=np.float64).tobytes())
+        reference.update(str(seed_seq.entropy).encode())
+        reference.update(repr(tuple(int(k) for k in seed_seq.spawn_key)).encode())
+        assert pool_fingerprint(graph, seed) == reference.hexdigest()
+        assert pool_fingerprint(graph, seed) == reference.hexdigest()  # from the memo
+        copy = pickle.loads(pickle.dumps(graph))
+        assert pool_fingerprint(copy, seed) == reference.hexdigest()
+
+    def test_lease_hashes_each_graph_once(self, graph, monkeypatch):
+        """A lease, its register and the ancestor derivation hash the
+        edge arrays once per graph object."""
+        import repro.graph.uncertain_graph as graph_module
+        from repro.service.cache import OracleCache
+
+        builds = []
+
+        def sha256(prefix):
+            builds.append(prefix)
+            return hashlib.sha256(prefix)
+
+        monkeypatch.setattr(graph_module, "hashlib", types.SimpleNamespace(sha256=sha256))
+        cache = OracleCache(WorldStore(), max_bytes=1 << 30)
+        with cache.lease(graph, seed=5) as oracle:
+            oracle.ensure_samples(64)
+        assert len(builds) == 1
+        child, _ = graph.update_edge(int(graph.edge_src[0]), int(graph.edge_dst[0]), 0.5)
+        with cache.lease(child, seed=5, ancestors=(graph,)) as oracle:
+            oracle.ensure_samples(64)
+            assert oracle.cache_stats == {"worlds_cached": 64, "worlds_sampled": 0}
+        assert cache.stats()["pools_derived"] == 1
+        assert len(builds) == 2
+
+
 class TestWorldStoreUnit:
     def test_register_read_append(self, graph):
         store = WorldStore()
@@ -187,7 +236,7 @@ class TestWorldStoreUnit:
         # edge's column into packed_words(32) = 1 word.
         assert pool.n_blocks == 2
         assert pool.mask_bytes == 2 * graph.n_edges * packed_words(32) * 8
-        assert pool.label_bytes == 64 * graph.n_nodes * 4
+        assert pool.label_bytes == 64 * graph.n_nodes * 2  # uint16 labels
         assert store.clear() == 1
         assert store.info() == []
 
@@ -203,7 +252,7 @@ class TestWorldStoreUnit:
                          for pool in store.info()}
         assert sorted(sizes.values()) == sorted(
             graph.n_edges * 8 * sum(packed_words(c) for c in blocks)
-            + samples * graph.n_nodes * 4
+            + samples * graph.n_nodes * 2
             for samples, blocks in [(64, [32, 32]), (100, [48, 48, 4]), (7, [7])]
         )
 
@@ -362,7 +411,8 @@ class TestDiskPersistence:
         assert meta["block_counts"] == [64, 36]  # two ensure_samples chunks
         mask_bytes = graph.n_edges * (packed_words(64) + packed_words(36)) * 8
         assert (pool_dir / "masks.u64").stat().st_size == mask_bytes
-        assert (pool_dir / "labels.i32").stat().st_size == 100 * graph.n_nodes * 4
+        assert (pool_dir / "labels.u16").stat().st_size == 100 * graph.n_nodes * 2
+        assert not (pool_dir / "labels.i32").exists()
 
     def test_truncated_data_treated_as_miss(self, graph, tmp_path, monkeypatch):
         cache = tmp_path / "worlds"
@@ -387,14 +437,14 @@ class TestDiskPersistence:
             digest = cold.pool_digest
         store = WorldStore(cache)
         assert len(store.info()) == 1  # scans (and registers) the sound pool
-        labels_path = cache / digest / "labels.i32"
-        labels_path.write_bytes(labels_path.read_bytes()[:-4])
+        labels_path = cache / digest / "labels.u16"
+        labels_path.write_bytes(labels_path.read_bytes()[:-2])
         spy = SamplerSpy(monkeypatch)
         with MonteCarloOracle(graph, seed=4, chunk_size=32, store=store) as redo:
             redo.ensure_samples(64)  # must reset and resample, not crash
             assert spy.worlds == 64
 
-    @pytest.mark.parametrize("name", ["masks.u64", "labels.i32"])
+    @pytest.mark.parametrize("name", ["masks.u64", "labels.u16"])
     def test_short_data_pool_is_unlisted_and_swept(self, graph, tmp_path, name):
         """A pool whose data files are shorter than its meta says is not
         listed (nor sized for the cache budget), but clear() removes it."""
@@ -421,7 +471,7 @@ class TestDiskPersistence:
         store = WorldStore(cache)
         digest = store.register(graph, 4)
         assert store.count(digest) == 64
-        for name in ("masks.u64", "labels.i32"):
+        for name in ("masks.u64", "labels.u16"):
             path = cache / digest / name
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises((ValueError, WorldStoreError)):
@@ -438,7 +488,7 @@ class TestDiskPersistence:
             torn.ensure_samples(64)
             digest = torn.pool_digest
         pool_dir = cache / digest
-        for name, garbage in (("masks.u64", 24), ("labels.i32", 40)):
+        for name, garbage in (("masks.u64", 24), ("labels.u16", 40)):
             with open(pool_dir / name, "ab") as handle:
                 handle.write(b"\xab" * garbage)
 
@@ -454,7 +504,7 @@ class TestDiskPersistence:
             warm_masks = warm.packed_worlds(0, 96)
             warm_distances = warm.expected_distances()
         assert (pool_dir / "masks.u64").stat().st_size == 3 * graph.n_edges * 8
-        assert (pool_dir / "labels.i32").stat().st_size == 96 * graph.n_nodes * 4
+        assert (pool_dir / "labels.u16").stat().st_size == 96 * graph.n_nodes * 2
 
         with MonteCarloOracle(graph, seed=4, chunk_size=32) as cold:
             cold.ensure_samples(96)
@@ -501,22 +551,29 @@ class TestDiskPersistence:
         assert store.clear() == 1  # ... but still removed
         assert not (cache / digest).exists()
 
-    def test_previous_format_pool_is_a_clean_miss(self, graph, tmp_path, monkeypatch):
-        """A pool directory written by format version 2 is never served,
-        not even when it sits under the digest the current key names."""
+    @pytest.mark.parametrize("old_format", [2, 3])
+    def test_previous_format_pool_is_a_clean_miss(
+        self, graph, tmp_path, monkeypatch, old_format
+    ):
+        """A pool directory written by an older format version is never
+        served, not even when it sits under the digest the current key
+        names.  Format 3 kept int32 labels in ``labels.i32``."""
         cache = tmp_path / "worlds"
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
             cold.ensure_samples(64)
             cold_labels = cold.component_labels
             digest = cold.pool_digest
-        assert FORMAT_VERSION == 3
-        meta_path = cache / digest / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta.update(format=2, backend="scipy", chunk_size=32)
-        meta_path.write_text(json.dumps(meta))
-        # Poison the data: serving it would show as wrong labels.
-        labels_path = cache / digest / "labels.i32"
-        labels_path.write_bytes(b"\xff" * labels_path.stat().st_size)
+        assert FORMAT_VERSION == 4
+        pool_dir = cache / digest
+        meta = json.loads((pool_dir / "meta.json").read_text())
+        meta["format"] = old_format
+        if old_format == 2:
+            meta.update(backend="scipy", chunk_size=32)
+        (pool_dir / "meta.json").write_text(json.dumps(meta))
+        # Poison the data in both label layouts: serving either would
+        # show as wrong labels.
+        (pool_dir / "labels.u16").write_bytes(b"\xff" * 64 * graph.n_nodes * 2)
+        (pool_dir / "labels.i32").write_bytes(b"\xff" * 64 * graph.n_nodes * 4)
 
         store = WorldStore(cache)
         assert store.info() == []  # not listed
@@ -526,7 +583,8 @@ class TestDiskPersistence:
             assert spy.worlds == 64
             assert redo.cache_stats == {"worlds_cached": 0, "worlds_sampled": 64}
             assert np.array_equal(redo.component_labels, cold_labels)
-        assert json.loads(meta_path.read_text())["format"] == FORMAT_VERSION
+        assert json.loads((pool_dir / "meta.json").read_text())["format"] == FORMAT_VERSION
+        assert not (pool_dir / "labels.i32").exists()  # the old pool was discarded
 
     def test_stale_writer_append_does_not_misalign(self, graph, tmp_path):
         """A writer that registered a cold pool must trim against the
@@ -615,6 +673,126 @@ class TestDiskPersistence:
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as redo:
             redo.ensure_samples(32)
             assert spy.worlds == 32
+
+
+class TestMemoizedValidator:
+    """Disk ``count``/``register``/``append`` read ``meta.json`` and check
+    both data file sizes on every call; the meta is parsed only when its
+    bytes differ from those the pool's ledger came from."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        import repro.sampling.store as store_module
+
+        calls = []
+        loads = store_module.json.loads
+
+        def spy(raw, *args, **kwargs):
+            calls.append(raw)
+            return loads(raw, *args, **kwargs)
+
+        monkeypatch.setattr(store_module.json, "loads", spy)
+        return calls
+
+    @pytest.fixture
+    def cache(self, graph, tmp_path):
+        cache = tmp_path / "worlds"
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
+            cold.ensure_samples(64)
+        return cache
+
+    def test_warm_calls_parse_no_json(self, graph, cache, parses):
+        store = WorldStore(cache)
+        digest = store.register(graph, 4)
+        assert len(parses) == 1  # the first look at the pool
+        for _ in range(3):
+            assert store.register(graph, 4) == digest
+            assert store.count(digest) == 64
+        assert len(parses) == 1
+        # This store's own appends write the meta bytes it reads back next.
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, store=store) as warm:
+            warm.ensure_samples(128)
+            assert warm.cache_stats == {"worlds_cached": 64, "worlds_sampled": 64}
+        assert store.count(digest) == 128
+        assert len(parses) == 1
+
+    def test_pool_grown_by_another_store_is_seen(self, graph, cache, parses):
+        store = WorldStore(cache)
+        digest = store.register(graph, 4)
+        assert store.count(digest) == 64
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, store=WorldStore(cache)) as other:
+            other.ensure_samples(128)
+            grown = other.component_labels
+        parses.clear()
+        assert store.count(digest) == 128
+        assert store.count(digest) == 128
+        assert len(parses) == 1  # the new bytes, once
+        _, labels = store.read(digest, 0, 128)
+        assert np.array_equal(labels, grown)
+
+    @staticmethod
+    def _rewrite_in_place(graph, digest, meta_path, n_worlds, block_counts):
+        """Overwrite ``meta.json`` in place (same file, same length)."""
+        meta = {"format": FORMAT_VERSION, "digest": digest, "n_worlds": n_worlds,
+                "block_counts": block_counts, "n_nodes": graph.n_nodes,
+                "n_edges": graph.n_edges}
+        new = json.dumps(meta, indent=2, sort_keys=True).encode() + b"\n"
+        old = meta_path.read_bytes()
+        assert len(new) == len(old) and new != old
+        with open(meta_path, "r+b") as handle:
+            handle.write(new)
+
+    def test_same_length_rewrite_is_reparsed(self, graph, cache, parses):
+        store = WorldStore(cache)
+        digest = store.register(graph, 4)
+        assert store.count(digest) == 64
+        meta_path = cache / digest / "meta.json"
+        # A sound layout of other content: the first 48 worlds.
+        self._rewrite_in_place(graph, digest, meta_path, 48, [32, 16])
+        parses.clear()
+        assert store.count(digest) == 48
+        assert store.count(digest) == 48
+        assert len(parses) == 1
+        # An unsound one: the block counts no longer sum to n_worlds.
+        self._rewrite_in_place(graph, digest, meta_path, 49, [32, 16])
+        assert store.count(digest) == 0
+        assert len(parses) == 2
+        store.register(graph, 4)
+        assert not (cache / digest).exists()  # discarded, never served
+
+    @pytest.mark.parametrize("name", ["masks.u64", "labels.u16"])
+    def test_truncated_data_under_unchanged_meta_resets(self, graph, cache, parses, name):
+        store = WorldStore(cache)
+        digest = store.register(graph, 4)
+        assert store.count(digest) == 64
+        path = cache / digest / name
+        os.truncate(path, path.stat().st_size - 2)
+        assert store.count(digest) == 0
+        with pytest.raises(WorldStoreError):
+            store.read_labels(digest, 0, 1)
+
+    @pytest.mark.parametrize("n_nodes", [60, (1 << 16) + 5])
+    def test_label_files_follow_the_label_dtype(self, tmp_path, n_nodes):
+        """uint16 labels up to 65536 nodes, int32 beyond; the store serves
+        them in the dtype the oracle keeps."""
+        dtype = label_dtype(n_nodes)
+        name = "labels.u16" if n_nodes <= 1 << 16 else "labels.i32"
+        assert dtype == (np.uint16 if name == "labels.u16" else np.int32)
+        graph = UncertainGraph.from_edges(
+            [(i, i + 1, 0.5) for i in range(0, 40, 2)] + [(0, n_nodes - 1, 0.5)],
+            nodes=range(n_nodes),
+        )
+        cache = tmp_path / "worlds"
+        with MonteCarloOracle(graph, seed=1, chunk_size=8, cache_dir=cache) as cold:
+            cold.ensure_samples(8)
+            cold_labels = cold.component_labels
+        pool_dir = cache / pool_fingerprint(graph, 1)
+        assert sorted(p.name for p in pool_dir.glob("labels.*")) == [name]
+        assert (pool_dir / name).stat().st_size == 8 * n_nodes * dtype.itemsize
+        store = WorldStore(cache)
+        labels = store.read_labels(store.register(graph, 1), 0, 8)
+        assert labels.dtype == dtype
+        assert np.array_equal(labels, cold_labels)
 
 
 class TestClusteringReuse:
