@@ -98,8 +98,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_estimate(args) -> int:
     graph = read_uncertain_graph(args.graph, merge=args.merge)
-    u = graph.index_of(args.u) if args.u in graph.node_labels else graph.index_of(_coerce(args.u))
-    v = graph.index_of(args.v) if args.v in graph.node_labels else graph.index_of(_coerce(args.v))
+    u, v = graph.index_of(_node_label(graph, args.u)), graph.index_of(_node_label(graph, args.v))
     started = time.perf_counter()
     oracle = MonteCarloOracle(graph, seed=args.seed, cache_dir=args.world_cache)
     oracle.ensure_samples(args.samples)
@@ -111,11 +110,20 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _coerce(token: str):
-    try:
-        return int(token)
-    except ValueError:
+def _node_label(graph, token: str):
+    """The node label a command-line token names: the token as typed,
+    else its int coercion (for integer-labelled nodes).  ``repro
+    estimate`` and ``repro mutate`` resolve endpoints with this one
+    rule, so they accept and reject the same tokens."""
+    if token in graph.node_labels:
         return token
+    try:
+        label = int(token)
+    except ValueError:
+        label = None
+    if label is None or label not in graph.node_labels:
+        raise ReproError(f"unknown node label {token!r}")
+    return label
 
 
 def _cmd_family(args) -> int:
@@ -202,9 +210,7 @@ def _cmd_mutate(args) -> int:
     graph = read_uncertain_graph(args.graph, merge=args.merge)
 
     def label(token):
-        # Same two-way resolution as `repro estimate`: a token is a
-        # label as-typed, or its int coercion for integer-labeled nodes.
-        return token if token in graph.node_labels else _coerce(token)
+        return _node_label(graph, token)
 
     def probability(token):
         try:

@@ -42,21 +42,24 @@ Delta derivation
 :class:`WorldStore` holds one growing pool per digest, either purely in
 memory or spilled to a disk directory (one subdirectory per digest with
 raw ``numpy`` files, read back with :func:`numpy.fromfile`).  Pools
-grow in *blocks* (one per append; ``meta.json`` records the block world
-counts, since columnar packing makes block boundaries part of the
-layout).  Labels are node indices stored as ``uint16`` up to 65536
+grow in *blocks* (one per append; columnar packing makes block
+boundaries part of the layout).  A disk pool's block world counts live
+in an append-only ledger, ``blocks.ledger``: a header line written once
+when the pool is created, then one fixed-width record per block, so an
+append publishes its block with one small ``O_APPEND`` write after the
+block's data.  Labels are node indices stored as ``uint16`` up to 65536
 nodes (``labels.u16``) and ``int32`` beyond (``labels.i32``), the one
 rule :func:`label_dtype` the oracle keeps too.  Memory and disk pools
 are one type, :class:`_Pool`: one block walk serves every read, one
 byte ledger sizes the pool, and the two differ only in where a block's
 bytes live.  One validator (:meth:`_Pool.load`) decides whether a pool
 directory is sound; an unsound one is never served.  Its parse is
-memoized by the exact ``meta.json`` bytes: every count, register and
-append still reads the meta and checks the data file sizes, and parses
-again only when the bytes changed.  Because cached and freshly drawn worlds
-are bit-identical, a :class:`~repro.sampling.oracle.MonteCarloOracle`
-can resume progressive sampling from a cached pool mid-schedule and
-extend it in place.
+memoized by the exact ledger bytes: every count, register and append
+still reads the whole ledger and checks the data file sizes, and
+parses only the records past the bytes it parsed before.  Because
+cached and freshly drawn worlds are bit-identical, a
+:class:`~repro.sampling.oracle.MonteCarloOracle` can resume progressive
+sampling from a cached pool mid-schedule and extend it in place.
 
 Concurrency: reads are safe from any number of processes.  Disk
 appends take an advisory ``flock`` on the pool directory and re-read
@@ -66,11 +69,12 @@ because any two writers produce identical rows — worlds are pure
 functions of their position).  A pool cleared externally while a
 writer is running simply stops being extended (the write is dropped,
 never misplaced).  No mtime or inode is trusted: a pool is re-checked
-by its meta content and its data file sizes.  Within one process, every count/read/append (and
-the size snapshots behind :meth:`WorldStore.info`) runs under a
-per-store thread lock, so a single :class:`WorldStore` can back many
-oracles across executor threads — the clustering service's hot path
-(:mod:`repro.service`) relies on exactly this.  Individual
+by its ledger content and its data file sizes.  Within one process,
+every count/read/append (and the size snapshots behind
+:meth:`WorldStore.info`) runs under a per-store thread lock, so a
+single :class:`WorldStore` can back many oracles across executor
+threads — the clustering service's hot path (:mod:`repro.service`)
+relies on exactly this.  Individual
 :class:`~repro.sampling.oracle.MonteCarloOracle` instances are *not*
 thread-safe; share worlds by giving each thread its own oracle
 attached to the shared store.
@@ -82,6 +86,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import threading
 import time
 from contextlib import contextmanager
@@ -139,11 +144,18 @@ WORD_BITS = 64
 #: 2 introduced the edge-major columnar layout; version 3 keys pools on
 #: ``(graph, seed)`` alone (v2 keys also hashed a labeler name and a
 #: chunk size); version 4 stores labels as ``uint16`` up to 65536 nodes
-#: (:func:`label_dtype`).
-FORMAT_VERSION = 4
+#: (:func:`label_dtype`); version 5 records the block layout in an
+#: append-only ledger instead of a ``meta.json`` rewritten per append.
+FORMAT_VERSION = 5
 
-_META_NAME = "meta.json"
+#: A pool's block ledger: one header line, then one record per block.
+_LEDGER_NAME = "blocks.ledger"
+#: The per-pool JSON file of formats 1-4, which held the whole layout.
+_LEGACY_META_NAME = "meta.json"
 _LOCK_NAME = ".lock"
+
+#: One ledger record: a block's world count, little-endian ``uint64``.
+_RECORD = struct.Struct("<Q")
 
 #: The two kinds of bytes a pool holds, one data file each.
 _MASKS, _LABELS = "masks", "labels"
@@ -344,6 +356,22 @@ def _read_bytes(path: str, size_hint: int = 0) -> bytes | None:
         os.close(fd)
 
 
+def _append_bytes(path: str, data, create: bool = True) -> None:
+    """Append the bytes of ``data`` (a contiguous array or bytes) to ``path``.
+
+    One ``O_APPEND`` write per call unless the kernel writes short.
+    With ``create=False`` a missing file raises instead of being made.
+    """
+    flags = os.O_WRONLY | os.O_APPEND | (os.O_CREAT if create else 0)
+    fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data.reshape(-1) if isinstance(data, np.ndarray) else data).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def _read_file(path: str, dtype: np.dtype, offset: int, shape: tuple[int, int]) -> np.ndarray:
     """``shape`` items of ``dtype`` from ``offset`` (in items) of the data file ``path``.
 
@@ -356,7 +384,7 @@ def _read_file(path: str, dtype: np.dtype, offset: int, shape: tuple[int, int]) 
         return np.zeros(shape, dtype=dtype)  # nothing to read; the file may not exist
     data = np.fromfile(path, dtype=dtype, count=count, offset=offset * dtype.itemsize)
     if data.size != count:
-        raise WorldStoreError(f"{path} ends before the block layout its meta records")
+        raise WorldStoreError(f"{path} ends before the block layout its ledger records")
     return data.reshape(shape)
 
 
@@ -370,61 +398,66 @@ class _Pool:
     arrays in ``parts``; a disk pool (``directory`` set) keeps them back
     to back in ``masks.u64`` and ``labels.u16`` (``labels.i32`` above
     65536 nodes), each block at the offset the blocks before it imply.
-    Disk data is appended first and ``meta.json`` (atomic, via
-    ``os.replace``) last, so a torn append leaves trailing bytes that
-    no reader ever addresses.
+
+    A disk pool's layout lives in ``blocks.ledger``: a one-line JSON
+    header (format, digest, ``n_nodes``, ``n_edges``) written once, via
+    ``os.replace``, before the pool's first data, then one fixed-width
+    record (:data:`_RECORD`) per block.  An append writes the block's
+    data first and its record last, with one ``O_APPEND`` write, so a
+    torn append leaves trailing data bytes, or a partial record, that no
+    reader ever counts.
 
     The ledger — ``block_counts``, ``count``, ``mask_bytes`` and
     ``label_bytes`` — is kept current by every append and refresh, so
     a size query is two attribute reads.  A disk pool also keeps the
-    exact ``meta.json`` bytes its ledger was parsed from (``meta_bytes``,
-    ``None`` while no sound meta backs it): a refresh that reads the
-    same bytes again skips the parse, never the checks.
+    exact ledger bytes (header and whole records) it was parsed from
+    (``ledger``, ``None`` while no sound ledger backs it): a refresh
+    whose read starts with those bytes parses only the records past
+    them, and checks the data file sizes every time.
     """
 
     def __init__(self, digest: str, n_nodes: int, n_edges: int,
-                 directory: str | None = None, block_counts=(), meta_bytes=None):
+                 directory: str | None = None, ledger: bytes | None = None):
         self.digest = digest
         self.n_nodes = n_nodes
         self.n_edges = n_edges
         self.directory = directory
-        self.meta_bytes = meta_bytes
+        self.ledger = ledger
         if directory is None:
             self.parts: dict[str, list[np.ndarray]] = {_MASKS: [], _LABELS: []}
-        self._set_layout(list(block_counts))
+        self._set_layout([])
 
     @classmethod
     def load(cls, directory: str, digest: str, shape: tuple[int, int] | None = None,
-             meta_bytes: bytes | None = None):
+             raw: bytes | None = None):
         """The one pool validator: ``directory``'s pool if sound, else ``None``.
 
-        Sound means ``meta.json`` (``meta_bytes`` when the caller has
-        already read it) parses and names this format version,
-        ``digest`` and — when ``shape`` gives them — the expected
-        ``(n_nodes, n_edges)``; its ``block_counts`` are positive and
-        sum to ``n_worlds``; and both data files hold at least the bytes
-        that layout implies (bytes past it are a torn append's, never
-        addressed).
+        Sound means the ledger (``raw`` when the caller has already read
+        it) opens with a header line that parses and names this format
+        version, ``digest`` and — when ``shape`` gives them — the
+        expected ``(n_nodes, n_edges)``; every whole record after it
+        counts a positive number of worlds; and both data files hold at
+        least the bytes that layout implies.  A trailing partial record,
+        and data bytes past the layout, are a torn append's: never
+        counted, never addressed.
         """
-        if meta_bytes is None:
-            meta_bytes = _read_bytes(os.path.join(directory, _META_NAME))
-            if meta_bytes is None:
+        if raw is None:
+            raw = _read_bytes(os.path.join(directory, _LEDGER_NAME))
+            if raw is None:
                 return None
         try:
-            meta = json.loads(meta_bytes)
-            n_nodes, n_edges = int(meta["n_nodes"]), int(meta["n_edges"])
-            block_counts = [int(c) for c in meta.get("block_counts", [])]
+            end = raw.index(b"\n") + 1
+            header = json.loads(raw[:end])
+            n_nodes, n_edges = int(header["n_nodes"]), int(header["n_edges"])
             if not (
-                meta["format"] == FORMAT_VERSION
-                and meta["digest"] == digest
+                header["format"] == FORMAT_VERSION
+                and header["digest"] == digest
                 and shape in (None, (n_nodes, n_edges))
                 and min(n_nodes, n_edges) >= 0
-                and all(c > 0 for c in block_counts)
-                and sum(block_counts) == int(meta["n_worlds"])
             ):
                 return None
-            pool = cls(digest, n_nodes, n_edges, directory, block_counts, meta_bytes)
-            return pool if pool._holds_layout() else None
+            pool = cls(digest, n_nodes, n_edges, directory, raw[:end])
+            return pool if pool._take(raw) else None
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
@@ -433,6 +466,26 @@ class _Pool:
         self.count = sum(block_counts)
         self.mask_bytes = _mask_block_bytes(self.n_edges, block_counts)
         self.label_bytes = self.count * self.n_nodes * label_dtype(self.n_nodes).itemsize
+
+    def _add_block(self, rows: int) -> None:
+        self.block_counts.append(rows)
+        self.count += rows
+        self.mask_bytes += self.n_edges * packed_words(rows) * 8
+        self.label_bytes += rows * self.n_nodes * label_dtype(self.n_nodes).itemsize
+
+    def _take(self, raw: bytes) -> bool:
+        """Adopt the whole records of ``raw`` past ``self.ledger`` (a
+        prefix of ``raw``); whether they are positive and both data
+        files hold the layout they imply."""
+        start = len(self.ledger)
+        stop = start + (len(raw) - start) // _RECORD.size * _RECORD.size
+        if stop > start:
+            for (rows,) in _RECORD.iter_unpack(raw[start:stop]):
+                if rows <= 0:
+                    return False
+                self._add_block(rows)
+            self.ledger = raw[:stop]
+        return self._holds_layout()
 
     def dtype(self, kind: str) -> np.dtype:
         return _MASK_DTYPE if kind == _MASKS else label_dtype(self.n_nodes)
@@ -448,52 +501,53 @@ class _Pool:
             and _file_size(self.path(_LABELS)) >= self.label_bytes
         )
 
-    def meta(self) -> dict:
-        return {
-            "format": FORMAT_VERSION,
-            "digest": self.digest,
-            "n_worlds": self.count,
-            "block_counts": list(self.block_counts),
-            "n_nodes": self.n_nodes,
-            "n_edges": self.n_edges,
-        }
-
-    def _write_meta(self) -> None:
-        raw = json.dumps(self.meta(), indent=2, sort_keys=True).encode() + b"\n"
-        path = os.path.join(self.directory, _META_NAME)
+    def _write_header(self) -> None:
+        """Start a fresh ledger: the header alone, swapped in whole."""
+        header = {"format": FORMAT_VERSION, "digest": self.digest,
+                  "n_nodes": self.n_nodes, "n_edges": self.n_edges}
+        raw = json.dumps(header, sort_keys=True).encode() + b"\n"
+        path = os.path.join(self.directory, _LEDGER_NAME)
         with open(path + ".tmp", "wb") as handle:
             handle.write(raw)
         os.replace(path + ".tmp", path)
-        self.meta_bytes = raw
+        self.ledger = raw
 
     def refresh(self, truncate: bool = False) -> bool:
         """Adopt the on-disk layout (another process may have grown or
         cleared the pool since we registered).  An unsound pool resets
         to 0 worlds — re-sampling, never wrong worlds.  With
         ``truncate=True`` — callers must hold the pool write lock — also
-        cut the data files back to that layout, dropping what a torn
-        append left behind (never safe from the read path: a concurrent
-        writer's fresh rows look like trailing garbage until its meta
-        lands).
+        cut the ledger and data files back to that layout, dropping what
+        a torn append left behind (never safe from the read path: a
+        concurrent writer's fresh rows look like trailing garbage until
+        its record lands).
 
-        Every call reads ``meta.json`` and checks both data file sizes;
-        only when the meta bytes differ from those the ledger was
-        parsed from does it re-run the validator (:meth:`load`).
-        Returns ``False`` when a meta file is there but the pool it
-        describes is unsound.
+        Every call reads the whole ledger and checks both data file
+        sizes.  When the read starts with the exact bytes the pool was
+        parsed from, only the records past them are parsed; any other
+        read re-runs the validator (:meth:`load`).  Returns ``False``
+        when a ledger is there but the pool it describes is unsound, or
+        when only an older format's ``meta.json`` is there.
         """
-        raw = _read_bytes(os.path.join(self.directory, _META_NAME), len(self.meta_bytes or b""))
-        if raw is None or raw != self.meta_bytes or not self._holds_layout():
+        path = os.path.join(self.directory, _LEDGER_NAME)
+        raw = _read_bytes(path, len(self.ledger or b""))
+        if raw is None or not (
+            self.ledger is not None and raw.startswith(self.ledger) and self._take(raw)
+        ):
             sound = None if raw is None else _Pool.load(
                 self.directory, self.digest, (self.n_nodes, self.n_edges), raw
             )
             self._set_layout(sound.block_counts if sound else [])
-            self.meta_bytes = sound.meta_bytes if sound else None
+            self.ledger = sound.ledger if sound else None
         if truncate:
+            if self.ledger is not None and len(raw) > len(self.ledger):
+                os.truncate(path, len(self.ledger))
             for kind, size in ((_MASKS, self.mask_bytes), (_LABELS, self.label_bytes)):
                 if _file_size(self.path(kind)) > size:
                     os.truncate(self.path(kind), size)
-        return raw is None or self.meta_bytes is not None
+        if raw is None:
+            return not os.path.exists(os.path.join(self.directory, _LEGACY_META_NAME))
+        return self.ledger is not None
 
     def read(self, kind: str, start: int, stop: int) -> np.ndarray:
         """Worlds ``[start, stop)`` of ``kind`` (``masks`` or ``labels``)
@@ -554,21 +608,19 @@ class _Pool:
 
     def append(self, packed_cols: np.ndarray, labels: np.ndarray) -> None:
         """Add one block at the end of the pool (inside :meth:`appending`)."""
+        rows = int(labels.shape[0])
         if self.directory is None:
             self.parts[_MASKS].append(packed_cols)
             self.parts[_LABELS].append(labels)
         else:
-            if self.meta_bytes is None:
-                self._write_meta()  # so clear() sweeps the data
-            for kind, data in ((_MASKS, packed_cols), (_LABELS, labels)):
-                with open(self.path(kind), "ab") as handle:
-                    handle.write(data.tobytes())
-        self.block_counts.append(int(labels.shape[0]))
-        self.count += int(labels.shape[0])
-        self.mask_bytes += packed_cols.nbytes
-        self.label_bytes += labels.nbytes
-        if self.directory is not None:
-            self._write_meta()
+            if self.ledger is None:
+                self._write_header()  # before any data, so clear() sweeps it
+            _append_bytes(self.path(_MASKS), packed_cols)
+            _append_bytes(self.path(_LABELS), labels)
+            record = _RECORD.pack(rows)
+            _append_bytes(os.path.join(self.directory, _LEDGER_NAME), record, create=False)
+            self.ledger += record
+        self._add_block(rows)
 
 
 class WorldStore:
@@ -674,10 +726,10 @@ class WorldStore:
     def count(self, digest: str) -> int:
         """Worlds currently stored for ``digest``.
 
-        Disk pools re-read ``meta.json`` and re-check their data file
+        Disk pools re-read their ledger and re-check their data file
         sizes, so growth (or clearing) by another process is observed
-        before the next read or append; the meta is parsed again only
-        when its bytes changed.
+        before the next read or append; of the ledger, only records past
+        the bytes already parsed are parsed.
         """
         with self._lock:
             pool = self._pool(digest)
@@ -699,7 +751,7 @@ class WorldStore:
         Block-aligned ranges (the oracle's warm path) are served as
         stored blocks directly; misaligned ranges are re-packed.  Disk
         reads return fresh arrays (no file handle outlives the call),
-        and a data file shorter than the meta says raises rather than
+        and a data file shorter than the ledger says raises rather than
         returning fewer worlds.  In-memory pools may return *views* of
         the stored parts (parts are append-only and treated as
         immutable), so callers must not mutate the result.
@@ -709,8 +761,8 @@ class WorldStore:
         (the service's job executor shares one store across all worker
         threads) can never shift the pool's count between the
         validation and the slice.  Readers in *other processes* are
-        lock-free as before: data files are append-only and the meta
-        block list lands atomically after the rows it describes.
+        lock-free as before: data files are append-only and a block's
+        ledger record lands after the rows it describes.
         """
         with self._lock:
             pool = self._readable(digest, start, stop)
@@ -842,7 +894,7 @@ class WorldStore:
                         continue
                     pool = _Pool.load(os.path.join(self._cache_dir, name), name)
                     if pool is None:
-                        continue  # unsound, or its meta is not written yet
+                        continue  # unsound, or its ledger is not written yet
                     self._pools[name] = pool
                 elif name in self._vanished:
                     pool.refresh()
@@ -903,8 +955,9 @@ class WorldStore:
             if self._cache_dir is not None and self._cache_dir.is_dir():
                 # Sweep unregistered leftovers (unsound pools, old
                 # format) — but only directories that look like pools
-                # (64-hex digest name + meta file), so clearing a
-                # mistyped path can never destroy unrelated user data.
+                # (64-hex digest name + ledger or older-format meta
+                # file), so clearing a mistyped path can never destroy
+                # unrelated user data.
                 leftovers = (
                     [self._cache_dir / digest] if digest is not None
                     else list(self._cache_dir.iterdir())
@@ -913,7 +966,8 @@ class WorldStore:
                     if (
                         entry.is_dir()
                         and _DIGEST_RE.fullmatch(entry.name)
-                        and (entry / _META_NAME).exists()
+                        and any((entry / name).exists()
+                                for name in (_LEDGER_NAME, _LEGACY_META_NAME))
                     ):
                         shutil.rmtree(entry, ignore_errors=True)
                         removed += 1

@@ -22,7 +22,7 @@ The budget check runs after every lease that sampled or touched a pool
 for the first time, so its cost must not grow with the store: it reads
 the store's per-pool byte ledger (:meth:`WorldStore.pool_sizes
 <repro.sampling.store.WorldStore.pool_sizes>` — one directory listing
-and a ``meta.json`` parse only for pools never seen before) instead of
+and a ledger parse only for pools never seen before) instead of
 building a :class:`~repro.sampling.store.PoolInfo` per pool.  Recency
 is one order per process: pools already in the store when the cache is
 built come first (in digest order), a pool first seen later — e.g.

@@ -305,6 +305,39 @@ class TestServeParser:
         assert "never became healthy" in capsys.readouterr().err
 
 
+class TestNodeTokens:
+    """``estimate`` and ``mutate`` resolve endpoint tokens by one rule: a
+    label as typed, else its int coercion for integer-labelled nodes."""
+
+    @pytest.fixture(params=["string labels", "int labels"])
+    def labelled_file(self, request, graph_file, two_triangles, monkeypatch):
+        if request.param == "int labels":
+            import repro.cli as cli
+
+            # Files parse to string labels; the library builds int ones.
+            assert two_triangles.node_labels[0] == 0
+            monkeypatch.setattr(cli, "read_uncertain_graph", lambda *a, **k: two_triangles)
+        return graph_file
+
+    @staticmethod
+    def _run_both(path, tmp_path, u, v):
+        return (
+            main(["estimate", path, u, v, "--samples", "100"]),
+            main(["mutate", path, "--update", u, v, "0.5", "-o", str(tmp_path / "m.uel")]),
+        )
+
+    @pytest.mark.parametrize("u,v", [("0", "1"), ("4", "3")])
+    def test_known_tokens_are_accepted_by_both(self, labelled_file, tmp_path, capsys, u, v):
+        assert self._run_both(labelled_file, tmp_path, u, v) == (0, 0)
+        assert f"Pr({u} ~ {v})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("u,v", [("0", "x"), ("0", "9"), ("1.0", "2")])
+    def test_unknown_tokens_are_rejected_by_both(self, labelled_file, tmp_path, capsys, u, v):
+        assert self._run_both(labelled_file, tmp_path, u, v) == (2, 2)
+        bad = v if u == "0" else u
+        assert capsys.readouterr().err == f"error: unknown node label {bad!r}\n" * 2
+
+
 class TestMutate:
     def test_mutate_writes_updated_graph(self, graph_file, tmp_path, capsys):
         out = tmp_path / "mutated.uel"

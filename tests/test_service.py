@@ -947,7 +947,7 @@ class TestOracleCacheAccounting:
 
     def test_under_budget_check_does_constant_work(self, tmp_path, monkeypatch):
         """The budget check reads the store's byte ledger: one directory
-        listing, no meta.json parse for pools it already knows, no
+        listing, no ledger header parse for pools it already knows, no
         PoolInfo rows, no per-pool block-size sums."""
         import numpy as np
 
@@ -982,7 +982,7 @@ class TestOracleCacheAccounting:
         cache._enforce_budget()
         assert calls == {"listdir": 1, "json.loads": 0, "PoolInfo": 0, "block sums": 0}
         assert cache.stats()["pools"] == 300
-        # A pool another process adds costs exactly one meta parse, once.
+        # A pool another process adds costs exactly one header parse, once.
         writer.append(writer.register(graph, 300), 0, packed, labels)
         cache._enforce_budget()
         cache._enforce_budget()

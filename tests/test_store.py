@@ -9,13 +9,16 @@ Pins the PR-3 invariants:
 * the cache-invalidation contract: mutating edge probabilities or the
   seed misses the cache, and so does a pool of an older format version;
 * disk pools persist across store instances, resume progressive
-  sampling mid-schedule, and treat corruption as a miss.
+  sampling mid-schedule, and treat corruption as a miss;
+* the block ledger protocol: a block counts once its record is whole,
+  and an append after the first publishes with one record write.
 """
 
 import hashlib
 import json
 import os
 import pickle
+import struct
 import types
 
 import numpy as np
@@ -45,6 +48,24 @@ def graph():
         u, v = rng.choice(60, size=2, replace=False)
         edges.append((int(u), int(v), float(rng.uniform(0.05, 0.95))))
     return UncertainGraph.from_edges(edges, nodes=range(60), merge="first")
+
+
+LEDGER = "blocks.ledger"
+
+
+def read_ledger(pool_dir):
+    """A pool ledger's header (a dict) and the world counts of its whole
+    records; a trailing partial record is left out."""
+    raw = (pool_dir / LEDGER).read_bytes()
+    end = raw.index(b"\n") + 1
+    whole = end + (len(raw) - end) // 8 * 8
+    return json.loads(raw[:end]), [rows for (rows,) in struct.iter_unpack("<Q", raw[end:whole])]
+
+
+def write_ledger(pool_dir, header, blocks):
+    """Replace a pool's ledger with ``header`` and one record per block."""
+    raw = json.dumps(header, sort_keys=True).encode() + b"\n"
+    (pool_dir / LEDGER).write_bytes(raw + b"".join(struct.pack("<Q", rows) for rows in blocks))
 
 
 class SamplerSpy:
@@ -406,9 +427,16 @@ class TestDiskPersistence:
             oracle.ensure_samples(100)
             digest = oracle.pool_digest
         pool_dir = cache / digest
-        meta = json.loads((pool_dir / "meta.json").read_text())
-        assert meta["n_worlds"] == 100
-        assert meta["block_counts"] == [64, 36]  # two ensure_samples chunks
+        header, blocks = read_ledger(pool_dir)
+        assert header == {"format": FORMAT_VERSION, "digest": digest,
+                          "n_nodes": graph.n_nodes, "n_edges": graph.n_edges}
+        assert blocks == [64, 36]  # two ensure_samples chunks
+        assert sum(blocks) == 100
+        header_bytes = len(json.dumps(header, sort_keys=True)) + 1
+        assert (pool_dir / LEDGER).stat().st_size == header_bytes + 2 * 8
+        assert sorted(p.name for p in pool_dir.iterdir()) == [
+            ".lock", LEDGER, "labels.u16", "masks.u64"
+        ]  # no meta.json, no leftover tmp file
         mask_bytes = graph.n_edges * (packed_words(64) + packed_words(36)) * 8
         assert (pool_dir / "masks.u64").stat().st_size == mask_bytes
         assert (pool_dir / "labels.u16").stat().st_size == 100 * graph.n_nodes * 2
@@ -541,35 +569,43 @@ class TestDiskPersistence:
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
             cold.ensure_samples(32)
             digest = cold.pool_digest
-        meta_path = cache / digest / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["format"] = 0  # an old format version the directory scan rejects
-        meta_path.write_text(json.dumps(meta))
+        header, blocks = read_ledger(cache / digest)
+        header["format"] = 0  # an old format version the directory scan rejects
+        write_ledger(cache / digest, header, blocks)
 
         store = WorldStore(cache)
         assert store.info() == []  # unrecognized, not listed
         assert store.clear() == 1  # ... but still removed
         assert not (cache / digest).exists()
 
-    @pytest.mark.parametrize("old_format", [2, 3])
+    @pytest.mark.parametrize("where", ["meta.json", "ledger header"])
+    @pytest.mark.parametrize("old_format", [2, 3, 4])
     def test_previous_format_pool_is_a_clean_miss(
-        self, graph, tmp_path, monkeypatch, old_format
+        self, graph, tmp_path, monkeypatch, old_format, where
     ):
         """A pool directory written by an older format version is never
         served, not even when it sits under the digest the current key
-        names.  Format 3 kept int32 labels in ``labels.i32``."""
+        names.  Formats 2-4 kept their whole layout in a ``meta.json``
+        rewritten per append, and format 3 kept int32 labels in
+        ``labels.i32``; a ledger whose header names an old format is
+        rejected the same way."""
         cache = tmp_path / "worlds"
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
             cold.ensure_samples(64)
             cold_labels = cold.component_labels
             digest = cold.pool_digest
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         pool_dir = cache / digest
-        meta = json.loads((pool_dir / "meta.json").read_text())
-        meta["format"] = old_format
-        if old_format == 2:
-            meta.update(backend="scipy", chunk_size=32)
-        (pool_dir / "meta.json").write_text(json.dumps(meta))
+        header, blocks = read_ledger(pool_dir)
+        header["format"] = old_format
+        if where == "meta.json":
+            meta = dict(header, n_worlds=sum(blocks), block_counts=blocks)
+            if old_format == 2:
+                meta.update(backend="scipy", chunk_size=32)
+            (pool_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+            (pool_dir / LEDGER).unlink()
+        else:
+            write_ledger(pool_dir, header, blocks)
         # Poison the data in both label layouts: serving either would
         # show as wrong labels.
         (pool_dir / "labels.u16").write_bytes(b"\xff" * 64 * graph.n_nodes * 2)
@@ -583,8 +619,9 @@ class TestDiskPersistence:
             assert spy.worlds == 64
             assert redo.cache_stats == {"worlds_cached": 0, "worlds_sampled": 64}
             assert np.array_equal(redo.component_labels, cold_labels)
-        assert json.loads((pool_dir / "meta.json").read_text())["format"] == FORMAT_VERSION
+        assert read_ledger(pool_dir)[0]["format"] == FORMAT_VERSION
         assert not (pool_dir / "labels.i32").exists()  # the old pool was discarded
+        assert not (pool_dir / "meta.json").exists()
 
     def test_stale_writer_append_does_not_misalign(self, graph, tmp_path):
         """A writer that registered a cold pool must trim against the
@@ -630,13 +667,15 @@ class TestDiskPersistence:
 
     def test_clear_never_touches_non_pool_dirs(self, graph, tmp_path):
         """clear() must not delete directories that merely contain a
-        file named meta.json — only 64-hex digest-named pool dirs."""
+        file named like a pool ledger or an older format's meta.json —
+        only 64-hex digest-named pool dirs."""
         cache = tmp_path / "worlds"
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
             cold.ensure_samples(32)
         bystander = cache / "my-dataset"
         bystander.mkdir()
         (bystander / "meta.json").write_text('{"unrelated": true}')
+        (bystander / LEDGER).write_text('{"unrelated": true}\n')
         (bystander / "precious.txt").write_text("do not delete")
         assert WorldStore(cache).clear() == 1  # the pool, not the bystander
         assert (bystander / "precious.txt").exists()
@@ -667,7 +706,7 @@ class TestDiskPersistence:
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
             cold.ensure_samples(32)
             digest = cold.pool_digest
-        (cache / digest / "meta.json").write_text("{not json")
+        (cache / digest / LEDGER).write_bytes(b"{not json\n" + struct.pack("<Q", 32))
 
         spy = SamplerSpy(monkeypatch)
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as redo:
@@ -676,9 +715,10 @@ class TestDiskPersistence:
 
 
 class TestMemoizedValidator:
-    """Disk ``count``/``register``/``append`` read ``meta.json`` and check
-    both data file sizes on every call; the meta is parsed only when its
-    bytes differ from those the pool's ledger came from."""
+    """Disk ``count``/``register``/``append`` read the whole ledger and
+    check both data file sizes on every call; the header is parsed only
+    when the ledger no longer starts with the bytes the pool's layout
+    came from, and otherwise only the records past them are parsed."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -695,6 +735,21 @@ class TestMemoizedValidator:
         return calls
 
     @pytest.fixture
+    def records(self, monkeypatch):
+        """Ledger records each incremental parse looked at (whole ones)."""
+        import repro.sampling.store as store_module
+
+        seen = []
+        take = store_module._Pool._take
+
+        def spy(pool, raw):
+            seen.append((len(raw) - len(pool.ledger)) // 8)
+            return take(pool, raw)
+
+        monkeypatch.setattr(store_module._Pool, "_take", spy)
+        return seen
+
+    @pytest.fixture
     def cache(self, graph, tmp_path):
         cache = tmp_path / "worlds"
         with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
@@ -709,54 +764,81 @@ class TestMemoizedValidator:
             assert store.register(graph, 4) == digest
             assert store.count(digest) == 64
         assert len(parses) == 1
-        # This store's own appends write the meta bytes it reads back next.
+        # This store's own appends extend the ledger bytes it reads back next.
         with MonteCarloOracle(graph, seed=4, chunk_size=32, store=store) as warm:
             warm.ensure_samples(128)
             assert warm.cache_stats == {"worlds_cached": 64, "worlds_sampled": 64}
         assert store.count(digest) == 128
         assert len(parses) == 1
 
-    def test_pool_grown_by_another_store_is_seen(self, graph, cache, parses):
+    def test_pool_grown_by_another_store_is_seen(self, graph, cache, parses, records):
+        """Growth by another store is parsed incrementally: the new
+        records once, the header and the old records never again."""
         store = WorldStore(cache)
         digest = store.register(graph, 4)
         assert store.count(digest) == 64
         with MonteCarloOracle(graph, seed=4, chunk_size=32, store=WorldStore(cache)) as other:
             other.ensure_samples(128)
             grown = other.component_labels
+        _, blocks = read_ledger(cache / digest)
+        assert sum(blocks) == 128 and len(blocks) > 2
         parses.clear()
+        records.clear()
         assert store.count(digest) == 128
         assert store.count(digest) == 128
-        assert len(parses) == 1  # the new bytes, once
+        assert parses == []  # no header parse
+        assert records == [len(blocks) - 2, 0]  # the new records, once
         _, labels = store.read(digest, 0, 128)
         assert np.array_equal(labels, grown)
 
     @staticmethod
-    def _rewrite_in_place(graph, digest, meta_path, n_worlds, block_counts):
-        """Overwrite ``meta.json`` in place (same file, same length)."""
-        meta = {"format": FORMAT_VERSION, "digest": digest, "n_worlds": n_worlds,
-                "block_counts": block_counts, "n_nodes": graph.n_nodes,
-                "n_edges": graph.n_edges}
-        new = json.dumps(meta, indent=2, sort_keys=True).encode() + b"\n"
-        old = meta_path.read_bytes()
-        assert len(new) == len(old) and new != old
-        with open(meta_path, "r+b") as handle:
+    def _rewrite_in_place(path, offset, new):
+        """Overwrite bytes of ``path`` at ``offset`` in place (same file,
+        same length)."""
+        old = path.read_bytes()[offset:offset + len(new)]
+        assert len(old) == len(new) and old != new
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
             handle.write(new)
 
     def test_same_length_rewrite_is_reparsed(self, graph, cache, parses):
         store = WorldStore(cache)
         digest = store.register(graph, 4)
         assert store.count(digest) == 64
-        meta_path = cache / digest / "meta.json"
+        ledger = cache / digest / LEDGER
+        _, blocks = read_ledger(cache / digest)
+        assert blocks == [32, 32]
+        last = ledger.stat().st_size - 8
         # A sound layout of other content: the first 48 worlds.
-        self._rewrite_in_place(graph, digest, meta_path, 48, [32, 16])
+        self._rewrite_in_place(ledger, last, struct.pack("<Q", 16))
         parses.clear()
         assert store.count(digest) == 48
         assert store.count(digest) == 48
         assert len(parses) == 1
-        # An unsound one: the block counts no longer sum to n_worlds.
-        self._rewrite_in_place(graph, digest, meta_path, 49, [32, 16])
+        # An unsound one: a block of no worlds.
+        self._rewrite_in_place(ledger, last, struct.pack("<Q", 0))
         assert store.count(digest) == 0
         assert len(parses) == 2
+        store.register(graph, 4)
+        assert not (cache / digest).exists()  # discarded, never served
+
+    @pytest.mark.parametrize("field", ["digest", "n_nodes", "n_edges", "format"])
+    def test_same_length_header_rewrite_is_caught(self, graph, cache, field):
+        """A header value rewritten in place (same length, other value)
+        is caught by the next count, which resets the pool."""
+        store = WorldStore(cache)
+        digest = store.register(graph, 4)
+        assert store.count(digest) == 64
+        ledger = cache / digest / LEDGER
+        header, _ = read_ledger(cache / digest)
+        raw = ledger.read_bytes()
+        key = b'"%s": ' % field.encode()
+        end = raw.index(key) + len(key) + len(json.dumps(header[field]))
+        digit = end - 1 - (field == "digest")  # the value's last digit, inside any quotes
+        self._rewrite_in_place(ledger, digit, b"1" if raw[digit:digit + 1] != b"1" else b"2")
+        assert store.count(digest) == 0
+        with pytest.raises(WorldStoreError):
+            store.read_labels(digest, 0, 1)
         store.register(graph, 4)
         assert not (cache / digest).exists()  # discarded, never served
 
@@ -793,6 +875,113 @@ class TestMemoizedValidator:
         labels = store.read_labels(store.register(graph, 1), 0, 8)
         assert labels.dtype == dtype
         assert np.array_equal(labels, cold_labels)
+
+
+class TestLedgerProtocol:
+    """A block counts once its whole ledger record is on disk, after its
+    data; a pool's header is written once, so later appends publish a
+    block with one record write."""
+
+    @pytest.fixture
+    def cache(self, graph, tmp_path):
+        cache = tmp_path / "worlds"
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as cold:
+            cold.ensure_samples(64)
+        return cache
+
+    def test_partial_record_is_not_counted_and_the_next_append_cuts_it(
+        self, graph, cache, monkeypatch
+    ):
+        digest = pool_fingerprint(graph, 4)
+        ledger = cache / digest / LEDGER
+        whole = ledger.stat().st_size
+        known = WorldStore(cache)
+        assert known.count(known.register(graph, 4)) == 64
+        with open(ledger, "ab") as handle:
+            handle.write(struct.pack("<Q", 32)[:3])  # a record torn after 3 bytes
+
+        assert known.count(digest) == 64  # the incremental parse skips it
+        fresh = WorldStore(cache)
+        assert fresh.count(fresh.register(graph, 4)) == 64  # so does the validator
+        assert [pool.n_worlds for pool in fresh.info()] == [64]
+        spy = SamplerSpy(monkeypatch, "sample_chunk_packed")
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, store=fresh) as warm:
+            warm.ensure_samples(96)
+            assert spy.worlds == 32
+            warm_labels = warm.component_labels
+        assert ledger.stat().st_size == whole + 8  # partial record cut, one record added
+        assert read_ledger(cache / digest)[1] == [32, 32, 32]
+        assert known.count(digest) == 96
+        with MonteCarloOracle(graph, seed=4, chunk_size=32) as cold:
+            cold.ensure_samples(96)
+            assert np.array_equal(warm_labels, cold.component_labels)
+        assert np.array_equal(known.read_labels(digest, 0, 96), warm_labels)
+
+    def test_record_without_its_rows_resets_the_pool(self, graph, cache, monkeypatch):
+        digest = pool_fingerprint(graph, 4)
+        with MonteCarloOracle(graph, seed=4, chunk_size=32) as cold:
+            cold.ensure_samples(64)
+            cold_labels = cold.component_labels
+        known = WorldStore(cache)
+        assert known.count(known.register(graph, 4)) == 64
+        with open(cache / digest / LEDGER, "ab") as handle:
+            handle.write(struct.pack("<Q", 32))  # a block the data files lack
+
+        assert known.count(digest) == 0  # caught on the incremental path
+        with pytest.raises(WorldStoreError):
+            known.read_labels(digest, 0, 1)
+        assert WorldStore(cache).info() == []  # and by the validator
+        spy = SamplerSpy(monkeypatch)
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as redo:
+            redo.ensure_samples(64)
+            assert spy.worlds == 64  # re-sampled, never served wrong
+            assert np.array_equal(redo.component_labels, cold_labels)
+        assert read_ledger(cache / digest)[1] == [32, 32]
+
+    def test_appends_after_the_first_rewrite_no_file(self, graph, tmp_path, monkeypatch):
+        """Constant work per append: only a pool's first append writes
+        its header (one ``json.dumps``, one ``os.replace``); every later
+        one, also by another store on the known pool, calls neither."""
+        import repro.sampling.store as store_module
+
+        calls = {"os.replace": 0, "json.dumps": 0}
+
+        def spy(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(store_module.os, "replace", spy("os.replace", os.replace))
+        monkeypatch.setattr(store_module.json, "dumps", spy("json.dumps", json.dumps))
+        cache = tmp_path / "worlds"
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, cache_dir=cache) as oracle:
+            oracle.ensure_samples(32)
+            assert calls == {"os.replace": 1, "json.dumps": 1}  # the header
+            oracle.ensure_samples(160)
+        assert calls == {"os.replace": 1, "json.dumps": 1}
+        with MonteCarloOracle(graph, seed=4, chunk_size=32, store=WorldStore(cache)) as other:
+            other.ensure_samples(256)
+            assert other.cache_stats == {"worlds_cached": 160, "worlds_sampled": 96}
+        assert calls == {"os.replace": 1, "json.dumps": 1}
+        blocks = read_ledger(cache / pool_fingerprint(graph, 4))[1]
+        assert sum(blocks) == 256 and len(blocks) >= 8
+
+    def test_cache_clear_removes_format_4_and_format_5_pools(self, graph, cache, capsys):
+        from repro.cli import main
+
+        old = cache / ("ab" * 32)  # a pool directory as format 4 left it
+        old.mkdir()
+        meta = {"format": 4, "digest": old.name, "n_worlds": 32, "block_counts": [32],
+                "n_nodes": graph.n_nodes, "n_edges": graph.n_edges}
+        (old / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+        (old / "masks.u64").write_bytes(bytes(graph.n_edges * 8))
+        (old / "labels.u16").write_bytes(bytes(32 * graph.n_nodes * 2))
+        assert [pool.digest for pool in WorldStore(cache).info()] == [pool_fingerprint(graph, 4)]
+
+        assert main(["cache", "clear", str(cache)]) == 0
+        assert "removed 2 pool(s)" in capsys.readouterr().err
+        assert list(cache.iterdir()) == []
 
 
 class TestClusteringReuse:

@@ -12,6 +12,10 @@ The pin here runs two real child **processes** (not threads) that race
   world is a pure function of ``(seed, index)``, so whichever process
   appends a chunk writes the same bytes;
 * masks and labels are bit-identical to a serial single-process run.
+
+A writer killed between a block's data write and its ledger record
+(SIGKILL, so no cleanup runs) must leave a pool that a fresh store
+serves at its old count, bit-identical, and extends correctly.
 """
 
 from __future__ import annotations
@@ -136,3 +140,88 @@ def test_oracle_estimates_agree_after_concurrent_fill(tmp_path):
         cold.ensure_samples(WORLDS)
         cold_estimate = cold.connection(0, 2)
     assert warm_estimate == cold_estimate
+
+
+KILLED_WRITER_SCRIPT = """\
+import sys
+import time
+
+import repro.sampling.store as store_module
+from repro.graph.uncertain_graph import UncertainGraph
+from repro.sampling.oracle import MonteCarloOracle
+from repro.sampling.store import WorldStore
+
+store_dir, ready_file, worlds = sys.argv[1], sys.argv[2], int(sys.argv[3])
+append_bytes = store_module._append_bytes
+
+
+def stall_before_the_record(path, data, create=True):
+    if path.endswith(store_module._LEDGER_NAME):
+        # The block's data is on disk; its record is not.
+        open(ready_file, "w").close()
+        time.sleep(120)
+    append_bytes(path, data, create)
+
+
+store_module._append_bytes = stall_before_the_record
+graph = UncertainGraph.from_edges({edges!r})
+with MonteCarloOracle(graph, seed={seed}, chunk_size=64, store=WorldStore(store_dir)) as oracle:
+    oracle.ensure_samples(worlds)
+"""
+
+
+def test_writer_killed_before_its_record_leaves_the_old_pool(tmp_path):
+    """A writer SIGKILLed between a block's data write and its ledger
+    record leaves trailing data bytes only: a fresh store serves the
+    pool at its old count, bit-identical, and extends it correctly."""
+    shared = tmp_path / "shared"
+    with MonteCarloOracle(_graph(), seed=SEED, chunk_size=64, store=WorldStore(shared)) as cold:
+        cold.ensure_samples(128)
+        digest = cold.pool_digest
+    pool_dir = shared / digest
+    sizes = {name: (pool_dir / name).stat().st_size
+             for name in ("blocks.ledger", "masks.u64", "labels.u16")}
+
+    script = tmp_path / "writer.py"
+    ready = tmp_path / "ready"
+    script.write_text(KILLED_WRITER_SCRIPT.format(edges=EDGES, seed=SEED))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    writer = subprocess.Popen(
+        [sys.executable, str(script), str(shared), str(ready), "192"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while not ready.exists():
+            assert writer.poll() is None, writer.communicate()[1]
+            assert time.monotonic() < deadline, "writer never reached its record"
+            time.sleep(0.005)
+    finally:
+        writer.kill()  # SIGKILL
+        writer.communicate(timeout=60)
+    assert writer.returncode == -9
+    assert (pool_dir / "blocks.ledger").stat().st_size == sizes["blocks.ledger"]
+    for name in ("masks.u64", "labels.u16"):
+        assert (pool_dir / name).stat().st_size > sizes[name]  # the torn block's data
+
+    with MonteCarloOracle(_graph(), seed=SEED, chunk_size=64) as serial:
+        serial.ensure_samples(192)
+        serial_masks = serial.packed_worlds(0, 192)
+        serial_labels = serial.component_labels
+    fresh = WorldStore(shared)
+    assert fresh.count(fresh.register(_graph(), SEED)) == 128
+    masks, labels = fresh.read(digest, 0, 128)
+    assert np.array_equal(masks, serial.packed_worlds(0, 128))
+    assert np.array_equal(labels, serial_labels[:128])
+
+    with MonteCarloOracle(_graph(), seed=SEED, chunk_size=64, store=fresh) as warm:
+        warm.ensure_samples(192)
+        assert warm.cache_stats == {"worlds_cached": 128, "worlds_sampled": 64}
+    assert (pool_dir / "labels.u16").stat().st_size == 192 * _graph().n_nodes * 2
+    after = WorldStore(shared)
+    assert after.count(after.register(_graph(), SEED)) == 192
+    masks, labels = after.read(digest, 0, 192)
+    assert np.array_equal(masks, serial_masks)
+    assert np.array_equal(labels, serial_labels)
