@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test doctest bench bench-service counts serve docs docs-check lint clean
+.PHONY: test doctest bench bench-service counts serve docs docs-check lint loc clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -57,6 +57,10 @@ docs-check:
 lint:
 	ruff check src tests benchmarks examples docs
 	$(PYTHON) -m compileall -q src
+
+# Lines of Python under src/, the size figure each change reports.
+loc:
+	@find src -name '*.py' -exec cat {} + | wc -l
 
 clean:
 	rm -rf docs/api docs/_build benchmarks/out

@@ -25,7 +25,6 @@ from benchmarks.record import record_pytest_benchmark
 from repro.datasets.synthetic import gnm_uncertain
 from repro.sampling import MonteCarloOracle
 from repro.sampling.backends import BACKENDS
-from repro.sampling.worlds import sample_edge_masks
 from tests.scipy_reference import scipy_component_labels
 
 R = 512  # worlds per measured ensure_samples call
@@ -69,7 +68,7 @@ def test_ensure_samples_throughput(benchmark, substrate, backend_name):
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 def test_labeling_kernel(benchmark, substrate, backend_name):
     substrate_name, graph = substrate
-    masks = sample_edge_masks(graph.edge_prob, R, rng=1)
+    masks = np.random.default_rng(1).random((R, graph.n_edges)) < graph.edge_prob
     backend = BACKENDS[backend_name]()
     labels = benchmark(backend.component_labels, graph, masks)
     assert labels.shape == (R, graph.n_nodes)
@@ -85,7 +84,7 @@ def test_labeling_kernel(benchmark, substrate, backend_name):
 def test_labels_match_reference(substrate):
     """The equivalence the suite pins, re-checked on the bench substrate."""
     _, graph = substrate
-    masks = sample_edge_masks(graph.edge_prob, 64, rng=3)
+    masks = np.random.default_rng(3).random((64, graph.n_edges)) < graph.edge_prob
     reference = scipy_component_labels(graph, masks)
     for name in BACKEND_NAMES:
         assert np.array_equal(BACKENDS[name]().component_labels(graph, masks), reference), name

@@ -9,31 +9,25 @@ matrix.
 import numpy as np
 
 from repro.graph.components import UnionFind, connected_component_labels
+from repro.sampling.backends import UnionFindWorldBackend
 from repro.sampling.store import pack_mask_columns
 from repro.sampling.worlds import (
     block_bfs_reached,
     packed_bfs_counts,
-    sample_edge_masks,
     world_block_csr,
-    world_component_labels,
 )
 
 R = 128  # worlds per batch
 
 
-def test_sample_edge_masks(benchmark, gavin_tiny):
-    rng = np.random.default_rng(0)
-    benchmark(sample_edge_masks, gavin_tiny.edge_prob, R, rng)
-
-
 def test_bulk_component_labels(benchmark, gavin_tiny):
-    masks = sample_edge_masks(gavin_tiny.edge_prob, R, np.random.default_rng(1))
-    benchmark(world_component_labels, gavin_tiny, masks)
+    masks = np.random.default_rng(1).random((R, gavin_tiny.n_edges)) < gavin_tiny.edge_prob
+    benchmark(UnionFindWorldBackend().component_labels, gavin_tiny, masks)
 
 
 def test_per_world_union_find_baseline(benchmark, gavin_tiny):
     """The naive alternative to the block-diagonal labelling."""
-    masks = sample_edge_masks(gavin_tiny.edge_prob, R, np.random.default_rng(1))
+    masks = np.random.default_rng(1).random((R, gavin_tiny.n_edges)) < gavin_tiny.edge_prob
     src, dst = gavin_tiny.edge_src, gavin_tiny.edge_dst
 
     def label_each_world():
@@ -48,14 +42,14 @@ def test_per_world_union_find_baseline(benchmark, gavin_tiny):
 
 
 def test_block_bfs_depth4(benchmark, gavin_tiny):
-    masks = sample_edge_masks(gavin_tiny.edge_prob, R, np.random.default_rng(2))
+    masks = np.random.default_rng(2).random((R, gavin_tiny.n_edges)) < gavin_tiny.edge_prob
     block = world_block_csr(gavin_tiny, masks)
     benchmark(block_bfs_reached, block, gavin_tiny.n_nodes, R, 0, 4)
 
 
 def test_packed_bfs_depth4(benchmark, gavin_tiny):
     """The same query as ``test_block_bfs_depth4`` on the packed columns."""
-    masks = sample_edge_masks(gavin_tiny.edge_prob, R, np.random.default_rng(2))
+    masks = np.random.default_rng(2).random((R, gavin_tiny.n_edges)) < gavin_tiny.edge_prob
     benchmark(packed_bfs_counts, gavin_tiny, pack_mask_columns(masks), R, [0], 4)
 
 

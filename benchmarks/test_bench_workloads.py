@@ -41,7 +41,7 @@ from repro.datasets import dblp_like
 from repro.datasets.synthetic import gnm_uncertain
 from repro.sampling import WorldStore
 from repro.sampling.store import pack_mask_columns
-from repro.sampling.worlds import packed_bfs_counts, sample_edge_masks
+from repro.sampling.worlds import packed_bfs_counts
 from repro.workloads import (
     expected_centrality,
     kcenter_clustering,
@@ -185,7 +185,7 @@ def test_packed_bfs_kernel():
     many single-source depth-limited rows."""
     graph = _substrate("dblp300")
     n = graph.n_nodes
-    masks = sample_edge_masks(graph.edge_prob, R, rng=SEED)
+    masks = np.random.default_rng(SEED).random((R, graph.n_edges)) < graph.edge_prob
     cols = pack_mask_columns(masks)
     sources = np.arange(n)
     results = []

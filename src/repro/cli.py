@@ -98,7 +98,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_estimate(args) -> int:
     graph = read_uncertain_graph(args.graph, merge=args.merge)
-    u, v = graph.index_of(_node_label(graph, args.u)), graph.index_of(_node_label(graph, args.v))
+    u, v = _node_index(graph, args.u), _node_index(graph, args.v)
     started = time.perf_counter()
     oracle = MonteCarloOracle(graph, seed=args.seed, cache_dir=args.world_cache)
     oracle.ensure_samples(args.samples)
@@ -110,20 +110,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _node_label(graph, token: str):
-    """The node label a command-line token names: the token as typed,
-    else its int coercion (for integer-labelled nodes).  ``repro
-    estimate`` and ``repro mutate`` resolve endpoints with this one
-    rule, so they accept and reject the same tokens."""
-    if token in graph.node_labels:
-        return token
+def _node_index(graph, token: str) -> int:
+    """:meth:`UncertainGraph.index_of`, the rule ``repro estimate`` and
+    ``repro mutate`` both resolve endpoints with."""
     try:
-        label = int(token)
-    except ValueError:
-        label = None
-    if label is None or label not in graph.node_labels:
-        raise ReproError(f"unknown node label {token!r}")
-    return label
+        return graph.index_of(token)
+    except KeyError:
+        raise ReproError(f"unknown node label {token!r}") from None
 
 
 def _cmd_family(args) -> int:
@@ -210,17 +203,12 @@ def _cmd_mutate(args) -> int:
     graph = read_uncertain_graph(args.graph, merge=args.merge)
 
     def label(token):
-        return _node_label(graph, token)
+        return graph.label_of(_node_index(graph, token))
 
-    def probability(token):
-        try:
-            return float(token)
-        except ValueError:
-            raise ReproError(f"probability {token!r} is not a number") from None
-
-    add = [(label(u), label(v), probability(p)) for u, v, p in (args.add or [])]
+    # graph.mutate checks each probability token (checked_probability).
+    add = [(label(u), label(v), p) for u, v, p in (args.add or [])]
     remove = [(label(u), label(v)) for u, v in (args.remove or [])]
-    update = [(label(u), label(v), probability(p)) for u, v, p in (args.update or [])]
+    update = [(label(u), label(v), p) for u, v, p in (args.update or [])]
     if not (add or remove or update):
         print("error: no mutation ops given (--add/--remove/--update)", file=sys.stderr)
         return 2

@@ -49,16 +49,6 @@ def acp_guarantee(p_opt_avg: float, gamma: float, n: int, *, eps: float = 0.0) -
     return (1.0 - eps) * (p_opt_avg / ((1.0 + gamma) * harmonic_number(n))) ** 3
 
 
-def mcp_depth_guarantee(p_opt_min_half_depth: float, gamma: float, *, eps: float = 0.0) -> float:
-    """Theorem 5 floor: in terms of ``p_opt_min(k, floor(d/2))``."""
-    return mcp_guarantee(p_opt_min_half_depth, gamma, eps=eps)
-
-
-def acp_depth_guarantee(p_opt_avg_third_depth: float, gamma: float, n: int, *, eps: float = 0.0) -> float:
-    """Theorem 6 floor: in terms of ``p_opt_avg(k, floor(d/3))``."""
-    return acp_guarantee(p_opt_avg_third_depth, gamma, n, eps=eps)
-
-
 def mcp_iteration_bound(p_opt_min: float, gamma: float) -> int:
     """Theorem 3's cap on ``min-partial`` invocations.
 

@@ -139,22 +139,6 @@ class Clustering:
         values = np.where(self.covered_mask, self.center_connection, 0.0)
         return float(values.mean())
 
-    def relabel_by_size(self) -> "Clustering":
-        """Return an equivalent clustering with clusters sorted by size (desc)."""
-        sizes = self.cluster_sizes()
-        order = np.argsort(-sizes, kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(self.k)
-        new_assignment = np.where(
-            self.assignment == UNCOVERED, UNCOVERED, inverse[np.maximum(self.assignment, 0)]
-        )
-        return Clustering(
-            self.n_nodes,
-            self.centers[order],
-            new_assignment,
-            self.center_connection,
-        )
-
     def __repr__(self) -> str:
         return (
             f"Clustering(k={self.k}, n_nodes={self.n_nodes}, "

@@ -1,11 +1,6 @@
 """Dataset generators standing in for the paper's real-world graphs."""
 
-from repro.datasets.synthetic import (
-    gnm_uncertain,
-    path_graph,
-    planted_partition,
-    star_graph,
-)
+from repro.datasets.synthetic import gnm_uncertain, planted_partition
 from repro.datasets.ppi import PPIDataset, collins_like, gavin_like, krogan_like
 from repro.datasets.collaboration import dblp_like
 from repro.datasets.registry import DATASET_NAMES, load_dataset
@@ -13,8 +8,6 @@ from repro.datasets.registry import DATASET_NAMES, load_dataset
 __all__ = [
     "planted_partition",
     "gnm_uncertain",
-    "path_graph",
-    "star_graph",
     "PPIDataset",
     "collins_like",
     "gavin_like",

@@ -144,20 +144,3 @@ def planted_partition(
     prob = np.clip(prob, np.nextafter(0.0, 1.0), 1.0)
     graph = UncertainGraph(n, src, dst, prob, validate=False)
     return graph, membership
-
-
-def path_graph(n: int, prob: float = 0.9) -> UncertainGraph:
-    """Path ``0 - 1 - ... - n-1`` with uniform edge probability."""
-    if n < 2:
-        raise GraphValidationError(f"n must be >= 2, got {n}")
-    idx = np.arange(n - 1, dtype=np.intp)
-    return UncertainGraph(n, idx, idx + 1, np.full(n - 1, prob), validate=True)
-
-
-def star_graph(n_leaves: int, prob: float = 0.9) -> UncertainGraph:
-    """Star with center 0 and ``n_leaves`` leaves, uniform probability."""
-    if n_leaves < 1:
-        raise GraphValidationError(f"n_leaves must be >= 1, got {n_leaves}")
-    src = np.zeros(n_leaves, dtype=np.intp)
-    dst = np.arange(1, n_leaves + 1, dtype=np.intp)
-    return UncertainGraph(n_leaves + 1, src, dst, np.full(n_leaves, prob), validate=True)

@@ -7,8 +7,7 @@ the expensive quality-suite runs between Figures 1, 2 and 3.
 
 from repro.experiments.config import SCALES, ExperimentScale, get_scale
 from repro.experiments.suite import QualityRecord, QualitySuiteResult, run_quality_suite
-from repro.experiments.multirun import aggregated_table, run_repeated_suite
-from repro.experiments.reference import PAPER_KS, paper_figure1_table, shape_claims
+from repro.experiments.reference import PAPER_KS, shape_claims
 
 __all__ = [
     "ExperimentScale",
@@ -17,9 +16,6 @@ __all__ = [
     "QualityRecord",
     "QualitySuiteResult",
     "run_quality_suite",
-    "run_repeated_suite",
-    "aggregated_table",
     "PAPER_KS",
-    "paper_figure1_table",
     "shape_claims",
 ]

@@ -13,8 +13,6 @@ DBLP {1818, 5274, 15576}.
 
 from __future__ import annotations
 
-from repro.utils.tables import TextTable
-
 PAPER_KS = {
     "collins": (24, 69, 99),
     "gavin": (50, 172, 274),
@@ -201,25 +199,6 @@ PAPER_TABLE2 = {
     ("mcl", None): (0.423, 0.002),
     ("kpt", None): (0.187, 6.3e-4),
 }
-
-
-def paper_figure1_table() -> TextTable:
-    """The paper's Figure 1 values as a table (for reports)."""
-    table = TextTable(
-        ["graph", "k", "algorithm", "pmin", "pavg"],
-        title="Paper Figure 1 (published values)",
-    )
-    for graph, ks in PAPER_KS.items():
-        for k in ks:
-            for algorithm in _ALGORITHMS:
-                table.add_row(
-                    graph=graph,
-                    k=k,
-                    algorithm=algorithm,
-                    pmin=PAPER_PMIN[(graph, k, algorithm)],
-                    pavg=PAPER_PAVG[(graph, k, algorithm)],
-                )
-    return table
 
 
 def shape_claims(pmin=None, outer=None, *, tolerance: float = 0.0) -> list[tuple[str, bool]]:

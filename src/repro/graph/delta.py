@@ -124,10 +124,6 @@ class GraphDelta:
         """The ``update`` ops."""
         return tuple(op for op in self.ops if op.op == "update")
 
-    def touched_edges(self) -> list[tuple[int, int]]:
-        """Canonical ``(u, v)`` pairs of every edge the delta touches."""
-        return [(op.u, op.v) for op in self.ops]
-
     def summary(self) -> dict:
         """Op counts, JSON-safe (the service's PATCH response body)."""
         past = {"add": "added", "remove": "removed", "update": "updated"}

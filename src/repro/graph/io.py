@@ -28,30 +28,7 @@ import os
 from collections.abc import Iterable
 
 from repro.exceptions import GraphValidationError
-from repro.graph.uncertain_graph import UncertainGraph
-
-
-def probability_error(p: float) -> str | None:
-    """Why ``p`` is not a usable edge probability (``None`` when it is).
-
-    The single source of the load-time probability contract — values
-    must lie in ``[0, 1]`` (NaN fails both comparisons and is caught)
-    and cannot be exactly 0 (such an edge never exists and the graph
-    structure rejects it).  Shared by the ``.uel`` text parser and the
-    service's JSON upload path so the two surfaces cannot drift.
-
-    Examples
-    --------
-    >>> probability_error(0.5) is None
-    True
-    >>> probability_error(float("nan"))
-    'probability nan outside [0, 1]'
-    """
-    if not 0.0 <= p <= 1.0:
-        return f"probability {p!r} outside [0, 1]"
-    if p == 0.0:
-        return "probability-0 edges cannot exist; drop the edge or use a positive probability"
-    return None
+from repro.graph.uncertain_graph import UncertainGraph, checked_probability
 
 
 #: Directive prefix for machine-readable metadata inside ``.uel``
@@ -97,18 +74,10 @@ def _parse_lines(lines: Iterable[str], *, numeric_labels: bool):
                 f"line {lineno}: expected 'u v probability', got {raw.rstrip()!r}"
             )
         u, v, p_text = parts
-        try:
-            p = float(p_text)
-        except ValueError:
-            raise GraphValidationError(
-                f"line {lineno}: probability {p_text!r} is not a number"
-            ) from None
         # Validate here, with the line number, instead of letting a bad
         # value (NaN included) reach the sampler as a malformed
         # Bernoulli parameter.
-        problem = probability_error(p)
-        if problem is not None:
-            raise GraphValidationError(f"line {lineno}: {problem}")
+        p = checked_probability(p_text, f"line {lineno}")
         if numeric_labels:
             try:
                 yield int(u), int(v), p

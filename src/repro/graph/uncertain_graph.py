@@ -24,6 +24,53 @@ from repro.graph.delta import EdgeOp, GraphDelta
 _MERGE_POLICIES = ("error", "max", "noisy-or", "first")
 
 
+def checked_probability(p, where: str) -> float:
+    """``p`` as an edge probability, else a :class:`GraphValidationError`.
+
+    The single probability rule of every input surface: ``.uel`` text
+    (``where`` names the line), :meth:`UncertainGraph.from_edges` and
+    so the service's JSON uploads (the edge's position), and
+    :meth:`UncertainGraph.mutate` (the edge).  Values must be numbers
+    in ``[0, 1]`` (NaN fails both comparisons and is caught) and cannot
+    be exactly 0: such an edge never exists.
+
+    Examples
+    --------
+    >>> checked_probability("0.5", "line 1")
+    0.5
+    >>> checked_probability(float("nan"), "edge 2")
+    Traceback (most recent call last):
+    ...
+    repro.exceptions.GraphValidationError: edge 2: probability nan outside [0, 1]
+    """
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        raise GraphValidationError(f"{where}: probability {p!r} is not a number") from None
+    if not 0.0 <= p <= 1.0:
+        raise GraphValidationError(f"{where}: probability {p!r} outside [0, 1]")
+    if p == 0.0:
+        raise GraphValidationError(
+            f"{where}: probability-0 edges cannot exist; "
+            "drop the edge or use a positive probability"
+        )
+    return p
+
+
+def _integer_token(token) -> int | None:
+    """``token`` as an int when it spells one exactly, else ``None``."""
+    if isinstance(token, str):
+        try:
+            return int(token)
+        except ValueError:
+            return None
+    if isinstance(token, (int, np.integer)):
+        return int(token)
+    if isinstance(token, (float, np.floating)) and float(token).is_integer():
+        return int(token)
+    return None
+
+
 def _canonical_endpoints(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orient every edge so that ``src < dst``."""
     lo = np.minimum(src, dst)
@@ -193,7 +240,9 @@ class UncertainGraph:
         Node labels are collected from ``nodes`` (if given) plus edge
         endpoints, in first-seen order.  ``merge`` selects the duplicate
         edge policy: ``"error"`` (default), ``"max"``, ``"noisy-or"`` or
-        ``"first"``.
+        ``"first"``.  Every triple's probability is checked by
+        :func:`checked_probability`, a dropped duplicate's too, and an
+        error names the triple's 1-based position.
         """
         if merge not in _MERGE_POLICIES:
             raise GraphValidationError(f"unknown merge policy {merge!r}; expected one of {_MERGE_POLICIES}")
@@ -212,15 +261,13 @@ class UncertainGraph:
             for label in nodes:
                 index_for(label)
         src_list, dst_list, prob_list = [], [], []
-        for u, v, p in edges:
+        for position, (u, v, p) in enumerate(edges, start=1):
             src_list.append(index_for(u))
             dst_list.append(index_for(v))
-            prob_list.append(float(p))
+            prob_list.append(checked_probability(p, f"edge {position}"))
         src = np.asarray(src_list, dtype=np.intp)
         dst = np.asarray(dst_list, dtype=np.intp)
         prob = np.asarray(prob_list, dtype=np.float64)
-        if len(prob) and (np.any(prob <= 0.0) or np.any(prob > 1.0)):
-            raise GraphValidationError("edge probabilities must lie in (0, 1]")
         if np.any(src == dst):
             raise GraphValidationError("self loops are not allowed")
         lo, hi = _canonical_endpoints(src, dst)
@@ -306,16 +353,41 @@ class UncertainGraph:
         return self._labels
 
     def index_of(self, label) -> int:
-        """Map a node label to its dense index."""
-        if self._label_index is None:
-            idx = int(label)
-            if not 0 <= idx < self._n:
-                raise KeyError(f"node index {label!r} out of range [0, {self._n})")
-            return idx
-        try:
-            return self._label_index[label]
-        except KeyError:
-            raise KeyError(f"unknown node label {label!r}") from None
+        """Dense index of the node ``label`` names (``KeyError`` if none).
+
+        The one node-token rule of every surface: :meth:`mutate`, the
+        ``repro estimate``/``repro mutate`` CLI and the service's
+        estimate and PATCH handlers.  A node label names its node, and
+        so does an integer, or a string of one, equal to an integer
+        label: ``3`` and ``"3"`` both name node 3.  Bools and
+        non-integral numbers name no node, so ``True`` is not node 1
+        and ``2.9`` is not node 2.
+
+        Examples
+        --------
+        >>> g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
+        >>> g.index_of(2), g.index_of("2")
+        (2, 2)
+        >>> g.index_of(2.9)
+        Traceback (most recent call last):
+        ...
+        KeyError: 'unknown node label 2.9'
+        """
+        if not isinstance(label, (bool, np.bool_)):
+            if self._label_index is None:
+                number = _integer_token(label)
+                if number is not None and 0 <= number < self._n:
+                    return number
+            else:
+                try:
+                    index = self._label_index.get(label)
+                except TypeError:  # unhashable: no label equals it
+                    index = None
+                if index is None and (number := _integer_token(label)) is not None:
+                    index = self._label_index.get(number)
+                if index is not None:
+                    return index
+        raise KeyError(f"unknown node label {label!r}")
 
     def node_indices(self, nodes=None) -> np.ndarray:
         """Dense node indices as a 1-D ``intp`` array, range-checked.
@@ -510,24 +582,6 @@ class UncertainGraph:
         """Per-edge weights ``-ln p(e)`` (the paper's gmm baseline metric)."""
         return -np.log(self._prob)
 
-    def most_unlikely_world_log_probability(self) -> float:
-        """``ln`` of the probability of the least likely possible world.
-
-        The paper uses this as a safe lower bound ``p_L`` for
-        ``p_opt_min(k)``:  every connection probability is at least the
-        probability of the single most unlikely world that realizes it.
-        Returned in log space because the value underflows for all but
-        toy graphs.
-        """
-        if self.n_edges == 0:
-            return 0.0
-        per_edge = np.minimum(self._prob, 1.0 - self._prob)
-        # Edges with p == 1 always exist: their "unlikely" branch has
-        # probability 0 but they are not uncertain edges, so they
-        # contribute factor 1 (their only outcome).
-        per_edge = np.where(self._prob >= 1.0, 1.0, per_edge)
-        return float(np.sum(np.log(per_edge)))
-
     def expected_edge_count(self) -> float:
         """Expected number of edges in a random possible world."""
         return float(np.sum(self._prob))
@@ -610,25 +664,11 @@ class UncertainGraph:
         return graph
 
     def _mutation_index(self, label) -> int:
-        """``index_of`` with mutation-flavored error reporting."""
+        """:meth:`index_of` with mutation-flavored error reporting."""
         try:
             return self.index_of(label)
-        except (KeyError, ValueError, TypeError):
+        except KeyError:
             raise GraphValidationError(f"cannot mutate: unknown node label {label!r}") from None
-
-    @staticmethod
-    def _checked_probability(p, u: int, v: int) -> float:
-        try:
-            p = float(p)
-        except (TypeError, ValueError):
-            raise GraphValidationError(
-                f"edge ({u}, {v}): probability {p!r} is not a number"
-            ) from None
-        if not np.isfinite(p) or p <= 0.0 or p > 1.0:
-            raise GraphValidationError(
-                f"edge ({u}, {v}): probability {p} must lie in (0, 1]"
-            )
-        return p
 
     def _apply_ops(self, raw_ops, new_revision: int | None = None):
         """Shared worker behind :meth:`mutate` and :meth:`apply_delta`."""
@@ -661,7 +701,7 @@ class UncertainGraph:
                     raise GraphValidationError(
                         f"edge ({lo}, {hi}) already exists; use update to change its probability"
                     )
-                p = self._checked_probability(p, lo, hi)
+                p = checked_probability(p, f"edge ({lo}, {hi})")
                 added.append((lo, hi, p))
                 ops.append(EdgeOp("add", lo, hi, probability=p))
             elif kind == "remove":
@@ -672,7 +712,7 @@ class UncertainGraph:
             elif kind == "update":
                 if index is None:
                     raise GraphValidationError(f"no edge ({lo}, {hi}) to update")
-                p = self._checked_probability(p, lo, hi)
+                p = checked_probability(p, f"edge ({lo}, {hi})")
                 updated.append((index, p))
                 ops.append(
                     EdgeOp("update", lo, hi, probability=p,

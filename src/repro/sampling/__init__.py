@@ -19,8 +19,6 @@ from repro.sampling.worlds import (
     block_bfs_reached,
     packed_bfs_counts,
     packed_bfs_distances,
-    sample_edge_masks,
-    world_component_labels,
     world_block_csr,
 )
 from repro.sampling.oracle import MonteCarloOracle
@@ -59,8 +57,6 @@ __all__ = [
     "block_bfs_reached",
     "packed_bfs_counts",
     "packed_bfs_distances",
-    "sample_edge_masks",
-    "world_component_labels",
     "world_block_csr",
     "MonteCarloOracle",
     "ExactOracle",

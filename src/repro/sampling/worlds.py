@@ -11,9 +11,9 @@ three ways:
 * a single **block-diagonal** sparse adjacency matrix with ``r * n``
   vertices, world ``i`` occupying the vertex range ``[i*n, (i+1)*n)``.
 
-Component labeling (:func:`world_component_labels`) runs the
-vectorized union-find of :mod:`repro.sampling.backends.unionfind` over
-the edge masks; it never builds the block-diagonal matrix.
+Component labeling runs the vectorized union-find of
+:mod:`repro.sampling.backends.unionfind` over the edge masks; it
+never builds the block-diagonal matrix.
 
 Every hop-distance query (expected distances, depth-limited
 connection, harmonic centrality) runs the packed multi-source BFS of
@@ -53,10 +53,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends import UnionFindWorldBackend
 from repro.sampling.backends.unionfind import validate_masks
 from repro.sampling.store import WORD_BITS, packed_words
-from repro.utils.rng import ensure_rng
 
 #: Words (2 MiB) that bound one source batch: its ``((arcs + n) x
 #: sources x words)`` slab covers the dense step's gather and the
@@ -65,26 +63,6 @@ from repro.utils.rng import ensure_rng
 #: level codes yielded per block.  Sources are walked in batches sized
 #: to it, which bounds the working set whatever the source count.
 _BATCH_WORDS = 1 << 18
-
-
-def sample_edge_masks(edge_prob: np.ndarray, r: int, rng=None) -> np.ndarray:
-    """Sample ``r`` possible worlds as an ``(r, m)`` boolean mask matrix."""
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
-    rng = ensure_rng(rng)
-    edge_prob = np.asarray(edge_prob, dtype=np.float64)
-    return rng.random((r, len(edge_prob))) < edge_prob
-
-
-def world_component_labels(graph: UncertainGraph, masks: np.ndarray) -> np.ndarray:
-    """Component labels for each sampled world.
-
-    Returns an ``(r, n)`` int32 array in canonical form:
-    ``labels[i, v]`` is the smallest node index in ``v``'s component of
-    world ``i`` (so labels are directly comparable across worlds, not
-    just within a row).
-    """
-    return UnionFindWorldBackend().component_labels(graph, masks)
 
 
 def world_block_csr(graph: UncertainGraph, masks: np.ndarray) -> sp.csr_matrix:

@@ -60,7 +60,7 @@ import numpy as np
 from repro import __version__, telemetry
 from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.exceptions import GraphValidationError, ReproError, ServiceError
-from repro.graph.io import parse_uncertain_graph_text, probability_error
+from repro.graph.io import parse_uncertain_graph_text
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.store import WorldStore
 from repro.service.admission import AdmissionControl
@@ -150,12 +150,7 @@ class GraphRegistry:
         Raises a 404 :class:`ServiceError` for unknown names; a loader
         failure surfaces as a 500 with the underlying message.
         """
-        return self.resolve(name)[0]
-
-    def resolve(self, name: str) -> tuple[UncertainGraph, int]:
-        """``(graph, revision)`` under ``name``, loading lazily (404 miss)."""
-        graph, revision, _ancestors = self.resolve_with_ancestors(name)
-        return graph, revision
+        return self.resolve_with_ancestors(name)[0]
 
     def resolve_with_ancestors(self, name: str) -> tuple[UncertainGraph, int, tuple]:
         """``(graph, revision, ancestors)``, loading lazily (404 miss).
@@ -192,7 +187,7 @@ class GraphRegistry:
         :class:`ServiceError`; the registry entry is only replaced on
         success (mutations are atomic under the registry lock).
         """
-        self.resolve(name)  # 404 for unknown names; loads lazy builtins
+        self.resolve_with_ancestors(name)  # 404 for unknown names; loads lazy builtins
         with self._lock:
             entry = self._entries.get(name)
             if entry is None or entry.graph is None:  # pragma: no cover - race window
@@ -235,27 +230,16 @@ class GraphRegistry:
             return len(self._entries)
 
 
-def _validated_edge_triples(edges):
-    """Yield upload edge triples, validating probabilities like io does.
+def _edge_triples(edges):
+    """Yield upload edges, each checked to be a ``[u, v, p]`` triple.
 
-    ``json.loads`` happily decodes the non-standard ``NaN``/``Infinity``
-    literals, and NaN slips through ``UncertainGraph.from_edges``'s
-    range comparisons — so JSON uploads run the same
-    :func:`~repro.graph.io.probability_error` contract (with the
-    offending entry's position) as ``.uel`` text.
+    ``from_edges`` checks each probability (the decoded ``NaN`` and
+    ``Infinity`` literals included) and names the edge's position.
     """
     for position, edge in enumerate(edges, start=1):
         if not isinstance(edge, (list, tuple)) or len(edge) != 3:
             raise ServiceError(f"edge {position}: expected a [u, v, p] triple, got {edge!r}")
-        u, v, p = edge
-        try:
-            p = float(p)
-        except (TypeError, ValueError):
-            raise ServiceError(f"edge {position}: probability {p!r} is not a number") from None
-        problem = probability_error(p)
-        if problem is not None:
-            raise ServiceError(f"edge {position}: {problem}")
-        yield u, v, p
+        yield edge
 
 
 def normalize_job_params(body: dict) -> dict:
@@ -544,7 +528,7 @@ class ClusterService:
                 if not isinstance(edges, list):
                     raise ServiceError("JSON uploads need an 'edges' list of [u, v, p] triples")
                 return UncertainGraph.from_edges(
-                    _validated_edge_triples(edges), merge=body.get("merge", "error")
+                    _edge_triples(edges), merge=body.get("merge", "error")
                 )
             return parse_uncertain_graph_text(request.text())
         except ServiceError:
@@ -633,8 +617,8 @@ class ClusterService:
                 )
             if "u" not in op or "v" not in op:
                 raise ServiceError(f"op {position}: 'u' and 'v' are required")
-            # Map request tokens to labels via the shared node resolver,
-            # so "3" and 3 address the same node here as everywhere else.
+            # UncertainGraph.index_of is the one token rule, so "3" and 3
+            # name the same node here as on the CLI.
             u = graph.label_of(cls._node_index(graph, op["u"]))
             v = graph.label_of(cls._node_index(graph, op["v"]))
             if kind == "remove":
@@ -644,16 +628,8 @@ class ClusterService:
                 continue
             if "p" not in op:
                 raise ServiceError(f"op {position}: {kind} needs a probability 'p'")
-            try:
-                p = float(op["p"])
-            except (TypeError, ValueError):
-                raise ServiceError(
-                    f"op {position}: probability {op['p']!r} is not a number"
-                ) from None
-            problem = probability_error(p)
-            if problem is not None:
-                raise ServiceError(f"op {position}: {problem}")
-            (add if kind == "add" else update).append((u, v, p))
+            # UncertainGraph.mutate checks p; the registry answers 400.
+            (add if kind == "add" else update).append((u, v, op["p"]))
         return add, remove, update
 
     # ------------------------------------------------------------------
@@ -705,18 +681,11 @@ class ClusterService:
 
     @staticmethod
     def _node_index(graph: UncertainGraph, label) -> int:
-        """Map a request-supplied node token to its dense index (404 miss)."""
-        candidates = [label]
+        """:meth:`UncertainGraph.index_of`, answering 404 for no node."""
         try:
-            candidates.append(int(label))
-        except (TypeError, ValueError):
-            pass
-        for candidate in candidates:
-            try:
-                return graph.index_of(candidate)
-            except (KeyError, ValueError):
-                continue
-        raise ServiceError(f"no such node: {label!r}", status=404)
+            return graph.index_of(label)
+        except KeyError:
+            raise ServiceError(f"no such node: {label!r}", status=404) from None
 
     # ------------------------------------------------------------------
     # Jobs

@@ -41,30 +41,3 @@ def log_ratio(a: float, b: float) -> float:
     if a <= 0 or b <= 0:
         raise ValueError(f"log_ratio requires positive arguments, got a={a}, b={b}")
     return math.log(a) - math.log(b)
-
-
-def num_geometric_guesses(gamma: float, floor: float) -> int:
-    """Number of steps for ``q = 1, 1/(1+gamma), ...`` to reach ``floor``."""
-    if not 0 < floor <= 1:
-        raise ValueError(f"floor must be in (0, 1], got {floor}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if floor == 1.0:
-        return 1
-    return int(math.floor(log_ratio(1.0, floor) / math.log1p(gamma))) + 1
-
-
-def connection_distance(probability) -> np.ndarray | float:
-    """Map connection probabilities to metric distances ``ln(1/p)``.
-
-    ``p = 0`` maps to ``inf`` as in the paper's Section 2.  Accepts floats
-    or numpy arrays.
-    """
-    p = np.asarray(probability, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("connection probabilities must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        d = -np.log(p)
-    if np.ndim(probability) == 0:
-        return float(d)
-    return d

@@ -61,17 +61,3 @@ def ensure_seed_sequence(seed=None) -> np.random.SeedSequence:
     raise TypeError(
         f"expected None, int, SeedSequence or numpy Generator, got {type(seed).__name__}"
     )
-
-
-def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
-
-    Used when an algorithm hands sub-tasks (e.g. repeated runs of an
-    experiment) their own stream so that re-ordering sub-tasks does not
-    perturb results.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = ensure_rng(seed)
-    seeds = root.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

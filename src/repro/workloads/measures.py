@@ -38,20 +38,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.uncertain_graph import UncertainGraph
+from repro.sampling.backends.unionfind import validate_masks
 from repro.sampling.store import pack_mask_columns
 from repro.sampling.worlds import _packed_bfs_codes
 
 #: Valid ``measure=`` names, in the order the CLI/API document them.
 MEASURE_NAMES = ("degree", "harmonic", "betweenness")
-
-
-def _as_mask_matrix(graph: UncertainGraph, masks) -> np.ndarray:
-    masks = np.asarray(masks, dtype=bool)
-    if masks.ndim != 2 or masks.shape[1] != graph.n_edges:
-        raise ValueError(
-            f"masks must have shape (r, {graph.n_edges}), got {masks.shape}"
-        )
-    return masks
 
 
 def world_degrees(graph: UncertainGraph, masks) -> np.ndarray:
@@ -63,7 +55,7 @@ def world_degrees(graph: UncertainGraph, masks) -> np.ndarray:
     >>> world_degrees(g, [[True, True], [True, False]]).tolist()
     [[1.0, 2.0, 1.0], [1.0, 1.0, 0.0]]
     """
-    masks = _as_mask_matrix(graph, masks)
+    masks = validate_masks(graph, masks)
     r = masks.shape[0]
     n, m = graph.n_nodes, graph.n_edges
     if m == 0:
@@ -93,7 +85,7 @@ def world_harmonic(graph: UncertainGraph, masks) -> np.ndarray:
     >>> world_harmonic(g, [[True, True]]).round(2).tolist()  # path 0-1-2
     [[0.75, 1.0, 0.75]]
     """
-    masks = _as_mask_matrix(graph, masks)
+    masks = validate_masks(graph, masks)
     return packed_world_harmonic(graph, pack_mask_columns(masks), masks.shape[0])
 
 
@@ -136,7 +128,7 @@ def world_betweenness(graph: UncertainGraph, masks) -> np.ndarray:
     >>> world_betweenness(g, [[True, True, True]]).tolist()  # path 0-1-2-3
     [[0.0, 2.0, 2.0, 0.0]]
     """
-    masks = _as_mask_matrix(graph, masks)
+    masks = validate_masks(graph, masks)
     r = masks.shape[0]
     n = graph.n_nodes
     values = np.zeros((r, n), dtype=np.float64)

@@ -21,7 +21,7 @@ from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling import MonteCarloOracle, WorldStore
 from repro.sampling.backends import BACKENDS, UnionFindWorldBackend
 from repro.sampling.store import pack_mask_columns, unpack_mask_columns
-from repro.sampling.worlds import block_bfs_reached, sample_edge_masks, world_block_csr, world_component_labels
+from repro.sampling.worlds import block_bfs_reached, world_block_csr
 from tests.conftest import random_graph
 from tests.scipy_reference import ScipyReferenceLabeler, scipy_component_labels
 
@@ -63,7 +63,7 @@ class TestLabelEquivalence:
     def test_grid(self, n, density, prob_low, prob_high):
         rng = np.random.default_rng(n * 1000 + int(density * 100))
         graph = random_graph(n, density, rng, prob_low=prob_low, prob_high=prob_high)
-        masks = sample_edge_masks(graph.edge_prob, 23, rng=rng)
+        masks = rng.random((23, graph.n_edges)) < graph.edge_prob
         results = [labeler.component_labels(graph, masks) for labeler in ALL_LABELERS]
         for other in results[1:]:
             assert np.array_equal(results[0], other)
@@ -79,7 +79,7 @@ class TestLabelEquivalence:
     def test_property_random_graphs(self, n, density, r, seed):
         rng = np.random.default_rng(seed)
         graph = random_graph(max(n, 2), density, rng)
-        masks = sample_edge_masks(graph.edge_prob, r, rng=rng)
+        masks = rng.random((r, graph.n_edges)) < graph.edge_prob
         scipy_labels = scipy_component_labels(graph, masks)
         uf_labels = UnionFindWorldBackend().component_labels(graph, masks)
         assert np.array_equal(scipy_labels, uf_labels)
@@ -90,7 +90,7 @@ class TestLabelEquivalence:
     def test_sub_batching_is_invisible(self, world_batch, r):
         rng = np.random.default_rng(5)
         graph = random_graph(40, 0.15, rng)
-        masks = sample_edge_masks(graph.edge_prob, r, rng=rng)
+        masks = rng.random((r, graph.n_edges)) < graph.edge_prob
         labels = UnionFindWorldBackend(world_batch=world_batch).component_labels(graph, masks)
         assert np.array_equal(labels, scipy_component_labels(graph, masks))
 
@@ -101,7 +101,7 @@ class TestLabelEquivalence:
 
         rng = np.random.default_rng(6)
         graph = random_graph(40, 0.15, rng)
-        masks = sample_edge_masks(graph.edge_prob, 7, rng=rng)
+        masks = rng.random((7, graph.n_edges)) < graph.edge_prob
         monkeypatch.setattr(unionfind, "_INT32_LIMIT", 2 * 40 + 5)
         backend = UnionFindWorldBackend(world_batch=64)
         batch_sizes = []
@@ -120,17 +120,11 @@ class TestLabelEquivalence:
         """A 251-world chunk of krogan_like(0.4): every world holds a
         giant component, so the hook loop runs several rounds."""
         graph = krogan_like(seed=0, scale=0.4).graph
-        masks = sample_edge_masks(graph.edge_prob, 251, rng=41)
+        masks = np.random.default_rng(41).random((251, graph.n_edges)) < graph.edge_prob
         labels = UnionFindWorldBackend().component_labels(graph, masks)
         assert np.array_equal(labels, scipy_component_labels(graph, masks))
         giants = np.array([np.bincount(row).max() for row in labels])
         assert (giants > graph.n_nodes // 2).all()
-
-    def test_world_component_labels_is_the_labeler(self, two_triangles):
-        masks = sample_edge_masks(two_triangles.edge_prob, 11, rng=8)
-        labels = world_component_labels(two_triangles, masks)
-        assert np.array_equal(labels, UnionFindWorldBackend().component_labels(two_triangles, masks))
-        assert np.array_equal(labels, scipy_component_labels(two_triangles, masks))
 
 
 class TestEdgeCases:
@@ -162,11 +156,6 @@ class TestEdgeCases:
         masks = np.ones((4, two_triangles.n_edges), dtype=bool)
         labels = labeler.component_labels(two_triangles, masks)
         assert (labels == 0).all()  # the skeleton is connected
-
-    def test_zero_probability_edges_never_sampled(self):
-        masks = sample_edge_masks(np.array([0.0, 1.0]), 200, rng=0)
-        assert not masks[:, 0].any()
-        assert masks[:, 1].all()
 
     @pytest.mark.parametrize("labeler", ALL_LABELERS, ids=lambda b: b.name)
     def test_r_zero_chunk(self, labeler, two_triangles):
@@ -308,7 +297,7 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("r", [1, 63, 64, 65, 130])
     def test_r_not_multiple_of_64(self, two_triangles, r):
-        masks = sample_edge_masks(two_triangles.edge_prob, r, rng=r)
+        masks = np.random.default_rng(r).random((r, two_triangles.n_edges)) < two_triangles.edge_prob
         unpacked = unpack_mask_columns(pack_mask_columns(masks), r)
         for labeler in ALL_LABELERS:
             assert np.array_equal(
@@ -317,7 +306,7 @@ class TestPackedKernel:
             )
 
     def test_single_world_chunk(self, path4):
-        masks = sample_edge_masks(path4.edge_prob, 1, rng=5)
+        masks = np.random.default_rng(5).random((1, path4.n_edges)) < path4.edge_prob
         labels = self.from_packed(path4, masks)
         assert labels.shape == (1, 4)
 
@@ -330,7 +319,7 @@ class TestPackedKernel:
     def test_isolated_nodes_keep_identity_labels(self):
         # Nodes 3 and 4 have no incident edges in any world.
         graph = UncertainGraph(6, [0, 1], [1, 5], [0.7, 0.7])
-        masks = sample_edge_masks(graph.edge_prob, 100, rng=2)
+        masks = np.random.default_rng(2).random((100, graph.n_edges)) < graph.edge_prob
         labels = self.from_packed(graph, masks)
         assert (labels[:, 3] == 3).all()
         assert (labels[:, 4] == 4).all()
@@ -346,7 +335,7 @@ class TestPackedKernel:
     def test_caller_pad_garbage_is_harmless(self, two_triangles):
         """Stray pad bits (worlds >= r in the last word) are dropped
         by unpacking, so they never reach the labeler."""
-        masks = sample_edge_masks(two_triangles.edge_prob, 70, rng=4)
+        masks = np.random.default_rng(4).random((70, two_triangles.n_edges)) < two_triangles.edge_prob
         packed = pack_mask_columns(masks)
         dirty = packed.copy()
         dirty[:, -1] |= np.uint64(0xFFFF) << np.uint64(48)  # worlds 112..127
@@ -373,7 +362,7 @@ class TestPackedKernel:
         rng = np.random.default_rng(12)
         graph = random_graph(30, 0.15, rng)
         masks = unpack_mask_columns(
-            pack_mask_columns(sample_edge_masks(graph.edge_prob, 40, rng=rng)), 40
+            pack_mask_columns(rng.random((40, graph.n_edges)) < graph.edge_prob), 40
         )
         full = scipy_component_labels(graph, masks)
         affected = np.ones((40, 30), dtype=bool)  # everything affected

@@ -372,6 +372,11 @@ class TestMutate:
         assert main(["mutate", graph_file, "--remove", "0", "5"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["x", "nan", "1.5", "0"])
+    def test_mutate_bad_probability_errors(self, graph_file, capsys, p):
+        assert main(["mutate", graph_file, "--update", "0", "1", p]) == 2
+        assert capsys.readouterr().err.startswith("error: edge (0, 1): probability")
+
     def test_mutate_derives_world_cache(self, graph_file, tmp_path, capsys):
         cache = tmp_path / "wc"
         assert main([

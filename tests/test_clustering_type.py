@@ -101,16 +101,6 @@ class TestObjectives:
             c.avg_prob()
 
 
-class TestRelabel:
-    def test_relabel_by_size(self):
-        c = make_clustering([0, 1, 1, 1], [0, 1], probs=[1.0, 1.0, 0.5, 0.6])
-        relabelled = c.relabel_by_size()
-        assert relabelled.cluster_sizes().tolist() == [3, 1]
-        assert relabelled.centers.tolist() == [1, 0]
-        # Objective values are invariant under relabelling.
-        assert relabelled.avg_prob() == pytest.approx(c.avg_prob())
-
-
 class TestCompletion:
     def test_assigns_uncovered_to_best_center(self):
         c = make_clustering([0, 1, UNCOVERED], [0, 1], probs=[1.0, 1.0, 0.0])

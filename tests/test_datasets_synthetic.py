@@ -6,10 +6,8 @@ import pytest
 from repro import GraphValidationError
 from repro.datasets.synthetic import (
     gnm_uncertain,
-    path_graph,
     planted_partition,
     sample_distinct_pairs,
-    star_graph,
 )
 
 
@@ -90,23 +88,3 @@ class TestPlantedPartition:
         b, mb = planted_partition(30, 3, seed=9)
         assert np.array_equal(ma, mb)
         assert np.array_equal(a.edge_prob, b.edge_prob)
-
-
-class TestFixedShapes:
-    def test_path(self):
-        g = path_graph(5, prob=0.7)
-        assert g.n_nodes == 5
-        assert g.n_edges == 4
-        assert np.all(g.edge_prob == 0.7)
-        assert g.degrees().tolist() == [1, 2, 2, 2, 1]
-
-    def test_star(self):
-        g = star_graph(4, prob=0.6)
-        assert g.n_nodes == 5
-        assert g.degrees()[0] == 4
-
-    def test_invalid(self):
-        with pytest.raises(GraphValidationError):
-            path_graph(1)
-        with pytest.raises(GraphValidationError):
-            star_graph(0)

@@ -5,7 +5,6 @@ import pytest
 
 from repro import ClusteringError, UncertainGraph
 from repro.baselines.kpt import kpt_clustering
-from repro.datasets import star_graph
 
 
 class TestBasics:
@@ -40,9 +39,12 @@ class TestBasics:
             kpt_clustering(two_triangles, threshold=1.2)
 
 
+STAR = UncertainGraph.from_edges([(0, leaf, 0.9) for leaf in range(1, 7)])
+
+
 class TestStarDecomposition:
     def test_star_collapses_to_one_cluster_when_pivot_is_hub(self):
-        graph = star_graph(6, prob=0.9)
+        graph = STAR
         # Force the hub to be drawn first by trying seeds.
         for seed in range(50):
             clustering = kpt_clustering(graph, seed=seed)
@@ -52,7 +54,7 @@ class TestStarDecomposition:
             pytest.fail("no seed made the hub the first pivot")
 
     def test_leaf_pivot_gives_many_clusters(self):
-        graph = star_graph(6, prob=0.9)
+        graph = STAR
         counts = [kpt_clustering(graph, seed=s).k for s in range(30)]
         # When a leaf pivots first, the star shatters: expect variance.
         assert max(counts) > 1

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro import MonteCarloOracle, OracleError, UncertainGraph
-from repro.sampling import ExactOracle, WorldStore
+from repro.sampling import ExactOracle, UnionFindWorldBackend, WorldStore
 from repro.sampling.worlds import (
     block_bfs_distances,
     block_bfs_reached,
     world_block_csr,
-    world_component_labels,
 )
 from repro.workloads.measures import world_harmonic
 from tests.conftest import random_graph
@@ -52,10 +51,11 @@ class TestPoolManagement:
         assert oracle.n_chunks == 5
         assert [oracle.chunk_worlds(i) for i in range(5)] == [10, 10, 5, 10, 5]
         masks = np.concatenate([oracle.chunk_masks(i) for i in range(5)])
+        expected = UnionFindWorldBackend().component_labels(two_triangles, masks)
         labels = oracle.component_labels
-        assert np.array_equal(labels, world_component_labels(two_triangles, masks))
+        assert np.array_equal(labels, expected)
         labels[:] = 0  # callers get a copy, never the pool itself
-        assert np.array_equal(oracle.component_labels, world_component_labels(two_triangles, masks))
+        assert np.array_equal(oracle.component_labels, expected)
 
     def test_max_samples_enforced(self, two_triangles):
         oracle = MonteCarloOracle(two_triangles, seed=0, max_samples=100)

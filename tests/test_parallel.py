@@ -41,7 +41,6 @@ from repro.sampling.store import (
     pool_fingerprint,
     unpack_mask_columns,
 )
-from repro.sampling.worlds import world_component_labels
 from repro.service.app import ClusterService, normalize_job_params
 from repro.service.cache import OracleCache
 from repro.service.workers import ProcessJobQueue, execute_clustering
@@ -621,7 +620,6 @@ class TestRemovedOptions:
             (OracleCache.lease, "backend"),
             (derive_pool, "backend"),
             (derive_pool, "chunk_size"),
-            (world_component_labels, "backend"),
             (pool_fingerprint, "backend_name"),
             (pool_fingerprint, "chunk_size"),
             (WorldStore.register, "backend_name"),

@@ -10,7 +10,6 @@ from repro.experiments.reference import (
     PAPER_PMIN,
     PAPER_TABLE2,
     PAPER_TIME_MS,
-    paper_figure1_table,
     shape_claims,
 )
 
@@ -78,11 +77,3 @@ class TestShapeClaims:
         # documents; claims are checked up to that noise.
         for claim, holds in shape_claims(pmin=pmin, outer=outer, tolerance=0.05):
             assert holds, f"measured run violates: {claim}"
-
-
-class TestRendering:
-    def test_figure1_reference_table(self):
-        table = paper_figure1_table()
-        assert len(table) == 48
-        rendered = table.render()
-        assert "0.356" in rendered  # collins k=24 mcp pmin

@@ -241,8 +241,8 @@ class TestGraphEndpoints:
         assert client.request("GET", "/graphs/bad")[0] == 404  # nothing registered
 
     def test_upload_json_nan_probability_400(self, client):
-        # json.loads accepts the NaN literal, and NaN passes from_edges's
-        # range comparisons — the upload path must catch it explicitly.
+        # json.loads accepts the NaN literal; from_edges rejects it and
+        # names the edge's position.
         status, payload = client.request(
             "PUT", "/graphs/bad", body='{"edges": [[0, 1, 0.5], [1, 2, NaN]]}'
         )
@@ -1074,6 +1074,45 @@ class TestGraphMutation:
         )
         assert status == 404
         assert "no such node" in payload["error"]["message"]
+
+    @staticmethod
+    def _toy_revision(client) -> int:
+        _, listing = client.request("GET", "/graphs")
+        return next(g["revision"] for g in listing["graphs"] if g["name"] == "toy")
+
+    @pytest.mark.parametrize(
+        "u,v", [(0, 4.9), (True, 4), (0, "4.0"), (0, None), (0, [4])], ids=repr
+    )
+    def test_patch_non_integer_node_token_404(self, client, u, v):
+        """A token that only truncates or coerces to a node (``4.9`` to
+        4, ``true`` to 1) names no node, so the graph stays put."""
+        revision = self._toy_revision(client)
+        status, payload = client.request(
+            "PATCH", "/graphs/toy/edges", {"ops": [{"op": "add", "u": u, "v": v, "p": 0.5}]}
+        )
+        assert status == 404, payload
+        assert "no such node" in payload["error"]["message"]
+        assert self._toy_revision(client) == revision
+
+    def test_patch_string_and_int_tokens_name_one_node(self, client):
+        status, payload = client.request(
+            "PATCH", "/graphs/toy/edges", {"ops": [{"op": "add", "u": "0", "v": 4, "p": 0.5}]}
+        )
+        assert status == 200 and payload["delta"]["added"] == 1
+        status, payload = client.request(
+            "PATCH", "/graphs/toy/edges", {"ops": [{"op": "remove", "u": 0, "v": "4"}]}
+        )
+        assert status == 200 and payload["delta"]["removed"] == 1
+
+    def test_patch_bad_probability_400_leaves_graph(self, client):
+        revision = self._toy_revision(client)
+        for p in (1.5, 0, "x", None):
+            status, payload = client.request(
+                "PATCH", "/graphs/toy/edges", {"ops": [{"op": "update", "u": 0, "v": 1, "p": p}]}
+            )
+            assert status == 400, payload
+            assert "probability" in payload["error"]["message"]
+        assert self._toy_revision(client) == revision
 
     def test_patch_mutation_prevents_coalescing(self, service, client):
         """The regression pin: a PATCH (not just a re-upload) bumps the

@@ -85,6 +85,48 @@ class TestValidation:
         with pytest.raises(KeyError):
             two_triangles.index_of(99)
 
+    @pytest.mark.parametrize("merge", ["error", "max", "noisy-or", "first"])
+    def test_every_triple_probability_is_checked(self, merge):
+        """A bad probability fails even on a duplicate the merge drops,
+        and the error names the triple's position."""
+        with pytest.raises(GraphValidationError, match=r"^edge 2: probability nan outside"):
+            UncertainGraph.from_edges([(0, 1, 0.5), (0, 1, float("nan"))], merge=merge)
+        with pytest.raises(GraphValidationError, match="^edge 3: probability 'x' is not a number"):
+            UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5), (0, 1, "x")], merge=merge)
+
+
+class TestNodeTokens:
+    """``index_of`` is the node-token rule of the CLI, the service and
+    ``mutate``: labels and integer spellings of integer labels name a
+    node; bools and non-integral numbers never do."""
+
+    GRAPHS = {
+        "plain": UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)]),
+        "int labels": UncertainGraph.from_edges([(3, 2, 0.5), (2, 1, 0.5), (1, 0, 0.5)]),
+        "string labels": UncertainGraph.from_edges([("3", "2", 0.5), ("2", "x", 0.5)]),
+    }
+    BAD_TOKENS = [True, np.True_, 2.9, "2.9", "3.0", None, [3], "y", 4, -1]
+
+    @pytest.mark.parametrize("name", ["plain", "int labels"])
+    @pytest.mark.parametrize("token", [3, "3", np.int64(3), 3.0])
+    def test_integer_tokens_name_integer_labels(self, name, token):
+        graph = self.GRAPHS[name]
+        assert graph.label_of(graph.index_of(token)) == 3
+
+    def test_string_labels_match_as_typed(self):
+        graph = self.GRAPHS["string labels"]
+        assert graph.label_of(graph.index_of("3")) == "3"
+        assert graph.label_of(graph.index_of("x")) == "x"
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    @pytest.mark.parametrize("token", BAD_TOKENS, ids=repr)
+    def test_other_tokens_name_no_node(self, name, token):
+        graph = self.GRAPHS[name]
+        with pytest.raises(KeyError, match="unknown node label"):
+            graph.index_of(token)
+        with pytest.raises(GraphValidationError, match="cannot mutate: unknown node label"):
+            graph.mutate(add=[(graph.node_labels[0], token, 0.5)])
+
 
 class TestMergePolicies:
     def test_merge_max(self):
@@ -169,15 +211,6 @@ class TestGlobalProperties:
     def test_log_distance_weights(self, path4):
         w = path4.log_distance_weights()
         assert w == pytest.approx(-np.log(path4.edge_prob))
-
-    def test_most_unlikely_world(self):
-        g = UncertainGraph.from_edges([(0, 1, 0.9), (1, 2, 0.4)])
-        expected = np.log(0.1) + np.log(0.4)
-        assert g.most_unlikely_world_log_probability() == pytest.approx(expected)
-
-    def test_most_unlikely_world_certain_edges(self):
-        g = UncertainGraph.from_edges([(0, 1, 1.0)])
-        assert g.most_unlikely_world_log_probability() == 0.0
 
     def test_expected_edge_count(self, path4):
         assert path4.expected_edge_count() == pytest.approx(0.9 + 0.5 + 0.8)

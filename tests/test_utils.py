@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.utils.math import (
-    connection_distance,
-    harmonic_number,
-    log_ratio,
-    num_geometric_guesses,
-)
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.math import harmonic_number, log_ratio
+from repro.utils.rng import ensure_rng
 from repro.utils.tables import TextTable
 
 
@@ -33,20 +28,6 @@ class TestRng:
     def test_bad_type(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")
-
-    def test_spawn_independent_streams(self):
-        streams = spawn_rngs(0, 3)
-        values = [rng.random() for rng in streams]
-        assert len(set(values)) == 3
-
-    def test_spawn_deterministic(self):
-        a = [rng.random() for rng in spawn_rngs(1, 2)]
-        b = [rng.random() for rng in spawn_rngs(1, 2)]
-        assert a == b
-
-    def test_spawn_negative(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
 
 class TestMath:
@@ -74,32 +55,6 @@ class TestMath:
         assert log_ratio(1.0, 0.1) == pytest.approx(math.log(10))
         with pytest.raises(ValueError):
             log_ratio(0.0, 1.0)
-
-    def test_num_geometric_guesses(self):
-        assert num_geometric_guesses(0.1, 1.0) == 1
-        count = num_geometric_guesses(0.1, 1e-4)
-        assert count == int(math.floor(math.log(1e4) / math.log(1.1))) + 1
-
-    def test_connection_distance_scalar(self):
-        assert connection_distance(1.0) == 0.0
-        assert connection_distance(math.exp(-2)) == pytest.approx(2.0)
-        assert math.isinf(connection_distance(0.0))
-
-    def test_connection_distance_array(self):
-        d = connection_distance(np.array([1.0, 0.5]))
-        assert d[0] == 0.0
-        assert d[1] == pytest.approx(math.log(2))
-
-    def test_connection_distance_triangle_inequality_form(self):
-        # d(u,z) <= d(u,v) + d(v,z)  <=>  p_uz >= p_uv * p_vz
-        p_uv, p_vz = 0.3, 0.6
-        assert connection_distance(p_uv * p_vz) == pytest.approx(
-            connection_distance(p_uv) + connection_distance(p_vz)
-        )
-
-    def test_connection_distance_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            connection_distance(1.5)
 
 
 class TestTextTable:

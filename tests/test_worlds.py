@@ -5,6 +5,8 @@ import pytest
 
 from repro import UncertainGraph
 from repro.graph.components import connected_component_labels
+from repro.sampling.backends import UnionFindWorldBackend
+from repro.sampling.parallel import sample_mask_rows
 from repro.sampling.store import WORD_BITS, pack_mask_columns
 from repro.sampling.worlds import (
     _packed_bfs_codes,
@@ -12,48 +14,33 @@ from repro.sampling.worlds import (
     block_bfs_reached,
     packed_bfs_counts,
     packed_bfs_distances,
-    sample_edge_masks,
     world_block_csr,
-    world_component_labels,
 )
 from tests.conftest import random_graph
 
 
 class TestSampleMasks:
-    def test_shape_and_dtype(self, two_triangles):
-        masks = sample_edge_masks(two_triangles.edge_prob, 10, rng=0)
-        assert masks.shape == (10, 7)
-        assert masks.dtype == bool
-
-    def test_zero_samples(self, two_triangles):
-        masks = sample_edge_masks(two_triangles.edge_prob, 0, rng=0)
-        assert masks.shape == (0, 7)
-
-    def test_negative_samples_rejected(self, two_triangles):
-        with pytest.raises(ValueError):
-            sample_edge_masks(two_triangles.edge_prob, -1, rng=0)
+    """The pool sampler draws each edge with its own probability."""
 
     def test_certain_edges_always_present(self):
-        prob = np.array([1.0, 1.0])
-        masks = sample_edge_masks(prob, 50, rng=1)
+        masks = sample_mask_rows(
+            np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0]),
+            np.random.SeedSequence(1), 0, 50,
+        )
         assert masks.all()
-
-    def test_seeded_determinism(self, two_triangles):
-        a = sample_edge_masks(two_triangles.edge_prob, 20, rng=42)
-        b = sample_edge_masks(two_triangles.edge_prob, 20, rng=42)
-        assert np.array_equal(a, b)
 
     def test_frequency_matches_probability(self):
         prob = np.array([0.2, 0.5, 0.9])
-        masks = sample_edge_masks(prob, 20000, rng=7)
-        freq = masks.mean(axis=0)
-        assert np.allclose(freq, prob, atol=0.02)
+        masks = sample_mask_rows(
+            np.array([0, 1, 2]), np.array([1, 2, 3]), prob, np.random.SeedSequence(7), 0, 20000
+        )
+        assert np.allclose(masks.mean(axis=0), prob, atol=0.02)
 
 
 class TestWorldLabels:
     def test_each_row_is_world_components(self, two_triangles):
-        masks = sample_edge_masks(two_triangles.edge_prob, 25, rng=3)
-        labels = world_component_labels(two_triangles, masks)
+        masks = np.random.default_rng(3).random((25, two_triangles.n_edges)) < two_triangles.edge_prob
+        labels = UnionFindWorldBackend().component_labels(two_triangles, masks)
         assert labels.shape == (25, 6)
         for i in range(25):
             expected = connected_component_labels(
@@ -65,12 +52,12 @@ class TestWorldLabels:
                 assert mapping.setdefault(a, b) == b
 
     def test_empty_batch(self, two_triangles):
-        labels = world_component_labels(two_triangles, np.zeros((0, 7), dtype=bool))
+        labels = UnionFindWorldBackend().component_labels(two_triangles, np.zeros((0, 7), dtype=bool))
         assert labels.shape == (0, 6)
 
     def test_bad_mask_shape(self, two_triangles):
         with pytest.raises(ValueError):
-            world_component_labels(two_triangles, np.zeros((2, 3), dtype=bool))
+            UnionFindWorldBackend().component_labels(two_triangles, np.zeros((2, 3), dtype=bool))
 
 
 class TestBlockCSR:
@@ -88,7 +75,7 @@ class TestBlockCSR:
         assert not dense[:4, 4:].any()
 
     def test_symmetric(self, two_triangles):
-        masks = sample_edge_masks(two_triangles.edge_prob, 5, rng=0)
+        masks = np.random.default_rng(0).random((5, two_triangles.n_edges)) < two_triangles.edge_prob
         block = world_block_csr(two_triangles, masks)
         assert (block != block.T).nnz == 0
 
@@ -117,7 +104,7 @@ class TestBlockBFS:
     def test_matches_per_world_bfs(self):
         rng = np.random.default_rng(9)
         graph = random_graph(12, 0.25, rng)
-        masks = sample_edge_masks(graph.edge_prob, 20, rng=rng)
+        masks = rng.random((20, graph.n_edges)) < graph.edge_prob
         block = world_block_csr(graph, masks)
         from repro.graph.traversal import bfs_distances
 
@@ -185,7 +172,7 @@ class TestPackedBfs:
     def test_matches_block_bfs(self, name, r):
         graph = self.GRAPHS[name]()
         n = graph.n_nodes
-        masks = sample_edge_masks(graph.edge_prob, r, rng=r)
+        masks = np.random.default_rng(r).random((r, graph.n_edges)) < graph.edge_prob
         cols = _with_garbage_pad(pack_mask_columns(masks), r)
         block = world_block_csr(graph, masks)
         source_lists = ([], list(range(n)), [n - 1, 0, n - 1, n // 2])
@@ -209,7 +196,7 @@ class TestPackedBfs:
         # into several batches; the result must not depend on that.
         graph = random_graph(40, 0.15, np.random.default_rng(2))
         r = 700
-        masks = sample_edge_masks(graph.edge_prob, r, rng=5)
+        masks = np.random.default_rng(5).random((r, graph.n_edges)) < graph.edge_prob
         cols = pack_mask_columns(masks)
         sources = np.arange(graph.n_nodes)
         batches = list(packed_bfs_distances(graph, cols, r, sources))
@@ -259,7 +246,7 @@ class TestPackedBfs:
             assert np.array_equal(got, want)
         assert mutated.degree_layout[0][low] == 0 != layout[0][low]
         r = 70
-        masks = sample_edge_masks(mutated.edge_prob, r, rng=3)
+        masks = np.random.default_rng(3).random((r, mutated.n_edges)) < mutated.edge_prob
         block = world_block_csr(mutated, masks)
         expected = np.stack([
             block_bfs_distances(block, mutated.n_nodes, r, v) for v in range(mutated.n_nodes)
