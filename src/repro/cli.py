@@ -212,14 +212,13 @@ def _cmd_mutate(args) -> int:
     if not (add or remove or update):
         print("error: no mutation ops given (--add/--remove/--update)", file=sys.stderr)
         return 2
-    mutated, delta = graph.mutate(add=add, remove=remove, update=update)
+    mutated, counts = graph.mutate(add=add, remove=remove, update=update)
     output = args.output or args.graph
     write_uncertain_graph(
         mutated, output,
         header=f"mutated from {args.graph}: "
-        + " ".join(f"{k}={c}" for k, c in delta.summary().items() if c),
+        + " ".join(f"{k}={c}" for k, c in counts.items() if c),
     )
-    counts = delta.summary()
     print(
         f"wrote {output}: {mutated.n_nodes} nodes, {mutated.n_edges} edges "
         f"(+{counts['added']} -{counts['removed']} ~{counts['updated']} edges, "

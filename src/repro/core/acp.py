@@ -29,11 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import telemetry
 from repro.core.clustering import Clustering, complete_clustering
-from repro.core.common import resolve_oracle, resolve_sample_schedule, validate_common
-from repro.core.mcp import GuessRecord, _is_exact
-from repro.core.partial import min_partial
+from repro.core.common import (
+    GuessRecord,
+    guess_runner,
+    is_exact,
+    resolve_oracle,
+    resolve_sample_schedule,
+    validate_common,
+)
 from repro.core.schedule import resolve_guess_schedule
 from repro.exceptions import ClusteringError
 from repro.graph.uncertain_graph import UncertainGraph
@@ -120,7 +124,7 @@ def acp_clustering(
     )
     guesses = resolve_guess_schedule(guess_schedule, gamma, p_lower)
     rng = ensure_rng(seed)
-    oracle_is_sampled = not _is_exact(oracle)
+    oracle_is_sampled = not is_exact(oracle)
     history: list[GuessRecord] = []
 
     theoretical = mode == "theoretical"
@@ -135,40 +139,12 @@ def acp_clustering(
     def coverage_threshold(q: float) -> float:
         return q**3 if theoretical else q
 
-    def run_guess(q: float):
-        if cancel_check is not None:
-            cancel_check()
-        with telemetry.get_tracer().span("acp.guess", q=q) as span:
-            result = _run_guess_traced(q, span)
-        return result
-
-    def _run_guess_traced(q: float, span):
-        oracle.ensure_samples(samples_for(q))
-        result = min_partial(
-            oracle,
-            k,
-            coverage_threshold(q),
-            alpha=n if theoretical else 1,
-            q_bar=q,
-            eps=eps if oracle_is_sampled else 0.0,
-            rng=rng,
-            depth=depth,
-            inner_depth=inner_depth,
-        )
-        record = GuessRecord(
-            q=q,
-            samples=oracle.num_samples if oracle_is_sampled else 0,
-            covered=result.clustering.n_covered,
-            covers_all=result.covers_all,
-        )
-        history.append(record)
-        span.set("samples", record.samples)
-        span.set("covered", record.covered)
-        span.set("covers_all", record.covers_all)
-        if progress is not None:
-            progress({"q": record.q, "samples": record.samples,
-                      "covered": record.covered, "covers_all": record.covers_all})
-        return result
+    run_guess = guess_runner(
+        "acp.guess", oracle, k, samples_for,
+        threshold=coverage_threshold,
+        eps=eps, history=history, cancel_check=cancel_check, progress=progress,
+        alpha=n if theoretical else 1, rng=rng, depth=depth, inner_depth=inner_depth,
+    )
 
     phi_best = -1.0
     best_completed: Clustering | None = None

@@ -3,15 +3,88 @@
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
+from repro import telemetry
+from repro.core.partial import MinPartialResult, min_partial
 from repro.exceptions import ClusteringError
 from repro.graph.uncertain_graph import UncertainGraph
+from repro.sampling.exact import ExactOracle
 from repro.sampling.oracle import MonteCarloOracle
 from repro.sampling.sizes import (
     PracticalSchedule,
     TheoreticalACPSchedule,
     TheoreticalMCPSchedule,
 )
+
+
+@dataclass(frozen=True)
+class GuessRecord:
+    """One guess of the threshold schedule."""
+
+    q: float
+    samples: int
+    covered: int
+    covers_all: bool
+
+
+def is_exact(oracle) -> bool:
+    """Whether the oracle returns exact probabilities (no eps relaxation)."""
+    return isinstance(oracle, ExactOracle)
+
+
+def guess_runner(
+    span_name: str,
+    oracle,
+    k: int,
+    samples_for: Callable[[float], int],
+    *,
+    threshold: Callable[[float], float],
+    q_bar: float | None = None,
+    eps: float,
+    history: list,
+    cancel_check=None,
+    progress=None,
+    **partial_options,
+) -> Callable[[float], MinPartialResult]:
+    """One guess step of the MCP/ACP threshold loops, as ``q -> result``.
+
+    Each call checks ``cancel_check``, then, inside a ``span_name``
+    span, tops the oracle up to ``samples_for(q)`` worlds, runs
+    ``min_partial`` at ``threshold(q)`` with ``q_bar`` (the guess ``q``
+    when ``None``) and ``eps`` (0 for exact oracles), appends a
+    :class:`GuessRecord` to ``history`` and reports it to ``progress``.
+    ``partial_options`` (``alpha``, ``rng``, ``depth``,
+    ``inner_depth``) pass through to ``min_partial``.
+    """
+    sampled = not is_exact(oracle)
+
+    def run_guess(q: float) -> MinPartialResult:
+        if cancel_check is not None:
+            cancel_check()
+        with telemetry.get_tracer().span(span_name, q=q) as span:
+            oracle.ensure_samples(samples_for(q))
+            result = min_partial(
+                oracle, k, threshold(q), q_bar=q if q_bar is None else q_bar,
+                eps=eps if sampled else 0.0,
+                **partial_options,
+            )
+            record = GuessRecord(
+                q=q,
+                samples=oracle.num_samples if sampled else 0,
+                covered=result.clustering.n_covered,
+                covers_all=result.covers_all,
+            )
+            history.append(record)
+            span.set("samples", record.samples)
+            span.set("covered", record.covered)
+            span.set("covers_all", record.covers_all)
+            if progress is not None:
+                progress({"q": record.q, "samples": record.samples,
+                          "covered": record.covered, "covers_all": record.covers_all})
+        return result
+
+    return run_guess
 
 
 def resolve_oracle(

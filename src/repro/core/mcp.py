@@ -22,24 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import telemetry
 from repro.core.clustering import Clustering, complete_clustering
-from repro.core.common import resolve_oracle, resolve_sample_schedule, validate_common
-from repro.core.partial import min_partial
+from repro.core.common import (
+    GuessRecord,
+    guess_runner,
+    is_exact,
+    resolve_oracle,
+    resolve_sample_schedule,
+    validate_common,
+)
 from repro.core.schedule import refine_between, resolve_guess_schedule
 from repro.exceptions import ClusteringError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.rng import ensure_rng
-
-
-@dataclass(frozen=True)
-class GuessRecord:
-    """One guess of the threshold schedule."""
-
-    q: float
-    samples: int
-    covered: int
-    covers_all: bool
 
 
 @dataclass(frozen=True)
@@ -175,41 +170,13 @@ def mcp_clustering(
     rng = ensure_rng(seed)
     history: list[GuessRecord] = []
     # Exact oracles need no threshold relaxation.
-    oracle_is_sampled = not _is_exact(oracle)
-
-    def run_guess(q: float):
-        if cancel_check is not None:
-            cancel_check()
-        with telemetry.get_tracer().span("mcp.guess", q=q) as span:
-            result = _run_guess_traced(q, span)
-        return result
-
-    def _run_guess_traced(q: float, span):
-        oracle.ensure_samples(samples_for(q))
-        result = min_partial(
-            oracle,
-            k,
-            q,
-            alpha=alpha,
-            q_bar=q_bar if q_bar is not None else q,
-            eps=eps if oracle_is_sampled else 0.0,
-            rng=rng,
-            depth=depth,
-        )
-        record = GuessRecord(
-            q=q,
-            samples=oracle.num_samples if oracle_is_sampled else 0,
-            covered=result.clustering.n_covered,
-            covers_all=result.covers_all,
-        )
-        history.append(record)
-        span.set("samples", record.samples)
-        span.set("covered", record.covered)
-        span.set("covers_all", record.covers_all)
-        if progress is not None:
-            progress({"q": record.q, "samples": record.samples,
-                      "covered": record.covered, "covers_all": record.covers_all})
-        return result
+    oracle_is_sampled = not is_exact(oracle)
+    run_guess = guess_runner(
+        "mcp.guess", oracle, k, samples_for,
+        threshold=lambda q: q, q_bar=q_bar,
+        eps=eps, history=history, cancel_check=cancel_check, progress=progress,
+        alpha=alpha, rng=rng, depth=depth,
+    )
 
     best = None
     q_success = None
@@ -263,9 +230,3 @@ def mcp_clustering(
         history=tuple(history),
     )
 
-
-def _is_exact(oracle) -> bool:
-    """Whether the oracle returns exact probabilities (no eps relaxation)."""
-    from repro.sampling.exact import ExactOracle
-
-    return isinstance(oracle, ExactOracle)

@@ -1,7 +1,6 @@
 """Graph substrate: the :class:`UncertainGraph` structure and algorithms."""
 
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.graph.delta import EdgeOp, GraphDelta
 from repro.graph.components import UnionFind, connected_component_labels, largest_component_indices
 from repro.graph.traversal import bfs_distances, build_csr_matrix, dijkstra_distances
 from repro.graph.io import (
@@ -12,8 +11,6 @@ from repro.graph.io import (
 
 __all__ = [
     "parse_uncertain_graph_text",
-    "EdgeOp",
-    "GraphDelta",
     "UncertainGraph",
     "UnionFind",
     "connected_component_labels",

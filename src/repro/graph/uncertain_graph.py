@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.exceptions import GraphValidationError
 from repro.graph.components import connected_component_labels, largest_component_indices
-from repro.graph.delta import EdgeOp, GraphDelta
 
 _MERGE_POLICIES = ("error", "max", "noisy-or", "first")
 
@@ -590,8 +589,8 @@ class UncertainGraph:
     # Mutation (copy-on-write)
     # ------------------------------------------------------------------
 
-    def mutate(self, *, add=(), remove=(), update=()) -> tuple["UncertainGraph", GraphDelta]:
-        """Apply edge mutations, returning ``(new_graph, delta)``.
+    def mutate(self, *, add=(), remove=(), update=()) -> tuple["UncertainGraph", dict]:
+        """Apply edge mutations, returning ``(new_graph, counts)``.
 
         Copy-on-write: ``self`` is never modified — callers holding the
         old revision keep reading consistent data.  The new graph's
@@ -599,6 +598,8 @@ class UncertainGraph:
         canonical sorted order (the order ``from_edges`` produces), so
         a mutated graph is indistinguishable from cold-building the
         same edge set — including its sampled-world pool fingerprint.
+        ``counts`` is ``{"added", "removed", "updated"}``, the op counts
+        ``repro mutate`` and the service's PATCH report.
 
         Parameters
         ----------
@@ -620,58 +621,18 @@ class UncertainGraph:
         Examples
         --------
         >>> g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
-        >>> g2, delta = g.mutate(update=[(0, 1, 0.9)], add=[(0, 2, 0.3)])
+        >>> g2, counts = g.mutate(update=[(0, 1, 0.9)], add=[(0, 2, 0.3)])
         >>> (g.revision, g2.revision, g.n_edges, g2.n_edges)
         (0, 1, 2, 3)
-        >>> delta.summary()
+        >>> counts
         {'added': 1, 'removed': 0, 'updated': 1}
         """
-        raw_ops = []
-        for u, v, p in add:
-            raw_ops.append(("add", self._mutation_index(u), self._mutation_index(v), p))
-        for u, v in remove:
-            raw_ops.append(("remove", self._mutation_index(u), self._mutation_index(v), None))
-        for u, v, p in update:
-            raw_ops.append(("update", self._mutation_index(u), self._mutation_index(v), p))
-        return self._apply_ops(raw_ops)
-
-    def add_edge(self, u, v, probability) -> tuple["UncertainGraph", GraphDelta]:
-        """Shorthand for ``mutate(add=[(u, v, probability)])``."""
-        return self.mutate(add=[(u, v, probability)])
-
-    def remove_edge(self, u, v) -> tuple["UncertainGraph", GraphDelta]:
-        """Shorthand for ``mutate(remove=[(u, v)])``."""
-        return self.mutate(remove=[(u, v)])
-
-    def update_edge(self, u, v, probability) -> tuple["UncertainGraph", GraphDelta]:
-        """Shorthand for ``mutate(update=[(u, v, probability)])``."""
-        return self.mutate(update=[(u, v, probability)])
-
-    def apply_delta(self, delta: GraphDelta) -> "UncertainGraph":
-        """Replay a :class:`GraphDelta` produced against this revision.
-
-        The delta's ``base_revision`` must match :attr:`revision`
-        (replaying out of order would silently diverge from the
-        recorded history); the result carries ``delta.new_revision``.
-        """
-        if delta.base_revision != self._revision:
-            raise GraphValidationError(
-                f"delta base revision {delta.base_revision} does not match "
-                f"graph revision {self._revision}"
-            )
-        raw_ops = [(op.op, op.u, op.v, op.probability) for op in delta.ops]
-        graph, _ = self._apply_ops(raw_ops, new_revision=delta.new_revision)
-        return graph
-
-    def _mutation_index(self, label) -> int:
-        """:meth:`index_of` with mutation-flavored error reporting."""
-        try:
-            return self.index_of(label)
-        except KeyError:
-            raise GraphValidationError(f"cannot mutate: unknown node label {label!r}") from None
-
-    def _apply_ops(self, raw_ops, new_revision: int | None = None):
-        """Shared worker behind :meth:`mutate` and :meth:`apply_delta`."""
+        # Every label resolves before any op is checked, so an input
+        # with several faults reports its unknown label first.
+        resolve = self._mutation_index
+        ops = [("add", resolve(u), resolve(v), p) for u, v, p in add]
+        ops += [("remove", resolve(u), resolve(v), None) for u, v in remove]
+        ops += [("update", resolve(u), resolve(v), p) for u, v, p in update]
         n, m = self._n, self.n_edges
         # One O(m) index pass up front; each op is then a dict lookup,
         # so a k-op mutation is O(m + k) rather than O(k * m) — it runs
@@ -681,16 +642,12 @@ class UncertainGraph:
             for i, (u, v) in enumerate(zip(self._src.tolist(), self._dst.tolist(), strict=True))
         }
         seen: set[tuple[int, int]] = set()
-        ops: list[EdgeOp] = []
         removed_idx: list[int] = []
         updated: list[tuple[int, float]] = []
         added: list[tuple[int, int, float]] = []
-        for kind, u, v, p in raw_ops:
-            u, v = int(u), int(v)
+        for kind, u, v, p in ops:
             if u == v:
                 raise GraphValidationError(f"self loop at node {u}; uncertain graphs here are simple")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphValidationError(f"edge endpoints ({u}, {v}) must lie in [0, {n})")
             lo, hi = (u, v) if u < v else (v, u)
             if (lo, hi) in seen:
                 raise GraphValidationError(f"edge ({lo}, {hi}) appears in more than one mutation op")
@@ -701,25 +658,13 @@ class UncertainGraph:
                     raise GraphValidationError(
                         f"edge ({lo}, {hi}) already exists; use update to change its probability"
                     )
-                p = checked_probability(p, f"edge ({lo}, {hi})")
-                added.append((lo, hi, p))
-                ops.append(EdgeOp("add", lo, hi, probability=p))
+                added.append((lo, hi, checked_probability(p, f"edge ({lo}, {hi})")))
+            elif index is None:
+                raise GraphValidationError(f"no edge ({lo}, {hi}) to {kind}")
             elif kind == "remove":
-                if index is None:
-                    raise GraphValidationError(f"no edge ({lo}, {hi}) to remove")
                 removed_idx.append(index)
-                ops.append(EdgeOp("remove", lo, hi, old_probability=float(self._prob[index])))
-            elif kind == "update":
-                if index is None:
-                    raise GraphValidationError(f"no edge ({lo}, {hi}) to update")
-                p = checked_probability(p, f"edge ({lo}, {hi})")
-                updated.append((index, p))
-                ops.append(
-                    EdgeOp("update", lo, hi, probability=p,
-                           old_probability=float(self._prob[index]))
-                )
-            else:  # pragma: no cover - callers restrict kinds
-                raise GraphValidationError(f"unknown mutation kind {kind!r}")
+            else:
+                updated.append((index, checked_probability(p, f"edge ({lo}, {hi})")))
 
         prob = self._prob.copy()
         for index, p in updated:
@@ -737,8 +682,6 @@ class UncertainGraph:
         # (arrays and pool fingerprint) to from_edges on the final edge
         # set, so delta-derived world pools land under the cold digest.
         order = np.argsort(src.astype(np.int64) * n + dst, kind="stable")
-        if new_revision is None:
-            new_revision = self._revision + 1
         graph = UncertainGraph(
             n,
             src[order],
@@ -746,12 +689,29 @@ class UncertainGraph:
             prob[order],
             node_labels=self._labels,
             validate=False,
-            revision=new_revision,
+            revision=self._revision + 1,
         )
-        delta = GraphDelta(
-            base_revision=self._revision, new_revision=new_revision, ops=tuple(ops)
-        )
-        return graph, delta
+        counts = {"added": len(added), "removed": len(removed_idx), "updated": len(updated)}
+        return graph, counts
+
+    def add_edge(self, u, v, probability) -> tuple["UncertainGraph", dict]:
+        """Shorthand for ``mutate(add=[(u, v, probability)])``."""
+        return self.mutate(add=[(u, v, probability)])
+
+    def remove_edge(self, u, v) -> tuple["UncertainGraph", dict]:
+        """Shorthand for ``mutate(remove=[(u, v)])``."""
+        return self.mutate(remove=[(u, v)])
+
+    def update_edge(self, u, v, probability) -> tuple["UncertainGraph", dict]:
+        """Shorthand for ``mutate(update=[(u, v, probability)])``."""
+        return self.mutate(update=[(u, v, probability)])
+
+    def _mutation_index(self, label) -> int:
+        """:meth:`index_of` with mutation-flavored error reporting."""
+        try:
+            return self.index_of(label)
+        except KeyError:
+            raise GraphValidationError(f"cannot mutate: unknown node label {label!r}") from None
 
     def to_networkx(self, prob_attr: str = "prob"):
         """Export to a :class:`networkx.Graph` with probability attributes."""

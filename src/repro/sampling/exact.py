@@ -54,6 +54,30 @@ def enumerate_worlds(graph: UncertainGraph, *, max_uncertain_edges: int = _DEFAU
         yield mask, world_prob
 
 
+def exact_expected_distances(
+    graph: UncertainGraph,
+    *,
+    max_uncertain_edges: int = _DEFAULT_MAX_UNCERTAIN_EDGES,
+) -> np.ndarray:
+    """Exact ``(n, n)`` expected hop distances, disconnection counting ``n``.
+
+    Examples
+    --------
+    >>> g = UncertainGraph.from_edges([(0, 1, 0.5)])
+    >>> exact_expected_distances(g).tolist()  # d=1 or penalty 2, p=1/2 each
+    [[0.0, 1.5], [1.5, 0.0]]
+    """
+    n = graph.n_nodes
+    matrix = np.zeros((n, n), dtype=np.float64)
+    for mask, world_prob in enumerate_worlds(graph, max_uncertain_edges=max_uncertain_edges):
+        if world_prob == 0.0:
+            continue
+        for source in range(n):
+            dist = bfs_distances(graph, source, edge_mask=mask).astype(np.float64)
+            dist[dist < 0] = float(n)
+            matrix[source] += world_prob * dist
+    return matrix
+
 class ExactOracle:
     """Exact (d-)connection probabilities for small uncertain graphs.
 
@@ -141,19 +165,9 @@ class ExactOracle:
         """
         rows = self._graph.node_indices(sources)
         if self._distances is None:
-            graph = self._graph
-            n = graph.n_nodes
-            matrix = np.zeros((n, n), dtype=np.float64)
-            for mask, world_prob in enumerate_worlds(
-                graph, max_uncertain_edges=self._max_uncertain_edges
-            ):
-                if world_prob == 0.0:
-                    continue
-                for source in range(n):
-                    dist = bfs_distances(graph, source, edge_mask=mask).astype(np.float64)
-                    dist[dist < 0] = float(n)
-                    matrix[source] += world_prob * dist
-            self._distances = matrix
+            self._distances = exact_expected_distances(
+                self._graph, max_uncertain_edges=self._max_uncertain_edges
+            )
         return self._distances[rows]
 
     def __repr__(self) -> str:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import itertools
+import math
 import sys
 import threading
 import time
@@ -178,10 +179,11 @@ class GraphRegistry:
     def mutate(self, name: str, *, add=(), remove=(), update=()):
         """Apply edge mutations to the graph under ``name``.
 
-        Returns ``(graph, revision, delta)`` — the new graph object,
+        Returns ``(graph, revision, counts)`` — the new graph object,
         its fresh registry revision (so in-flight jobs against the old
         revision can never coalesce with post-mutation submissions),
-        and the :class:`~repro.graph.delta.GraphDelta` applied.  The
+        and the ``{"added", "removed", "updated"}`` op counts of
+        :meth:`UncertainGraph.mutate`.  The
         replaced graph is pushed onto the entry's ancestor lineage for
         pool derivation.  Validation failures surface as 400
         :class:`ServiceError`; the registry entry is only replaced on
@@ -193,7 +195,7 @@ class GraphRegistry:
             if entry is None or entry.graph is None:  # pragma: no cover - race window
                 raise ServiceError(f"no such graph: {name}", status=404)
             try:
-                graph, delta = entry.graph.mutate(add=add, remove=remove, update=update)
+                graph, counts = entry.graph.mutate(add=add, remove=remove, update=update)
             except GraphValidationError as error:
                 raise ServiceError(f"invalid mutation: {error}", status=400) from error
             ancestors = (entry.graph,) + entry.ancestors[: MAX_ANCESTORS - 1]
@@ -202,7 +204,7 @@ class GraphRegistry:
                 name=name, source=entry.source, revision=revision,
                 graph=graph, ancestors=ancestors,
             )
-        return graph, revision, delta
+        return graph, revision, counts
 
     def remove(self, name: str) -> None:
         """Unregister ``name`` (404 :class:`ServiceError` when unknown)."""
@@ -473,13 +475,16 @@ class ClusterService:
         leftover jobs are then cancelled, never abandoned.
         """
         body = request.json()
-        grace = body.get("grace_s", self._grace_s)
+        if not isinstance(body, dict):
+            raise ServiceError("shutdown body must be a JSON object")
+        raw = body.get("grace_s", self._grace_s)
         try:
-            grace = float(grace)
+            grace = math.nan if isinstance(raw, bool) else float(raw)
         except (TypeError, ValueError):
-            raise ServiceError(f"grace_s must be a number, got {grace!r}") from None
-        if grace < 0:
-            raise ServiceError(f"grace_s must be >= 0, got {grace}")
+            grace = math.nan
+        # NaN fails the comparison, so NaN, inf and bools all land here.
+        if not 0 <= grace < math.inf:
+            raise ServiceError(f"grace_s must be a finite number of seconds >= 0, got {raw!r}")
         active = self.jobs.active_count()
         if not self._draining:
             self._draining = True
@@ -585,7 +590,7 @@ class ClusterService:
     def _mutate_sync(self, name: str, body):
         graph = self.graphs.get(name)  # 404 first; also loads lazy builtins
         add, remove, update = self._parse_mutation_ops(graph, body)
-        graph, revision, delta = self.graphs.mutate(
+        graph, revision, counts = self.graphs.mutate(
             name, add=add, remove=remove, update=update
         )
         return 200, {
@@ -594,7 +599,7 @@ class ClusterService:
             "graph_revision": graph.revision,
             "nodes": graph.n_nodes,
             "edges": graph.n_edges,
-            "delta": delta.summary(),
+            "delta": counts,
         }
 
     @classmethod

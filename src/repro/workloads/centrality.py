@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.core.common import resolve_oracle
+from repro.core.common import is_exact, resolve_oracle
 from repro.core.schedule import resolve_guess_schedule
 from repro.exceptions import ClusteringError
 from repro.graph.uncertain_graph import UncertainGraph
@@ -158,8 +158,6 @@ def expected_centrality(
     >>> result.converged
     True
     """
-    from repro.core.mcp import _is_exact
-
     if measure not in MEASURE_NAMES:
         raise ClusteringError(
             f"measure must be one of {MEASURE_NAMES}, got {measure!r}"
@@ -172,7 +170,7 @@ def expected_centrality(
     )
     target = oracle.graph
 
-    if _is_exact(oracle):
+    if is_exact(oracle):
         from repro.workloads.exact import exact_expected_centrality
 
         values = exact_expected_centrality(target, measure)

@@ -23,37 +23,15 @@ from itertools import combinations
 import numpy as np
 
 from repro.exceptions import ClusteringError
-from repro.graph.traversal import bfs_distances
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.exact import _DEFAULT_MAX_UNCERTAIN_EDGES, enumerate_worlds
+from repro.sampling.exact import (
+    _DEFAULT_MAX_UNCERTAIN_EDGES,
+    enumerate_worlds,
+    exact_expected_distances,
+)
 from repro.workloads.measures import MEASURE_KERNELS, MEASURE_NAMES
 
 _OBJECTIVE_KINDS = ("kmedian", "kcenter")
-
-
-def exact_expected_distances(
-    graph: UncertainGraph,
-    *,
-    max_uncertain_edges: int = _DEFAULT_MAX_UNCERTAIN_EDGES,
-) -> np.ndarray:
-    """Exact ``(n, n)`` expected hop distances, disconnection counting ``n``.
-
-    Examples
-    --------
-    >>> g = UncertainGraph.from_edges([(0, 1, 0.5)])
-    >>> exact_expected_distances(g).tolist()  # d=1 or penalty 2, p=1/2 each
-    [[0.0, 1.5], [1.5, 0.0]]
-    """
-    n = graph.n_nodes
-    matrix = np.zeros((n, n), dtype=np.float64)
-    for mask, world_prob in enumerate_worlds(graph, max_uncertain_edges=max_uncertain_edges):
-        if world_prob == 0.0:
-            continue
-        for source in range(n):
-            dist = bfs_distances(graph, source, edge_mask=mask).astype(np.float64)
-            dist[dist < 0] = float(n)
-            matrix[source] += world_prob * dist
-    return matrix
 
 
 def exact_clustering_objective(

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.clustering import Clustering
-from repro.core.common import resolve_oracle
+from repro.core.common import is_exact, resolve_oracle
 from repro.exceptions import ClusteringError
 from repro.graph.uncertain_graph import UncertainGraph
 
@@ -89,8 +89,6 @@ class KClusteringResult:
 def _prepare(graph, oracle, k, samples, *, seed, chunk_size, max_samples,
              store, cache_dir):
     """Resolve the oracle, validate, and compute the expected-distance matrix."""
-    from repro.core.mcp import _is_exact
-
     oracle = resolve_oracle(
         graph, oracle, seed=seed, chunk_size=chunk_size, max_samples=max_samples,
         store=store, cache_dir=cache_dir,
@@ -98,7 +96,7 @@ def _prepare(graph, oracle, k, samples, *, seed, chunk_size, max_samples,
     n = oracle.n_nodes
     if not 1 <= k < n:
         raise ClusteringError(f"k must satisfy 1 <= k < n_nodes ({n}), got {k}")
-    exact = _is_exact(oracle)
+    exact = is_exact(oracle)
     if not exact:
         if samples < 1:
             raise ClusteringError(f"samples must be >= 1, got {samples}")

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphValidationError
-from repro.graph.delta import EdgeOp, GraphDelta
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling import deltas
 from repro.sampling.backends import UnionFindWorldBackend
@@ -79,12 +78,12 @@ class TestMutationAPI:
     def test_copy_on_write_and_revision(self, graph):
         src, dst, prob = graph.edge_src.copy(), graph.edge_dst.copy(), graph.edge_prob.copy()
         u, v, p = graph.edge_list()[0]
-        mutated, delta = graph.update_edge(u, v, 0.123)
+        mutated, counts = graph.update_edge(u, v, 0.123)
         assert graph.revision == 0 and mutated.revision == 1
         assert np.array_equal(graph.edge_prob, prob)  # reader undisturbed
         assert np.array_equal(graph.edge_src, src) and np.array_equal(graph.edge_dst, dst)
         assert mutated.edge_probability_between(graph.index_of(u), graph.index_of(v)) == 0.123
-        assert delta.base_revision == 0 and delta.new_revision == 1
+        assert counts == {"added": 0, "removed": 0, "updated": 1}
 
     def test_mutated_equals_cold_built_final_graph(self, graph):
         rng = np.random.default_rng(1)
@@ -101,25 +100,6 @@ class TestMutationAPI:
         assert np.array_equal(cold.edge_dst, mutated.edge_dst)
         assert np.array_equal(cold.edge_prob, mutated.edge_prob)
         assert pool_fingerprint(cold, 7) == pool_fingerprint(mutated, 7)
-
-    def test_apply_delta_replays(self, graph):
-        rng = np.random.default_rng(0)
-        current = graph
-        deltas = []
-        for _ in range(5):
-            current, delta = random_mutation(current, rng)
-            deltas.append(delta)
-        replayed = graph
-        for delta in deltas:
-            replayed = replayed.apply_delta(delta)
-        assert replayed.revision == current.revision == 5
-        assert np.array_equal(replayed.edge_src, current.edge_src)
-        assert np.array_equal(replayed.edge_prob, current.edge_prob)
-
-    def test_apply_delta_revision_mismatch(self, graph):
-        mutated, delta = graph.update_edge(*graph.edge_list()[0][:2], 0.5)
-        with pytest.raises(GraphValidationError, match="revision"):
-            mutated.apply_delta(delta)  # delta is based on revision 0
 
     def test_validation_errors(self, graph):
         u, v, _ = graph.edge_list()[0]
@@ -138,28 +118,59 @@ class TestMutationAPI:
         with pytest.raises(GraphValidationError, match="unknown node"):
             graph.remove_edge("nope", u)
 
-    def test_delta_json_roundtrip(self, graph):
-        mutated, delta = graph.mutate(
-            update=[graph.edge_list()[0][:2] + (0.42,)][:1], add=[(0, 49, 0.9)]
+    def test_mixed_mutation_counts(self, graph):
+        (u0, v0, _), (u1, v1, _), (u2, v2, _) = graph.edge_list()[:3]
+        mutated, counts = graph.mutate(
+            add=[(0, 49, 0.9)], remove=[(u0, v0), (u1, v1)], update=[(u2, v2, 0.42)]
         )
-        assert GraphDelta.from_json(delta.to_json()) == delta
-        assert delta.summary() == {"added": 1, "removed": 0, "updated": 1}
-        assert len(delta) == 2
+        assert counts == {"added": 1, "removed": 2, "updated": 1}
+        assert (graph.revision, mutated.revision) == (0, 1)
+        assert mutated.n_edges == graph.n_edges - 1
 
-    def test_edge_op_canonicalizes_endpoints(self):
-        op = EdgeOp("add", 9, 2, probability=0.5)
-        assert (op.u, op.v) == (2, 9)
-        with pytest.raises(GraphValidationError):
-            EdgeOp("add", 3, 3, probability=0.5)
-        with pytest.raises(GraphValidationError):
-            EdgeOp("toggle", 1, 2)
+    def test_mutation_chain_steps_revision(self, graph):
+        rng = np.random.default_rng(0)
+        chain = [graph]
+        for _ in range(5):
+            mutated, counts = random_mutation(chain[-1], rng)
+            assert sum(counts.values()) == 1
+            chain.append(mutated)
+        assert [g.revision for g in chain] == [0, 1, 2, 3, 4, 5]
+        final = chain[-1]
+        cold = UncertainGraph.from_edges(final.edge_list(), nodes=graph.node_labels)
+        assert np.array_equal(cold.edge_src, final.edge_src)
+        assert np.array_equal(cold.edge_prob, final.edge_prob)
+
+    def test_mutation_canonicalizes_endpoints(self):
+        g = UncertainGraph.from_edges([(i, i + 1, 0.5) for i in range(10)])
+        g2, _ = g.add_edge(9, 2, 0.3)
+        assert (2, 9, 0.3) in g2.edge_list()
+        g3, counts = g2.update_edge(9, 2, 0.8)  # reversed endpoints name the same edge
+        assert counts["updated"] == 1 and (2, 9, 0.8) in g3.edge_list()
+        with pytest.raises(GraphValidationError, match=r"edge \(2, 9\) already exists"):
+            g2.add_edge(9, 2, 0.1)
+        with pytest.raises(GraphValidationError, match=r"edge \(2, 9\) appears in more than one"):
+            g2.mutate(remove=[(9, 2)], update=[(2, 9, 0.4)])
+
+    def test_unknown_label_reported_before_other_faults(self):
+        g = UncertainGraph.from_edges([("a", "b", 0.5), ("b", "c", 0.6)])
+        # Every label resolves before any op is checked.
+        with pytest.raises(GraphValidationError, match="unknown node label 'zz'"):
+            g.mutate(add=[("a", "a", 0.5)], update=[("zz", "b", 0.3)])
+        with pytest.raises(GraphValidationError, match="unknown node label 'nope'"):
+            g.mutate(remove=[("a", "nope")], update=[("a", "b", 0.1), ("b", "a", 0.2)])
+        # Among resolved ops, faults report in add, remove, update order.
+        with pytest.raises(GraphValidationError, match="self loop"):
+            g.mutate(add=[("c", "c", 0.5)], update=[("a", "b", 0.1), ("b", "a", 0.2)])
+        with pytest.raises(GraphValidationError, match=r"no edge \(0, 2\) to remove"):
+            g.mutate(remove=[("a", "c")], update=[("a", "b", 7.0)])
 
     def test_labeled_graph_mutation(self):
         g = UncertainGraph.from_edges([("a", "b", 0.5), ("b", "c", 0.6)])
-        g2, delta = g.add_edge("a", "c", 0.7)
+        g2, counts = g.add_edge("a", "c", 0.7)
         assert g2.n_edges == 3 and g2.node_labels == g.node_labels
-        # Delta ops carry dense indices.
-        assert delta.ops[0].u == 0 and delta.ops[0].v == 2
+        assert counts == {"added": 1, "removed": 0, "updated": 0}
+        assert (g.revision, g2.revision) == (0, 1)
+        assert g2.edge_probability_between(g2.index_of("a"), g2.index_of("c")) == 0.7
 
 
 # ----------------------------------------------------------------------

@@ -1834,10 +1834,17 @@ class TestDrainShutdown:
             server.stop()
 
     def test_shutdown_rejects_bad_grace(self, client):
-        status, payload = client.request("POST", "/shutdown", {"grace_s": "soon"})
-        assert status == 400
-        status, payload = client.request("POST", "/shutdown", {"grace_s": -1})
-        assert status == 400
+        # json.dumps spells the floats NaN / Infinity, which the server's
+        # parser accepts; none is a drain deadline.
+        for grace in ("soon", "x", -1, float("nan"), float("inf"), True):
+            status, payload = client.request("POST", "/shutdown", {"grace_s": grace})
+            assert status == 400, grace
+            assert payload["error"]["code"] == "bad_request"
+            assert "grace_s" in payload["error"]["message"]
+        status, payload = client.request("POST", "/shutdown", [30])
+        assert status == 400 and payload["error"]["code"] == "bad_request"
+        status, health = client.request("GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"
 
 
 class TestProgressCallback:
